@@ -1,8 +1,10 @@
-"""Pure-Python classification kernel (reference implementation).
+"""Scalar classification kernel (reference implementation).
 
-The compiled extension in _core.pyx mirrors this decision tree statement
-for statement; tests assert the two backends agree point for point.  Keep
-the logic changes synchronized.
+classify_code is the readable statement of the decision tree.  The
+vectorised classify_codes in hardylane._kernels evaluates the same tree as
+a NumPy mask cascade; tests assert the two agree point for point (codes,
+margins with their sign bits, flags), so keep the logic changes
+synchronized.
 
 The kernel works on raw floats and returns integer region codes plus the
 signed margin of the binding inequality and a flags byte:
@@ -15,8 +17,6 @@ signed margin of the binding inequality and a flags byte:
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 # Region codes.  The mapping to citation strings lives in hardylane.regions.
 CODE_INVALID = -1
@@ -173,32 +173,3 @@ def _regime_b(N: int, mu0: float, mu1: float, mu2: float,
         return _gate(p, q, CODE_T3_II_A2, margin, 0)
     # corner where both critical curves meet: no construction covers it
     return CODE_DOTTED, 0.0, 0
-
-
-def classify_codes(N, mu1, mu2, p, q):
-    """Vector version: equal-length 1-D arrays in, (codes, margins, flags) out."""
-    N = np.asarray(N, dtype=np.int64)
-    mu1 = np.asarray(mu1, dtype=np.float64)
-    mu2 = np.asarray(mu2, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    n = len(p)
-    codes = np.empty(n, dtype=np.int16)
-    margins = np.empty(n, dtype=np.float64)
-    flags = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        c, m, f = classify_code(int(N[i]), float(mu1[i]), float(mu2[i]),
-                                float(p[i]), float(q[i]))
-        codes[i] = c
-        margins[i] = m
-        flags[i] = f
-    return codes, margins, flags
-
-
-def tau_pair_arrays(N, mu):
-    """Vectorized tau_+(mu), tau_-(mu) for equal-length arrays."""
-    N = np.asarray(N, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    half = (N - 2.0) / 2.0
-    s = np.sqrt(mu + half * half)
-    return -half + s, -half - s

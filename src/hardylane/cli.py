@@ -9,11 +9,15 @@ constructions, and render region plots.
 
 Single-record commands print JSON to stdout or write it to <out>.json;
 plot writes <out>.csv / <out>.svg (and <out>.json metadata when requested).
-A JSON run configuration can be supplied with --config; explicit flags
-override config values.  LEH_THREADS caps grid-sweep parallelism.
+A JSON run configuration can be supplied with --config: an object whose
+keys are option names ("N", "p-range" or "p_range", ...) plus an optional
+"command".  Its options are typed and checked exactly like flags, and
+explicit flags override them.
 
-Exit codes: 0 success, 1 validation error, 2 internal inconsistency
-(classifier/engine disagreement), so automation can tell bugs from bad input.
+Exit codes: 0 success, 1 validation error (bad flags or config included),
+2 internal inconsistency (a classifier/engine disagreement or any other
+unexpected error), so automation can tell bugs from bad input.  Errors are
+reported on one line.
 """
 
 from __future__ import annotations
@@ -67,9 +71,18 @@ def _parse_range(text: str) -> tuple:
     return lo, hi
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a validation error, not a SystemExit."""
+
+    def error(self, message):
+        raise DomainValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hardylane",
+    # allow_abbrev is off at the top level only, so that no prefix of
+    # --config can slip past the splicing in _parse
+    parser = _Parser(
+        prog="hardylane", allow_abbrev=False,
         description="Region classification and supersolution verification "
                     "for coupled Hardy-potential systems.")
     parser.add_argument("--config", help="JSON run configuration; explicit "
@@ -112,16 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-range", default=None, help="a..b")
     sp.add_argument("--res", type=int, default=None)
     return parser
-
-
-def _apply_config(args: argparse.Namespace, config: dict) -> None:
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if attr == "command":
-            continue
-        if getattr(args, attr, None) is None and not isinstance(
-                getattr(args, attr, None), bool):
-            setattr(args, attr, value)
 
 
 def _require_args(args, names) -> None:
@@ -322,31 +325,56 @@ def cmd_plot(args) -> int:
 _COMMANDS = ("classify", "iterate", "verify", "plot")
 
 
+def _config_argv(path: str) -> tuple:
+    """Read a JSON config; returns (its command or None, its option tokens)."""
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise DomainValidationError(
+            f"config {path} must hold a JSON object, not "
+            f"{type(config).__name__}")
+    tokens = []
+    for key, value in config.items():
+        if key == "command" or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, (str, int, float)):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise DomainValidationError(
+                f"config value of {key!r} must be a string, number or "
+                f"boolean")
+    return config.get("command"), tokens
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """Parse argv once, the --config options ahead of the explicit flags."""
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is not None:
+        command, tokens = _config_argv(known.config)
+        if rest and rest[0] in _COMMANDS:
+            command, rest = rest[0], rest[1:]
+        if command not in _COMMANDS:
+            raise DomainValidationError(
+                f"config must name a command from {_COMMANDS}")
+        rest = [command] + tokens + rest
+    return parser.parse_args(rest)
+
+
+def _fail(code: int, prefix: str, exc: BaseException) -> int:
+    print(f"{prefix}: " + " ".join(str(exc).split()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = None
-        if "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 >= len(argv):
-                raise DomainValidationError("--config needs a file path")
-            with open(argv[i + 1], encoding="utf-8") as fh:
-                config = json.load(fh)
-            argv = argv[:i] + argv[i + 2:]
-            if not argv or argv[0] not in _COMMANDS:
-                cmd = config.get("command")
-                if cmd not in _COMMANDS:
-                    raise DomainValidationError(
-                        f"config must name a command from {_COMMANDS}")
-                argv = [cmd] + argv
-        args, unknown = parser.parse_known_args(argv)
-        if unknown:
-            print(f"error: unrecognized arguments: {' '.join(unknown)}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-        if config is not None:
-            _apply_config(args, config)
+        args = _parse(parser, argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_VALIDATION
@@ -354,11 +382,12 @@ def main(argv=None) -> int:
                    "verify": cmd_verify, "plot": cmd_plot}[args.command]
         return handler(args)
     except WitnessMismatchError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        return _fail(EXIT_INCONSISTENT, "internal inconsistency", exc)
     except (DomainValidationError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, "error", exc)
+    except Exception as exc:
+        return _fail(EXIT_INCONSISTENT,
+                     f"internal error ({type(exc).__name__})", exc)
 
 
 if __name__ == "__main__":

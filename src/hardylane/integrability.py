@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import quad
-
 from .exponents import DomainValidationError, snap_mu, tau_pair
 from .radial import RadialFunction, evaluate
 
@@ -70,6 +67,9 @@ def weighted_integral(N: int, mu: float, f: RadialFunction,
     removes the power singularity from the integrand; independent of the
     closed-form margin used by is_gamma_integrable.
     """
+    # imported here: scipy.integrate is most of `import hardylane` otherwise
+    from scipy.integrate import quad
+
     mu = snap_mu(N, mu)
     if not (0.0 < eps < r0 <= 1.0):
         raise DomainValidationError(f"need 0 < eps < r0 <= 1, got ({eps}, {r0})")

@@ -2,7 +2,9 @@
 
 The SVG is assembled as a plain string with fixed 6-decimal coordinates and
 sorted legend entries, so identical inputs produce byte-identical files
-regardless of thread count or platform dict order.  Axes: p horizontal,
+regardless of platform dict order.  Each grid row is drawn as one <rect>
+per run of equal region codes, so the file grows with the number of region
+boundaries crossed, not with the number of cells.  Axes: p horizontal,
 q vertical (increasing upward).
 
 Marked corner points (present when inside the plotted ranges):
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import _kernels as K
 from .exponents import HardyParams, Powers
-from .regions import _CITATIONS, Verdict, _wrap
+from .regions import RegionClass, _wrap
 
 # Fill colors per region code: reds for nonexistence, greens for existence,
 # yellows for open boundaries, grey outside scope.
@@ -178,16 +180,19 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
         out.append(f'<text x="{_fmt(_MARGIN_L)}" y="16" font-size="13" '
                    f'font-family="monospace">{spec.title}</text>')
 
-    # one rect per grid cell, centered on its sample point
-    for i in range(res):
-        for j in range(res):
-            code = int(codes[i, j])
-            color = _COLORS.get(code, "#000000")
-            x = _MARGIN_L + j * cell_w
-            y = _MARGIN_T + (res - 1 - i) * cell_h
-            out.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-                       f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-                       f'fill="{color}"/>')
+    # one rect per run of equal codes along each grid row; column 0 always
+    # starts a run, so in flat order every run ends where the next begins
+    starts = np.ones(codes.shape, dtype=bool)
+    starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    rows, cols = np.nonzero(starts)
+    flat = rows * res + cols
+    lengths = np.diff(flat, append=res * res)
+    for i, j, n, code in zip(rows.tolist(), cols.tolist(), lengths.tolist(),
+                             codes[starts].tolist()):
+        out.append(f'<rect x="{_fmt(_MARGIN_L + j * cell_w)}" '
+                   f'y="{_fmt(_MARGIN_T + (res - 1 - i) * cell_h)}" '
+                   f'width="{_fmt(n * cell_w)}" height="{_fmt(cell_h)}" '
+                   f'fill="{_COLORS.get(code, "#000000")}"/>')
 
     # axes frame
     out.append(f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" '
@@ -231,14 +236,13 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
                    f'font-size="12" font-family="monospace">{name}</text>')
 
     # legend: one entry per code present in the grid
-    present = sorted(set(int(c) for c in codes.ravel()))
+    legend = _regions_present(codes)
     lx = _MARGIN_L + _PLOT_W + 18.0
     ly = _MARGIN_T + 8.0
     out.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
                f'font-family="monospace">legend</text>')
-    for k, code in enumerate(present):
+    for k, (code, region) in enumerate(legend.items()):
         y = ly + 16.0 + 16.0 * k
-        region = _wrap(code, 0.0, _legend_flags(code))
         out.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y - 9)}" width="12" '
                    f'height="12" fill="{_COLORS.get(code, "#000000")}" '
                    f'stroke="#000000" stroke-width="0.5"/>')
@@ -255,6 +259,12 @@ def _legend_flags(code: int) -> int:
     return 0
 
 
+def _regions_present(codes: np.ndarray) -> Dict[int, RegionClass]:
+    """The region of each code in the grid, in ascending code order."""
+    return {code: _wrap(code, 0.0, _legend_flags(code))
+            for code in np.unique(codes).tolist()}
+
+
 def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:
     """Write the SVG; identical inputs produce byte-identical files."""
     text = render_svg(codes, spec)
@@ -264,18 +274,31 @@ def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:
 
 def grid_csv_lines(codes: np.ndarray, margins: np.ndarray,
                    spec: PlotSpec) -> List[str]:
-    """CSV rows (p,q,verdict,citation,margin) in row-major grid order."""
+    """CSV rows (p,q,verdict,citation,margin) in row-major grid order.
+
+    p and q are formatted once per column and row, verdict and citation
+    once per code present, and each distinct margin once: many margins
+    depend on p or q alone (half-planes, the p, q > 1 gate), so a region
+    plot holds far fewer distinct margins than cells.  Margins are told
+    apart by bit pattern, which keeps 0.0 and -0.0 apart.
+    """
     res = spec.resolution
-    p_values = np.linspace(spec.p_range[0], spec.p_range[1], res)
-    q_values = np.linspace(spec.q_range[0], spec.q_range[1], res)
+    p_text = [f"{p:.12g}," for p in
+              np.linspace(spec.p_range[0], spec.p_range[1], res).tolist()]
+    q_values = np.linspace(spec.q_range[0], spec.q_range[1], res).tolist()
+    labels = {code: f"{region.verdict.value},{region.citation},"
+              for code, region in _regions_present(codes).items()}
+    bits, which = np.unique(np.ascontiguousarray(margins, dtype=np.float64)
+                            .view(np.int64), return_inverse=True)
+    margin_text = np.array([f"{m:.12g}" for m in
+                            bits.view(np.float64).tolist()], dtype=object)
     lines = ["p,q,verdict,citation,margin"]
-    for i in range(res):
-        for j in range(res):
-            code = int(codes[i, j])
-            region = _wrap(code, margins[i, j], _legend_flags(code))
-            lines.append(f"{p_values[j]:.12g},{q_values[i]:.12g},"
-                         f"{region.verdict.value},{region.citation},"
-                         f"{margins[i, j]:.12g}")
+    for q, row_codes, row_margins in zip(
+            q_values, codes.tolist(),
+            margin_text[which.reshape(codes.shape)].tolist()):
+        q_text = f"{q:.12g},"
+        lines += [f"{p}{q_text}{labels[c]}{m}"
+                  for p, c, m in zip(p_text, row_codes, row_margins)]
     return lines
 
 

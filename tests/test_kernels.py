@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hardylane import _kernels as K
 from hardylane._kernels import _pure
-
-_core = pytest.importorskip("hardylane._kernels._core",
-                            reason="compiled kernels not built")
 
 
 def random_points(n, seed):
@@ -18,14 +17,31 @@ def random_points(n, seed):
     return N, mu1, mu2, p, q
 
 
-class TestBackendAgreement:
+def scalar_reference(N, mu1, mu2, p, q):
+    """The scalar classify_code applied point by point."""
+    out = [_pure.classify_code(int(n), float(a), float(b), float(x), float(y))
+           for n, a, b, x, y in zip(N, mu1, mu2, p, q)]
+    codes, margins, flags = zip(*out)
+    return (np.array(codes, dtype=np.int16), np.array(margins),
+            np.array(flags, dtype=np.uint8))
+
+
+def assert_identical(got, want):
+    codes, margins, flags = got
+    assert codes.dtype == np.int16 and flags.dtype == np.uint8
+    assert np.array_equal(codes, want[0])
+    assert np.array_equal(flags, want[2])
+    assert np.array_equal(margins, want[1], equal_nan=True)
+    assert np.array_equal(np.signbit(margins), np.signbit(want[1]))
+
+
+def check_against_reference(*points):
+    assert_identical(K.classify_codes(*points), scalar_reference(*points))
+
+
+class TestVectorMatchesScalar:
     def test_random_sweep_identical(self):
-        data = random_points(100_000, seed=42)
-        c1, m1, f1 = _pure.classify_codes(*data)
-        c2, m2, f2 = _core.classify_codes(*data)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(f1, f2)
-        assert np.array_equal(m1, m2, equal_nan=True)
+        check_against_reference(*random_points(100_000, seed=42))
 
     def test_boundary_band_identical(self):
         # points deliberately placed on and around the snapped boundaries
@@ -35,49 +51,109 @@ class TestBackendAgreement:
         base = np.array([5.0, 2.0, 3.0, 2.0 + 1e-13])
         p = np.tile(np.array([2.0, 3.0, 1.0, 1.0 + 5e-13]), 16)
         q = np.repeat(base, 16)
-        c1, m1, f1 = _pure.classify_codes(N, mu1, mu2, p, q)
-        c2, m2, f2 = _core.classify_codes(N, mu1, mu2, p, q)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(m1, m2, equal_nan=True)
+        check_against_reference(N, mu1, mu2, p, q)
+        check_against_reference(N, mu2, mu1, q, p)
 
-    def test_scalar_entry_points_agree(self):
-        for args in [(5, -2.0, 0.0, 2.0, 4.0), (5, -2.25, 0.0, 2.0, 2.5),
-                     (6, -3.9, -1.0, 3.0, 3.0), (4, 1.0, 2.0, 1.0, 1.0),
-                     (5, 0.0, -2.0, 6.0, 2.0)]:
-            assert _pure.classify_code(*args) == _core.classify_code(*args)
+    def test_symmetric_diagonal_identical(self):
+        # mu1 = mu2 and p = q: both bootstraps fire with e1 == e2
+        d = np.linspace(0.1, 8.0, 200)
+        for N, mu in [(5, -2.0), (6, -3.9), (4, -0.5)]:
+            check_against_reference(np.full(200, N), np.full(200, mu),
+                                    np.full(200, mu), d, d)
 
-    def test_tau_arrays_agree(self):
-        rng = np.random.default_rng(1)
-        N = rng.integers(3, 11, 10_000).astype(np.int64)
-        mu = -((N - 2) ** 2) / 4.0 + rng.random(10_000) * 20.0
-        tp1, tm1 = _pure.tau_pair_arrays(N, mu)
-        tp2, tm2 = _core.tau_pair_arrays(N, mu)
-        assert np.array_equal(tp1, tp2)
-        assert np.array_equal(tm1, tm2)
+    def test_mu0_edges_identical(self):
+        # mu1 = mu0 and mu2 = mu0, exactly and inside / just outside the
+        # snap band, over both one-negative and both-negative regimes
+        N, mu1, mu2, _, _ = random_points(20_000, seed=7)
+        rng = np.random.default_rng(8)
+        mu0 = -((N - 2) ** 2) / 4.0
+        band = K.MU0_SNAP_REL * (N - 2) * (N - 2)
+        offsets = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+        k = len(N) // 3
+        mu1[:k] = mu0[:k] + band[:k] * rng.choice(offsets, k)
+        mu2[k:2 * k] = mu0[k:2 * k] + band[k:2 * k] * rng.choice(offsets, k)
+        mu2[:k // 2] = rng.choice([0.0, -0.0, 1.0], k // 2)
+        p = rng.random(len(N)) * 6.0 + 1e-3
+        q = rng.random(len(N)) * 6.0 + 1e-3
+        check_against_reference(N, mu1, mu2, p, q)
+
+    def test_critical_curve_at_threshold_identical(self):
+        # e1 = 0 at mu1 = mu0, inside the strip (closed edge, FLAG_MU0_EDGE)
+        # and above q_upper (the half-plane wins); both orientations
+        rows = []
+        for N in range(3, 11):
+            mu0 = -((N - 2) ** 2) / 4.0
+            t1 = -(N - 2) / 2.0
+            for mu2 in (0.0, 0.5, 3.0):
+                for p in np.linspace(0.2, 6.0, 30):
+                    rows.append((N, mu0, mu2, p, (t1 - 2 * p - 2) / (t1 * p)))
+        N, mu1, mu2, p, q = (np.array(c) for c in zip(*rows))
+        codes, _, flags = K.classify_codes(N, mu1, mu2, p, q)
+        assert (flags & K.FLAG_MU0_EDGE).any()
+        assert (codes == K.CODE_T1_I).any()
+        check_against_reference(N, mu1, mu2, p, q)
+        check_against_reference(N, mu2, mu1, q, p)
+
+    def test_signed_zero_and_nan_coefficients_identical(self):
+        # min() keeps its first argument on ties and on NaN comparisons
+        nan = np.nan
+        mu1 = np.array([0.0, -0.0, nan, 1.0, nan, -2.0, 0.0])
+        mu2 = np.array([-0.0, 0.0, 1.0, nan, -2.0, nan, 0.0])
+        ones = np.full(7, 1.5)
+        check_against_reference(np.full(7, 5), mu1, mu2, ones, ones)
 
     def test_invalid_inputs_flagged(self):
-        N = np.array([5, 5, 2], dtype=np.int64)
-        mu1 = np.array([-3.0, -2.0, 0.0])
-        mu2 = np.array([0.0, 0.0, 0.0])
-        p = np.array([1.0, -1.0, 1.0])
-        q = np.array([1.0, 1.0, 1.0])
-        for impl in (_pure, _core):
-            codes, margins, _ = impl.classify_codes(N, mu1, mu2, p, q)
-            assert (codes == _pure.CODE_INVALID).all()
-            assert np.isnan(margins).all()
+        N = np.array([5, 5, 2, 5, 5, 5, 5, 5], dtype=np.int64)
+        mu1 = np.array([-3.0, -2.0, 0.0, 0.0, -2.0, 0.0, 0.0, -2.0])
+        mu2 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -np.inf, 0.0, 0.0])
+        p = np.array([1.0, -1.0, 1.0, np.inf, np.nan, 1.0, 0.0, 1.0])
+        q = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.0])
+        codes, margins, flags = K.classify_codes(N, mu1, mu2, p, q)
+        assert (codes == K.CODE_INVALID).all()
+        assert np.isnan(margins).all()
+        assert (flags == 0).all()
+        check_against_reference(N, mu1, mu2, p, q)
+
+    def test_scalar_parameters_broadcast(self):
+        # a region grid passes N, mu1, mu2 once for every point
+        g = np.linspace(0.1, 8.0, 60)
+        pp, qq = (a.ravel() for a in np.meshgrid(g, g))
+        n = pp.size
+        for N, mu1, mu2 in [(5, -2.0, -2.0), (5, -2.0, 0.0), (5, 0.0, -2.0),
+                            (5, -2.25, 0.0), (5, 0.0, -2.25), (4, 1.0, 0.5),
+                            (3, -0.25, -0.1)]:
+            per_point = K.classify_codes(np.full(n, N), np.full(n, mu1),
+                                         np.full(n, mu2), pp, qq)
+            assert_identical(K.classify_codes(N, mu1, mu2, pp, qq), per_point)
+
+    def test_empty_input(self):
+        codes, margins, flags = K.classify_codes([], [], [], [], [])
+        assert codes.shape == margins.shape == flags.shape == (0,)
+
+
+@st.composite
+def snap_band_points(draw):
+    """(N, mu1, mu2, p, q) with mu1 or mu2 within a few snap bands of mu0."""
+    N = draw(st.integers(3, 10))
+    mu0 = -((N - 2) * (N - 2)) / 4.0
+    band = K.MU0_SNAP_REL * (N - 2) * (N - 2)
+    near = mu0 + band * draw(st.floats(-3.0, 3.0))
+    other = draw(st.one_of(
+        st.floats(mu0, 3.0),
+        st.just(mu0 + band * draw(st.floats(-3.0, 3.0)))))
+    mu1, mu2 = (near, other) if draw(st.booleans()) else (other, near)
+    p = draw(st.floats(1e-3, 20.0))
+    q = draw(st.floats(1e-3, 20.0))
+    return N, mu1, mu2, p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(snap_band_points())
+def test_snap_band_point_matches_scalar(point):
+    check_against_reference(*(np.array([v]) for v in point))
 
 
 class TestBackendSelection:
     def test_selected_backend_exposed(self):
         import hardylane
-        assert hardylane.kernel_backend in ("compiled", "python")
-
-    def test_env_override(self):
-        import subprocess
-        import sys
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import hardylane; print(hardylane.kernel_backend)"],
-            env={"LEH_BACKEND": "python", "PATH": "/usr/bin:/bin"},
-            capture_output=True, text=True)
-        assert out.stdout.strip() == "python"
+        assert hardylane.kernel_backend == "numpy"

@@ -4,7 +4,7 @@ import pytest
 from hardylane.exponents import HardyParams
 from hardylane.plotting import (PlotSpec, critical_curve_points,
                                 grid_csv_lines, region_markers, render_svg)
-from hardylane.regions import classify_field
+from hardylane.regions import _wrap, classify_field
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)
@@ -97,3 +97,44 @@ class TestRendering:
         assert first_p == pytest.approx([0.1, 4.05, 8.0])
         first_q = [float(ln.split(",")[1]) for ln in lines[1:4]]
         assert first_q == pytest.approx([0.1, 0.1, 0.1])
+
+
+def per_cell_csv_lines(codes, margins, flags, spec):
+    """The CSV formatted cell by cell through _wrap (the format's oracle)."""
+    res = spec.resolution
+    p_values = np.linspace(spec.p_range[0], spec.p_range[1], res)
+    q_values = np.linspace(spec.q_range[0], spec.q_range[1], res)
+    lines = ["p,q,verdict,citation,margin"]
+    for i in range(res):
+        for j in range(res):
+            region = _wrap(int(codes[i, j]), margins[i, j], int(flags[i, j]))
+            lines.append(f"{p_values[j]:.12g},{q_values[i]:.12g},"
+                         f"{region.verdict.value},{region.citation},"
+                         f"{margins[i, j]:.12g}")
+    return lines
+
+
+@pytest.mark.parametrize("mus, window", [
+    ((-2.0, -2.0), (0.1, 8.0)), ((-2.0, 0.0), (0.1, 8.0)),
+    ((0.0, -2.0), (0.1, 8.0)), ((-2.25, 0.0), (0.1, 8.0)),
+    ((1.0, 1.0), (1.0, 2.0)), ((-2.0, -2.0), (2.9, 3.1))])
+def test_csv_matches_per_cell_formatting(mus, window):
+    params = HardyParams(5, *mus)
+    spec = PlotSpec(params=params, p_range=window, q_range=window,
+                    resolution=37)
+    grid = np.linspace(*window, 37)
+    codes, margins, flags = classify_field(params, grid, grid)
+    assert grid_csv_lines(codes, margins, spec) == \
+        per_cell_csv_lines(codes, margins, flags, spec)
+
+
+def test_csv_keeps_signed_zero_margins_apart():
+    spec = PlotSpec(params=HardyParams(5, 1.0, 1.0), p_range=(1.0, 2.0),
+                    q_range=(1.0, 2.0), resolution=3)
+    codes = np.zeros((3, 3), dtype=np.int16)
+    margins = np.array([[0.0, -0.0, 1e-13], [-0.0, 0.0, 2.5],
+                        [1 / 3, -1 / 3, -0.0]])
+    flags = np.zeros((3, 3), dtype=np.uint8)
+    lines = grid_csv_lines(codes, margins, spec)
+    assert lines == per_cell_csv_lines(codes, margins, flags, spec)
+    assert [ln.rpartition(",")[2] for ln in lines[1:3]] == ["0", "-0"]

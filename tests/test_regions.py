@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylane import _kernels as K
 from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
                                  boundary_expressions, mu_zero)
 from hardylane.iteration import CertificateKind
@@ -266,13 +267,15 @@ class TestGrid:
         with pytest.raises(DomainValidationError):
             classify_grid(params, (1.0, 2.0), (1.0, 2.0), 5000)
 
-    def test_threads_do_not_change_result(self, monkeypatch):
+    def test_field_matches_per_point_kernel(self):
         params = HardyParams(5, -2.0, -2.0)
         p_values = np.linspace(0.5, 6.0, 90)
-        q_values = np.linspace(0.5, 6.0, 90)
-        monkeypatch.setenv("LEH_THREADS", "1")
-        base = classify_field(params, p_values, q_values)
-        monkeypatch.setenv("LEH_THREADS", "5")
-        multi = classify_field(params, p_values, q_values)
-        for a, b in zip(base, multi):
-            assert np.array_equal(a, b)
+        q_values = np.linspace(0.5, 6.0, 91)
+        field = classify_field(params, p_values, q_values)
+        pp, qq = np.meshgrid(p_values, q_values)
+        n = pp.size
+        per_point = K.classify_codes(np.full(n, 5), np.full(n, -2.0),
+                                     np.full(n, -2.0), pp.ravel(), qq.ravel())
+        for a, b in zip(field, per_point):
+            assert a.shape == (91, 90)
+            assert np.array_equal(a.ravel(), b)
