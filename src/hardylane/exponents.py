@@ -86,6 +86,8 @@ def root_coefficient(N: int, mu: float, tau: float) -> float:
 
     The factored form vanishes *exactly* (in floating point) at the stored
     roots, which downstream code relies on to recognise kernel functions.
+    Like tau_pair, it reads mu after snap_mu: inside the snap band the value
+    is that of mu = mu_zero(N).
     """
     pair = tau_pair(N, mu)
     return -(tau - pair.tau_plus) * (tau - pair.tau_minus)

@@ -105,7 +105,8 @@ class TestRootProperties:
     @settings(max_examples=300)
     def test_factored_coefficient_matches_expanded(self, Nmu, tau):
         N, mu = Nmu
-        expanded = mu - tau * (tau + N - 2)
+        # mu inside the snap band is mu_zero, as in tau_pair
+        expanded = snap_mu(N, mu) - tau * (tau + N - 2)
         scale = max(1.0, abs(expanded))
         assert abs(root_coefficient(N, mu, tau) - expanded) <= 1e-12 * scale
 
