@@ -10,9 +10,10 @@ constructions, and render region plots.
 Single-record commands print JSON to stdout or write it to <out>.json;
 plot writes <out>.csv / <out>.svg (and <out>.json metadata when requested).
 A JSON run configuration can be supplied with --config: an object whose
-keys are option names ("N", "p-range" or "p_range", ...) plus an optional
-"command".  Its options are typed and checked exactly like flags, and
-explicit flags override them.
+keys name options of the command exactly ("N", "p-range" or "p_range", ...;
+neither a prefix nor an option the command lacks is accepted) plus an
+optional "command".  Its options are typed and checked exactly like flags,
+and explicit flags override them.
 
 Exit codes: 0 success, 1 validation error (bad flags or config included),
 2 internal inconsistency (a classifier/engine disagreement or any other
@@ -79,8 +80,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev is off at the top level only, so that no prefix of
-    # --config can slip past the splicing in _parse
+    # allow_abbrev is off everywhere: no prefix of --config can slip past
+    # the splicing in _parse, and a config key must name its option exactly
     parser = _Parser(
         prog="hardylane", allow_abbrev=False,
         description="Region classification and supersolution verification "
@@ -97,21 +98,24 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", default=None,
                         help="comma-separated subset of csv,json,svg")
 
-    sp = sub.add_parser("classify", help="classify one (p, q) point")
+    sp = sub.add_parser("classify", allow_abbrev=False,
+                        help="classify one (p, q) point")
     common(sp)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--witness", action="store_true",
                     help="attach the nonexistence evidence chain")
 
-    sp = sub.add_parser("iterate", help="run the exponent bootstrap")
+    sp = sub.add_parser("iterate", allow_abbrev=False,
+                        help="run the exponent bootstrap")
     common(sp)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--variant", choices=["plain", "clamped"], default=None)
     sp.add_argument("--cap", type=int, default=None)
 
-    sp = sub.add_parser("verify", help="verify a supersolution construction")
+    sp = sub.add_parser("verify", allow_abbrev=False,
+                        help="verify a supersolution construction")
     common(sp)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
@@ -119,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-points", type=int, default=None)
     sp.add_argument("--r-min", type=float, default=None)
 
-    sp = sub.add_parser("plot", help="sweep a (p, q) window and render it")
+    sp = sub.add_parser("plot", allow_abbrev=False,
+                        help="sweep a (p, q) window and render it")
     common(sp)
     sp.add_argument("--p-range", default=None, help="a..b")
     sp.add_argument("--q-range", default=None, help="a..b")

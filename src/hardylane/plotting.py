@@ -2,10 +2,8 @@
 
 The SVG is assembled as a plain string with fixed 6-decimal coordinates and
 sorted legend entries, so identical inputs produce byte-identical files
-regardless of platform dict order.  Each grid row is drawn as one <rect>
-per run of equal region codes, so the file grows with the number of region
-boundaries crossed, not with the number of cells.  Axes: p horizontal,
-q vertical (increasing upward).
+regardless of platform dict order.  Each grid cell is one <rect>.  Axes:
+p horizontal, q vertical (increasing upward).
 
 Marked corner points (present when inside the plotted ranges):
 
@@ -180,19 +178,16 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
         out.append(f'<text x="{_fmt(_MARGIN_L)}" y="16" font-size="13" '
                    f'font-family="monospace">{spec.title}</text>')
 
-    # one rect per run of equal codes along each grid row; column 0 always
-    # starts a run, so in flat order every run ends where the next begins
-    starts = np.ones(codes.shape, dtype=bool)
-    starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
-    rows, cols = np.nonzero(starts)
-    flat = rows * res + cols
-    lengths = np.diff(flat, append=res * res)
-    for i, j, n, code in zip(rows.tolist(), cols.tolist(), lengths.tolist(),
-                             codes[starts].tolist()):
-        out.append(f'<rect x="{_fmt(_MARGIN_L + j * cell_w)}" '
-                   f'y="{_fmt(_MARGIN_T + (res - 1 - i) * cell_h)}" '
-                   f'width="{_fmt(n * cell_w)}" height="{_fmt(cell_h)}" '
-                   f'fill="{_COLORS.get(code, "#000000")}"/>')
+    # one rect per grid cell: its text is pieced together from x per column,
+    # y per row and the fill per code, each formatted once
+    x_text = [f'<rect x="{_fmt(_MARGIN_L + j * cell_w)}" y="'
+              for j in range(res)]
+    size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
+    fills = {code: f'{_COLORS.get(code, "#000000")}"/>'
+             for code in np.unique(codes).tolist()}
+    for i, row in enumerate(codes.tolist()):
+        y_text = _fmt(_MARGIN_T + (res - 1 - i) * cell_h) + size
+        out += [f"{x}{y_text}{fills[c]}" for x, c in zip(x_text, row)]
 
     # axes frame
     out.append(f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" '

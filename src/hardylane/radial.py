@@ -26,12 +26,9 @@ from .exponents import DomainValidationError, snap_mu, tau_pair
 
 ArrayLike = Union[float, np.ndarray]
 
-#: A merged coefficient that falls below this fraction of the summed
-#: magnitudes of the coefficients merged into it is dropped: cancellation at
-#: kernel exponents must produce the exact zero function for downstream
-#: logic.  A term is never dropped for being small next to a term of another
-#: exponent: the operator may annihilate the larger one and amplify the
-#: smaller one by r^-2, so such a drop would make the algebra non-linear.
+#: Terms whose coefficient falls below this fraction of the largest
+#: coefficient after merging are dropped: cancellation at kernel exponents
+#: must produce the exact zero function for downstream logic.
 COEFF_DROP_REL = 1e-14
 
 
@@ -72,11 +69,13 @@ class RadialFunction:
         merged: dict = {}
         for t in terms:
             key = (t.tau, t.log_power)
-            c, size = merged.get(key, (0.0, 0.0))
-            merged[key] = (c + t.coeff, size + abs(t.coeff))
+            merged[key] = merged.get(key, 0.0) + t.coeff
+        if merged:
+            top = max(abs(c) for c in merged.values())
+            cutoff = COEFF_DROP_REL * top
+            merged = {k: c for k, c in merged.items() if abs(c) > cutoff}
         out = tuple(RadialTerm(tau=k[0], log_power=k[1], coeff=c)
-                    for k, (c, size) in sorted(merged.items())
-                    if abs(c) > COEFF_DROP_REL * size)
+                    for k, c in sorted(merged.items()))
         return RadialFunction(terms=out)
 
     @staticmethod

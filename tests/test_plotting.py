@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hardylane.exponents import HardyParams
-from hardylane.plotting import (PlotSpec, critical_curve_points,
+from hardylane.plotting import (_COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H,
+                                _PLOT_W, PlotSpec, critical_curve_points,
                                 grid_csv_lines, region_markers, render_svg)
 from hardylane.regions import _wrap, classify_field
 
@@ -138,3 +139,28 @@ def test_csv_keeps_signed_zero_margins_apart():
     lines = grid_csv_lines(codes, margins, spec)
     assert lines == per_cell_csv_lines(codes, margins, flags, spec)
     assert [ln.rpartition(",")[2] for ln in lines[1:3]] == ["0", "-0"]
+
+
+def per_cell_svg_rects(codes, res):
+    """The grid's rects formatted cell by cell (the SVG format's oracle)."""
+    cell_w, cell_h = _PLOT_W / res, _PLOT_H / res
+    return [f'<rect x="{_MARGIN_L + j * cell_w:.6f}" '
+            f'y="{_MARGIN_T + (res - 1 - i) * cell_h:.6f}" '
+            f'width="{cell_w:.6f}" height="{cell_h:.6f}" '
+            f'fill="{_COLORS[int(codes[i, j])]}"/>'
+            for i in range(res) for j in range(res)]
+
+
+@pytest.mark.parametrize("mus", [(-2.0, -2.0), (-2.0, 0.0), (0.0, -2.0),
+                                 (-2.25, 0.0), (1.0, 1.0)])
+def test_svg_cells_match_per_cell_formatting(mus):
+    params = HardyParams(5, *mus)
+    spec = PlotSpec(params=params, p_range=(0.1, 8.0), q_range=(0.1, 8.0),
+                    resolution=37)
+    grid = np.linspace(0.1, 8.0, 37)
+    codes, _, _ = classify_field(params, grid, grid)
+    lines = render_svg(codes, spec).split("\n")
+    rects = per_cell_svg_rects(codes, 37)
+    start = lines.index(rects[0])
+    assert lines[start:start + len(rects)] == rects
+    assert 'fill="none"' in lines[start + len(rects)]      # the frame
