@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+from ..exponents import MU0_SNAP_REL
+
 # Region codes.  The mapping to citation strings lives in hardylane.regions.
 CODE_INVALID = -1
 CODE_OUT_OF_SCOPE = 0
@@ -45,8 +47,6 @@ REGIME_SHIFT = 2  # bits 2-3
 #: Boundary tolerance: a margin within this distance of zero is classified
 #: by the closed/open rule of the relevant boundary.
 TOL = 1e-12
-
-MU0_SNAP_REL = 1e-13
 
 
 def classify_code(N: int, mu1: float, mu2: float,

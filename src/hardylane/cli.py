@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -73,7 +74,17 @@ def _parse_range(text: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a validation error, not a SystemExit."""
+    """Reports a bad command line as a validation error, not a SystemExit.
+
+    A separate token that reads as a negative number counts as a value,
+    exponent notation included (--mu1 -1e-06); argparse alone accepts only
+    -1 and -1.5 and would take -1e-06 for an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise DomainValidationError(message)

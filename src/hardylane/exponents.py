@@ -31,6 +31,10 @@ MU0_SNAP_REL = 1e-13
 def mu_zero(N: int) -> float:
     """Hardy threshold -(N-2)^2/4 below which the roots turn complex."""
     _check_dimension(N)
+    return _mu0(N)
+
+
+def _mu0(N: int) -> float:
     return -((N - 2) ** 2) / 4.0
 
 
@@ -42,12 +46,21 @@ def _check_dimension(N: int) -> None:
 
 
 def snap_mu(N: int, mu: float) -> float:
-    """Validate mu >= mu_zero(N) and snap values near the threshold onto it."""
+    """Validate N and mu >= mu_zero(N); snap values near the threshold onto it.
+
+    This is the validating entry point; HardyParams and tau_pair share its
+    rule through _snap.
+    """
     _check_dimension(N)
+    return _snap(N, mu)
+
+
+def _snap(N: int, mu: float) -> float:
+    """snap_mu for an N that has already been validated."""
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainValidationError(f"mu must be finite, got {mu!r}")
-    m0 = mu_zero(N)
+    m0 = _mu0(N)
     band = MU0_SNAP_REL * (N - 2) ** 2
     if mu < m0 - band:
         raise DomainValidationError(
@@ -72,12 +85,18 @@ class ExponentPair:
 def tau_pair(N: int, mu: float) -> ExponentPair:
     """Roots -(N-2)/2 +- sqrt(mu - mu_zero) of mu - tau(tau+N-2) = 0.
 
-    Rejects mu below the threshold (complex roots); at the snapped
+    The validating entry point: checks N once, rejects mu below the
+    threshold (complex roots) and snaps mu as snap_mu does; at the snapped
     threshold the pair degenerates to the double root -(N-2)/2.
     """
-    mu = snap_mu(N, mu)
+    _check_dimension(N)
+    return _pair(N, _snap(N, mu))
+
+
+def _pair(N: int, mu: float) -> ExponentPair:
+    """tau_pair for a validated N and an already snapped mu."""
     half = (N - 2) / 2.0
-    s = math.sqrt(mu - mu_zero(N))
+    s = math.sqrt(mu - _mu0(N))
     return ExponentPair(tau_plus=-half + s, tau_minus=-half - s)
 
 
@@ -99,7 +118,7 @@ def p_star(N: int, mu: float) -> float:
     if mu >= 0.0:
         raise DomainValidationError(
             f"p_star requires mu in [mu_zero, 0); got mu={mu}")
-    tp = tau_pair(N, mu).tau_plus
+    tp = _pair(N, mu).tau_plus
     return 1.0 + 2.0 / (-tp)
 
 
@@ -109,7 +128,12 @@ class HardyParams:
 
     Both coefficients are validated against the Hardy threshold and snapped
     onto it when within the tolerance band, so that downstream boundary
-    rules are deterministic.
+    rules are deterministic.  N is validated once, and both exponent pairs
+    are computed once, here at construction: tau1 and tau2 return the
+    stored pairs, equal bit for bit to tau_pair(N, mu1) and tau_pair(N, mu2).
+    Only (N, mu1, mu2) are fields: equality, hashing and repr see nothing
+    else, and dataclasses.replace builds a new instance that computes its
+    own pairs.
     """
 
     N: int
@@ -117,8 +141,13 @@ class HardyParams:
     mu2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu1", snap_mu(self.N, self.mu1))
-        object.__setattr__(self, "mu2", snap_mu(self.N, self.mu2))
+        _check_dimension(self.N)
+        mu1 = _snap(self.N, self.mu1)
+        mu2 = _snap(self.N, self.mu2)
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "mu2", mu2)
+        object.__setattr__(self, "_tau1", _pair(self.N, mu1))
+        object.__setattr__(self, "_tau2", _pair(self.N, mu2))
 
     @property
     def mu_zero(self) -> float:
@@ -126,11 +155,11 @@ class HardyParams:
 
     @property
     def tau1(self) -> ExponentPair:
-        return tau_pair(self.N, self.mu1)
+        return self._tau1
 
     @property
     def tau2(self) -> ExponentPair:
-        return tau_pair(self.N, self.mu2)
+        return self._tau2
 
     def swapped(self) -> "HardyParams":
         return HardyParams(self.N, self.mu2, self.mu1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exponents import DomainValidationError, snap_mu, tau_pair
+from .exponents import DomainValidationError, tau_pair
 from .radial import RadialFunction, evaluate
 
 #: Increment-ratio threshold of the divergence detector (see
@@ -46,7 +46,7 @@ def is_gamma_integrable(N: int, mu: float, f: RadialFunction,
     because the verdict is undefined for them.  Integrability near the
     origin does not depend on r0, which is validated but otherwise ignored.
     """
-    mu = snap_mu(N, mu)
+    tp = tau_pair(N, mu).tau_plus
     if not (0.0 < r0 <= 1.0):
         raise DomainValidationError(f"r0 must lie in (0, 1], got {r0}")
     if f.is_zero:
@@ -54,7 +54,6 @@ def is_gamma_integrable(N: int, mu: float, f: RadialFunction,
     if any(t.coeff < 0.0 for t in f.terms):
         raise DomainValidationError(
             "mixed-sign radial function: integrability verdict undefined")
-    tp = tau_pair(N, mu).tau_plus
     gap = min(t.tau + tp + N for t in f.terms)
     return IntegrabilityVerdict(integrable=gap > 0.0, critical_exponent_gap=gap)
 
@@ -70,10 +69,9 @@ def weighted_integral(N: int, mu: float, f: RadialFunction,
     # imported here: scipy.integrate is most of `import hardylane` otherwise
     from scipy.integrate import quad
 
-    mu = snap_mu(N, mu)
+    tp = tau_pair(N, mu).tau_plus
     if not (0.0 < eps < r0 <= 1.0):
         raise DomainValidationError(f"need 0 < eps < r0 <= 1, got ({eps}, {r0})")
-    tp = tau_pair(N, mu).tau_plus
     w = tp + N  # weight r^(w-1) dr becomes e^(-w u) du
 
     def integrand(u: float) -> float:

@@ -95,10 +95,9 @@ def _iterate(params: HardyParams, pq: Powers, cap: int,
     if cap < 1:
         raise DomainValidationError(f"cap must be >= 1, got {cap}")
     p, q = pq.p, pq.q
-    t1_minus = params.tau1.tau_minus
-    t2_minus = params.tau2.tau_minus
-    tau1 = params.tau1.tau_plus
-    tau2 = params.tau2.tau_plus
+    pair1, pair2 = params.tau1, params.tau2
+    t1_minus, t2_minus = pair1.tau_minus, pair2.tau_minus
+    tau1, tau2 = pair1.tau_plus, pair2.tau_plus
     seed1, seed2 = tau1, tau2
 
     steps = [StepRecord(j=0, tau1=tau1, tau2=tau2)]
@@ -204,8 +203,8 @@ def crossing_step_bound(params: HardyParams, pq: Powers) -> int:
     if ratio <= 1.0:
         raise DomainValidationError("step bound requires pq > 1")
     fix = affine_fixed_point(pq)
-    top = params.tau1.tau_plus
-    bottom = params.tau1.tau_minus
+    pair = params.tau1
+    top, bottom = pair.tau_plus, pair.tau_minus
     if top >= fix:
         raise DomainValidationError(
             "step bound requires a decreasing iteration (tau_+ < fixed point)")

@@ -86,7 +86,8 @@ class RadialFunction:
     def monomial(coeff: float, tau: float, log_power: int = 0) -> "RadialFunction":
         if coeff == 0.0:
             return RadialFunction.zero()
-        return RadialFunction.from_terms([RadialTerm(tau, log_power, coeff)])
+        # a single nonzero term: what from_terms would return, without merging
+        return RadialFunction(terms=(RadialTerm(tau, log_power, float(coeff)),))
 
     @property
     def is_zero(self) -> bool:
@@ -174,7 +175,6 @@ def apply_hardy(N: int, mu: float, f: RadialFunction) -> RadialFunction:
     r^(tau_+-) (or to r^(tau_-) * (-ln r) at the double root) returns the
     exact zero function.
     """
-    mu = snap_mu(N, mu)
     pair = tau_pair(N, mu)
     out = []
     for t in f.terms:

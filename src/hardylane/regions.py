@@ -75,7 +75,24 @@ _EXISTENCE_CODES = {K.CODE_T3_I_CASE1, K.CODE_T3_I_CASE2, K.CODE_T3_I_CASE3,
                     K.CODE_T3_II_B2}
 _OPEN_CODES = {K.CODE_CURVE_AQ, K.CODE_CURVE_AB, K.CODE_CURVE_BC,
                K.CODE_DOTTED}
+_UNIT_BALL_CODES = {K.CODE_T3_I_CASE1, K.CODE_T3_I_CASE2, K.CODE_T3_I_CASE3}
 _REGIMES = {0: "A", 1: "B", 2: "C"}
+
+
+def _verdict_of(code: int) -> Verdict:
+    if code in _NONEXISTENCE_CODES:
+        return Verdict.NONEXISTENCE
+    if code in _EXISTENCE_CODES:
+        return Verdict.EXISTS_SUPERSOLUTION
+    if code in _OPEN_CODES:
+        return Verdict.OPEN_CRITICAL
+    return Verdict.OUT_OF_SCOPE
+
+
+#: code -> (verdict, citation, domain) for every valid region code.
+_OUTCOMES = {code: (_verdict_of(code), cite,
+                    "unit_ball" if code in _UNIT_BALL_CODES else None)
+             for code, cite in _CITATIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -101,19 +118,10 @@ _CODE_BY_CITATION = {v: k for k, v in _CITATIONS.items()}
 def _wrap(code: int, margin: float, flags: int) -> RegionClass:
     if code == K.CODE_INVALID:
         raise DomainValidationError("parameters outside the admissible domain")
-    if code in _NONEXISTENCE_CODES:
-        verdict = Verdict.NONEXISTENCE
-    elif code in _EXISTENCE_CODES:
-        verdict = Verdict.EXISTS_SUPERSOLUTION
-    elif code in _OPEN_CODES:
-        verdict = Verdict.OPEN_CRITICAL
-    else:
-        verdict = Verdict.OUT_OF_SCOPE
-    domain = "unit_ball" if code in (K.CODE_T3_I_CASE1, K.CODE_T3_I_CASE2,
-                                     K.CODE_T3_I_CASE3) else None
+    verdict, citation, domain = _OUTCOMES[code]
     return RegionClass(
         verdict=verdict,
-        citation=_CITATIONS[code],
+        citation=citation,
         margin=float(margin),
         regime=_REGIMES[(flags >> K.REGIME_SHIFT) & 0x3],
         swapped=bool(flags & K.FLAG_SWAPPED),

@@ -92,6 +92,30 @@ class TestClassifyCommand:
                                "--mu2", "0", "--p", "2", "--q", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["-1e-06", "-2.25E+0", "-.5", "-1."])
+    def test_negative_value_as_separate_token(self, capsys, text):
+        rec = run_json(capsys, "classify", "--N", "5", "--mu1", text,
+                       "--mu2", "0", "--p", "2", "--q", "3")
+        assert rec["mu1"] == float(text)
+        assert rec == run_json(capsys, "classify", "--N", "5",
+                               f"--mu1={text}", "--mu2", "0", "--p", "2",
+                               "--q", "3")
+
+    def test_negative_exponent_value_outside_domain(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--N", "5",
+                               "--mu1", "-2.5E+3", "--mu2", "0",
+                               "--p", "2", "--q", "3")
+        assert code == 1
+        assert "below the Hardy threshold" in err
+
+    def test_unknown_option(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--N", "5", "--mu1", "-2",
+                               "--mu2", "0", "--p", "2", "--q", "3",
+                               "--bogus")
+        assert code == 1
+        assert "--bogus" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_witness_mismatch_exit_code(self, capsys, monkeypatch):
         from hardylane.regions import WitnessMismatchError
 

@@ -1,13 +1,16 @@
 import math
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
-                                 boundary_expressions, mu_zero, p_star,
-                                 root_coefficient, snap_mu, tau_pair)
+from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
+                                 HardyParams, Powers, boundary_expressions,
+                                 mu_zero, p_star, root_coefficient, snap_mu,
+                                 tau_pair)
 
 
 class TestMuZero:
@@ -172,3 +175,60 @@ class TestParamTypes:
             Powers(1.0, -2.0)
         with pytest.raises(DomainValidationError):
             Powers(math.inf, 1.0)
+
+
+def same_pair(a, b):
+    """Bit-for-bit equality of two ExponentPairs (signed zeros included)."""
+    return (a.tau_plus.hex(), a.tau_minus.hex()) == (
+        b.tau_plus.hex(), b.tau_minus.hex())
+
+
+@st.composite
+def coefficient_pairs(draw):
+    """(N, mu1, mu2), each mu across [mu_zero, 3] or inside the snap band."""
+    N = draw(st.integers(min_value=3, max_value=12))
+    m0 = mu_zero(N)
+    band = MU0_SNAP_REL * (N - 2) ** 2
+    mu = st.one_of(st.floats(min_value=m0, max_value=3.0),
+                   st.floats(min_value=m0 - band, max_value=m0 + band))
+    return N, draw(mu), draw(mu)
+
+
+class TestCachedPairs:
+    @given(coefficient_pairs())
+    @settings(max_examples=500)
+    def test_pairs_match_tau_pair(self, point):
+        N, mu1, mu2 = point
+        params = HardyParams(N, mu1, mu2)
+        assert same_pair(params.tau1, tau_pair(N, mu1))
+        assert same_pair(params.tau2, tau_pair(N, mu2))
+
+    def test_swapped_exchanges_pairs(self):
+        params = HardyParams(5, -2.0, 1.0)
+        mirrored = params.swapped()
+        assert same_pair(mirrored.tau1, params.tau2)
+        assert same_pair(mirrored.tau2, params.tau1)
+
+    def test_replace_recomputes_pairs(self):
+        params = replace(HardyParams(5, -2.0, 1.0), mu2=-2.25 + 1e-14)
+        assert params.mu2 == -2.25
+        assert same_pair(params.tau2, tau_pair(5, -2.25))
+        assert same_pair(params.tau1, tau_pair(5, -2.0))
+        with pytest.raises(DomainValidationError):
+            replace(params, mu1=-3.0)
+        assert same_pair(replace(params, N=7).tau1, tau_pair(7, -2.0))
+
+    def test_pickle_round_trip(self):
+        params = HardyParams(6, -4.0, 0.5)
+        back = pickle.loads(pickle.dumps(params))
+        assert back == params
+        assert same_pair(back.tau1, params.tau1)
+        assert same_pair(back.tau2, params.tau2)
+
+    def test_equality_hash_and_repr_see_only_fields(self):
+        a, b = HardyParams(5, -2, 0), HardyParams(5, -2.0, 0.0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(b) == "HardyParams(N=5, mu1=-2.0, mu2=0.0)"
+        assert a != HardyParams(5, 0.0, -2.0)
+        assert [f.name for f in fields(HardyParams)] == ["N", "mu1", "mu2"]

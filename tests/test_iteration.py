@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylane.exponents import DomainValidationError, HardyParams, Powers
-from hardylane.iteration import (CertificateKind, claim1_check,
-                                 crossing_step_bound, iterate_clamped,
-                                 iterate_plain)
+from hardylane.iteration import (CertificateKind, affine_fixed_point,
+                                 claim1_check, crossing_step_bound,
+                                 iterate_clamped, iterate_plain)
 
 
 class TestPlainIteration:
@@ -179,6 +181,26 @@ class TestAffineStructure:
             bound = crossing_step_bound(params, pq)
             assert trace.outcome.step <= bound + 2
             hits += 1
+
+    def test_fixed_point_undefined_at_pq_one(self):
+        with pytest.raises(DomainValidationError):
+            affine_fixed_point(Powers(2.0, 0.5))
+
+    @given(st.floats(min_value=0.05, max_value=20.0),
+           st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=300)
+    def test_fixed_point_next_to_pq_one(self, p, ulps):
+        q = 1.0 / p
+        for _ in range(abs(ulps)):
+            q = math.nextafter(q, math.copysign(math.inf, ulps))
+        pq = Powers(p, q)
+        if p * q == 1.0:
+            with pytest.raises(DomainValidationError):
+                affine_fixed_point(pq)
+            return
+        fix = affine_fixed_point(pq)
+        assert math.isfinite(fix)
+        assert (fix > 0.0) == (p * q < 1.0)
 
     def test_bound_requires_supercritical(self):
         with pytest.raises(DomainValidationError):

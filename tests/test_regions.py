@@ -190,6 +190,69 @@ class TestTotalityAndSoundness:
             nonexistence_witness(HardyParams(5, -2.0, 0.0), Powers(1.5, 1.5))
 
 
+class TestMirrorSymmetry:
+    """(mu1, p) <-> (mu2, q) is the same system with the roles exchanged."""
+
+    @given(admissible_point())
+    @settings(max_examples=500, deadline=None)
+    def test_verdict_is_mirror_invariant(self, point):
+        params, pq = point
+        r = classify(params, pq)
+        m = classify(params.swapped(), pq.swapped())
+        assert m.verdict is r.verdict
+        assert m.regime == r.regime
+        assert m.mu0_edge == r.mu0_edge
+        if r.regime == "A":
+            assert m.swapped != r.swapped
+            assert (m.citation, m.margin) == (r.citation, r.margin)
+            return
+        assert not m.swapped and not r.swapped
+        if r.citation == "T2.i":
+            assert (m.citation, m.margin) == (r.citation, r.margin)
+        if r.citation in ("T2.ii", "T2.iii"):
+            # the mirror cites the other bootstrap with the same margin; when
+            # both bootstraps fire with equal margins, both sides cite T2.ii
+            vals = boundary_expressions(params, pq)
+            assert m.margin == r.margin
+            assert ({m.citation, r.citation} == {"T2.ii", "T2.iii"}
+                    or m.citation == r.citation == "T2.ii"
+                    and vals.e1 == vals.e2)
+
+    @given(admissible_point())
+    @settings(max_examples=400, deadline=None)
+    def test_mirrored_witnesses_agree(self, point):
+        params, pq = point
+        r = classify(params, pq)
+        if r.verdict is not Verdict.NONEXISTENCE:
+            return
+        w = nonexistence_witness(params, pq, r)
+        m = nonexistence_witness(params.swapped(), pq.swapped())
+        assert m.mechanism == w.mechanism
+        if w.mechanism == "iteration":
+            a, b = w.trace.outcome, m.trace.outcome
+            assert (a.kind, a.step, a.value) == (b.kind, b.step, b.value)
+            return
+        vals = boundary_expressions(params, pq)
+        both = (r.citation == "T2.i"
+                and pq.q >= vals.q_upper - K.TOL
+                and pq.p >= vals.p_upper - K.TOL)
+        if both:
+            # each side cites its own q half-plane: the mirror's u^q is
+            # this point's v^p
+            t2 = params.tau2.tau_plus
+            assert (m.exponent, m.weight_mu) == (t2 * pq.p, params.mu1)
+        else:
+            assert (m.exponent, m.weight_mu) == (w.exponent, w.weight_mu)
+
+    def test_regime_b_corner_of_both_half_planes(self):
+        params, pq = HardyParams(5, -2.0, -2.0), Powers(6.0, 5.0)
+        w = nonexistence_witness(params, pq)
+        m = nonexistence_witness(params.swapped(), pq.swapped())
+        assert (w.exponent, m.exponent) == (-5.0, -6.0)
+        assert w.verdict.critical_exponent_gap < 0.0
+        assert m.verdict.critical_exponent_gap < 0.0
+
+
 class TestWitnessExamples:
     def test_integrability_payload(self):
         params = HardyParams(5, -2.0, 0.0)
