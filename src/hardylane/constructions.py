@@ -50,8 +50,8 @@ import numpy as np
 
 from .exponents import (DomainValidationError, HardyParams, Powers,
                         boundary_expressions, mu_zero)
-from .radial import (RadialFunction, RadialGrid, apply_hardy, default_grid,
-                     evaluate, hardy_fd_oracle)
+from .radial import (RadialFunction, RadialGrid, RadialTerm, apply_hardy,
+                     default_grid, evaluate, hardy_fd_oracle)
 
 CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -275,7 +275,6 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
 
 
 def _abs_coeffs(f: RadialFunction) -> RadialFunction:
-    from .radial import RadialTerm
     return RadialFunction.from_terms(
         [RadialTerm(t.tau, t.log_power, abs(t.coeff)) for t in f.terms])
 
@@ -287,21 +286,24 @@ def _oracle_deviation(params: HardyParams, cand: SupersolutionCandidate,
     Deviation at radius r is |symbolic - finite difference| divided by
     max(1, |symbolic|, sum of |term| magnitudes), which keeps the measure
     meaningful for steeply singular candidates where absolute comparison
-    would be dominated by the r^(tau-2) blow-up.
+    would be dominated by the r^(tau-2) blow-up.  The sample radii are
+    log-spaced over [max(r_min, r_max/4), 0.85 r_max] with step
+    min(h, r/8).  u and v each take one oracle call over all of them, and
+    one evaluate call each for the symbolic image and its magnitude.  A
+    NaN deviation is skipped, not propagated into the maximum.
     """
     r_hi = grid.r_max * 0.85
     r_lo = max(grid.r_min, 0.25 * grid.r_max)
     radii = np.geomspace(r_lo, r_hi, samples)
+    h_r = np.minimum(h, radii / 8.0)
     worst = 0.0
     for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
         sym_f = apply_hardy(params.N, mu, f)
-        mag_f = _abs_coeffs(sym_f)
-        for r in radii:
-            h_r = min(h, r / 8.0)
-            fd = hardy_fd_oracle(params.N, mu, f, float(r), h_r)
-            sym = float(evaluate(sym_f, float(r)))
-            scale_r = max(1.0, abs(sym), float(evaluate(mag_f, float(r))))
-            worst = max(worst, abs(sym - fd) / scale_r)
+        fd = hardy_fd_oracle(params.N, mu, f, radii, h_r)
+        sym = evaluate(sym_f, radii)
+        mag = evaluate(_abs_coeffs(sym_f), radii)
+        dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
+        worst = max(worst, float(np.fmax.reduce(dev)))
     return worst
 
 

@@ -26,9 +26,12 @@ from .exponents import DomainValidationError, snap_mu, tau_pair
 
 ArrayLike = Union[float, np.ndarray]
 
-#: Terms whose coefficient falls below this fraction of the largest
-#: coefficient after merging are dropped: cancellation at kernel exponents
-#: must produce the exact zero function for downstream logic.
+#: A merged coefficient that falls below this fraction of the summed
+#: magnitudes of the coefficients merged into it is dropped: cancellation at
+#: kernel exponents must produce the exact zero function for downstream
+#: logic.  A term is never dropped for being small next to a term of another
+#: exponent: the operator may annihilate the larger one and amplify the
+#: smaller one by r^-2, so such a drop would make the algebra non-linear.
 COEFF_DROP_REL = 1e-14
 
 
@@ -69,13 +72,11 @@ class RadialFunction:
         merged: dict = {}
         for t in terms:
             key = (t.tau, t.log_power)
-            merged[key] = merged.get(key, 0.0) + t.coeff
-        if merged:
-            top = max(abs(c) for c in merged.values())
-            cutoff = COEFF_DROP_REL * top
-            merged = {k: c for k, c in merged.items() if abs(c) > cutoff}
+            c, size = merged.get(key, (0.0, 0.0))
+            merged[key] = (c + t.coeff, size + abs(t.coeff))
         out = tuple(RadialTerm(tau=k[0], log_power=k[1], coeff=c)
-                    for k, c in sorted(merged.items()))
+                    for k, (c, size) in sorted(merged.items())
+                    if abs(c) > COEFF_DROP_REL * size)
         return RadialFunction(terms=out)
 
     @staticmethod
@@ -191,27 +192,38 @@ def apply_hardy(N: int, mu: float, f: RadialFunction) -> RadialFunction:
     return RadialFunction.from_terms(out)
 
 
-def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: float,
-                    h: float = 1e-4) -> float:
+def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
+                    h: ArrayLike = 1e-4) -> ArrayLike:
     """Finite-difference value of -(f'' + (N-1)/r f') + mu/r^2 f at r.
 
-    Independent cross-check for apply_hardy.  Both derivatives come from the
-    symmetric 5-point stencil {r-2h, r-h, r, r+h, r+2h}: the first derivative
-    uses the 4th-order combination, the second derivative the wide central
-    difference over +-2h, so the overall truncation error is O(h^2) and
-    halving h divides the deviation by ~4.
+    Independent cross-check for apply_hardy: f is differentiated
+    numerically through evaluate, never through its symbolic image.  Both
+    derivatives come from the symmetric 5-point stencil
+    {r-2h, r-h, r, r+h, r+2h}: the first derivative uses the 4th-order
+    combination, the second derivative the wide central difference over
+    +-2h, so the overall truncation error is O(h^2) and halving h divides
+    the deviation by ~4.
+
+    r and h may be scalars or arrays; they broadcast together, every
+    element must satisfy 0 < h < r/4, and the whole stencil is one
+    evaluate call.  Each element gets the same arithmetic as a scalar
+    call, and scalar r and h return a float.
     """
     mu = snap_mu(N, mu)
-    r = float(r)
-    h = float(h)
-    if not (0.0 < h < r / 4.0):
+    r, h = np.broadcast_arrays(np.asarray(r, dtype=float),
+                               np.asarray(h, dtype=float))
+    bad = ~((0.0 < h) & (h < r / 4.0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise DomainValidationError(
-            f"step h={h} must satisfy 0 < h < r/4 (r={r})")
-    fm2, fm1, f0, fp1, fp2 = (evaluate(f, x) for x in
-                              (r - 2 * h, r - h, r, r + h, r + 2 * h))
+            f"step h={h.flat[i]} must satisfy 0 < h < r/4 (r={r.flat[i]})")
+    # one row of radii per offset; r + (-2.0 * h) is r - 2 * h exactly
+    stencil = r + np.multiply.outer([-2.0, -1.0, 0.0, 1.0, 2.0], h)
+    fm2, fm1, f0, fp1, fp2 = evaluate(f, stencil)
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     d2 = (fp2 - 2.0 * f0 + fm2) / (4.0 * h * h)
-    return -(d2 + (N - 1) / r * d1) + mu / (r * r) * f0
+    out = -(d2 + (N - 1) / r * d1) + mu / (r * r) * f0
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

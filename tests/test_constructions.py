@@ -2,20 +2,88 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardylane.constructions import (SCALE_SCAN, build_candidate,
                                      case_for_region, find_domain, find_scale,
                                      verify_on_grid)
-from hardylane.exponents import DomainValidationError, HardyParams, Powers
-from hardylane.radial import RadialGrid, apply_hardy
+from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
+                                 mu_zero)
+from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
+                              apply_hardy, evaluate, hardy_fd_oracle)
 from hardylane.regions import Verdict, classify
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)
 
+#: The worked C1 instance and one accepting point for each of C2..C8.
+ACCEPTING = (("C1", A_PARAMS, Powers(2, 3)), ("C2", A_PARAMS, Powers(1.5, 1.5)),
+             ("C3", A_PARAMS, Powers(1.5, 2.0)),
+             ("C4", B_PARAMS, Powers(1.5, 3.2)),
+             ("C5", B_PARAMS, Powers(2.0, 2.5)),
+             ("C6", B_PARAMS, Powers(2.0, 3.0)),
+             ("C7", B_PARAMS, Powers(3.0, 2.0)),
+             ("C8", B_PARAMS, Powers(3.2, 1.5)))
+
 
 def exponents_of(f):
     return [(t.tau, t.log_power, t.coeff) for t in f.terms]
+
+
+def oracle_deviation_per_radius(params, cand, grid, h=1e-4, samples=16):
+    """Reference: the operator cross-check one radius at a time."""
+    r_hi = grid.r_max * 0.85
+    r_lo = max(grid.r_min, 0.25 * grid.r_max)
+    radii = np.geomspace(r_lo, r_hi, samples)
+    worst = 0.0
+    for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
+        sym_f = apply_hardy(params.N, mu, f)
+        mag_f = RadialFunction.from_terms(
+            [RadialTerm(t.tau, t.log_power, abs(t.coeff)) for t in sym_f.terms])
+        for r in radii:
+            h_r = min(h, r / 8.0)
+            fd = hardy_fd_oracle(params.N, mu, f, float(r), h_r)
+            sym = float(evaluate(sym_f, float(r)))
+            scale_r = max(1.0, abs(sym), float(evaluate(mag_f, float(r))))
+            worst = max(worst, abs(sym - fd) / scale_r)
+    return worst
+
+
+def _inside(lo, hi, frac):
+    assume(lo < hi)
+    return lo + frac * (hi - lo)
+
+
+@st.composite
+def accepting_candidates(draw):
+    """A candidate whose case hypotheses hold, clear of degenerate lines."""
+    case = draw(st.sampled_from(("C1", "C2", "C4", "C5", "C8")))
+    N = draw(st.integers(min_value=3, max_value=6))
+    frac = st.floats(min_value=0.05, max_value=0.95)
+    mu1 = mu_zero(N) * draw(frac)
+    mu2 = draw(st.floats(min_value=0.05, max_value=2.0)) \
+        if case in ("C1", "C2") else mu_zero(N) * draw(frac)
+    params = HardyParams(N, mu1, mu2)
+    t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
+    if case in ("C1", "C4"):
+        lo = 2.0 / -t1 if case == "C1" else (2.0 - t2) / -t1
+        q = _inside(1.02 * max(lo, 1.0), 0.98 * (N + t2) / -t1, draw(frac))
+        p_max = (2.0 - t1) / -(t1 * q + 2.0)  # e1 > 0 below it
+        p = _inside(1.05, min(0.95 * p_max, 8.0), draw(frac))
+    elif case == "C2":
+        q = _inside(1.05, 0.97 * 2.0 / -t1, draw(frac))
+        assume(abs(q - (2.0 - t2) / -t1) > 0.02)  # the degenerate line
+        p = _inside(1.05, 6.0, draw(frac))
+    elif case == "C5":
+        q = _inside(1.05, 0.97 * (2.0 - t2) / -t1, draw(frac))
+        p = _inside(1.05, 0.97 * (2.0 - t1) / -t2, draw(frac))
+    else:
+        p = _inside(1.02 * max((2.0 - t1) / -t2, 1.0),
+                    0.98 * (N + t1) / -t2, draw(frac))
+        q_max = (2.0 - t2) / -(t2 * p + 2.0)  # e2 > 0 below it
+        q = _inside(1.05, min(0.95 * q_max, 8.0), draw(frac))
+    return build_candidate(case, params, Powers(p, q))
 
 
 class TestRecipes:
@@ -142,6 +210,18 @@ class TestScaleSearch:
             for smaller in (t / 2.0, t / 8.0, t / 64.0):
                 assert verify_on_grid(cand, t=smaller).ok
 
+    @given(accepting_candidates())
+    @settings(max_examples=40, deadline=None)
+    def test_scan_is_monotone(self, cand):
+        found = find_scale(cand)
+        assert found is not None
+        t, _ = found
+        for smaller in SCALE_SCAN[SCALE_SCAN.index(t) + 1:]:
+            report = verify_on_grid(cand, t=smaller)
+            assert report.min_slack_u >= 0.0 and report.min_slack_v >= 0.0
+        if t < SCALE_SCAN[0]:
+            assert not verify_on_grid(cand, t=2.0 * t).ok
+
     def test_scan_grid_shape(self):
         assert SCALE_SCAN[0] == 1.0
         assert SCALE_SCAN[-1] == 2.0 ** -60
@@ -164,6 +244,14 @@ class TestVerification:
         _, report = find_scale(cand)
         assert report.oracle_max_dev <= 1e-4
         assert not report.oracle_exceeded
+
+    @pytest.mark.parametrize("case, params, pq", ACCEPTING,
+                             ids=[c for c, _, _ in ACCEPTING])
+    def test_oracle_matches_per_radius_loop(self, case, params, pq):
+        cand = build_candidate(case, params, pq)
+        _, report = find_scale(cand)
+        ref = oracle_deviation_per_radius(params, cand, report.grid)
+        assert report.oracle_max_dev.hex() == ref.hex()
 
     def test_positivity_diagnostic(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 4), strict=False)

@@ -56,9 +56,18 @@ class TestNormalization:
         assert f.is_zero
 
     def test_relative_drop_of_tiny_coefficients(self):
+        # a cancellation residue (0.1 + 0.2 - 0.3 = 5.6e-17) is dropped ...
+        residue = RadialFunction.from_terms([
+            RadialTerm(1.0, 0, 0.1), RadialTerm(1.0, 0, 0.2),
+            RadialTerm(1.0, 0, -0.3), RadialTerm(0.0, 0, 1.0)])
+        assert 0.1 + 0.2 - 0.3 != 0.0
+        assert residue.terms == (RadialTerm(0.0, 0, 1.0),)
+        # ... but a term small next to another exponent's term is kept: the
+        # operator annihilates the constant and leaves only its image
         f = RadialFunction.from_terms([
             RadialTerm(0.0, 0, 1.0), RadialTerm(1.0, 0, 1e-16)])
-        assert len(f.terms) == 1
+        assert f.terms == (RadialTerm(0.0, 0, 1.0), RadialTerm(1.0, 0, 1e-16))
+        assert apply_hardy(3, 0.0, f).terms == (RadialTerm(-1.0, 0, -2e-16),)
 
     def test_log_power_validation(self):
         with pytest.raises(DomainValidationError):
@@ -112,8 +121,8 @@ class TestApplyHardy:
            st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=200)
     def test_linearity(self, N, mu_off, tau_a, tau_b, ca, cb):
-        # compared pointwise: the tiny-coefficient drop rule may prune the
-        # two normalized term lists differently at the 1e-14 relative level
+        # compared pointwise: the cancellation-residue drop rule may prune
+        # the two normalized term lists differently at the 1e-14 level
         mu = mu_zero(N) + mu_off if mu_off > 0 else 0.0
         f = mono(1.0, tau_a) + mono(0.5, tau_b, log_power=1)
         g = mono(1.0, tau_b) - mono(2.0, tau_a)
@@ -124,6 +133,18 @@ class TestApplyHardy:
                       for t in lhs.terms + rhs.terms)
             assert abs(evaluate(lhs, r) - evaluate(rhs, r)) <= \
                 1e-12 * max(1.0, ref)
+
+    def test_linearity_with_small_log_term(self):
+        # N=3, mu=0: the constant is a kernel function, so the image of
+        # 1e-14 (1 + 0.5 (-ln r)) - 1 is the log term's 5e-15 r^-2 alone
+        g = mono(1.0, 0.0) + mono(0.5, 0.0, log_power=1)
+        f = scale(g, 1e-14) - mono(1.0, 0.0)
+        assert len(f.terms) == 2
+        lhs = apply_hardy(3, 0.0, f)
+        rhs = scale(apply_hardy(3, 0.0, g), 1e-14) - \
+            apply_hardy(3, 0.0, mono(1.0, 0.0))
+        assert lhs.terms == rhs.terms == (RadialTerm(-2.0, 0, 5e-15),)
+        assert evaluate(lhs, 0.07) == evaluate(rhs, 0.07) > 1e-12
 
     @given(st.integers(min_value=3, max_value=10),
            st.floats(min_value=0.001, max_value=10.0),
@@ -148,6 +169,7 @@ class TestFdOracle:
 
     def test_power_two_matches_symbolic(self):
         val = hardy_fd_oracle(5, -2.0, mono(1.0, 2.0), 0.5, 1e-4)
+        assert type(val) is float
         assert val == pytest.approx(-12.0, abs=1e-5)
 
     def test_fundamental_solution_low_dimension(self):
@@ -159,6 +181,41 @@ class TestFdOracle:
             hardy_fd_oracle(5, 0.0, mono(1.0, 1.0), 0.1, 0.05)
         with pytest.raises(DomainValidationError):
             hardy_fd_oracle(5, 0.0, mono(1.0, 1.0), 0.1, 0.0)
+
+    @given(st.integers(min_value=3, max_value=8),
+           st.floats(min_value=0.0, max_value=5.0),
+           st.lists(st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                              st.integers(min_value=0, max_value=1),
+                              st.floats(min_value=0.1, max_value=2.0),
+                              st.booleans()),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.floats(min_value=0.05, max_value=1.0,
+                                        exclude_min=True, exclude_max=True),
+                              st.floats(min_value=1e-3, max_value=1.0)),
+                    min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_array_matches_scalar_calls(self, N, mu_off, terms, points, bad):
+        mu = mu_zero(N) + mu_off
+        f = RadialFunction.from_terms(
+            RadialTerm(tau, k, -c if neg else c) for tau, k, c, neg in terms)
+        radii = np.array([r for r, _ in points])
+        steps = np.array([frac * r / 8.0 for r, frac in points])
+        out = hardy_fd_oracle(N, mu, f, radii, steps)
+        ref = np.array([hardy_fd_oracle(N, mu, f, float(r), float(h))
+                        for r, h in zip(radii, steps)])
+        assert out.shape == radii.shape
+        assert out.tobytes() == ref.tobytes()
+        # a scalar step broadcasts against the radii
+        h0 = float(np.min(steps))
+        ref0 = np.array([hardy_fd_oracle(N, mu, f, float(r), h0)
+                         for r in radii])
+        assert hardy_fd_oracle(N, mu, f, radii, h0).tobytes() == \
+            ref0.tobytes()
+        # one bad step anywhere fails the whole call
+        steps[bad % len(steps)] = radii[bad % len(steps)] / 4.0
+        with pytest.raises(DomainValidationError):
+            hardy_fd_oracle(N, mu, f, radii, steps)
 
     def test_second_order_convergence(self):
         rng = np.random.default_rng(11)
