@@ -55,13 +55,22 @@ def snap_mu(N: int, mu: float) -> float:
     return _snap(N, mu)
 
 
+def _constants(N: int) -> tuple[float, float, float]:
+    """(N-2)/2, mu_zero(N) and the snap band's half-width, for a valid N."""
+    return (N - 2) / 2.0, _mu0(N), MU0_SNAP_REL * (N - 2) ** 2
+
+
 def _snap(N: int, mu: float) -> float:
     """snap_mu for an N that has already been validated."""
+    _, m0, band = _constants(N)
+    return _snap_near(N, mu, m0, band)
+
+
+def _snap_near(N: int, mu: float, m0: float, band: float) -> float:
+    """The snap rule, given mu_zero(N) and the band from _constants(N)."""
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainValidationError(f"mu must be finite, got {mu!r}")
-    m0 = _mu0(N)
-    band = MU0_SNAP_REL * (N - 2) ** 2
     if mu < m0 - band:
         raise DomainValidationError(
             f"mu={mu} below the Hardy threshold mu_zero({N})={m0}")
@@ -95,9 +104,14 @@ def tau_pair(N: int, mu: float) -> ExponentPair:
 
 def _pair(N: int, mu: float) -> ExponentPair:
     """tau_pair for a validated N and an already snapped mu."""
-    half = (N - 2) / 2.0
-    s = math.sqrt(mu - _mu0(N))
-    return ExponentPair(tau_plus=-half + s, tau_minus=-half - s)
+    half, m0, _ = _constants(N)
+    return _roots(mu, half, m0)
+
+
+def _roots(mu: float, half: float, m0: float) -> ExponentPair:
+    """The root formula, given (N-2)/2 and mu_zero(N) from _constants(N)."""
+    s = math.sqrt(mu - m0)
+    return ExponentPair(-half + s, -half - s)  # (tau_plus, tau_minus)
 
 
 def root_coefficient(N: int, mu: float, tau: float) -> float:
@@ -131,9 +145,10 @@ class HardyParams:
     rules are deterministic.  N is validated once, and both exponent pairs
     are computed once, here at construction: tau1 and tau2 return the
     stored pairs, equal bit for bit to tau_pair(N, mu1) and tau_pair(N, mu2).
-    Only (N, mu1, mu2) are fields: equality, hashing and repr see nothing
-    else, and dataclasses.replace builds a new instance that computes its
-    own pairs.
+    swapped() hands the stored pairs over, exchanged, without validating or
+    computing anything again.  Only (N, mu1, mu2) are fields: equality,
+    hashing and repr see nothing else, and dataclasses.replace builds a new
+    instance that computes its own pairs.
     """
 
     N: int
@@ -141,17 +156,19 @@ class HardyParams:
     mu2: float
 
     def __post_init__(self):
-        _check_dimension(self.N)
-        mu1 = _snap(self.N, self.mu1)
-        mu2 = _snap(self.N, self.mu2)
+        N = self.N
+        _check_dimension(N)
+        half, m0, band = _constants(N)
+        mu1 = _snap_near(N, self.mu1, m0, band)
+        mu2 = _snap_near(N, self.mu2, m0, band)
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
-        object.__setattr__(self, "_tau1", _pair(self.N, mu1))
-        object.__setattr__(self, "_tau2", _pair(self.N, mu2))
+        object.__setattr__(self, "_tau1", _roots(mu1, half, m0))
+        object.__setattr__(self, "_tau2", _roots(mu2, half, m0))
 
     @property
     def mu_zero(self) -> float:
-        return mu_zero(self.N)
+        return _mu0(self.N)
 
     @property
     def tau1(self) -> ExponentPair:
@@ -162,7 +179,16 @@ class HardyParams:
         return self._tau2
 
     def swapped(self) -> "HardyParams":
-        return HardyParams(self.N, self.mu2, self.mu1)
+        """HardyParams(N, mu2, mu1), bit for bit, built from what is stored.
+
+        Both mu are already snapped and _snap is idempotent on snapped
+        values, so validating and computing the pairs again would give
+        back the same values.
+        """
+        out = object.__new__(HardyParams)
+        out.__dict__.update(N=self.N, mu1=self.mu2, mu2=self.mu1,
+                            _tau1=self._tau2, _tau2=self._tau1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -179,7 +205,10 @@ class Powers:
                     f"power {name} must be finite and > 0, got {v!r}")
 
     def swapped(self) -> "Powers":
-        return Powers(self.q, self.p)
+        """Powers(q, p), without checking again values already checked."""
+        out = object.__new__(Powers)
+        out.__dict__.update(p=self.q, q=self.p)
+        return out
 
 
 @dataclass(frozen=True)
@@ -208,6 +237,16 @@ class BoundaryValues:
     p_lower: Optional[float]
 
 
+def q_upper(N: int, t1: float, t2: float) -> Optional[float]:
+    """(N + t2) / (-t1) for t1 = tau_+(mu1) < 0, else None (no half-plane).
+
+    Plain arithmetic on the two tau_+: the edge of the closed half-plane
+    q >= q_upper in which u^q fails weighted-L^1 against the second weight.
+    With the roles swapped, q_upper(N, t2, t1) is p_upper.
+    """
+    return (N + t2) / (-t1) if t1 < 0.0 else None
+
+
 def boundary_expressions(params: HardyParams, pq: Powers) -> BoundaryValues:
     """Evaluate every boundary expression used by the region classifier."""
     t1 = params.tau1.tau_plus
@@ -225,8 +264,8 @@ def boundary_expressions(params: HardyParams, pq: Powers) -> BoundaryValues:
         e1=e1,
         e2=e2,
         e3=e3,
-        q_upper=ratio(N + t2, t1),
-        p_upper=ratio(N + t1, t2),
+        q_upper=q_upper(N, t1, t2),
+        p_upper=q_upper(N, t2, t1),
         q_lower=ratio(2.0 - t2, t1),
         p_lower=ratio(2.0 - t1, t2),
     )

@@ -38,6 +38,19 @@ class IntegrabilityVerdict:
     critical_exponent_gap: float
 
 
+def power_verdict(N: int, tau: float, tp: float) -> IntegrabilityVerdict:
+    """Verdict for r^tau against the weight |x|^tp, tp = tau_+(mu).
+
+    The one place the margin sigma = tau + tau_+(mu) + N is written; a
+    caller that already holds tau_+(mu) passes it, so nothing is derived
+    again.  A non-finite tau is rejected, as RadialTerm rejects it.
+    """
+    if not math.isfinite(tau):
+        raise DomainValidationError(f"exponent must be finite, got {tau}")
+    gap = tau + tp + N
+    return IntegrabilityVerdict(integrable=gap > 0.0, critical_exponent_gap=gap)
+
+
 def is_gamma_integrable(N: int, mu: float, f: RadialFunction,
                         r0: float = 1.0) -> IntegrabilityVerdict:
     """Decide whether f belongs to L^1(B_r0, |x|^tau_+(mu) dx).
@@ -54,8 +67,8 @@ def is_gamma_integrable(N: int, mu: float, f: RadialFunction,
     if any(t.coeff < 0.0 for t in f.terms):
         raise DomainValidationError(
             "mixed-sign radial function: integrability verdict undefined")
-    gap = min(t.tau + tp + N for t in f.terms)
-    return IntegrabilityVerdict(integrable=gap > 0.0, critical_exponent_gap=gap)
+    return min((power_verdict(N, t.tau, tp) for t in f.terms),
+               key=lambda v: v.critical_exponent_gap)
 
 
 def weighted_integral(N: int, mu: float, f: RadialFunction,

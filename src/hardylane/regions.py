@@ -30,11 +30,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import _kernels as K
-from .exponents import (DomainValidationError, HardyParams, Powers,
-                        boundary_expressions, tau_pair)
-from .integrability import IntegrabilityVerdict, is_gamma_integrable
+from .exponents import DomainValidationError, HardyParams, Powers, q_upper
+from .integrability import IntegrabilityVerdict, power_verdict
 from .iteration import IterationTrace, iterate_clamped, iterate_plain
-from .radial import RadialFunction
 
 
 class WitnessMismatchError(RuntimeError):
@@ -199,9 +197,12 @@ _WITNESS_EDGE_TOL = 1e-11
 
 
 def _integrability_witness(N: int, source_tau: float, weight_mu: float,
-                           label: str) -> Witness:
-    f = RadialFunction.monomial(1.0, source_tau)
-    verdict = is_gamma_integrable(N, weight_mu, f)
+                           weight_tp: float, label: str) -> Witness:
+    """r^source_tau against |x|^weight_tp, where weight_tp = tau_+(weight_mu).
+
+    The caller passes the tau_+ its HardyParams already holds.
+    """
+    verdict = power_verdict(N, source_tau, weight_tp)
     if verdict.critical_exponent_gap > _WITNESS_EDGE_TOL:
         raise WitnessMismatchError(
             f"{label}: expected weighted-L^1 failure but sigma = "
@@ -246,22 +247,22 @@ def nonexistence_witness(params: HardyParams, pq: Powers,
 
     if cite == "T1.i":
         return _integrability_witness(
-            eff_params.N, t1 * eff_pq.q, eff_params.mu2,
+            eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
             "u^q fails L^1 against the second weight")
     if cite == "T2.i":
-        vals = boundary_expressions(eff_params, eff_pq)
-        if vals.q_upper is not None and eff_pq.q >= vals.q_upper - K.TOL:
+        qu = q_upper(eff_params.N, t1, t2)
+        if qu is not None and eff_pq.q >= qu - K.TOL:
             return _integrability_witness(
-                eff_params.N, t1 * eff_pq.q, eff_params.mu2,
+                eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
                 "u^q fails L^1 against the second weight")
         return _integrability_witness(
-            eff_params.N, t2 * eff_pq.p, eff_params.mu1,
+            eff_params.N, t2 * eff_pq.p, eff_params.mu1, t1,
             "v^p fails L^1 against the first weight")
     if cite == "T1.ii":
         if region.mu0_edge:
             boot = (t1 * eff_pq.q + 2.0) * eff_pq.p
             return _integrability_witness(
-                eff_params.N, boot, eff_params.mu1,
+                eff_params.N, boot, eff_params.mu1, t1,
                 "one-bootstrap source power fails L^1 at the threshold edge")
         return _iteration_witness(eff_params, eff_pq, clamped=False,
                                   label="plain bootstrap crossing")

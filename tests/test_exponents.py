@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  HardyParams, Powers, boundary_expressions,
-                                 mu_zero, p_star, root_coefficient, snap_mu,
-                                 tau_pair)
+                                 mu_zero, p_star, q_upper, root_coefficient,
+                                 snap_mu, tau_pair)
 
 
 class TestMuZero:
@@ -232,3 +232,66 @@ class TestCachedPairs:
         assert repr(b) == "HardyParams(N=5, mu1=-2.0, mu2=0.0)"
         assert a != HardyParams(5, 0.0, -2.0)
         assert [f.name for f in fields(HardyParams)] == ["N", "mu1", "mu2"]
+
+    @given(coefficient_pairs())
+    @settings(max_examples=500)
+    def test_swapped_equals_constructed_mirror(self, point):
+        params = HardyParams(*point)
+        mirrored = params.swapped()
+        built = HardyParams(params.N, params.mu2, params.mu1)
+        assert type(mirrored.N) is type(built.N) and mirrored.N == built.N
+        assert (mirrored.mu1.hex(), mirrored.mu2.hex()) == (
+            built.mu1.hex(), built.mu2.hex())
+        assert mirrored == built
+        assert hash(mirrored) == hash(built)
+        assert repr(mirrored) == repr(built)
+        assert pickle.dumps(mirrored) == pickle.dumps(built)
+        assert same_pair(mirrored.tau1, built.tau1)
+        assert same_pair(mirrored.tau2, built.tau2)
+        back = mirrored.swapped()
+        assert back == params
+        assert (back.mu1.hex(), back.mu2.hex()) == (
+            params.mu1.hex(), params.mu2.hex())
+        assert same_pair(back.tau1, params.tau1)
+        assert same_pair(back.tau2, params.tau2)
+
+    @pytest.mark.parametrize("N", range(3, 13))
+    def test_mu_zero_property_matches_function(self, N):
+        assert HardyParams(N, 0.0, 0.0).mu_zero.hex() == mu_zero(N).hex()
+
+
+class TestPowersSwap:
+    @given(st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                     st.integers(min_value=1, max_value=50)),
+           st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                     st.integers(min_value=1, max_value=50)))
+    def test_swapped_equals_constructed_mirror(self, p, q):
+        pq = Powers(p, q)
+        mirrored = pq.swapped()
+        assert mirrored == Powers(q, p)
+        assert repr(mirrored) == repr(Powers(q, p))
+        assert mirrored.swapped() == pq
+        assert (type(mirrored.p), type(mirrored.q)) == (type(q), type(p))
+
+
+def same_optional(a, b):
+    """Bit-for-bit equality of two Optional[float]s."""
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.hex() == b.hex())
+
+
+class TestQUpper:
+    @given(coefficient_pairs(), st.floats(min_value=1e-3, max_value=20.0),
+           st.floats(min_value=1e-3, max_value=20.0))
+    @settings(max_examples=500)
+    def test_matches_boundary_expressions(self, point, p, q):
+        params = HardyParams(*point)
+        t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
+        vals = boundary_expressions(params, Powers(p, q))
+        assert same_optional(q_upper(params.N, t1, t2), vals.q_upper)
+        assert same_optional(q_upper(params.N, t2, t1), vals.p_upper)
+
+    def test_none_without_a_negative_exponent(self):
+        assert q_upper(5, 0.0, -1.0) is None
+        assert q_upper(5, 0.5, -1.0) is None
+        assert q_upper(5, -1.0, 0.0) == 5.0

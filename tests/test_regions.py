@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardylane import _kernels as K
-from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
-                                 boundary_expressions, mu_zero)
+from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
+                                 HardyParams, Powers, boundary_expressions,
+                                 mu_zero, q_upper, tau_pair)
+from hardylane.integrability import is_gamma_integrable
 from hardylane.iteration import CertificateKind
+from hardylane.radial import RadialFunction
 from hardylane.regions import (RegionClass, Verdict, classify, classify_field,
                                classify_grid, nonexistence_witness)
 
@@ -190,6 +195,125 @@ class TestTotalityAndSoundness:
             nonexistence_witness(HardyParams(5, -2.0, 0.0), Powers(1.5, 1.5))
 
 
+@st.composite
+def edge_point(draw):
+    """admissible_point, each mu also at mu_zero or inside its snap band."""
+    N = draw(st.integers(min_value=3, max_value=10))
+    m0 = mu_zero(N)
+    band = MU0_SNAP_REL * (N - 2) ** 2
+    mu = st.one_of(st.floats(min_value=m0, max_value=3.0), st.just(m0),
+                   st.floats(min_value=m0 - band, max_value=m0 + band))
+    power = st.floats(min_value=1e-3, max_value=20.0)
+    return (HardyParams(N, draw(mu), draw(mu)),
+            Powers(draw(power), draw(power)))
+
+
+def assert_matches_is_gamma_integrable(params, w):
+    """The witness's verdict is is_gamma_integrable's on r^exponent, and its
+    sigma is tau + tau_+ + N summed in that order from a fresh tau_pair."""
+    ref = is_gamma_integrable(params.N, w.weight_mu,
+                              RadialFunction.monomial(1.0, w.exponent))
+    assert w.verdict.integrable == ref.integrable
+    gap = w.verdict.critical_exponent_gap.hex()
+    assert gap == ref.critical_exponent_gap.hex()
+    tp = tau_pair(params.N, w.weight_mu).tau_plus
+    assert gap == (w.exponent + tp + params.N).hex()
+
+
+class TestIntegrabilityWitnessOracle:
+    """The witness's sigma, from the held tau_+, is is_gamma_integrable's."""
+
+    @given(edge_point())
+    @settings(max_examples=500, deadline=None)
+    def test_random_points(self, point):
+        params, pq = point
+        r = classify(params, pq)
+        if r.verdict is not Verdict.NONEXISTENCE:
+            return
+        w = nonexistence_witness(params, pq, r)
+        if w.mechanism == "integrability":
+            assert_matches_is_gamma_integrable(params, w)
+
+    def test_every_integrability_branch(self):
+        # a random batch, plus a (p, q) grid at both mu0 edges, where the
+        # one-bootstrap witness lives in a thin strip: every integrability
+        # branch is hit, in both orientations
+        rng = np.random.default_rng(4243)
+        n = 3000
+        N = rng.integers(3, 11, n)
+        m0 = -((N - 2) ** 2) / 4.0
+        mu1 = m0 + rng.random(n) * (3.0 - m0)
+        mu2 = m0 + rng.random(n) * (3.0 - m0)
+        points = [(int(N[i]), float(mu1[i]), float(mu2[i]),
+                   20.0 * (1.0 - rng.random()), 20.0 * (1.0 - rng.random()))
+                  for i in range(n)]
+        grid = np.linspace(0.2, 8.0, 25).tolist()
+        for Ne in range(3, 11):
+            for p in grid:
+                for q in grid:
+                    points.append((Ne, mu_zero(Ne), 0.5, p, q))
+                    points.append((Ne, 0.5, mu_zero(Ne), q, p))
+        seen = set()
+        for Ni, m1, m2, p, q in points:
+            params, pq = HardyParams(Ni, m1, m2), Powers(p, q)
+            r = classify(params, pq)
+            if r.verdict is not Verdict.NONEXISTENCE:
+                continue
+            w = nonexistence_witness(params, pq, r)
+            if w.mechanism == "integrability":
+                assert_matches_is_gamma_integrable(params, w)
+                seen.add((r.citation, r.swapped, w.description))
+        assert {(c, sw) for c, sw, _ in seen} >= {
+            ("T1.i", False), ("T1.i", True), ("T1.ii", False),
+            ("T1.ii", True), ("T2.i", False)}
+        assert {d for c, _, d in seen if c == "T2.i"} == {
+            "u^q fails L^1 against the second weight",
+            "v^p fails L^1 against the first weight"}
+
+
+@st.composite
+def raised_point(draw):
+    """A regime A or B point with q raised above q_upper, or, in regime B,
+    p raised above p_upper; regime A points come in both orientations."""
+    N = draw(st.integers(min_value=3, max_value=10))
+    m0 = mu_zero(N)
+    negative = st.one_of(st.just(m0), st.floats(min_value=m0, max_value=0.0,
+                                                 exclude_max=True))
+    regime_b = draw(st.booleans())
+    mu1 = draw(negative)
+    mu2 = draw(negative if regime_b else st.floats(min_value=0.0,
+                                                   max_value=3.0))
+    params = HardyParams(N, mu1, mu2)
+    t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
+    p = draw(st.floats(min_value=1e-3, max_value=20.0))
+    q = draw(st.floats(min_value=1e-3, max_value=20.0))
+    grow = 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
+    if regime_b and draw(st.booleans()):
+        edge = q_upper(N, t2, t1)
+        assume(edge is not None and math.isfinite(edge * grow))
+        return params, Powers(edge * grow, q)
+    edge = q_upper(N, t1, t2)
+    assume(edge is not None and math.isfinite(edge * grow))
+    pq = Powers(p, edge * grow)
+    if not regime_b and draw(st.booleans()):
+        return HardyParams(N, params.mu2, params.mu1), Powers(pq.q, pq.p)
+    return params, pq
+
+
+class TestMonotonePastHalfPlanes:
+    @given(raised_point())
+    @settings(max_examples=500, deadline=None)
+    def test_raised_point_keeps_integrability_nonexistence(self, point):
+        params, pq = point
+        r = classify(params, pq)
+        assert r.verdict is Verdict.NONEXISTENCE
+        assert r.citation in ("T1.i", "T2.i")
+        w = nonexistence_witness(params, pq, r)
+        assert w.mechanism == "integrability"
+        assert not w.verdict.integrable
+        assert w.verdict.critical_exponent_gap <= 0.0
+
+
 class TestMirrorSymmetry:
     """(mu1, p) <-> (mu2, q) is the same system with the roles exchanged."""
 
@@ -286,6 +410,12 @@ class TestWitnessExamples:
         # bootstrap exponent (t1 q + 2) p with t1 = -1.5
         assert w.exponent == pytest.approx((-1.5 * q + 2.0) * p, abs=1e-12)
         assert w.weight_mu == params.mu1
+
+    def test_non_finite_exponent_is_refused(self):
+        # t1 * q overflows: the source exponent -inf is no witness
+        params = HardyParams(8, -9.0, 0.7)
+        with pytest.raises(DomainValidationError, match="must be finite"):
+            nonexistence_witness(params, Powers(1.0, 1e308))
 
     def test_p_side_half_plane(self):
         params = HardyParams(5, -2.0, -2.0)
