@@ -23,8 +23,7 @@ from .radial import (PositivityError, RadialFunction, RadialGrid, RadialTerm,
                      apply_hardy, default_grid, evaluate, hardy_fd_oracle,
                      pow_eval, scale)
 from .regions import (RegionClass, Verdict, Witness, WitnessMismatchError,
-                      classify, classify_field, classify_grid,
-                      nonexistence_witness)
+                      classify, classify_field, nonexistence_witness)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "RadialFunction", "RadialGrid", "RadialTerm", "RegionClass",
     "StepRecord", "Variant", "Verdict", "Witness", "WitnessMismatchError",
     "apply_hardy", "boundary_expressions", "claim1_check", "classify",
-    "classify_field", "classify_grid", "crossing_step_bound", "default_grid",
+    "classify_field", "crossing_step_bound", "default_grid",
     "evaluate", "hardy_fd_oracle", "integral_behavior", "is_gamma_integrable",
     "iterate_clamped", "iterate_plain", "kernel_backend", "mu_zero",
     "nonexistence_witness", "p_star", "pow_eval", "scale", "tau_pair",

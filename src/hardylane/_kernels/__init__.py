@@ -10,6 +10,7 @@ margins (signed zeros included) and flags agree bit for bit.
 
 import numpy as np
 
+from .. import boundaries as bd
 from . import _pure
 from ._pure import classify_code
 
@@ -40,7 +41,7 @@ REGIME_SHIFT = _pure.REGIME_SHIFT
 TOL = _pure.TOL
 MU0_SNAP_REL = _pure.MU0_SNAP_REL
 
-__all__ = ["BACKEND", "classify_code", "classify_codes", "tau_pair_arrays"]
+__all__ = ["BACKEND", "classify_code", "classify_codes"]
 
 
 def _min(a, b):
@@ -64,9 +65,9 @@ def _regime_a(N, mu0, mu1, t1, t2, p, q):
 
     Returns (codes, margins, mu0-edge mask).
     """
-    qup = (N + t2) / (-t1)
-    qlo = 2.0 / (-t1)
-    e1 = t1 * (p * q - 1.0) + 2.0 * p + 2.0
+    qup = bd.q_upper(N, t1, t2)
+    qlo = bd.q_lower(t1, 0.0)
+    e1 = bd.e1(t1, p, q)
     upper = q >= qup - TOL
     strip = q > qlo + TOL
     at_mu0 = strip & (mu1 == mu0)
@@ -85,12 +86,12 @@ def _regime_a(N, mu0, mu1, t1, t2, p, q):
 
 def _regime_b(N, t1, t2, p, q):
     """mu0 <= mu1, mu2 < 0.  Returns (codes, margins)."""
-    qup = (N + t2) / (-t1)
-    pup = (N + t1) / (-t2)
-    qlo = (2.0 - t2) / (-t1)
-    plo = (2.0 - t1) / (-t2)
-    e1 = t1 * (p * q - 1.0) + 2.0 * p + 2.0
-    e2 = t2 * (p * q - 1.0) + 2.0 * q + 2.0
+    qup = bd.q_upper(N, t1, t2)
+    pup = bd.q_upper(N, t2, t1)
+    qlo = bd.q_lower(t1, t2)
+    plo = bd.q_lower(t2, t1)
+    e1 = bd.e1(t1, p, q)
+    e2 = bd.e1(t2, q, p)
 
     over_p = p >= pup - TOL
     over_q = q >= qup - TOL
@@ -124,6 +125,13 @@ def _regime_b(N, t1, t2, p, q):
                                       CODE_T3_II_B2, CODE_T3_II_A2))
 
 
+def _tau_pair(N, mu0, mu):
+    """tau_+(mu), tau_-(mu) elementwise, for mu snapped onto [mu0, inf)."""
+    half = (N - 2) / 2.0
+    s = np.sqrt(mu - mu0)
+    return -half + s, -half - s
+
+
 def classify_codes(N, mu1, mu2, p, q):
     """Classify points; returns (codes int16, margins float64, flags uint8).
 
@@ -151,8 +159,8 @@ def classify_codes(N, mu1, mu2, p, q):
         mu1 = np.where(mu1 <= mu0 + band, mu0, mu1)
         mu2 = np.where(mu2 <= mu0 + band, mu0, mu2)
         # regimes split on the sign of the computed exponent (see _pure)
-        t1 = -(N - 2) / 2.0 + np.sqrt(mu1 - mu0)
-        t2 = -(N - 2) / 2.0 + np.sqrt(mu2 - mu0)
+        t1, _ = _tau_pair(N, mu0, mu1)
+        t2, _ = _tau_pair(N, mu0, mu2)
         neg1 = t1 < 0.0
         neg2 = t2 < 0.0
 
@@ -186,11 +194,3 @@ def classify_codes(N, mu1, mu2, p, q):
         flags[idx] = 2 << REGIME_SHIFT
     return codes, margins, flags
 
-
-def tau_pair_arrays(N, mu):
-    """Vectorized tau_+(mu), tau_-(mu) for equal-length arrays."""
-    N = np.asarray(N, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    half = (N - 2.0) / 2.0
-    s = np.sqrt(mu + half * half)
-    return -half + s, -half - s

@@ -3,8 +3,9 @@
 classify_code is the readable statement of the decision tree.  The
 vectorised classify_codes in hardylane._kernels evaluates the same tree as
 a NumPy mask cascade; tests assert the two agree point for point (codes,
-margins with their sign bits, flags), so keep the logic changes
-synchronized.
+margins with their sign bits, flags).  Both take the boundary formulas from
+hardylane.boundaries, so only the decision tree is mirrored: keep its
+changes synchronized.
 
 The kernel works on raw floats and returns integer region codes plus the
 signed margin of the binding inequality and a flags byte:
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 
+from .. import boundaries as bd
 from ..exponents import MU0_SNAP_REL
 
 # Region codes.  The mapping to citation strings lives in hardylane.regions.
@@ -99,9 +101,9 @@ def _regime_a(N: int, mu0: float, mu1: float, mu2: float,
     flags = FLAG_SWAPPED if swapped else 0
     t1 = _tau_plus(N, mu0, mu1)
     t2 = _tau_plus(N, mu0, mu2)
-    qup = (N + t2) / (-t1)
-    qlo = 2.0 / (-t1)
-    e1 = t1 * (p * q - 1.0) + 2.0 * p + 2.0
+    qup = bd.q_upper(N, t1, t2)
+    qlo = bd.q_lower(t1, 0.0)
+    e1 = bd.e1(t1, p, q)
 
     if q >= qup - TOL:
         return CODE_T1_I, q - qup, flags
@@ -127,12 +129,12 @@ def _regime_b(N: int, mu0: float, mu1: float, mu2: float,
     """mu0 <= mu1, mu2 < 0."""
     t1 = _tau_plus(N, mu0, mu1)
     t2 = _tau_plus(N, mu0, mu2)
-    qup = (N + t2) / (-t1)
-    pup = (N + t1) / (-t2)
-    qlo = (2.0 - t2) / (-t1)
-    plo = (2.0 - t1) / (-t2)
-    e1 = t1 * (p * q - 1.0) + 2.0 * p + 2.0
-    e2 = t2 * (p * q - 1.0) + 2.0 * q + 2.0
+    qup = bd.q_upper(N, t1, t2)
+    pup = bd.q_upper(N, t2, t1)
+    qlo = bd.q_lower(t1, t2)
+    plo = bd.q_lower(t2, t1)
+    e1 = bd.e1(t1, p, q)
+    e2 = bd.e1(t2, q, p)
 
     if p >= pup - TOL or q >= qup - TOL:
         margin = -math.inf

@@ -48,6 +48,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import boundaries as bd
 from .exponents import (DomainValidationError, HardyParams, Powers,
                         boundary_expressions, mu_zero)
 from .radial import (RadialFunction, RadialGrid, RadialTerm, apply_hardy,
@@ -146,7 +147,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
 
     if case_id in ("C1", "C4"):
         if case_id == "C1":
-            lo = 2.0 / (-t1)
+            lo = bd.q_lower(t1, 0.0)
         else:
             lo = vals.q_lower
         _require(lo < q < vals.q_upper, case_id,
@@ -162,8 +163,9 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                                       notes=tuple(notes))
 
     if case_id == "C2":
-        _require(q < 2.0 / (-t1), case_id,
-                 f"q={q} not below 2/(-t1)={2.0 / (-t1):g}", strict, notes)
+        foot = bd.q_lower(t1, 0.0)
+        _require(q < foot, case_id,
+                 f"q={q} not below 2/(-t1)={foot:g}", strict, notes)
         tau4c = t1 * q + 2.0
         gap_edge = t2 - tau4c  # > 0 where the paper's two-term v is positive
         if gap_edge > LINE_TOL:
@@ -190,7 +192,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                                       notes=tuple(notes))
 
     if case_id == "C3":
-        qlo = 2.0 / (-t1)
+        qlo = bd.q_lower(t1, 0.0)
         _require(abs(q - qlo) <= LINE_TOL * max(1.0, qlo), case_id,
                  f"q={q} not on the line 2/(-t1)={qlo:g}", strict, notes)
         if t2 > 0.0:

@@ -6,9 +6,10 @@ region classifier) is driven by the two roots of
     mu - tau * (tau + N - 2) = 0,
 
 written tau_plus(mu) >= tau_minus(mu).  They exist for mu >= mu_zero(N)
-= -(N-2)^2/4 and coincide at that threshold.  This module computes them,
-the critical source power p_star, and the handful of scalar boundary
-expressions that cut the (p, q) plane into regions.
+= -(N-2)^2/4 and coincide at that threshold.  This module validates and
+snaps mu, computes the roots and the critical source power p_star, and
+gathers the boundary formulas of hardylane.boundaries at one point
+(boundary_expressions).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+from . import boundaries as bd
 
 
 class DomainValidationError(ValueError):
@@ -237,35 +240,18 @@ class BoundaryValues:
     p_lower: Optional[float]
 
 
-def q_upper(N: int, t1: float, t2: float) -> Optional[float]:
-    """(N + t2) / (-t1) for t1 = tau_+(mu1) < 0, else None (no half-plane).
-
-    Plain arithmetic on the two tau_+: the edge of the closed half-plane
-    q >= q_upper in which u^q fails weighted-L^1 against the second weight.
-    With the roles swapped, q_upper(N, t2, t1) is p_upper.
-    """
-    return (N + t2) / (-t1) if t1 < 0.0 else None
-
-
 def boundary_expressions(params: HardyParams, pq: Powers) -> BoundaryValues:
     """Evaluate every boundary expression used by the region classifier."""
     t1 = params.tau1.tau_plus
     t2 = params.tau2.tau_plus
     p, q = pq.p, pq.q
     N = params.N
-    e1 = t1 * (p * q - 1.0) + 2.0 * p + 2.0
-    e2 = t2 * (p * q - 1.0) + 2.0 * q + 2.0
-    e3 = t1 * (p * q + 1.0) + 2.0 * p + N
-
-    def ratio(num: float, tp: float) -> Optional[float]:
-        return num / (-tp) if tp < 0.0 else None
-
     return BoundaryValues(
-        e1=e1,
-        e2=e2,
-        e3=e3,
-        q_upper=q_upper(N, t1, t2),
-        p_upper=q_upper(N, t2, t1),
-        q_lower=ratio(2.0 - t2, t1),
-        p_lower=ratio(2.0 - t1, t2),
+        e1=bd.e1(t1, p, q),
+        e2=bd.e1(t2, q, p),
+        e3=bd.e3(N, t1, p, q),
+        q_upper=bd.q_upper(N, t1, t2) if t1 < 0.0 else None,
+        p_upper=bd.q_upper(N, t2, t1) if t2 < 0.0 else None,
+        q_lower=bd.q_lower(t1, t2) if t1 < 0.0 else None,
+        p_lower=bd.q_lower(t2, t1) if t2 < 0.0 else None,
     )

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import _kernels as K
-from .exponents import HardyParams, Powers
+from . import boundaries as bd
+from .exponents import HardyParams
 from .regions import RegionClass, _wrap
 
 # Fill colors per region code: reds for nonexistence, greens for existence,
@@ -75,35 +76,34 @@ def _fmt(x: float) -> str:
 
 def region_markers(params: HardyParams, p_range: Tuple[float, float],
                    q_range: Tuple[float, float]) -> Dict[str, Tuple[float, float]]:
-    """Corner points of the region pictures, keyed by their letter."""
+    """Corner points of the region pictures, keyed by their letter.
+
+    The regime follows the sign of each computed tau_+, as in the kernel:
+    a mu whose tau_+ rounds to 0 counts as mu = 0.
+    """
     t1 = params.tau1.tau_plus
     t2 = params.tau2.tau_plus
-    N = params.N
-    markers: Dict[str, Tuple[float, float]] = {}
-    regime_a = params.mu1 < 0.0 <= params.mu2
-    regime_b = params.mu1 < 0.0 and params.mu2 < 0.0
-    swapped_a = params.mu2 < 0.0 <= params.mu1
-    if swapped_a:
+    if t2 < 0.0 <= t1:
         sw = region_markers(params.swapped(), q_range, p_range)
         return {name: (xy[1], xy[0]) for name, xy in sw.items()}
-    if not (regime_a or regime_b):
-        return markers
+    if not t1 < 0.0:
+        return {}
 
-    qup = (N + t2) / (-t1)
-    markers["E"] = (0.0, qup)
+    N = params.N
+    qup = bd.q_upper(N, t1, t2)
+    markers: Dict[str, Tuple[float, float]] = {"E": (0.0, qup)}
     if N - 2 + t2 > 0.0:
         markers["A"] = ((2.0 - t1) / (N - 2 + t2), qup)
-    if regime_a:
-        qlo = 2.0 / (-t1)
-        markers["M"] = (0.0, qlo)
+    if t2 >= 0.0:
+        markers["M"] = (0.0, bd.q_lower(t1, 0.0))
         p_max = p_range[1]
-        q_exit = (t1 - 2.0 * p_max - 2.0) / (t1 * p_max)
+        q_exit = bd.e1_curve(t1, p_max)
         if q_range[0] <= q_exit <= q_range[1]:
             markers["Q"] = (p_max, q_exit)
     else:
-        pup = (N + t1) / (-t2)
-        qlo = (2.0 - t2) / (-t1)
-        plo = (2.0 - t1) / (-t2)
+        pup = bd.q_upper(N, t2, t1)
+        qlo = bd.q_lower(t1, t2)
+        plo = bd.q_lower(t2, t1)
         markers["D"] = (pup, 0.0)
         markers["B"] = (plo, qlo)
         markers["F"] = (0.0, qlo)
@@ -122,28 +122,18 @@ def critical_curve_points(params: HardyParams, which: str,
     e1 = 0 is solved for q as a function of p; e2 = 0 for p as a function
     of q.  Points outside the window are dropped.
     """
-    t1 = params.tau1.tau_plus
-    t2 = params.tau2.tau_plus
-    pts: List[Tuple[float, float]] = []
-    if which == "e1":
-        if t1 >= 0.0:
-            return pts
-        for p in np.linspace(p_range[0], p_range[1], samples):
-            denom = t1 * p
-            q = (t1 - 2.0 * p - 2.0) / denom
-            if q_range[0] <= q <= q_range[1]:
-                pts.append((float(p), float(q)))
-    elif which == "e2":
-        if t2 >= 0.0:
-            return pts
-        for q in np.linspace(q_range[0], q_range[1], samples):
-            denom = t2 * q
-            p = (t2 - 2.0 * q - 2.0) / denom
-            if p_range[0] <= p <= p_range[1]:
-                pts.append((float(p), float(q)))
-    else:
+    if which not in ("e1", "e2"):
         raise ValueError(f"unknown curve {which!r}")
-    return pts
+    swap = which == "e2"
+    t = (params.tau2 if swap else params.tau1).tau_plus
+    if t >= 0.0:
+        return []
+    a_range, b_range = (q_range, p_range) if swap else (p_range, q_range)
+    a = np.linspace(a_range[0], a_range[1], samples)
+    b = bd.e1_curve(t, a)
+    keep = (b_range[0] <= b) & (b <= b_range[1])
+    a, b = a[keep].tolist(), b[keep].tolist()
+    return list(zip(b, a) if swap else zip(a, b))
 
 
 def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:

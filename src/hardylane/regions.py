@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels as K
-from .exponents import DomainValidationError, HardyParams, Powers, q_upper
+from . import boundaries as bd
+from .exponents import DomainValidationError, HardyParams, Powers
 from .integrability import IntegrabilityVerdict, power_verdict
 from .iteration import IterationTrace, iterate_clamped, iterate_plain
 
@@ -152,24 +153,6 @@ def classify_field(params: HardyParams, p_values: np.ndarray,
     return codes.reshape(shape), margins.reshape(shape), flags.reshape(shape)
 
 
-def classify_grid(params: HardyParams, p_range: tuple, q_range: tuple,
-                  resolution: int) -> List[List[RegionClass]]:
-    """Row-major matrix of classify results over the uniform inclusive grid."""
-    if not (2 <= resolution <= 4096):
-        raise DomainValidationError(
-            f"resolution must lie in [2, 4096], got {resolution}")
-    for lo, hi in (p_range, q_range):
-        if not (0.0 < lo < hi):
-            raise DomainValidationError(
-                f"range must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    p_values = np.linspace(p_range[0], p_range[1], resolution)
-    q_values = np.linspace(q_range[0], q_range[1], resolution)
-    codes, margins, flags = classify_field(params, p_values, q_values)
-    return [[_wrap(int(codes[i, j]), margins[i, j], int(flags[i, j]))
-             for j in range(resolution)]
-            for i in range(resolution)]
-
-
 @dataclass(frozen=True)
 class Witness:
     """Machine-checkable nonexistence evidence.
@@ -250,8 +233,8 @@ def nonexistence_witness(params: HardyParams, pq: Powers,
             eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
             "u^q fails L^1 against the second weight")
     if cite == "T2.i":
-        qu = q_upper(eff_params.N, t1, t2)
-        if qu is not None and eff_pq.q >= qu - K.TOL:
+        # regime B, so t1 < 0
+        if eff_pq.q >= bd.q_upper(eff_params.N, t1, t2) - K.TOL:
             return _integrability_witness(
                 eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
                 "u^q fails L^1 against the second weight")

@@ -55,7 +55,7 @@ def test_criterion_1_exponent_identities():
     mu0 = -((N - 2) ** 2) / 4.0
     mu = mu0 + rng.random(n) * 25.0
     mu[: n // 100] = mu0[: n // 100]  # exercise the double root too
-    tp, tm = K.tau_pair_arrays(N, mu)
+    tp, tm = K._tau_pair(N, mu0, mu)
     resid_p = np.abs(mu - tp * (tp + N - 2))
     resid_m = np.abs(mu - tm * (tm + N - 2))
     tol = 1e-12 * np.maximum(1.0, np.abs(mu))

@@ -247,6 +247,25 @@ class TestPlotCommand:
         assert markers["E"] == [0.0, 4.0]
         assert markers["D"] == [4.0, 0.0]
 
+    def test_exponent_rounding_to_zero_has_no_markers(self, capsys, tmp_path):
+        # tau_+(-1e-20) rounds to 0: the point is out of scope, as at mu = 0
+        out = tmp_path / "x"
+        code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1=-1e-20",
+                               "--mu2", "0", "--p-range", "0.5..4",
+                               "--q-range", "0.5..6", "--res", "20",
+                               "--out", str(out), "--format", "json")
+        assert code == 0, err
+        assert '"markers": {}' in (tmp_path / "x.json").read_text()
+
+    def test_res_outside_bounds(self, capsys, tmp_path):
+        for res in ("1", "5000"):
+            code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1", "-2",
+                                   "--mu2", "0", "--p-range", "1..2",
+                                   "--q-range", "1..2", "--res", res,
+                                   "--out", str(tmp_path / "r"))
+            assert code == 1
+            assert "--res must lie in [2, 4096]" in err
+
     def test_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1", "-2",
                                "--mu2", "0", "--p-range", "1..2",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  HardyParams, Powers, boundary_expressions,
-                                 mu_zero, p_star, q_upper, root_coefficient,
+                                 mu_zero, p_star, root_coefficient,
                                  snap_mu, tau_pair)
 
 
@@ -150,6 +150,14 @@ class TestBoundaryExpressions:
         assert vals.q_lower == pytest.approx(3.0)
         assert vals.p_lower == pytest.approx(3.0)
 
+    def test_ratios_need_a_negative_exponent(self):
+        # tau_+(-1e-20) rounds to 0, so mu1 acts as 0: no q-side ratios
+        vals = boundary_expressions(HardyParams(5, -1e-20, -2.0), Powers(2, 3))
+        assert (vals.q_upper, vals.q_lower) == (None, None)
+        assert (vals.p_upper, vals.p_lower) == (5.0, 2.0)
+        vals = boundary_expressions(HardyParams(5, 0.5, -2.0), Powers(2, 3))
+        assert (vals.q_upper, vals.q_lower) == (None, None)
+
 
 class TestParamTypes:
     def test_hardy_params_snaps(self):
@@ -272,26 +280,3 @@ class TestPowersSwap:
         assert repr(mirrored) == repr(Powers(q, p))
         assert mirrored.swapped() == pq
         assert (type(mirrored.p), type(mirrored.q)) == (type(q), type(p))
-
-
-def same_optional(a, b):
-    """Bit-for-bit equality of two Optional[float]s."""
-    return (a is None and b is None) or (
-        a is not None and b is not None and a.hex() == b.hex())
-
-
-class TestQUpper:
-    @given(coefficient_pairs(), st.floats(min_value=1e-3, max_value=20.0),
-           st.floats(min_value=1e-3, max_value=20.0))
-    @settings(max_examples=500)
-    def test_matches_boundary_expressions(self, point, p, q):
-        params = HardyParams(*point)
-        t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
-        vals = boundary_expressions(params, Powers(p, q))
-        assert same_optional(q_upper(params.N, t1, t2), vals.q_upper)
-        assert same_optional(q_upper(params.N, t2, t1), vals.p_upper)
-
-    def test_none_without_a_negative_exponent(self):
-        assert q_upper(5, 0.0, -1.0) is None
-        assert q_upper(5, 0.5, -1.0) is None
-        assert q_upper(5, -1.0, 0.0) == 5.0

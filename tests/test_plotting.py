@@ -42,7 +42,16 @@ class TestMarkers:
             assert mirrored[name] == (q, p)
 
     def test_out_of_scope_has_no_markers(self):
-        assert region_markers(HardyParams(5, 1.0, 1.0), *WINDOW) == {}
+        # tau_+(-1e-20) rounds to 0: out of scope, as for mu = 0
+        for params in (HardyParams(5, 1.0, 1.0), HardyParams(5, -1e-20, 0.0),
+                       HardyParams(5, 0.0, -1e-20)):
+            assert region_markers(params, *WINDOW) == {}
+
+    def test_regime_follows_the_computed_exponent(self):
+        for tiny, zero in (((5, -2.0, -1e-20), (5, -2.0, 0.0)),
+                           ((5, -1e-20, -2.0), (5, 0.0, -2.0))):
+            assert region_markers(HardyParams(*tiny), *WINDOW) == \
+                region_markers(HardyParams(*zero), *WINDOW)
 
 
 class TestCurveOverlay:

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hardylane import _kernels as K
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  HardyParams, Powers, boundary_expressions,
-                                 mu_zero, q_upper, tau_pair)
+                                 mu_zero, tau_pair)
 from hardylane.integrability import is_gamma_integrable
 from hardylane.iteration import CertificateKind
 from hardylane.radial import RadialFunction
-from hardylane.regions import (RegionClass, Verdict, classify, classify_field,
-                               classify_grid, nonexistence_witness)
+from hardylane.regions import (RegionClass, Verdict, _wrap, classify,
+                               classify_field, nonexistence_witness)
 
 
 def ver(*args):
@@ -288,12 +288,15 @@ def raised_point(draw):
     p = draw(st.floats(min_value=1e-3, max_value=20.0))
     q = draw(st.floats(min_value=1e-3, max_value=20.0))
     grow = 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
+    # a negative mu whose tau_+ rounds to 0 has no half-plane
     if regime_b and draw(st.booleans()):
-        edge = q_upper(N, t2, t1)
-        assume(edge is not None and math.isfinite(edge * grow))
+        assume(t2 < 0.0)
+        edge = (N + t1) / (-t2)
+        assume(math.isfinite(edge * grow))
         return params, Powers(edge * grow, q)
-    edge = q_upper(N, t1, t2)
-    assume(edge is not None and math.isfinite(edge * grow))
+    assume(t1 < 0.0)
+    edge = (N + t2) / (-t1)
+    assume(math.isfinite(edge * grow))
     pq = Powers(p, edge * grow)
     if not regime_b and draw(st.booleans()):
         return HardyParams(N, params.mu2, params.mu1), Powers(pq.q, pq.p)
@@ -428,47 +431,38 @@ class TestWitnessExamples:
 class TestGrid:
     def test_grid_matches_pointwise(self):
         params = HardyParams(5, -2.0, 0.0)
-        grid = classify_grid(params, (1.0, 4.0), (1.0, 6.0), 7)
         p_values = np.linspace(1.0, 4.0, 7)
         q_values = np.linspace(1.0, 6.0, 7)
+        codes, margins, flags = classify_field(params, p_values, q_values)
         for i, qv in enumerate(q_values):
             for j, pv in enumerate(p_values):
                 direct = classify(params, Powers(pv, qv))
-                assert grid[i][j].citation == direct.citation
-                assert grid[i][j].margin == pytest.approx(direct.margin)
-
-    def test_single_cell(self):
-        grid = classify_grid(HardyParams(5, 1.0, 1.0), (1, 2), (1, 2), 2)
-        assert all(c.verdict is Verdict.OUT_OF_SCOPE
-                   for row in grid for c in row)
+                cell = _wrap(int(codes[i, j]), margins[i, j],
+                             int(flags[i, j]))
+                assert cell.citation == direct.citation
+                assert cell.margin == pytest.approx(direct.margin)
 
     def test_threshold_column_structure(self):
         # cells straddling q = 5 carry T1.i exactly when q >= 5
         params = HardyParams(5, -2.0, 0.0)
         q_values = np.array([4.5, 5.0, 5.5])
         codes, _, _ = classify_field(params, np.array([2.0]), q_values)
-        grid = classify_grid(params, (2.0, 2.1), (4.5, 5.5), 3)
         for i, qv in enumerate(q_values):
-            assert (grid[i][0].citation == "T1.i") == (qv >= 5.0)
-
-    def test_validation(self):
-        params = HardyParams(5, -2.0, 0.0)
-        with pytest.raises(DomainValidationError):
-            classify_grid(params, (1.0, 2.0), (1.0, 2.0), 1)
-        with pytest.raises(DomainValidationError):
-            classify_grid(params, (2.0, 1.0), (1.0, 2.0), 8)
-        with pytest.raises(DomainValidationError):
-            classify_grid(params, (1.0, 2.0), (1.0, 2.0), 5000)
+            assert (codes[i, 0] == K.CODE_T1_I) == (qv >= 5.0)
 
     def test_field_matches_per_point_kernel(self):
-        params = HardyParams(5, -2.0, -2.0)
-        p_values = np.linspace(0.5, 6.0, 90)
-        q_values = np.linspace(0.5, 6.0, 91)
-        field = classify_field(params, p_values, q_values)
-        pp, qq = np.meshgrid(p_values, q_values)
-        n = pp.size
-        per_point = K.classify_codes(np.full(n, 5), np.full(n, -2.0),
-                                     np.full(n, -2.0), pp.ravel(), qq.ravel())
-        for a, b in zip(field, per_point):
-            assert a.shape == (91, 90)
-            assert np.array_equal(a.ravel(), b)
+        for mu, p_values, q_values in (
+                (-2.0, np.linspace(0.5, 6.0, 90), np.linspace(0.5, 6.0, 91)),
+                # one out-of-scope cell
+                (1.0, np.array([1.0]), np.array([2.0]))):
+            params = HardyParams(5, mu, mu)
+            field = classify_field(params, p_values, q_values)
+            pp, qq = np.meshgrid(p_values, q_values)
+            n = pp.size
+            per_point = K.classify_codes(np.full(n, 5), np.full(n, mu),
+                                         np.full(n, mu), pp.ravel(),
+                                         qq.ravel())
+            for a, b in zip(field, per_point):
+                assert a.shape == (q_values.size, p_values.size)
+                assert np.array_equal(a.ravel(), b)
+        assert field[0][0, 0] == K.CODE_OUT_OF_SCOPE
