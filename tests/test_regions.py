@@ -442,6 +442,15 @@ class TestGrid:
                 assert cell.citation == direct.citation
                 assert cell.margin == pytest.approx(direct.margin)
 
+    def test_single_cell(self):
+        codes, margins, flags = classify_field(HardyParams(5, 1.0, 1.0),
+                                               np.array([1.0, 2.0]),
+                                               np.array([1.0, 2.0]))
+        assert codes.shape == (2, 2)
+        assert all(_wrap(int(c), m, int(f)).verdict is Verdict.OUT_OF_SCOPE
+                   for c, m, f in zip(codes.ravel(), margins.ravel(),
+                                      flags.ravel()))
+
     def test_threshold_column_structure(self):
         # cells straddling q = 5 carry T1.i exactly when q >= 5
         params = HardyParams(5, -2.0, 0.0)
