@@ -52,7 +52,7 @@ from . import boundaries as bd
 from .exponents import (DomainValidationError, HardyParams, Powers,
                         boundary_expressions, mu_zero)
 from .radial import (RadialFunction, RadialGrid, RadialTerm, apply_hardy,
-                     default_grid, evaluate, hardy_fd_oracle)
+                     default_grid, evaluate, hardy_fd_oracle, log_radii)
 
 CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -122,8 +122,11 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
     """Instantiate the radial pair of the given case.
 
     With strict=True (default) the case hypothesis is validated and
-    violations raise; strict=False records them in notes instead, which is
-    how deliberately-wrong-side candidates are produced for testing.
+    violations raise; strict=False records strip, e1/e2 and p, q > 1
+    violations in notes instead, which is how deliberately-wrong-side
+    candidates are produced for testing.  The regime hypothesis (the signs
+    of tau_+(mu1), tau_+(mu2)) raises DomainValidationError in both modes:
+    outside it the recipe's exponents are undefined.
     """
     if case_id not in CASE_IDS:
         raise DomainValidationError(f"unknown case id {case_id!r}")
@@ -136,10 +139,11 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
     regime_a = t1 < 0.0 <= t2
     regime_b = t1 < 0.0 and t2 < 0.0
 
+    # strict in both modes: the recipe has no exponents outside its regime
     if case_id in ("C1", "C2", "C3"):
-        _require(regime_a, case_id, "needs mu1 < 0 <= mu2", strict, notes)
+        _require(regime_a, case_id, "needs mu1 < 0 <= mu2", True, notes)
     else:
-        _require(regime_b, case_id, "needs mu1, mu2 < 0", strict, notes)
+        _require(regime_b, case_id, "needs mu1, mu2 < 0", True, notes)
     _require(p > 1.0 and q > 1.0, case_id,
              "constructions assume p, q > 1", strict, notes)
 
@@ -296,7 +300,7 @@ def _oracle_deviation(params: HardyParams, cand: SupersolutionCandidate,
     """
     r_hi = grid.r_max * 0.85
     r_lo = max(grid.r_min, 0.25 * grid.r_max)
-    radii = np.geomspace(r_lo, r_hi, samples)
+    radii = log_radii(r_lo, r_hi, samples)
     h_r = np.minimum(h, radii / 8.0)
     worst = 0.0
     for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
@@ -307,6 +311,22 @@ def _oracle_deviation(params: HardyParams, cand: SupersolutionCandidate,
         dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
         worst = max(worst, float(np.fmax.reduce(dev)))
     return worst
+
+
+def _pair_values(cand: SupersolutionCandidate,
+                 radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """u and v at the radii."""
+    return (np.asarray(evaluate(cand.u, radii)),
+            np.asarray(evaluate(cand.v, radii)))
+
+
+def _image_values(cand: SupersolutionCandidate,
+                  radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lu and Lv at the radii, through the symbolic operator."""
+    params = cand.params
+    lu = apply_hardy(params.N, params.mu1, cand.u)
+    lv = apply_hardy(params.N, params.mu2, cand.v)
+    return (np.asarray(evaluate(lu, radii)), np.asarray(evaluate(lv, radii)))
 
 
 def _grid_slacks(cand: SupersolutionCandidate, t: float,
@@ -321,7 +341,9 @@ def _grid_slacks(cand: SupersolutionCandidate, t: float,
 
 def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
                    grid: Optional[RadialGrid] = None, h: float = 1e-4,
-                   oracle_samples: int = 16) -> VerificationReport:
+                   oracle_samples: int = 16, *,
+                   evaluated: Optional[Tuple[np.ndarray, ...]] = None
+                   ) -> VerificationReport:
     """Check both scaled inequalities pointwise and cross-check the operator.
 
     The scaled pair is (t u, t v); the slacks are
@@ -332,6 +354,12 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
     and ok means both minima over the grid are nonnegative.  A positivity
     failure of u or v anywhere on the grid fails the report with a
     diagnostic instead of raising on the fractional power.
+
+    evaluated, if given, is (u, v, Lu, Lv) already evaluated at
+    grid.radii for this candidate, as find_scale hands them over; they
+    are used instead of evaluating again.  Their shapes must match the
+    grid, and the positivity check still runs on them.  The operator
+    cross-check always evaluates its own sample radii.
     """
     if t is None:
         t = cand.t
@@ -339,11 +367,17 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
         raise DomainValidationError("verification needs a positive scale t")
     if grid is None:
         grid = default_grid(cand.r_domain)
-    params, pq = cand.params, cand.pq
+    params = cand.params
     radii = grid.radii
 
-    u_vals = np.asarray(evaluate(cand.u, radii))
-    v_vals = np.asarray(evaluate(cand.v, radii))
+    if evaluated is None:
+        u_vals, v_vals = _pair_values(cand, radii)
+    else:
+        if len(evaluated) != 4 or any(np.shape(a) != radii.shape
+                                      for a in evaluated):
+            raise DomainValidationError(
+                "evaluated must be (u, v, Lu, Lv) at the grid's radii")
+        u_vals, v_vals, lu, lv = evaluated
     if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
         which = "u" if np.min(u_vals) <= 0.0 else "v"
         bad = radii[np.argmin(u_vals if which == "u" else v_vals)]
@@ -353,8 +387,8 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
             positivity_ok=False,
             diagnostic=f"{which} is not positive near r={bad:.3e}")
 
-    lu = np.asarray(evaluate(apply_hardy(params.N, params.mu1, cand.u), radii))
-    lv = np.asarray(evaluate(apply_hardy(params.N, params.mu2, cand.v), radii))
+    if evaluated is None:
+        lu, lv = _image_values(cand, radii)
     min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
     ok = (math.isfinite(min_u) and math.isfinite(min_v)
           and min_u >= 0.0 and min_v >= 0.0)
@@ -375,25 +409,25 @@ def find_scale(cand: SupersolutionCandidate,
     the first hit of the descending scan is the largest accepted scale.
     The scan evaluates the slack minima only; the accepted scale is then
     re-verified in full (including the operator cross-check) and that
-    report is returned.  Returns None when no scale verifies: either the
+    report is returned; verify_on_grid is handed the scan's u, v, Lu and
+    Lv instead of evaluating them again, and checks their positivity
+    itself.  Returns None when no scale verifies: either the
     hypothesis is violated or the grid is too coarse; callers decide,
     nothing is masked.
     """
     if grid is None:
         grid = default_grid(cand.r_domain)
     radii = grid.radii
-    u_vals = np.asarray(evaluate(cand.u, radii))
-    v_vals = np.asarray(evaluate(cand.v, radii))
+    u_vals, v_vals = _pair_values(cand, radii)
     if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
         return None
-    params = cand.params
-    lu = np.asarray(evaluate(apply_hardy(params.N, params.mu1, cand.u), radii))
-    lv = np.asarray(evaluate(apply_hardy(params.N, params.mu2, cand.v), radii))
+    lu, lv = _image_values(cand, radii)
     for t in SCALE_SCAN:
         min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
         if (math.isfinite(min_u) and math.isfinite(min_v)
                 and min_u >= 0.0 and min_v >= 0.0):
-            report = verify_on_grid(cand, t=t, grid=grid)
+            report = verify_on_grid(cand, t=t, grid=grid,
+                                    evaluated=(u_vals, v_vals, lu, lv))
             if report.ok:
                 return t, report
     return None

@@ -16,6 +16,7 @@ independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -243,7 +244,26 @@ class RadialGrid:
 
     @property
     def radii(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.r_max, self.count)
+        """np.geomspace(r_min, r_max, count), as cached by log_radii.
+
+        The array is shared by every grid with the same bounds and count
+        and is read-only: writing to it raises ValueError.  Take a copy to
+        modify it.
+        """
+        return log_radii(self.r_min, self.r_max, self.count)
+
+
+# typed: np.geomspace rejects count=512.0, so it must not hit the entry of 512
+@functools.lru_cache(maxsize=8, typed=True)
+def log_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
+    """np.geomspace(r_min, r_max, count) as a shared, read-only array.
+
+    The few most recent grids are kept: a verification reads the same
+    radii several times, while a domain search walks through many.
+    """
+    radii = np.geomspace(r_min, r_max, count)
+    radii.flags.writeable = False
+    return radii
 
 
 def default_grid(r_domain: float = 1.0, count: int = 512,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hardylane.constructions import (SCALE_SCAN, build_candidate,
+from hardylane.constructions import (CASE_IDS, ORACLE_DEV_LIMIT, SCALE_SCAN,
+                                     VerificationReport, build_candidate,
                                      case_for_region, find_domain, find_scale,
                                      verify_on_grid)
 from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
                                  mu_zero)
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
-                              apply_hardy, evaluate, hardy_fd_oracle)
+                              apply_hardy, default_grid, evaluate,
+                              hardy_fd_oracle)
 from hardylane.regions import Verdict, classify
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
@@ -48,6 +51,67 @@ def oracle_deviation_per_radius(params, cand, grid, h=1e-4, samples=16):
             scale_r = max(1.0, abs(sym), float(evaluate(mag_f, float(r))))
             worst = max(worst, abs(sym - fd) / scale_r)
     return worst
+
+
+def slacks_reference(cand, t, u_vals, v_vals, lu, lv):
+    with np.errstate(over="ignore"):
+        return (float(np.min(t * lu - np.power(t * v_vals, cand.pq.p))),
+                float(np.min(t * lv - np.power(t * u_vals, cand.pq.q))))
+
+
+def verify_reference(cand, t, grid, h=1e-4, samples=16):
+    """Reference: verify_on_grid with fresh np.geomspace radii, evaluating
+    u, v, Lu and Lv itself and cross-checking the operator radius by
+    radius."""
+    radii = np.geomspace(grid.r_min, grid.r_max, grid.count)
+    params = cand.params
+    u_vals = np.asarray(evaluate(cand.u, radii))
+    v_vals = np.asarray(evaluate(cand.v, radii))
+    if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
+        which = "u" if np.min(u_vals) <= 0.0 else "v"
+        bad = radii[np.argmin(u_vals if which == "u" else v_vals)]
+        return VerificationReport(
+            ok=False, min_slack_u=math.nan, min_slack_v=math.nan, grid=grid,
+            oracle_max_dev=math.nan, oracle_exceeded=False,
+            positivity_ok=False,
+            diagnostic=f"{which} is not positive near r={bad:.3e}")
+    lu = np.asarray(evaluate(apply_hardy(params.N, params.mu1, cand.u), radii))
+    lv = np.asarray(evaluate(apply_hardy(params.N, params.mu2, cand.v), radii))
+    min_u, min_v = slacks_reference(cand, t, u_vals, v_vals, lu, lv)
+    ok = (math.isfinite(min_u) and math.isfinite(min_v)
+          and min_u >= 0.0 and min_v >= 0.0)
+    dev = oracle_deviation_per_radius(params, cand, grid, h, samples)
+    return VerificationReport(ok=ok, min_slack_u=min_u, min_slack_v=min_v,
+                              grid=grid, oracle_max_dev=dev,
+                              oracle_exceeded=dev > ORACLE_DEV_LIMIT,
+                              positivity_ok=True)
+
+
+def find_scale_reference(cand):
+    """Reference: the descending scan, re-verified by verify_reference."""
+    grid = default_grid(cand.r_domain)
+    radii = np.geomspace(grid.r_min, grid.r_max, grid.count)
+    params = cand.params
+    u_vals = np.asarray(evaluate(cand.u, radii))
+    v_vals = np.asarray(evaluate(cand.v, radii))
+    if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
+        return None
+    lu = np.asarray(evaluate(apply_hardy(params.N, params.mu1, cand.u), radii))
+    lv = np.asarray(evaluate(apply_hardy(params.N, params.mu2, cand.v), radii))
+    for t in SCALE_SCAN:
+        min_u, min_v = slacks_reference(cand, t, u_vals, v_vals, lu, lv)
+        if (math.isfinite(min_u) and math.isfinite(min_v)
+                and min_u >= 0.0 and min_v >= 0.0):
+            report = verify_reference(cand, t, grid)
+            if report.ok:
+                return t, report
+    return None
+
+
+def report_bits(report):
+    """Every field of a report, floats by float.hex."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in vars(report).values())
 
 
 def _inside(lo, hi, frac):
@@ -126,6 +190,28 @@ class TestRecipes:
     def test_unknown_case_rejected(self):
         with pytest.raises(DomainValidationError):
             build_candidate("C9", A_PARAMS, Powers(2, 2))
+
+    @pytest.mark.parametrize("case", CASE_IDS)
+    @pytest.mark.parametrize("mu1, mu2", ((0.0, 0.5), (0.5, 0.5),
+                                          (-2.0, 0.5), (0.5, -2.0),
+                                          (-2.0, -2.0)))
+    def test_lenient_build_never_crashes(self, case, mu1, mu2):
+        # a candidate or a validation error, never another exception;
+        # outside the case's regime a validation error in both modes
+        params = HardyParams(5, mu1, mu2)
+        if case in ("C1", "C2", "C3"):
+            in_regime = mu1 < 0.0 <= mu2
+        else:
+            in_regime = mu1 < 0.0 and mu2 < 0.0
+        for pq, strict in itertools.product(
+                (Powers(2, 3), Powers(1.5, 1.5), Powers(3.2, 1.5),
+                 Powers(0.5, 6.0)), (False, True)):
+            try:
+                build_candidate(case, params, pq, strict=strict)
+            except DomainValidationError as e:
+                assert in_regime or "needs mu" in str(e)
+            else:
+                assert in_regime
 
     def test_hypothesis_validation(self):
         with pytest.raises(DomainValidationError):
@@ -260,6 +346,29 @@ class TestVerification:
         assert not report.positivity_ok
         assert "not positive" in report.diagnostic
 
+    def test_handed_arrays_still_checked_for_positivity(self):
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        grid = default_grid()
+        _, report = find_scale(cand)
+        u = np.asarray(evaluate(cand.u, grid.radii))
+        v = np.asarray(evaluate(cand.v, grid.radii))
+        lu = np.asarray(evaluate(apply_hardy(5, -2.0, cand.u), grid.radii))
+        lv = np.asarray(evaluate(apply_hardy(5, 0.0, cand.v), grid.radii))
+        handed = verify_on_grid(cand, t=1.0, grid=grid,
+                                evaluated=(u, v, lu, lv))
+        assert report_bits(handed) == report_bits(report)
+        bad_u = u.copy()
+        bad_u[7] = -1.0
+        report = verify_on_grid(cand, t=1.0, grid=grid,
+                                evaluated=(bad_u, v, lu, lv))
+        assert not report.ok and not report.positivity_ok
+        assert report.diagnostic == \
+            f"u is not positive near r={grid.radii[7]:.3e}"
+        with pytest.raises(DomainValidationError):
+            verify_on_grid(cand, t=1.0, grid=grid, evaluated=(u[1:], v, lu, lv))
+        with pytest.raises(DomainValidationError):
+            verify_on_grid(cand, t=1.0, grid=grid, evaluated=(u, v, lu))
+
     def test_requires_scale(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         with pytest.raises(DomainValidationError):
@@ -321,3 +430,39 @@ class TestCaseSelection:
             found = find_scale(cand)
             assert found is not None, (case, pq)
             assert found[1].ok
+
+
+#: Wrong-side candidates next to the accepting ones: q above the strip,
+#: e1 < 0 in regime A and B, e2 < 0, and a pair that is not positive.
+WRONG_SIDE = (("C1", A_PARAMS, Powers(2.0, 5.5)),
+              ("C1", A_PARAMS, Powers(4.0, 3.0)),
+              ("C4", B_PARAMS, Powers(2.5, 3.54)),
+              ("C8", B_PARAMS, Powers(3.5, 3.0)),
+              ("C1", A_PARAMS, Powers(2, 4)))
+
+
+class TestAgainstReference:
+    """find_scale and verify_on_grid give the reference's bits."""
+
+    @pytest.mark.parametrize("case, params, pq", ACCEPTING + WRONG_SIDE,
+                             ids=[f"{c}-{pq.p}-{pq.q}"
+                                  for c, _, pq in ACCEPTING + WRONG_SIDE])
+    def test_find_scale(self, case, params, pq):
+        cand = build_candidate(case, params, pq,
+                               strict=(case, params, pq) in ACCEPTING)
+        found, ref = find_scale(cand), find_scale_reference(cand)
+        assert (found is None) == (ref is None)
+        assert (found is None) == ((case, params, pq) in WRONG_SIDE)
+        if found is not None:
+            assert found[0].hex() == ref[0].hex()
+            assert report_bits(found[1]) == report_bits(ref[1])
+
+    @pytest.mark.parametrize("case, params, pq", ACCEPTING[:1] + WRONG_SIDE,
+                             ids=[f"{c}-{pq.p}-{pq.q}"
+                                  for c, _, pq in ACCEPTING[:1] + WRONG_SIDE])
+    def test_verify_on_grid(self, case, params, pq):
+        cand = build_candidate(case, params, pq, strict=False)
+        grid = default_grid(cand.r_domain)
+        for t in (1.0, 0.5, 10.0):
+            assert report_bits(verify_on_grid(cand, t=t)) == \
+                report_bits(verify_reference(cand, t, grid))

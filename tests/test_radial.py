@@ -282,3 +282,31 @@ class TestGrid:
         assert g.count == 512
         assert g.r_min == 1e-6
         assert g.r_max == pytest.approx(0.999)
+
+    @given(st.floats(min_value=1e-12, max_value=10.0),
+           st.floats(min_value=1.0 + 1e-9, max_value=1e6),
+           st.integers(min_value=2, max_value=2048))
+    @settings(max_examples=100, deadline=None)
+    def test_radii_are_geomspace(self, r_min, ratio, count):
+        g = RadialGrid(r_min, r_min * ratio, count)
+        expected = np.geomspace(g.r_min, g.r_max, g.count)
+        assert g.radii.tobytes() == expected.tobytes()
+        # a second read, through an equal grid too, gives the same values
+        assert RadialGrid(g.r_min, g.r_max, g.count).radii.tobytes() == \
+            expected.tobytes()
+
+    def test_radii_are_read_only(self):
+        g = RadialGrid(1e-6, 0.999, 512)
+        before = g.radii.copy()
+        with pytest.raises(ValueError):
+            g.radii[0] = 1.0
+        with pytest.raises(ValueError):
+            g.radii *= 2.0
+        assert g.radii.tobytes() == before.tobytes()
+
+    def test_count_type_is_kept(self):
+        # np.geomspace rejects a float count; a cached int entry must not
+        # answer for it
+        assert RadialGrid(1e-3, 1.0, 4).radii.size == 4
+        with pytest.raises(TypeError):
+            RadialGrid(1e-3, 1.0, 4.0).radii
