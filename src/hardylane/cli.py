@@ -24,6 +24,7 @@ reported on one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -68,6 +69,8 @@ def _parse_range(text: str) -> tuple:
     except ValueError as exc:
         raise DomainValidationError(
             f"range must look like 'a..b', got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainValidationError(f"range bounds must be finite, got {text}")
     if not (0.0 < lo < hi):
         raise DomainValidationError(f"range must satisfy 0 < a < b, got {text}")
     return lo, hi
@@ -141,6 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-range", default=None, help="a..b")
     sp.add_argument("--res", type=int, default=None)
     return parser
+
+
+# main runs many times in one process when driven from Python; building the
+# parser takes about a millisecond and parsing leaves no state in it
+_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def _require_args(args, names) -> None:
@@ -261,8 +269,8 @@ def cmd_verify(args) -> int:
     _require_args(args, ["p", "q", "case"])
     pq = Powers(args.p, args.q)
     cand = build_candidate(args.case, params, pq)
-    grid_points = args.grid_points or 512
-    r_min = args.r_min or 1e-6
+    grid_points = 512 if args.grid_points is None else args.grid_points
+    r_min = 1e-6 if args.r_min is None else args.r_min
     from .radial import RadialGrid
     grid = RadialGrid(r_min, cand.r_domain * (1.0 - 1e-3), grid_points)
     found = find_scale(cand, grid=grid)
@@ -387,7 +395,7 @@ def _fail(code: int, prefix: str, exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(parser, argv)

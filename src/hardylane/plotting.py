@@ -5,6 +5,13 @@ sorted legend entries, so identical inputs produce byte-identical files
 regardless of platform dict order.  Each grid cell is one <rect>.  Axes:
 p horizontal, q vertical (increasing upward).
 
+Cell text (a CSV line or a <rect>) is formatted once per distinct value:
+per column, per row, per region code present and, in the CSV, per
+distinct margin.  Fancy indexing then lays the pieces out in an object
+array of shape (res, res, pieces), and each file is one join of it, so no
+Python runs per cell.  Code-indexed lookup tables are built only after
+_regions_present has rejected CODE_INVALID.
+
 Marked corner points (present when inside the plotted ranges):
 
   regime A:  E = (0, q_upper)        top of the integrability half-plane
@@ -140,7 +147,8 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
     """Render the classified grid to an SVG 1.1 document string.
 
     codes has shape (resolution, resolution), row index = q ascending,
-    column index = p ascending, as produced by classify_field.
+    column index = p ascending, as produced by classify_field.  Raises
+    DomainValidationError if a cell holds CODE_INVALID.
     """
     res = spec.resolution
     p_lo, p_hi = spec.p_range
@@ -157,46 +165,51 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
     cell_w = _PLOT_W / res
     cell_h = _PLOT_H / res
 
-    out: List[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{_fmt(width)}" height="{_fmt(height)}" '
-               f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
-    out.append(f'<rect x="0" y="0" width="{_fmt(width)}" '
-               f'height="{_fmt(height)}" fill="#ffffff"/>')
+    head: List[str] = []
+    head.append('<?xml version="1.0" encoding="UTF-8"?>')
+    head.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                f'width="{_fmt(width)}" height="{_fmt(height)}" '
+                f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
+    head.append(f'<rect x="0" y="0" width="{_fmt(width)}" '
+                f'height="{_fmt(height)}" fill="#ffffff"/>')
     if spec.title:
-        out.append(f'<text x="{_fmt(_MARGIN_L)}" y="16" font-size="13" '
-                   f'font-family="monospace">{spec.title}</text>')
+        head.append(f'<text x="{_fmt(_MARGIN_L)}" y="16" font-size="13" '
+                    f'font-family="monospace">{spec.title}</text>')
 
-    # one rect per grid cell: its text is pieced together from x per column,
+    # one rect per grid cell, pieced together by indexing from x per column,
     # y per row and the fill per code, each formatted once
-    x_text = [f'<rect x="{_fmt(_MARGIN_L + j * cell_w)}" y="'
-              for j in range(res)]
+    legend = _regions_present(codes)
+    x_text = np.array([f'<rect x="{_fmt(_MARGIN_L + j * cell_w)}" y="'
+                       for j in range(res)], dtype=object)
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
-    fills = {code: f'{_COLORS.get(code, "#000000")}"/>'
-             for code in np.unique(codes).tolist()}
-    for i, row in enumerate(codes.tolist()):
-        y_text = _fmt(_MARGIN_T + (res - 1 - i) * cell_h) + size
-        out += [f"{x}{y_text}{fills[c]}" for x, c in zip(x_text, row)]
+    y_text = np.array([_fmt(_MARGIN_T + (res - 1 - i) * cell_h) + size
+                       for i in range(res)], dtype=object)
+    fills = _by_code({code: f'{_COLORS.get(code, "#000000")}"/>\n'
+                      for code in legend})
+    cells = np.empty(codes.shape + (3,), dtype=object)
+    cells[..., 0] = x_text
+    cells[..., 1] = y_text[:, None]
+    cells[..., 2] = fills[codes]
 
+    tail: List[str] = []
     # axes frame
-    out.append(f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" '
-               f'width="{_fmt(_PLOT_W)}" height="{_fmt(_PLOT_H)}" '
-               f'fill="none" stroke="#000000" stroke-width="1"/>')
-    out.append(f'<text x="{_fmt(_MARGIN_L + _PLOT_W / 2)}" '
-               f'y="{_fmt(height - 10)}" font-size="12" '
-               f'font-family="monospace" text-anchor="middle">p</text>')
-    out.append(f'<text x="16" y="{_fmt(_MARGIN_T + _PLOT_H / 2)}" '
-               f'font-size="12" font-family="monospace" '
-               f'text-anchor="middle">q</text>')
+    tail.append(f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" '
+                f'width="{_fmt(_PLOT_W)}" height="{_fmt(_PLOT_H)}" '
+                f'fill="none" stroke="#000000" stroke-width="1"/>')
+    tail.append(f'<text x="{_fmt(_MARGIN_L + _PLOT_W / 2)}" '
+                f'y="{_fmt(height - 10)}" font-size="12" '
+                f'font-family="monospace" text-anchor="middle">p</text>')
+    tail.append(f'<text x="16" y="{_fmt(_MARGIN_T + _PLOT_H / 2)}" '
+                f'font-size="12" font-family="monospace" '
+                f'text-anchor="middle">q</text>')
     for val, label_axis in ((p_lo, "x0"), (p_hi, "x1")):
-        out.append(f'<text x="{_fmt(sx(val))}" y="{_fmt(height - 26)}" '
-                   f'font-size="10" font-family="monospace" '
-                   f'text-anchor="middle">{val:g}</text>')
+        tail.append(f'<text x="{_fmt(sx(val))}" y="{_fmt(height - 26)}" '
+                    f'font-size="10" font-family="monospace" '
+                    f'text-anchor="middle">{val:g}</text>')
     for val in (q_lo, q_hi):
-        out.append(f'<text x="{_fmt(_MARGIN_L - 6)}" y="{_fmt(sy(val) + 3)}" '
-                   f'font-size="10" font-family="monospace" '
-                   f'text-anchor="end">{val:g}</text>')
+        tail.append(f'<text x="{_fmt(_MARGIN_L - 6)}" y="{_fmt(sy(val) + 3)}" '
+                    f'font-size="10" font-family="monospace" '
+                    f'text-anchor="end">{val:g}</text>')
 
     # critical curve overlays
     for which, color in (("e1", "#08306b"), ("e2", "#4a1486")):
@@ -204,9 +217,9 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
                                     spec.q_range, spec.overlay_samples)
         if len(pts) >= 2:
             path = " ".join(f"{_fmt(sx(p))},{_fmt(sy(q))}" for p, q in pts)
-            out.append(f'<polyline points="{path}" fill="none" '
-                       f'stroke="{color}" stroke-width="1.5" '
-                       f'stroke-dasharray="6,3"/>')
+            tail.append(f'<polyline points="{path}" fill="none" '
+                        f'stroke="{color}" stroke-width="1.5" '
+                        f'stroke-dasharray="6,3"/>')
 
     # corner markers; axis intercepts (p = 0 or q = 0) map into the margin
     # strip next to the frame and are kept as long as they stay on canvas
@@ -215,27 +228,47 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
         p, q = markers[name]
         if not (6.0 <= sx(p) <= width - 6.0 and 6.0 <= sy(q) <= height - 6.0):
             continue
-        out.append(f'<circle cx="{_fmt(sx(p))}" cy="{_fmt(sy(q))}" r="3.5" '
-                   f'fill="#000000"/>')
-        out.append(f'<text x="{_fmt(sx(p) + 6)}" y="{_fmt(sy(q) - 5)}" '
-                   f'font-size="12" font-family="monospace">{name}</text>')
+        tail.append(f'<circle cx="{_fmt(sx(p))}" cy="{_fmt(sy(q))}" r="3.5" '
+                    f'fill="#000000"/>')
+        tail.append(f'<text x="{_fmt(sx(p) + 6)}" y="{_fmt(sy(q) - 5)}" '
+                    f'font-size="12" font-family="monospace">{name}</text>')
 
     # legend: one entry per code present in the grid
-    legend = _regions_present(codes)
     lx = _MARGIN_L + _PLOT_W + 18.0
     ly = _MARGIN_T + 8.0
-    out.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
-               f'font-family="monospace">legend</text>')
+    tail.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
+                f'font-family="monospace">legend</text>')
     for k, (code, region) in enumerate(legend.items()):
         y = ly + 16.0 + 16.0 * k
-        out.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y - 9)}" width="12" '
-                   f'height="12" fill="{_COLORS.get(code, "#000000")}" '
-                   f'stroke="#000000" stroke-width="0.5"/>')
-        out.append(f'<text x="{_fmt(lx + 18)}" y="{_fmt(y + 1)}" '
-                   f'font-size="11" font-family="monospace">'
-                   f'{region.verdict.value}: {region.citation}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        tail.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y - 9)}" width="12" '
+                    f'height="12" fill="{_COLORS.get(code, "#000000")}" '
+                    f'stroke="#000000" stroke-width="0.5"/>')
+        tail.append(f'<text x="{_fmt(lx + 18)}" y="{_fmt(y + 1)}" '
+                    f'font-size="11" font-family="monospace">'
+                    f'{region.verdict.value}: {region.citation}</text>')
+    tail.append("</svg>")
+    return _join_cells("\n".join(head) + "\n", cells,
+                       "\n".join(tail) + "\n")
+
+
+def _join_cells(head: str, cells: np.ndarray, tail: str) -> str:
+    """head, the pieces of cells in C order, then tail, as one string."""
+    pieces = cells.ravel().tolist()
+    pieces.insert(0, head)
+    pieces.append(tail)
+    return "".join(pieces)
+
+
+def _by_code(texts: Dict[int, str]) -> np.ndarray:
+    """Lookup table for fancy indexing: entry code holds texts[code].
+
+    The codes come from _regions_present, which has already rejected
+    CODE_INVALID, so no negative code can wrap around to the last entry.
+    """
+    table = np.empty(max(texts) + 1, dtype=object)
+    for code, text in texts.items():
+        table[code] = text
+    return table
 
 
 def _legend_flags(code: int) -> int:
@@ -257,38 +290,43 @@ def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:
         fh.write(text)
 
 
-def grid_csv_lines(codes: np.ndarray, margins: np.ndarray,
-                   spec: PlotSpec) -> List[str]:
-    """CSV rows (p,q,verdict,citation,margin) in row-major grid order.
+def grid_csv_text(codes: np.ndarray, margins: np.ndarray,
+                  spec: PlotSpec) -> str:
+    """The CSV: a header, then rows p,q,verdict,citation,margin in row-major
+    grid order, each ending in a newline.
 
     p and q are formatted once per column and row, verdict and citation
     once per code present, and each distinct margin once: many margins
     depend on p or q alone (half-planes, the p, q > 1 gate), so a region
     plot holds far fewer distinct margins than cells.  Margins are told
-    apart by bit pattern, which keeps 0.0 and -0.0 apart.
+    apart by bit pattern, which keeps 0.0 and -0.0 apart.  The rows are
+    then pieced together by indexing, with no Python per cell.  Raises
+    DomainValidationError if a cell holds CODE_INVALID.
     """
     res = spec.resolution
-    p_text = [f"{p:.12g}," for p in
-              np.linspace(spec.p_range[0], spec.p_range[1], res).tolist()]
-    q_values = np.linspace(spec.q_range[0], spec.q_range[1], res).tolist()
-    labels = {code: f"{region.verdict.value},{region.citation},"
-              for code, region in _regions_present(codes).items()}
+    p_text = np.array([f"{p:.12g}," for p in
+                       np.linspace(spec.p_range[0], spec.p_range[1],
+                                   res).tolist()], dtype=object)
+    q_text = np.array([f"{q:.12g}," for q in
+                       np.linspace(spec.q_range[0], spec.q_range[1],
+                                   res).tolist()], dtype=object)
+    labels = _by_code({code: f"{region.verdict.value},{region.citation},"
+                       for code, region in _regions_present(codes).items()})
     bits, which = np.unique(np.ascontiguousarray(margins, dtype=np.float64)
                             .view(np.int64), return_inverse=True)
-    margin_text = np.array([f"{m:.12g}" for m in
+    margin_text = np.array([f"{m:.12g}\n" for m in
                             bits.view(np.float64).tolist()], dtype=object)
-    lines = ["p,q,verdict,citation,margin"]
-    for q, row_codes, row_margins in zip(
-            q_values, codes.tolist(),
-            margin_text[which.reshape(codes.shape)].tolist()):
-        q_text = f"{q:.12g},"
-        lines += [f"{p}{q_text}{labels[c]}{m}"
-                  for p, c, m in zip(p_text, row_codes, row_margins)]
-    return lines
+    cells = np.empty(codes.shape + (4,), dtype=object)
+    cells[..., 0] = p_text
+    cells[..., 1] = q_text[:, None]
+    cells[..., 2] = labels[codes]
+    cells[..., 3] = margin_text[which.reshape(codes.shape)]
+    return _join_cells("p,q,verdict,citation,margin\n", cells, "")
 
 
 def emit_csv(codes: np.ndarray, margins: np.ndarray, spec: PlotSpec,
              path: str) -> None:
-    """UTF-8, LF-terminated CSV with a header row."""
+    """Write grid_csv_text: UTF-8, LF-terminated, with a header row."""
+    text = grid_csv_text(codes, margins, spec)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(grid_csv_lines(codes, margins, spec)) + "\n")
+        fh.write(text)

@@ -169,6 +169,17 @@ class TestVerifyCommand:
         assert code == 1
         assert "hypothesis" in err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--grid-points=0", "count must be >= 2"),
+        ("--r-min=0", "need 0 < r_min < r_max")])
+    def test_zero_grid_option_is_rejected(self, capsys, flag, message):
+        # 0 is a value to check, not a request for the default
+        code, out, err = run_cli(capsys, "verify", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "0", "--p", "2", "--q", "3",
+                                 "--case", "C1", flag)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and message in err
+
 
 class TestPlotCommand:
     def test_outputs_and_round_trip(self, capsys, tmp_path):
@@ -278,6 +289,76 @@ class TestPlotCommand:
                                "--q-range", "1..2", "--res", "4",
                                "--out", "/tmp/x")
         assert code == 1
+
+    @pytest.mark.parametrize("span", ["0.1..inf", "inf..inf", "0.1..nan"])
+    def test_non_finite_range(self, capsys, tmp_path, span):
+        code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1", "-2",
+                               "--mu2", "-2", "--p-range", span,
+                               "--q-range", "0.1..8", "--res", "4",
+                               "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err == f"error: range bounds must be finite, got {span}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    """main builds its parser once per process; reusing it changes nothing."""
+
+    def _session(self, capsys, work, fresh_parser):
+        """Run a mixed series of commands in work; one result per call."""
+        work.mkdir()
+        cfg = work / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "plot", "N": 5, "mu1": -2.0, "mu2": 0.0,
+            "p-range": "0.5..6", "q-range": "0.5..6", "res": 4,
+            "out": str(work / "cfg"), "format": "csv,json"}))
+        calls = [
+            ("classify", "--N", "5", "--mu1", "-2", "--mu2", "0", "--p", "2",
+             "--q", "4", "--witness"),
+            ("plot", "--N", "5", "--mu1", "-2", "--mu2", "-2", "--p-range",
+             "0.1..8", "--q-range", "0.1..8", "--res", "5", "--format",
+             "svg,json", "--out", str(work / "plot")),
+            ("--config", str(cfg)),
+            ("iterate", "--N", "5", "--mu1", "-2", "--mu2", "-2", "--p",
+             "2.5", "--q", "3.5", "--variant", "clamped"),
+            ("--config", str(cfg), "plot", "--res", "3"),
+            ("verify", "--N", "5", "--mu1", "-2", "--mu2", "0", "--p", "2",
+             "--q", "3", "--case", "C1"),
+            ("plot", "--N", "5", "--mu1", "-2", "--mu2", "-2", "--bogus"),
+            (),
+            ("classify", "--N", "5", "--mu1", "-2", "--mu2", "0", "--p", "2",
+             "--q", "3"),
+        ]
+        cli._parser.cache_clear()
+        results = []
+        for argv in calls:
+            if fresh_parser:
+                cli._parser.cache_clear()
+            code, out, err = run_cli(capsys, *argv)
+            files = {p.name: p.read_text().replace(str(work), "WORK")
+                     for p in sorted(work.iterdir())}
+            results.append((code, out.replace(str(work), "WORK"), err, files))
+        return results
+
+    def test_same_results_as_a_fresh_parser_per_call(self, capsys, tmp_path):
+        reused = self._session(capsys, tmp_path / "a", fresh_parser=False)
+        assert cli._parser.cache_info().misses == 1
+        fresh = self._session(capsys, tmp_path / "b", fresh_parser=True)
+        assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 0, 1, 1, 0]
+        assert reused == fresh
+
+    def test_bad_flag_after_a_good_call(self, capsys):
+        assert run_json(capsys, "classify", "--N", "5", "--mu1", "-2",
+                        "--mu2", "0", "--p", "2", "--q", "4")["citation"] \
+            == "T1.ii"
+        code, out, err = run_cli(capsys, "classify", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "0", "--p", "2", "--q", "4",
+                                 "--res", "3")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--res" in err
+        assert run_json(capsys, "classify", "--N", "5", "--mu1", "-2",
+                        "--mu2", "0", "--p", "2", "--q", "6")["citation"] \
+            == "T1.i"
 
 
 class TestConfig:

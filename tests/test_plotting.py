@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardylane.exponents import HardyParams
+from hardylane import _kernels as K
+from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.plotting import (_COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H,
                                 _PLOT_W, PlotSpec, critical_curve_points,
-                                grid_csv_lines, region_markers, render_svg)
-from hardylane.regions import _wrap, classify_field
+                                grid_csv_text, region_markers, render_svg)
+from hardylane.regions import _CITATIONS, _wrap, classify_field
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)
 WINDOW = ((0.1, 8.0), (0.1, 8.0))
+
+
+def grid_csv_lines(codes, margins, spec):
+    """grid_csv_text split into its lines; every line ends in a newline."""
+    text = grid_csv_text(codes, margins, spec)
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
 
 
 class TestMarkers:
@@ -173,3 +183,67 @@ def test_svg_cells_match_per_cell_formatting(mus):
     start = lines.index(rects[0])
     assert lines[start:start + len(rects)] == rects
     assert 'fill="none"' in lines[start + len(rects)]      # the frame
+
+
+# every float a margin can take, drawn from a small pool so that values
+# repeat: signed zeros, subnormals and the far ends of the range included
+_MARGIN_POOL = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                               2.2250738585072014e-308, 1.0, -1.0]),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.floats(min_value=-1e-300, max_value=1e-300)),
+    min_size=1, max_size=12)
+
+
+@st.composite
+def _grids(draw):
+    """A (codes, margins, spec) triple over every valid region code."""
+    res = draw(st.integers(2, 48))
+    valid = sorted(_CITATIONS)
+    present = draw(st.lists(st.sampled_from(valid), min_size=1, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pool = np.array(draw(_MARGIN_POOL))
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(np.array(present, dtype=np.int16), size=(res, res))
+    margins = pool[rng.integers(0, len(pool), size=(res, res))]
+    params = draw(st.sampled_from([A_PARAMS, B_PARAMS,
+                                   HardyParams(5, 1.0, 1.0)]))
+    lo = draw(st.floats(0.01, 5.0))
+    span = (lo, lo + draw(st.floats(0.01, 10.0)))
+    spec = PlotSpec(params=params, p_range=span, q_range=WINDOW[1],
+                    resolution=res)
+    return codes, margins, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grids())
+def test_emitters_match_per_cell_oracles(grid):
+    codes, margins, spec = grid
+    flags = np.zeros(codes.shape, dtype=np.uint8)
+    text = grid_csv_text(codes, margins, spec)
+    assert text == "\n".join(per_cell_csv_lines(codes, margins, flags,
+                                                spec)) + "\n"
+    lines = render_svg(codes, spec).split("\n")
+    rects = per_cell_svg_rects(codes, spec.resolution)
+    start = lines.index(rects[0])
+    assert lines[start - 1].endswith('fill="#ffffff"/>')    # the canvas
+    assert lines[start:start + len(rects)] == rects
+    assert 'fill="none"' in lines[start + len(rects)]      # the frame
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (3, 1), (-1, -1), None])
+def test_emitters_reject_invalid_code(cell):
+    # CODE_INVALID (-1) must never index a lookup table, where it would
+    # read the entry of the highest code present
+    spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
+                    resolution=4)
+    codes = np.full((4, 4), K.CODE_DOTTED, dtype=np.int16)
+    if cell is None:
+        codes[:] = K.CODE_INVALID
+    else:
+        codes[cell] = K.CODE_INVALID
+    margins = np.linspace(-1.0, 1.0, 16).reshape(4, 4)
+    with pytest.raises(DomainValidationError):
+        grid_csv_text(codes, margins, spec)
+    with pytest.raises(DomainValidationError):
+        render_svg(codes, spec)
