@@ -43,12 +43,13 @@ Known degeneracies handled here rather than assumed away:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import boundaries as bd
+from ._frozen import frozen
 from .exponents import (DomainValidationError, HardyParams, Powers,
                         boundary_expressions, mu_zero)
 from .radial import (RadialFunction, RadialGrid, RadialTerm, apply_hardy,
@@ -65,7 +66,7 @@ SCALE_SCAN = tuple(2.0 ** -k for k in range(0, 61))
 ORACLE_DEV_LIMIT = 1e-4
 
 
-@dataclass(frozen=True)
+@frozen
 class SupersolutionCandidate:
     """A candidate pair (u, v) for one construction case.
 
@@ -87,7 +88,7 @@ class SupersolutionCandidate:
         return replace(self, t=t)
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     """Pointwise slack minima plus the symbolic/numeric cross-check.
 

@@ -15,10 +15,11 @@ gathers the boundary formulas of hardylane.boundaries at one point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from typing import Optional
 
 from . import boundaries as bd
+from ._frozen import frozen
 
 
 class DomainValidationError(ValueError):
@@ -63,15 +64,41 @@ def _constants(N: int) -> tuple[float, float, float]:
     return (N - 2) / 2.0, _mu0(N), MU0_SNAP_REL * (N - 2) ** 2
 
 
+#: _constants(N) for the dimensions met in practice, computed once.
+_CONSTANTS_BY_N = {N: _constants(N) for N in range(3, 65)}
+
+
+def _checked_constants(N: int) -> tuple[float, float, float]:
+    """_check_dimension(N), then _constants(N), from the table for an int N.
+
+    3.0, True and np.int64(5) hash like 3, 1 and 5, so the type test comes
+    first: they miss the table and fail the check, as before.
+    """
+    if type(N) is int:
+        found = _CONSTANTS_BY_N.get(N)
+        if found is not None:
+            return found
+    _check_dimension(N)
+    return _constants(N)
+
+
 def _snap(N: int, mu: float) -> float:
     """snap_mu for an N that has already been validated."""
     _, m0, band = _constants(N)
     return _snap_near(N, mu, m0, band)
 
 
+def _coefficient(mu) -> float:
+    """mu as a float; a str or a bool is not a coefficient."""
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
+        raise DomainValidationError(f"mu must be a real number, got {mu!r}")
+    return float(mu)
+
+
 def _snap_near(N: int, mu: float, m0: float, band: float) -> float:
     """The snap rule, given mu_zero(N) and the band from _constants(N)."""
-    mu = float(mu)
+    if type(mu) is not float:
+        mu = _coefficient(mu)
     if not math.isfinite(mu):
         raise DomainValidationError(f"mu must be finite, got {mu!r}")
     if mu < m0 - band:
@@ -82,7 +109,7 @@ def _snap_near(N: int, mu: float, m0: float, band: float) -> float:
     return mu
 
 
-@dataclass(frozen=True)
+@frozen
 class ExponentPair:
     """The two homogeneity exponents tau_-(mu) <= tau_+(mu)."""
 
@@ -139,7 +166,7 @@ def p_star(N: int, mu: float) -> float:
     return 1.0 + 2.0 / (-tp)
 
 
-@dataclass(frozen=True)
+@frozen
 class HardyParams:
     """Dimension and the two inverse-square coefficients of the system.
 
@@ -159,15 +186,13 @@ class HardyParams:
     mu2: float
 
     def __post_init__(self):
-        N = self.N
-        _check_dimension(N)
-        half, m0, band = _constants(N)
-        mu1 = _snap_near(N, self.mu1, m0, band)
-        mu2 = _snap_near(N, self.mu2, m0, band)
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "mu2", mu2)
-        object.__setattr__(self, "_tau1", _roots(mu1, half, m0))
-        object.__setattr__(self, "_tau2", _roots(mu2, half, m0))
+        state = self.__dict__
+        N = state["N"]
+        half, m0, band = _checked_constants(N)
+        state["mu1"] = mu1 = _snap_near(N, state["mu1"], m0, band)
+        state["mu2"] = mu2 = _snap_near(N, state["mu2"], m0, band)
+        state["_tau1"] = _roots(mu1, half, m0)
+        state["_tau2"] = _roots(mu2, half, m0)
 
     @property
     def mu_zero(self) -> float:
@@ -194,7 +219,7 @@ class HardyParams:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class Powers:
     """The source powers (p, q) of the coupled system."""
 
@@ -203,7 +228,8 @@ class Powers:
 
     def __post_init__(self):
         for name, v in (("p", self.p), ("q", self.q)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0):
                 raise DomainValidationError(
                     f"power {name} must be finite and > 0, got {v!r}")
 
@@ -214,7 +240,7 @@ class Powers:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundaryValues:
     """Scalar values of every region boundary expression at one point.
 

@@ -15,8 +15,8 @@ throughout the classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import frozen
 from .exponents import DomainValidationError, tau_pair
 from .radial import RadialFunction, evaluate
 
@@ -26,7 +26,7 @@ from .radial import RadialFunction, evaluate
 DIVERGENCE_RATIO_MARGIN = 5e-3
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegrabilityVerdict:
     """Outcome of the weighted-L^1 test.
 

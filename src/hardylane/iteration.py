@@ -22,10 +22,10 @@ number of steps to a crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import List
 
+from ._frozen import frozen
 from .exponents import DomainValidationError, HardyParams, Powers
 
 #: Absolute tolerance on exponent repetition used to declare a stall.
@@ -45,7 +45,7 @@ class CertificateKind(Enum):
     CAP_REACHED = "cap_reached"
 
 
-@dataclass(frozen=True)
+@frozen
 class Certificate:
     """Termination evidence: which exponent crossed (or why none did)."""
 
@@ -55,7 +55,7 @@ class Certificate:
     threshold: float
 
 
-@dataclass(frozen=True)
+@frozen
 class StepRecord:
     """One full cycle j with its exponents and bookkeeping flags.
 
@@ -76,7 +76,7 @@ class Variant(Enum):
     CLAMPED = "clamped"
 
 
-@dataclass(frozen=True)
+@frozen
 class IterationTrace:
     variant: Variant
     params: HardyParams

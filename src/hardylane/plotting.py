@@ -29,13 +29,13 @@ e2 = 0 on the respective closed edges, B solves both simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels as K
 from . import boundaries as bd
+from ._frozen import frozen
 from .exponents import HardyParams
 from .regions import RegionClass, _wrap
 
@@ -65,7 +65,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56.0, 248.0, 24.0, 44.0
 _PLOT_W, _PLOT_H = 560.0, 560.0
 
 
-@dataclass(frozen=True)
+@frozen
 class PlotSpec:
     """Grid geometry and decoration for one region plot."""
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from ._frozen import frozen
 from .exponents import DomainValidationError, snap_mu, tau_pair
 
 ArrayLike = Union[float, np.ndarray]
@@ -40,7 +40,7 @@ class PositivityError(ValueError):
     """A fractional power was requested for a non-positive base."""
 
 
-@dataclass(frozen=True, order=True)
+@frozen(order=True)
 class RadialTerm:
     """One summand c * r^tau * (-ln r)^k with k in {0, 1}."""
 
@@ -59,7 +59,7 @@ class RadialTerm:
             raise DomainValidationError(f"exponent must be finite, got {self.tau}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RadialFunction:
     """A finite sum of RadialTerms, kept sorted and merged by (tau, log_power).
 
@@ -227,7 +227,7 @@ def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@frozen
 class RadialGrid:
     """Logarithmically spaced radii on [r_min, r_max], origin excluded."""
 

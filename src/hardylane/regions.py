@@ -23,7 +23,6 @@ raises WitnessMismatchError rather than being papered over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from . import _kernels as K
 from . import boundaries as bd
+from ._frozen import frozen
 from .exponents import DomainValidationError, HardyParams, Powers
 from .integrability import IntegrabilityVerdict, power_verdict
 from .iteration import IterationTrace, iterate_clamped, iterate_plain
@@ -94,7 +94,7 @@ _OUTCOMES = {code: (_verdict_of(code), cite,
              for code, cite in _CITATIONS.items()}
 
 
-@dataclass(frozen=True)
+@frozen
 class RegionClass:
     """Classification outcome with its citation payload."""
 
@@ -113,20 +113,30 @@ class RegionClass:
 
 _CODE_BY_CITATION = {v: k for k, v in _CITATIONS.items()}
 
+#: (code, flags) -> (verdict, citation, regime, swapped, mu0_edge, domain),
+#: every RegionClass field but the margin, for every valid code and every
+#: flags value the kernel can give.
+_WRAPPED = {
+    (code, regime << K.REGIME_SHIFT | mu0_edge | swapped):
+        (verdict, citation, name, bool(swapped), bool(mu0_edge), domain)
+    for code, (verdict, citation, domain) in _OUTCOMES.items()
+    for regime, name in _REGIMES.items()
+    for mu0_edge in (0, K.FLAG_MU0_EDGE)
+    for swapped in (0, K.FLAG_SWAPPED)}
+
 
 def _wrap(code: int, margin: float, flags: int) -> RegionClass:
-    if code == K.CODE_INVALID:
-        raise DomainValidationError("parameters outside the admissible domain")
-    verdict, citation, domain = _OUTCOMES[code]
-    return RegionClass(
-        verdict=verdict,
-        citation=citation,
-        margin=float(margin),
-        regime=_REGIMES[(flags >> K.REGIME_SHIFT) & 0x3],
-        swapped=bool(flags & K.FLAG_SWAPPED),
-        mu0_edge=bool(flags & K.FLAG_MU0_EDGE),
-        domain=domain,
-    )
+    """The RegionClass of a kernel result; an unknown code or flags raises."""
+    try:
+        verdict, citation, regime, swapped, mu0_edge, domain = _WRAPPED[
+            code, flags]
+    except KeyError:
+        if code == K.CODE_INVALID:
+            raise DomainValidationError(
+                "parameters outside the admissible domain") from None
+        raise
+    return RegionClass(verdict, citation, float(margin), regime, swapped,
+                       mu0_edge, domain)
 
 
 def classify(params: HardyParams, pq: Powers) -> RegionClass:
@@ -153,7 +163,7 @@ def classify_field(params: HardyParams, p_values: np.ndarray,
     return codes.reshape(shape), margins.reshape(shape), flags.reshape(shape)
 
 
-@dataclass(frozen=True)
+@frozen
 class Witness:
     """Machine-checkable nonexistence evidence.
 

@@ -184,6 +184,51 @@ class TestParamTypes:
         with pytest.raises(DomainValidationError):
             Powers(math.inf, 1.0)
 
+    @pytest.mark.parametrize("p, q", [(True, 2.0), (2.0, False),
+                                      (True, True), ("2", 3.0)])
+    def test_powers_reject_bool_and_str(self, p, q):
+        with pytest.raises(DomainValidationError):
+            Powers(p, q)
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (2.5, 0.5),
+                                      (np.float64(2.5), 3.0)])
+    def test_powers_accept_int_and_float(self, p, q):
+        assert (Powers(p, q).p, Powers(p, q).q) == (p, q)
+
+    @pytest.mark.parametrize("mu", ["-2", "0", True, False, np.bool_(True),
+                                    None, 1j, b"0"])
+    def test_coefficients_must_be_real_numbers(self, mu):
+        for call in (lambda: snap_mu(5, mu), lambda: tau_pair(5, mu),
+                     lambda: HardyParams(5, mu, 0.0),
+                     lambda: HardyParams(5, 0.0, mu)):
+            with pytest.raises(DomainValidationError, match="real number"):
+                call()
+
+    @pytest.mark.parametrize("mu", [-2, 0, 1, -2.0, np.float64(-2.0),
+                                    np.float32(-2.0), np.int64(-2)])
+    def test_coefficients_accept_ints_and_floats(self, mu):
+        expect = tau_pair(5, float(mu))
+        assert type(snap_mu(5, mu)) is float
+        assert snap_mu(5, mu) == float(mu)
+        assert tau_pair(5, mu) == expect
+        params = HardyParams(5, mu, mu)
+        assert type(params.mu1) is float and type(params.mu2) is float
+        assert params.tau1 == params.tau2 == expect
+
+    @pytest.mark.parametrize("N", [3.0, 5.0, True, np.int64(5), np.int32(4),
+                                   "5", None])
+    def test_dimension_must_be_a_plain_int(self, N):
+        with pytest.raises(DomainValidationError, match="integer"):
+            HardyParams(N, 0.0, 0.0)
+
+    @pytest.mark.parametrize("N", [3, 4, 12, 64, 65, 200, 10 ** 6])
+    def test_dimension_constants_inside_and_past_the_table(self, N):
+        mu = mu_zero(N) / 2.0
+        params = HardyParams(N, mu, 0.0)
+        assert params.tau1 == tau_pair(N, mu)
+        assert params.tau2 == tau_pair(N, 0.0)
+        assert HardyParams(N, mu_zero(N) * (1 + 1e-15), 0.0).mu1 == mu_zero(N)
+
 
 def same_pair(a, b):
     """Bit-for-bit equality of two ExponentPairs (signed zeros included)."""

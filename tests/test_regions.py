@@ -12,8 +12,8 @@ from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
 from hardylane.integrability import is_gamma_integrable
 from hardylane.iteration import CertificateKind
 from hardylane.radial import RadialFunction
-from hardylane.regions import (RegionClass, Verdict, _wrap, classify,
-                               classify_field, nonexistence_witness)
+from hardylane.regions import (_OUTCOMES, RegionClass, Verdict, _wrap,
+                               classify, classify_field, nonexistence_witness)
 
 
 def ver(*args):
@@ -475,3 +475,57 @@ class TestGrid:
                 assert a.shape == (q_values.size, p_values.size)
                 assert np.array_equal(a.ravel(), b)
         assert field[0][0, 0] == K.CODE_OUT_OF_SCOPE
+
+
+#: The 17 valid region codes and the 12 flags values the kernel can give
+#: (regime 0-2 in bits 2-3, swapped in bit 0, mu0 edge in bit 1).
+VALID_CODES = sorted(_OUTCOMES)
+VALID_FLAGS = [regime << K.REGIME_SHIFT | bits
+               for regime in range(3) for bits in range(4)]
+
+
+class TestWrapOracle:
+    def test_codes_and_flags(self):
+        assert len(VALID_CODES) == 17 and len(VALID_FLAGS) == 12
+        assert K.CODE_INVALID not in VALID_CODES
+
+    @pytest.mark.parametrize("code", VALID_CODES)
+    def test_table_matches_field_by_field_derivation(self, code):
+        verdict, citation, domain = _OUTCOMES[code]
+        for flags in VALID_FLAGS:
+            for margin in (1.25, -0.0, 3):
+                got = _wrap(code, margin, flags)
+                want = RegionClass(
+                    verdict=verdict, citation=citation, margin=float(margin),
+                    regime="ABC"[(flags >> K.REGIME_SHIFT) & 0x3],
+                    swapped=bool(flags & K.FLAG_SWAPPED),
+                    mu0_edge=bool(flags & K.FLAG_MU0_EDGE), domain=domain)
+                assert got == want and repr(got) == repr(want)
+                assert type(got.margin) is float
+                assert got.margin.hex() == float(margin).hex()
+                assert type(got.swapped) is bool
+                assert type(got.mu0_edge) is bool
+                assert got.code == code
+
+    def test_numpy_integers_look_up_the_same_entry(self):
+        for code in VALID_CODES:
+            for flags in VALID_FLAGS:
+                assert _wrap(np.int64(code), np.float64(0.5),
+                             np.int64(flags)) == _wrap(code, 0.5, flags)
+
+    @pytest.mark.parametrize("flags", VALID_FLAGS + [12, 15, 16])
+    def test_invalid_code_raises_domain_error(self, flags):
+        with pytest.raises(DomainValidationError):
+            _wrap(K.CODE_INVALID, 0.0, flags)
+
+    @pytest.mark.parametrize("code", VALID_CODES)
+    def test_regime_bits_three_raise(self, code):
+        for flags in range(12, 16):
+            with pytest.raises(KeyError):
+                _wrap(code, 0.0, flags)
+
+    @pytest.mark.parametrize("code, flags", [(17, 0), (-2, 0), (3, 16),
+                                             (3, -1)])
+    def test_unknown_key_raises(self, code, flags):
+        with pytest.raises(KeyError):
+            _wrap(code, 0.0, flags)
