@@ -52,8 +52,9 @@ from . import boundaries as bd
 from ._frozen import frozen
 from .exponents import (DomainValidationError, HardyParams, Powers,
                         boundary_expressions, mu_zero)
-from .radial import (RadialFunction, RadialGrid, RadialTerm, apply_hardy,
-                     default_grid, evaluate, hardy_fd_oracle, log_radii)
+from .radial import (RadialFunction, RadialGrid, apply_hardy, default_grid,
+                     evaluate, evaluate_with_magnitude, hardy_fd_oracle,
+                     log_radii)
 
 CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -64,6 +65,11 @@ LINE_TOL = 1e-9
 SCALE_SCAN = tuple(2.0 ** -k for k in range(0, 61))
 
 ORACLE_DEV_LIMIT = 1e-4
+
+#: Largest finite-difference step and number of sample radii of the
+#: operator cross-check.
+ORACLE_STEP = 1e-4
+ORACLE_SAMPLES = 16
 
 
 @frozen
@@ -83,9 +89,6 @@ class SupersolutionCandidate:
     r_domain: float = 1.0
     t: Optional[float] = None
     notes: Tuple[str, ...] = ()
-
-    def with_scale(self, t: float) -> "SupersolutionCandidate":
-        return replace(self, t=t)
 
 
 @frozen
@@ -281,12 +284,16 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
     return SupersolutionCandidate("C8", params, pq, u, v, notes=tuple(notes))
 
 
-def _abs_coeffs(f: RadialFunction) -> RadialFunction:
-    return RadialFunction.from_terms(
-        [RadialTerm(t.tau, t.log_power, abs(t.coeff)) for t in f.terms])
+def _images(cand: SupersolutionCandidate
+            ) -> Tuple[RadialFunction, RadialFunction]:
+    """The symbolic images Lu and Lv of the candidate pair."""
+    params = cand.params
+    return (apply_hardy(params.N, params.mu1, cand.u),
+            apply_hardy(params.N, params.mu2, cand.v))
 
 
-def _oracle_deviation(params: HardyParams, cand: SupersolutionCandidate,
+def _oracle_deviation(cand: SupersolutionCandidate,
+                      images: Tuple[RadialFunction, RadialFunction],
                       grid: RadialGrid, h: float, samples: int) -> float:
     """Scale-normalized max deviation between the two operator evaluations.
 
@@ -295,39 +302,24 @@ def _oracle_deviation(params: HardyParams, cand: SupersolutionCandidate,
     meaningful for steeply singular candidates where absolute comparison
     would be dominated by the r^(tau-2) blow-up.  The sample radii are
     log-spaced over [max(r_min, r_max/4), 0.85 r_max] with step
-    min(h, r/8).  u and v each take one oracle call over all of them, and
-    one evaluate call each for the symbolic image and its magnitude.  A
-    NaN deviation is skipped, not propagated into the maximum.
+    min(h, r/8).  images are the candidate's symbolic images Lu and Lv;
+    u and v each take one oracle call over all sample radii, and their
+    image one evaluate_with_magnitude call for its value and magnitude.
+    A NaN deviation is skipped, not propagated into the maximum.
     """
+    params = cand.params
     r_hi = grid.r_max * 0.85
     r_lo = max(grid.r_min, 0.25 * grid.r_max)
     radii = log_radii(r_lo, r_hi, samples)
     h_r = np.minimum(h, radii / 8.0)
     worst = 0.0
-    for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
-        sym_f = apply_hardy(params.N, mu, f)
+    for f, mu, image in ((cand.u, params.mu1, images[0]),
+                         (cand.v, params.mu2, images[1])):
         fd = hardy_fd_oracle(params.N, mu, f, radii, h_r)
-        sym = evaluate(sym_f, radii)
-        mag = evaluate(_abs_coeffs(sym_f), radii)
+        sym, mag = evaluate_with_magnitude(image, radii)
         dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
         worst = max(worst, float(np.fmax.reduce(dev)))
     return worst
-
-
-def _pair_values(cand: SupersolutionCandidate,
-                 radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """u and v at the radii."""
-    return (np.asarray(evaluate(cand.u, radii)),
-            np.asarray(evaluate(cand.v, radii)))
-
-
-def _image_values(cand: SupersolutionCandidate,
-                  radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Lu and Lv at the radii, through the symbolic operator."""
-    params = cand.params
-    lu = apply_hardy(params.N, params.mu1, cand.u)
-    lv = apply_hardy(params.N, params.mu2, cand.v)
-    return (np.asarray(evaluate(lu, radii)), np.asarray(evaluate(lv, radii)))
 
 
 def _grid_slacks(cand: SupersolutionCandidate, t: float,
@@ -337,12 +329,32 @@ def _grid_slacks(cand: SupersolutionCandidate, t: float,
     with np.errstate(over="ignore"):
         slack_u = t * lu - np.power(t * v_vals, cand.pq.p)
         slack_v = t * lv - np.power(t * u_vals, cand.pq.q)
-    return float(np.min(slack_u)), float(np.min(slack_v))
+    return float(slack_u.min()), float(slack_v.min())
+
+
+def _slacks_ok(min_u: float, min_v: float) -> bool:
+    """Both slack minima finite and nonnegative: the scaled pair passes."""
+    return (math.isfinite(min_u) and math.isfinite(min_v)
+            and min_u >= 0.0 and min_v >= 0.0)
+
+
+def _verified(cand: SupersolutionCandidate, grid: RadialGrid,
+              min_u: float, min_v: float,
+              images: Tuple[RadialFunction, RadialFunction],
+              h: float, samples: int) -> VerificationReport:
+    """The report on a pair positive on the grid, from its slack minima at
+    the scale under test and its symbolic images (for the cross-check)."""
+    dev = _oracle_deviation(cand, images, grid, h, samples)
+    return VerificationReport(ok=_slacks_ok(min_u, min_v), min_slack_u=min_u,
+                              min_slack_v=min_v, grid=grid,
+                              oracle_max_dev=dev,
+                              oracle_exceeded=dev > ORACLE_DEV_LIMIT,
+                              positivity_ok=True)
 
 
 def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
-                   grid: Optional[RadialGrid] = None, h: float = 1e-4,
-                   oracle_samples: int = 16, *,
+                   grid: Optional[RadialGrid] = None, h: float = ORACLE_STEP,
+                   oracle_samples: int = ORACLE_SAMPLES, *,
                    evaluated: Optional[Tuple[np.ndarray, ...]] = None
                    ) -> VerificationReport:
     """Check both scaled inequalities pointwise and cross-check the operator.
@@ -357,10 +369,12 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
     diagnostic instead of raising on the fractional power.
 
     evaluated, if given, is (u, v, Lu, Lv) already evaluated at
-    grid.radii for this candidate, as find_scale hands them over; they
-    are used instead of evaluating again.  Their shapes must match the
-    grid, and the positivity check still runs on them.  The operator
-    cross-check always evaluates its own sample radii.
+    grid.radii for this candidate; they are used instead of evaluating
+    again.  Their shapes must match the grid, and the positivity check
+    still runs on them.  The operator cross-check always evaluates its own
+    sample radii.  find_scale gives the same report for the scale it
+    accepts without calling this function: it shares the same private
+    verification step and hands it the images it has already built.
     """
     if t is None:
         t = cand.t
@@ -368,36 +382,30 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
         raise DomainValidationError("verification needs a positive scale t")
     if grid is None:
         grid = default_grid(cand.r_domain)
-    params = cand.params
     radii = grid.radii
 
     if evaluated is None:
-        u_vals, v_vals = _pair_values(cand, radii)
+        u_vals, v_vals = evaluate(cand.u, radii), evaluate(cand.v, radii)
     else:
         if len(evaluated) != 4 or any(np.shape(a) != radii.shape
                                       for a in evaluated):
             raise DomainValidationError(
                 "evaluated must be (u, v, Lu, Lv) at the grid's radii")
-        u_vals, v_vals, lu, lv = evaluated
-    if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
-        which = "u" if np.min(u_vals) <= 0.0 else "v"
-        bad = radii[np.argmin(u_vals if which == "u" else v_vals)]
+        u_vals, v_vals, lu, lv = map(np.asarray, evaluated)
+    if u_vals.min() <= 0.0 or v_vals.min() <= 0.0:
+        which = "u" if u_vals.min() <= 0.0 else "v"
+        bad = radii[(u_vals if which == "u" else v_vals).argmin()]
         return VerificationReport(
             ok=False, min_slack_u=math.nan, min_slack_v=math.nan, grid=grid,
             oracle_max_dev=math.nan, oracle_exceeded=False,
             positivity_ok=False,
             diagnostic=f"{which} is not positive near r={bad:.3e}")
 
+    images = _images(cand)
     if evaluated is None:
-        lu, lv = _image_values(cand, radii)
+        lu, lv = evaluate(images[0], radii), evaluate(images[1], radii)
     min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
-    ok = (math.isfinite(min_u) and math.isfinite(min_v)
-          and min_u >= 0.0 and min_v >= 0.0)
-    dev = _oracle_deviation(params, cand, grid, h, oracle_samples)
-    return VerificationReport(ok=ok, min_slack_u=min_u, min_slack_v=min_v,
-                              grid=grid, oracle_max_dev=dev,
-                              oracle_exceeded=dev > ORACLE_DEV_LIMIT,
-                              positivity_ok=True)
+    return _verified(cand, grid, min_u, min_v, images, h, oracle_samples)
 
 
 def find_scale(cand: SupersolutionCandidate,
@@ -408,29 +416,26 @@ def find_scale(cand: SupersolutionCandidate,
     Both slacks have the pointwise form a(r) t - b(r) t^s with s > 1 and
     a, b >= 0 where the recipe is valid, so acceptance is monotone in t and
     the first hit of the descending scan is the largest accepted scale.
-    The scan evaluates the slack minima only; the accepted scale is then
-    re-verified in full (including the operator cross-check) and that
-    report is returned; verify_on_grid is handed the scan's u, v, Lu and
-    Lv instead of evaluating them again, and checks their positivity
-    itself.  Returns None when no scale verifies: either the
-    hypothesis is violated or the grid is too coarse; callers decide,
-    nothing is masked.
+    u, v, the symbolic images Lu, Lv and their values are computed once;
+    the scan evaluates the slack minima only, and the accepted scale gets
+    the full report of verify_on_grid (including the operator
+    cross-check, which reuses the images), bit for bit.  Returns None when
+    no scale verifies: either the hypothesis is violated or the grid is
+    too coarse; callers decide, nothing is masked.
     """
     if grid is None:
         grid = default_grid(cand.r_domain)
     radii = grid.radii
-    u_vals, v_vals = _pair_values(cand, radii)
-    if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
+    u_vals, v_vals = evaluate(cand.u, radii), evaluate(cand.v, radii)
+    if u_vals.min() <= 0.0 or v_vals.min() <= 0.0:
         return None
-    lu, lv = _image_values(cand, radii)
+    images = _images(cand)
+    lu, lv = evaluate(images[0], radii), evaluate(images[1], radii)
     for t in SCALE_SCAN:
         min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
-        if (math.isfinite(min_u) and math.isfinite(min_v)
-                and min_u >= 0.0 and min_v >= 0.0):
-            report = verify_on_grid(cand, t=t, grid=grid,
-                                    evaluated=(u_vals, v_vals, lu, lv))
-            if report.ok:
-                return t, report
+        if _slacks_ok(min_u, min_v):
+            return t, _verified(cand, grid, min_u, min_v, images,
+                                ORACLE_STEP, ORACLE_SAMPLES)
     return None
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -118,26 +118,65 @@ class RadialFunction:
 
 def _as_radii(r: ArrayLike) -> np.ndarray:
     arr = np.asarray(r, dtype=float)
-    if arr.size == 0 or not np.all(arr > 0.0):
+    # min() is NaN when any radius is NaN, which fails the comparison too
+    if arr.size == 0 or not arr.min() > 0.0:
         raise DomainValidationError("radii must be positive")
     return arr
+
+
+def _term_sums(f: RadialFunction, arr: np.ndarray, with_magnitude: bool):
+    """sum(c * r^tau * (-ln r)^k) over f's terms at the radii arr, and with
+    with_magnitude the same sum over |c| (else None).
+
+    Each r^tau is computed once and serves both sums; -ln r is computed
+    only if a log term exists.  Both sums start from 0.0 and add the terms
+    in order, so a lone -0.0 term sums to +0.0.  arr is float64, so
+    np.zeros(arr.shape) is np.zeros_like(arr) without its Python overhead.
+    """
+    out = np.zeros(arr.shape)
+    mag = np.zeros(arr.shape) if with_magnitude else None
+    neg_ln = None
+    for t in f.terms:
+        pw = arr ** t.tau
+        term = t.coeff * pw
+        if t.log_power:
+            if neg_ln is None:
+                neg_ln = -np.log(arr)
+            term *= neg_ln
+        out += term
+        if with_magnitude:
+            term = abs(t.coeff) * pw
+            if t.log_power:
+                term *= neg_ln
+            mag += term
+    return out, mag
 
 
 def evaluate(f: RadialFunction, r: ArrayLike) -> ArrayLike:
     """Pointwise value sum(c * r^tau * (-ln r)^k); r may be a scalar or array.
 
-    For r >= 1 the factor (-ln r) is taken as-is and may be <= 0.
+    For r >= 1 the factor (-ln r) is taken as-is and may be <= 0.  Scalar
+    and 0-d r return a float, any other shape an array of that shape.
     """
     arr = _as_radii(r)
-    out = np.zeros_like(arr)
-    if not f.is_zero:
-        ln = np.log(arr)
-        for t in f.terms:
-            term = t.coeff * arr ** t.tau
-            if t.log_power:
-                term = term * (-ln)
-            out = out + term
-    return float(out) if np.isscalar(r) or np.ndim(r) == 0 else out
+    out, _ = _term_sums(f, arr, False)
+    return float(out) if arr.ndim == 0 else out
+
+
+def evaluate_with_magnitude(f: RadialFunction, r: ArrayLike
+                            ) -> Tuple[ArrayLike, ArrayLike]:
+    """evaluate(f, r) together with the same sum over |c|.
+
+    The second value is the scale a term-by-term cancellation is measured
+    against; both come from one power r^tau per term and have evaluate's
+    bits, so the magnitude equals evaluate of f with every coefficient
+    replaced by its absolute value.
+    """
+    arr = _as_radii(r)
+    out, mag = _term_sums(f, arr, True)
+    if arr.ndim == 0:
+        return float(out), float(mag)
+    return out, mag
 
 
 def scale(f: RadialFunction, t: float) -> RadialFunction:

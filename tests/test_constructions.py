@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hardylane import constructions
 from hardylane.constructions import (CASE_IDS, ORACLE_DEV_LIMIT, SCALE_SCAN,
                                      VerificationReport, build_candidate,
                                      case_for_region, find_domain, find_scale,
@@ -347,27 +348,50 @@ class TestVerification:
         assert "not positive" in report.diagnostic
 
     def test_handed_arrays_still_checked_for_positivity(self):
-        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
-        grid = default_grid()
-        _, report = find_scale(cand)
-        u = np.asarray(evaluate(cand.u, grid.radii))
-        v = np.asarray(evaluate(cand.v, grid.radii))
-        lu = np.asarray(evaluate(apply_hardy(5, -2.0, cand.u), grid.radii))
-        lv = np.asarray(evaluate(apply_hardy(5, 0.0, cand.v), grid.radii))
-        handed = verify_on_grid(cand, t=1.0, grid=grid,
-                                evaluated=(u, v, lu, lv))
-        assert report_bits(handed) == report_bits(report)
-        bad_u = u.copy()
-        bad_u[7] = -1.0
-        report = verify_on_grid(cand, t=1.0, grid=grid,
-                                evaluated=(bad_u, v, lu, lv))
-        assert not report.ok and not report.positivity_ok
-        assert report.diagnostic == \
-            f"u is not positive near r={grid.radii[7]:.3e}"
-        with pytest.raises(DomainValidationError):
-            verify_on_grid(cand, t=1.0, grid=grid, evaluated=(u[1:], v, lu, lv))
-        with pytest.raises(DomainValidationError):
-            verify_on_grid(cand, t=1.0, grid=grid, evaluated=(u, v, lu))
+        for case, params, pq in ACCEPTING:
+            cand = build_candidate(case, params, pq)
+            grid = default_grid(cand.r_domain)
+            t, report = find_scale(cand)
+            # find_scale's report is verify_on_grid's, computed from scratch
+            assert report_bits(report) == \
+                report_bits(verify_on_grid(cand, t, grid)), case
+            u = np.asarray(evaluate(cand.u, grid.radii))
+            v = np.asarray(evaluate(cand.v, grid.radii))
+            lu = np.asarray(evaluate(apply_hardy(params.N, params.mu1, cand.u),
+                                     grid.radii))
+            lv = np.asarray(evaluate(apply_hardy(params.N, params.mu2, cand.v),
+                                     grid.radii))
+            handed = verify_on_grid(cand, t=t, grid=grid,
+                                    evaluated=(u, v, lu, lv))
+            assert report_bits(handed) == report_bits(report), case
+            bad_u = u.copy()
+            bad_u[7] = -1.0
+            bad = verify_on_grid(cand, t=t, grid=grid,
+                                 evaluated=(bad_u, v, lu, lv))
+            assert not bad.ok and not bad.positivity_ok
+            assert bad.diagnostic == \
+                f"u is not positive near r={grid.radii[7]:.3e}"
+            with pytest.raises(DomainValidationError):
+                verify_on_grid(cand, t=t, grid=grid,
+                               evaluated=(u[1:], v, lu, lv))
+            with pytest.raises(DomainValidationError):
+                verify_on_grid(cand, t=t, grid=grid, evaluated=(u, v, lu))
+
+    @pytest.mark.parametrize("case, params, pq", ACCEPTING,
+                             ids=[c for c, _, _ in ACCEPTING])
+    def test_find_scale_builds_each_image_once(self, case, params, pq,
+                                               monkeypatch):
+        cand = build_candidate(case, params, pq)
+        calls = []
+
+        def counted(N, mu, f):
+            calls.append(f)
+            return apply_hardy(N, mu, f)
+
+        monkeypatch.setattr(constructions, "apply_hardy", counted)
+        assert find_scale(cand) is not None
+        # once for u and once for v: the oracle reuses the scan's images
+        assert calls == [cand.u, cand.v]
 
     def test_requires_scale(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))

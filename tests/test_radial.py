@@ -4,13 +4,59 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hardylane.exponents import DomainValidationError, mu_zero, tau_pair
 from hardylane.radial import (PositivityError, RadialFunction, RadialGrid,
                               RadialTerm, apply_hardy, default_grid, evaluate,
-                              hardy_fd_oracle, pow_eval, scale)
+                              evaluate_with_magnitude, hardy_fd_oracle,
+                              pow_eval, scale)
 
 mono = RadialFunction.monomial
+
+
+def evaluate_reference(f, r):
+    """evaluate's formula before it accumulated in place: a fresh array per
+    partial sum and -ln r taken for every function with terms."""
+    arr = np.asarray(r, dtype=float)
+    out = np.zeros_like(arr)
+    if not f.is_zero:
+        ln = np.log(arr)
+        for t in f.terms:
+            term = t.coeff * arr ** t.tau
+            if t.log_power:
+                term = term * (-ln)
+            out = out + term
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def hex_bits(x):
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+#: Radii from the verification grids' range up to past 1, where -ln r <= 0.
+RADII = st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=4.0))
+
+#: Plain and log terms, merged by from_terms; exponents up to 60 make
+#: r^tau underflow at small radii, so some terms are -0.0.
+TERMS = st.lists(st.tuples(st.floats(min_value=-8.0, max_value=60.0),
+                           st.integers(min_value=0, max_value=1),
+                           st.floats(min_value=-5.0, max_value=5.0).filter(
+                               lambda c: c != 0.0)),
+                 max_size=5)
+
+
+@st.composite
+def radii_inputs(draw):
+    """A scalar, a 0-d array, an (n,) array or a (5, n) array of radii."""
+    kind = draw(st.sampled_from(("scalar", "0-d", "(n,)", "(5, n)")))
+    if kind == "scalar":
+        return draw(RADII)
+    if kind == "0-d":
+        return np.array(draw(RADII))
+    n = draw(st.integers(min_value=1, max_value=8))
+    return draw(arrays(np.float64, (n,) if kind == "(n,)" else (5, n),
+                       elements=RADII))
 
 
 class TestEvaluate:
@@ -41,6 +87,37 @@ class TestEvaluate:
         f = mono(2.0, -1.0)
         out = evaluate(f, np.array([0.5, 0.25]))
         assert np.allclose(out, [4.0, 8.0])
+
+    @given(TERMS, radii_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bits(self, terms, r):
+        f = RadialFunction.from_terms(
+            RadialTerm(tau, k, c) for tau, k, c in terms)
+        mag_f = RadialFunction.from_terms(
+            RadialTerm(t.tau, t.log_power, abs(t.coeff)) for t in f.terms)
+        with np.errstate(all="ignore"):
+            out = evaluate(f, r)
+            ref = evaluate_reference(f, r)
+            value, mag = evaluate_with_magnitude(f, r)
+            mag_ref = evaluate_reference(mag_f, r)
+        if np.ndim(r) == 0:
+            assert type(out) is type(value) is type(mag) is float
+        else:
+            assert out.shape == value.shape == mag.shape == np.shape(r)
+        assert hex_bits(out) == hex_bits(ref)
+        assert hex_bits(value) == hex_bits(ref)
+        assert hex_bits(mag) == hex_bits(mag_ref)
+
+    @pytest.mark.parametrize("r", [math.nan, 0.0, -0.0, -1.0, [],
+                                   np.zeros((0, 3)), [0.5, math.nan],
+                                   np.array([[0.5, 1.0], [2.0, 0.0]])])
+    @pytest.mark.parametrize("f", [RadialFunction.zero(), mono(1.0, 1.0),
+                                   mono(2.0, -1.5, log_power=1)])
+    def test_rejects_invalid_radii(self, f, r):
+        with pytest.raises(DomainValidationError):
+            evaluate(f, r)
+        with pytest.raises(DomainValidationError):
+            evaluate_with_magnitude(f, r)
 
 
 class TestNormalization:
