@@ -52,9 +52,8 @@ from . import boundaries as bd
 from ._frozen import frozen
 from .exponents import (DomainValidationError, HardyParams, Powers,
                         boundary_expressions, mu_zero)
-from .radial import (RadialFunction, RadialGrid, apply_hardy, default_grid,
-                     evaluate, evaluate_with_magnitude, hardy_fd_oracle,
-                     log_radii)
+from .radial import (RadialFunction, RadialGrid, _fd_hardy, _fd_stencil,
+                     _hardy_image, _term_sums, default_grid, log_radii)
 
 CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -152,6 +151,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
              "constructions assume p, q > 1", strict, notes)
 
     mono = RadialFunction.monomial
+    diff = RadialFunction.power_difference
 
     if case_id in ("C1", "C4"):
         if case_id == "C1":
@@ -165,7 +165,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                  strict, notes)
         tau2c = t1 * q + 2.0
         tau1c = tau2c * p + 2.0
-        u = mono(1.0, t1) - mono(1.0, tau1c)
+        u = diff(t1, tau1c)
         v = mono(1.0, tau2c)
         return SupersolutionCandidate(case_id, params, pq, u, v,
                                       notes=tuple(notes))
@@ -183,7 +183,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                          "single-power v recipe")
             tau2c = tau4c
             tau1c = tau2c * p + 2.0
-            u = mono(1.0, t1) - mono(1.0, tau1c)
+            u = diff(t1, tau1c)
             v = mono(1.0, tau2c)
             return SupersolutionCandidate(case_id, params, pq, u, v,
                                           notes=tuple(notes))
@@ -194,8 +194,8 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         tau3c = t2 * p + 2.0
         if not tau4c > 0.0:
             notes.append(f"exponent window note: t1*q+2 = {tau4c:g} <= 0")
-        u = mono(1.0, t1) - mono(1.0, tau3c)
-        v = mono(1.0, t2) - mono(1.0, tau4c)
+        u = diff(t1, tau3c)
+        v = diff(t2, tau4c)
         return SupersolutionCandidate(case_id, params, pq, u, v,
                                       notes=tuple(notes))
 
@@ -209,12 +209,12 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                          "the line; no log factor needed")
             tau2c = t1 * q + 2.0
             tau1c = tau2c * p + 2.0
-            u = mono(1.0, t1) - mono(1.0, tau1c)
+            u = diff(t1, tau1c)
             v = mono(1.0, tau2c)
             return SupersolutionCandidate(case_id, params, pq, u, v,
                                           notes=tuple(notes))
         tau5c = t2 * p + 1.0
-        u = mono(1.0, t1) - mono(1.0, tau5c)
+        u = diff(t1, tau5c)
         v = mono(1.0, t2, log_power=1)
         cand = SupersolutionCandidate(case_id, params, pq, u, v,
                                       r_domain=1.0, notes=tuple(notes))
@@ -233,8 +233,8 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         if not tau4c < 0.0:
             # the recipe stays positive; the claimed window is informational
             notes.append(f"exponent window note: t1*q+2 = {tau4c:g} >= 0")
-        u = mono(1.0, t1) - mono(1.0, tau3c)
-        v = mono(1.0, t2) - mono(1.0, tau4c)
+        u = diff(t1, tau3c)
+        v = diff(t2, tau4c)
         return SupersolutionCandidate(case_id, params, pq, u, v,
                                       notes=tuple(notes))
 
@@ -250,7 +250,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                 "2 tau_+ + N - 2 vanishes at the threshold")
         eps0 = max(1e-3, t1 - (t2 * p + 2.0) + 1e-3)
         tau6c = t2 * p + 2.0 + eps0
-        u = mono(1.0, t1) - mono(1.0, tau6c)
+        u = diff(t1, tau6c)
         v = mono(1.0, t2, log_power=1)
         return SupersolutionCandidate(case_id, params, pq, u, v,
                                       notes=tuple(notes))
@@ -267,7 +267,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                 "2 tau_+ + N - 2 vanishes at the threshold")
         tau8c = t1 * q + 2.0
         u = mono(1.0, t1, log_power=1)
-        v = mono(1.0, t2) - mono(1.0, tau8c)
+        v = diff(t2, tau8c)
         return SupersolutionCandidate(case_id, params, pq, u, v,
                                       notes=tuple(notes))
 
@@ -280,16 +280,41 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
     tau10c = t2 * p + 2.0
     tau9c = tau10c * q + 2.0
     u = mono(1.0, tau10c)
-    v = mono(1.0, t2) - mono(1.0, tau9c)
+    v = diff(t2, tau9c)
     return SupersolutionCandidate("C8", params, pq, u, v, notes=tuple(notes))
 
 
 def _images(cand: SupersolutionCandidate
             ) -> Tuple[RadialFunction, RadialFunction]:
-    """The symbolic images Lu and Lv of the candidate pair."""
+    """The symbolic images Lu and Lv of the candidate pair, from the
+    exponent pairs its params store."""
     params = cand.params
-    return (apply_hardy(params.N, params.mu1, cand.u),
-            apply_hardy(params.N, params.mu2, cand.v))
+    return (_hardy_image(params.N, params.tau1, cand.u),
+            _hardy_image(params.N, params.tau2, cand.v))
+
+
+def _grid_values(f: RadialFunction, radii: np.ndarray) -> np.ndarray:
+    """f at a grid's radii, which log_radii has already checked."""
+    return _term_sums(f, radii, False)[0]
+
+
+def _finite_positive(vals: np.ndarray) -> bool:
+    """Every value finite and positive; NaN fails both comparisons."""
+    return vals.min() > 0.0 and vals.max() < math.inf
+
+
+def _pair_defect(radii: np.ndarray, u_vals: np.ndarray,
+                 v_vals: np.ndarray) -> str:
+    """"" when u and v are finite and positive at every grid radius, else
+    a one-line diagnostic for u if it fails, else for v: the first radius
+    with a NaN or infinite value, or the radius of the smallest value."""
+    for name, vals in (("u", u_vals), ("v", v_vals)):
+        if not _finite_positive(vals):
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                return f"{name} is not finite near r={radii[bad.argmax()]:.3e}"
+            return f"{name} is not positive near r={radii[vals.argmin()]:.3e}"
+    return ""
 
 
 def _oracle_deviation(cand: SupersolutionCandidate,
@@ -304,19 +329,21 @@ def _oracle_deviation(cand: SupersolutionCandidate,
     log-spaced over [max(r_min, r_max/4), 0.85 r_max] with step
     min(h, r/8).  images are the candidate's symbolic images Lu and Lv;
     u and v each take one oracle call over all sample radii, and their
-    image one evaluate_with_magnitude call for its value and magnitude.
+    image one pass over its terms for its value and magnitude.  Both
+    oracle calls share one stencil, checked once; they give the bits of
+    hardy_fd_oracle(N, mu, f, radii, h_r), as params holds snapped mu.
     A NaN deviation is skipped, not propagated into the maximum.
     """
     params = cand.params
     r_hi = grid.r_max * 0.85
     r_lo = max(grid.r_min, 0.25 * grid.r_max)
     radii = log_radii(r_lo, r_hi, samples)
-    h_r = np.minimum(h, radii / 8.0)
+    stencil = _fd_stencil(radii, np.minimum(h, radii / 8.0))
     worst = 0.0
     for f, mu, image in ((cand.u, params.mu1, images[0]),
                          (cand.v, params.mu2, images[1])):
-        fd = hardy_fd_oracle(params.N, mu, f, radii, h_r)
-        sym, mag = evaluate_with_magnitude(image, radii)
+        fd = _fd_hardy(params.N, mu, f, stencil)
+        sym, mag = _term_sums(image, radii, True)
         dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
         worst = max(worst, float(np.fmax.reduce(dev)))
     return worst
@@ -364,9 +391,11 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
         slack_u(r) = t Lu(r) - (t v(r))^p,
         slack_v(r) = t Lv(r) - (t u(r))^q,
 
-    and ok means both minima over the grid are nonnegative.  A positivity
-    failure of u or v anywhere on the grid fails the report with a
-    diagnostic instead of raising on the fractional power.
+    and ok means both minima over the grid are nonnegative.  A value of u
+    or v on the grid that is not positive, or not finite (u and v are
+    evaluated with overflow warnings off), fails the report with a
+    diagnostic instead of raising on the fractional power.  oracle_samples
+    must be an int >= 1.
 
     evaluated, if given, is (u, v, Lu, Lv) already evaluated at
     grid.radii for this candidate; they are used instead of evaluating
@@ -380,30 +409,34 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
         t = cand.t
     if t is None or not (t > 0.0):
         raise DomainValidationError("verification needs a positive scale t")
+    if not (isinstance(oracle_samples, (int, np.integer))
+            and not isinstance(oracle_samples, bool) and oracle_samples >= 1):
+        raise DomainValidationError(
+            f"oracle_samples must be an int >= 1, got {oracle_samples!r}")
     if grid is None:
         grid = default_grid(cand.r_domain)
     radii = grid.radii
 
     if evaluated is None:
-        u_vals, v_vals = evaluate(cand.u, radii), evaluate(cand.v, radii)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_vals = _grid_values(cand.u, radii)
+            v_vals = _grid_values(cand.v, radii)
     else:
         if len(evaluated) != 4 or any(np.shape(a) != radii.shape
                                       for a in evaluated):
             raise DomainValidationError(
                 "evaluated must be (u, v, Lu, Lv) at the grid's radii")
         u_vals, v_vals, lu, lv = map(np.asarray, evaluated)
-    if u_vals.min() <= 0.0 or v_vals.min() <= 0.0:
-        which = "u" if u_vals.min() <= 0.0 else "v"
-        bad = radii[(u_vals if which == "u" else v_vals).argmin()]
+    defect = _pair_defect(radii, u_vals, v_vals)
+    if defect:
         return VerificationReport(
             ok=False, min_slack_u=math.nan, min_slack_v=math.nan, grid=grid,
             oracle_max_dev=math.nan, oracle_exceeded=False,
-            positivity_ok=False,
-            diagnostic=f"{which} is not positive near r={bad:.3e}")
+            positivity_ok=False, diagnostic=defect)
 
     images = _images(cand)
     if evaluated is None:
-        lu, lv = evaluate(images[0], radii), evaluate(images[1], radii)
+        lu, lv = _grid_values(images[0], radii), _grid_values(images[1], radii)
     min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
     return _verified(cand, grid, min_u, min_v, images, h, oracle_samples)
 
@@ -421,16 +454,21 @@ def find_scale(cand: SupersolutionCandidate,
     the full report of verify_on_grid (including the operator
     cross-check, which reuses the images), bit for bit.  Returns None when
     no scale verifies: either the hypothesis is violated or the grid is
-    too coarse; callers decide, nothing is masked.
+    too coarse, or u or v is not positive or not finite on the grid;
+    callers decide, nothing is masked.
     """
     if grid is None:
         grid = default_grid(cand.r_domain)
     radii = grid.radii
-    u_vals, v_vals = evaluate(cand.u, radii), evaluate(cand.v, radii)
-    if u_vals.min() <= 0.0 or v_vals.min() <= 0.0:
-        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_vals = _grid_values(cand.u, radii)
+        if not _finite_positive(u_vals):
+            return None
+        v_vals = _grid_values(cand.v, radii)
+        if not _finite_positive(v_vals):
+            return None
     images = _images(cand)
-    lu, lv = evaluate(images[0], radii), evaluate(images[1], radii)
+    lu, lv = _grid_values(images[0], radii), _grid_values(images[1], radii)
     for t in SCALE_SCAN:
         min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
         if _slacks_ok(min_u, min_v):

@@ -120,6 +120,16 @@ class ExponentPair:
     def is_double_root(self) -> bool:
         return self.tau_plus == self.tau_minus
 
+    def coefficient_at(self, tau: float) -> float:
+        """mu - tau(tau+N-2) for the mu of this pair, in the factored form
+        -(tau - tau_+)(tau - tau_-).
+
+        The one place the factored form is written.  It vanishes *exactly*
+        (in floating point) at the stored roots, which downstream code
+        relies on to recognise kernel functions.
+        """
+        return -(tau - self.tau_plus) * (tau - self.tau_minus)
+
 
 def tau_pair(N: int, mu: float) -> ExponentPair:
     """Roots -(N-2)/2 +- sqrt(mu - mu_zero) of mu - tau(tau+N-2) = 0.
@@ -147,13 +157,10 @@ def _roots(mu: float, half: float, m0: float) -> ExponentPair:
 def root_coefficient(N: int, mu: float, tau: float) -> float:
     """mu - tau(tau+N-2), evaluated in the factored form -(tau-t+)(tau-t-).
 
-    The factored form vanishes *exactly* (in floating point) at the stored
-    roots, which downstream code relies on to recognise kernel functions.
-    Like tau_pair, it reads mu after snap_mu: inside the snap band the value
-    is that of mu = mu_zero(N).
+    tau_pair(N, mu).coefficient_at(tau): like tau_pair, it reads mu after
+    snap_mu, so inside the snap band the value is that of mu = mu_zero(N).
     """
-    pair = tau_pair(N, mu)
-    return -(tau - pair.tau_plus) * (tau - pair.tau_minus)
+    return tau_pair(N, mu).coefficient_at(tau)
 
 
 def p_star(N: int, mu: float) -> float:

@@ -23,7 +23,8 @@ from typing import Iterable, Tuple, Union
 import numpy as np
 
 from ._frozen import frozen
-from .exponents import DomainValidationError, snap_mu, tau_pair
+from .exponents import (DomainValidationError, ExponentPair, snap_mu,
+                        tau_pair)
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -90,6 +91,19 @@ class RadialFunction:
             return RadialFunction.zero()
         # a single nonzero term: what from_terms would return, without merging
         return RadialFunction(terms=(RadialTerm(tau, log_power, float(coeff)),))
+
+    @staticmethod
+    def power_difference(a: float, b: float) -> "RadialFunction":
+        """r^a - r^b: monomial(1.0, a) - monomial(1.0, b), without the merge.
+
+        The two terms come in from_terms order (ascending exponent), and
+        equal exponents (0.0 and -0.0 among them) give the zero function.
+        """
+        # both terms first, so a non-finite exponent raises as in monomial
+        plus, minus = RadialTerm(a, 0, 1.0), RadialTerm(b, 0, -1.0)
+        if a == b:
+            return RadialFunction.zero()
+        return RadialFunction(terms=(plus, minus) if a < b else (minus, plus))
 
     @property
     def is_zero(self) -> bool:
@@ -214,12 +228,19 @@ def apply_hardy(N: int, mu: float, f: RadialFunction) -> RadialFunction:
 
     Zero output coefficients are dropped, so applying the operator to
     r^(tau_+-) (or to r^(tau_-) * (-ln r) at the double root) returns the
-    exact zero function.
+    exact zero function.  This is the validating entry point: a caller
+    that already holds tau_pair(N, mu) (HardyParams stores both pairs)
+    calls _hardy_image with it.
     """
-    pair = tau_pair(N, mu)
+    return _hardy_image(N, tau_pair(N, mu), f)
+
+
+def _hardy_image(N: int, pair: ExponentPair, f: RadialFunction
+                 ) -> RadialFunction:
+    """apply_hardy for a validated N, given the exponent pair of mu."""
     out = []
     for t in f.terms:
-        c_main = t.coeff * (-(t.tau - pair.tau_plus) * (t.tau - pair.tau_minus))
+        c_main = t.coeff * pair.coefficient_at(t.tau)
         if t.log_power == 0:
             if c_main != 0.0:
                 out.append(RadialTerm(t.tau - 2.0, 0, c_main))
@@ -237,8 +258,8 @@ def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
     """Finite-difference value of -(f'' + (N-1)/r f') + mu/r^2 f at r.
 
     Independent cross-check for apply_hardy: f is differentiated
-    numerically through evaluate, never through its symbolic image.  Both
-    derivatives come from the symmetric 5-point stencil
+    numerically through its values, never through its symbolic image.
+    Both derivatives come from the symmetric 5-point stencil
     {r-2h, r-h, r, r+h, r+2h}: the first derivative uses the 4th-order
     combination, the second derivative the wide central difference over
     +-2h, so the overall truncation error is O(h^2) and halving h divides
@@ -246,24 +267,54 @@ def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
 
     r and h may be scalars or arrays; they broadcast together, every
     element must satisfy 0 < h < r/4, and the whole stencil is one
-    evaluate call.  Each element gets the same arithmetic as a scalar
-    call, and scalar r and h return a float.
+    evaluation.  Each element gets the same arithmetic as a scalar call,
+    and scalar r and h return a float.  This validates N, mu, r and h,
+    then applies _fd_hardy to the stencil of _fd_stencil; a caller that
+    checks several functions at the same radii builds the stencil once.
     """
     mu = snap_mu(N, mu)
-    r, h = np.broadcast_arrays(np.asarray(r, dtype=float),
-                               np.asarray(h, dtype=float))
-    bad = ~((0.0 < h) & (h < r / 4.0))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    stencil = _fd_stencil(r, h)
+    out = _fd_hardy(N, mu, f, stencil)
+    return float(out) if out.ndim == 0 else out
+
+
+_FD_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+def _fd_stencil(r: ArrayLike, h: ArrayLike
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, h, stencil): r and h broadcast together and checked for
+    0 < h < r/4, and the stencil's rows r + k h for k = -2..2.
+
+    The check keeps every stencil radius above r/2 > 0, so the stencil is
+    evaluated without checking its radii again.
+    """
+    r, h = np.asarray(r, dtype=float), np.asarray(h, dtype=float)
+    if r.shape != h.shape:
+        r, h = np.broadcast_arrays(r, h)
+    good = (0.0 < h) & (h < r / 4.0)
+    if not good.all():
+        i = int(good.argmin())
         raise DomainValidationError(
             f"step h={h.flat[i]} must satisfy 0 < h < r/4 (r={r.flat[i]})")
     # one row of radii per offset; r + (-2.0 * h) is r - 2 * h exactly
-    stencil = r + np.multiply.outer([-2.0, -1.0, 0.0, 1.0, 2.0], h)
-    fm2, fm1, f0, fp1, fp2 = evaluate(f, stencil)
+    stencil = r + np.multiply.outer(_FD_OFFSETS, h)
+    return r, h, stencil
+
+
+def _fd_hardy(N: int, mu: float, f: RadialFunction,
+              stencil: Tuple[np.ndarray, np.ndarray, np.ndarray]
+              ) -> np.ndarray:
+    """The finite-difference operator on a stencil from _fd_stencil, for a
+    validated N and a snapped mu.
+
+    The one place the 5-point combinations are written.
+    """
+    r, h, points = stencil
+    fm2, fm1, f0, fp1, fp2 = _term_sums(f, points, False)[0]
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     d2 = (fp2 - 2.0 * f0 + fm2) / (4.0 * h * h)
-    out = -(d2 + (N - 1) / r * d1) + mu / (r * r) * f0
-    return float(out) if out.ndim == 0 else out
+    return -(d2 + (N - 1) / r * d1) + mu / (r * r) * f0
 
 
 @frozen
@@ -298,9 +349,13 @@ def log_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
     """np.geomspace(r_min, r_max, count) as a shared, read-only array.
 
     The few most recent grids are kept: a verification reads the same
-    radii several times, while a domain search walks through many.
+    radii several times, while a domain search walks through many.  The
+    radii are checked here, once per grid, as evaluate checks its radii
+    (DomainValidationError unless all are positive), so verification
+    evaluates on them without checking again.
     """
     radii = np.geomspace(r_min, r_max, count)
+    _as_radii(radii)
     radii.flags.writeable = False
     return radii
 

@@ -180,6 +180,18 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and message in err
 
+    def test_overflowing_grid_fails_with_diagnostic(self, capsys):
+        # u = r^-1 - 1 overflows at r = 1e-320: the record says so, quietly
+        code, out, err = run_cli(capsys, "verify", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "0", "--p", "2", "--q", "3",
+                                 "--case", "C1", "--r-min", "1e-320")
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        jsonschema.validate(rec, load_schema("verify"))
+        assert rec["ok"] is False and rec["t"] is None
+        assert rec["positivity_ok"] is False
+        assert rec["diagnostic"] == "u is not finite near r=1.000e-320"
+
 
 class TestPlotCommand:
     def test_outputs_and_round_trip(self, capsys, tmp_path):

@@ -15,7 +15,8 @@ from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
                                  mu_zero)
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
                               apply_hardy, default_grid, evaluate,
-                              hardy_fd_oracle)
+                              evaluate_with_magnitude, hardy_fd_oracle,
+                              log_radii)
 from hardylane.regions import Verdict, classify
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
@@ -51,6 +52,22 @@ def oracle_deviation_per_radius(params, cand, grid, h=1e-4, samples=16):
             sym = float(evaluate(sym_f, float(r)))
             scale_r = max(1.0, abs(sym), float(evaluate(mag_f, float(r))))
             worst = max(worst, abs(sym - fd) / scale_r)
+    return worst
+
+
+def oracle_deviation_public(cand, grid, h, samples):
+    """Reference: the operator cross-check from public calls, one
+    hardy_fd_oracle and one evaluate_with_magnitude per function."""
+    params = cand.params
+    radii = log_radii(max(grid.r_min, 0.25 * grid.r_max), grid.r_max * 0.85,
+                      samples)
+    h_r = np.minimum(h, radii / 8.0)
+    worst = 0.0
+    for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
+        fd = hardy_fd_oracle(params.N, mu, f, radii, h_r)
+        sym, mag = evaluate_with_magnitude(apply_hardy(params.N, mu, f), radii)
+        dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
+        worst = max(worst, float(np.fmax.reduce(dev)))
     return worst
 
 
@@ -340,6 +357,67 @@ class TestVerification:
         ref = oracle_deviation_per_radius(params, cand, report.grid)
         assert report.oracle_max_dev.hex() == ref.hex()
 
+    @given(accepting_candidates(),
+           st.floats(min_value=1e-7, max_value=1e-2),
+           st.integers(min_value=1, max_value=40),
+           st.floats(min_value=1e-4, max_value=0.9))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_stencil_matches_public_oracle(self, cand, h, samples,
+                                                  r_max):
+        # one stencil for u and v gives the bits of one hardy_fd_oracle and
+        # one evaluate_with_magnitude call per function
+        grid = RadialGrid(r_max * 1e-3, r_max, 64)
+        dev = constructions._oracle_deviation(
+            cand, constructions._images(cand), grid, h, samples)
+        assert dev.hex() == oracle_deviation_public(cand, grid, h,
+                                                    samples).hex()
+        report = verify_on_grid(cand, 2.0 ** -30, grid, h, samples)
+        if report.positivity_ok:
+            assert report.oracle_max_dev.hex() == dev.hex()
+
+    @pytest.mark.parametrize("samples", [-3, 0, 2.5, True, "16", None])
+    def test_oracle_samples_validated(self, samples):
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        with pytest.raises(DomainValidationError) as err:
+            verify_on_grid(cand, t=1.0, oracle_samples=samples)
+        assert "oracle_samples must be an int >= 1" in str(err.value)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("samples", [1, 2, np.int64(16)])
+    def test_oracle_samples_accepted(self, samples):
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        report = verify_on_grid(cand, t=1.0, oracle_samples=samples)
+        assert report.ok
+        assert report.oracle_max_dev.hex() == oracle_deviation_public(
+            cand, report.grid, 1e-4, int(samples)).hex()
+
+    def test_overflowing_pair_fails_with_diagnostic(self):
+        # u = r^-1 - 1 is inf at r = 1e-320; no RuntimeWarning escapes
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        grid = RadialGrid(1e-320, 0.999, 512)
+        assert find_scale(cand, grid=grid) is None
+        report = verify_on_grid(cand, t=1.0, grid=grid)
+        assert not report.ok and not report.positivity_ok
+        assert math.isnan(report.min_slack_u)
+        assert math.isnan(report.oracle_max_dev)
+        assert report.diagnostic == "u is not finite near r=1.000e-320"
+
+    @pytest.mark.parametrize("side, value", [(0, math.nan), (0, -math.inf),
+                                             (1, math.inf), (1, math.nan)])
+    def test_handed_non_finite_values_fail(self, side, value):
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        grid = default_grid()
+        radii = grid.radii
+        arrays = [np.asarray(evaluate(f, radii)) for f in
+                  (cand.u, cand.v, apply_hardy(5, -2.0, cand.u),
+                   apply_hardy(5, 0.0, cand.v))]
+        arrays[side] = arrays[side].copy()
+        arrays[side][[9, 20]] = value
+        report = verify_on_grid(cand, t=1.0, grid=grid, evaluated=arrays)
+        assert not report.ok and not report.positivity_ok
+        assert report.diagnostic == \
+            f"{'uv'[side]} is not finite near r={radii[9]:.3e}"
+
     def test_positivity_diagnostic(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 4), strict=False)
         report = verify_on_grid(cand, t=1.0)
@@ -383,12 +461,13 @@ class TestVerification:
                                                monkeypatch):
         cand = build_candidate(case, params, pq)
         calls = []
+        image = constructions._hardy_image
 
-        def counted(N, mu, f):
+        def counted(N, pair, f):
             calls.append(f)
-            return apply_hardy(N, mu, f)
+            return image(N, pair, f)
 
-        monkeypatch.setattr(constructions, "apply_hardy", counted)
+        monkeypatch.setattr(constructions, "_hardy_image", counted)
         assert find_scale(cand) is not None
         # once for u and once for v: the oracle reuses the scan's images
         assert calls == [cand.u, cand.v]

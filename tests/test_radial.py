@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hardylane.exponents import DomainValidationError, mu_zero, tau_pair
+import hardylane
+from hardylane.exponents import (DomainValidationError, mu_zero, snap_mu,
+                                 tau_pair)
 from hardylane.radial import (PositivityError, RadialFunction, RadialGrid,
-                              RadialTerm, apply_hardy, default_grid, evaluate,
-                              evaluate_with_magnitude, hardy_fd_oracle,
-                              pow_eval, scale)
+                              RadialTerm, _fd_hardy, _fd_stencil, apply_hardy,
+                              default_grid, evaluate, evaluate_with_magnitude,
+                              hardy_fd_oracle, log_radii, pow_eval, scale)
 
 mono = RadialFunction.monomial
 
@@ -145,6 +149,26 @@ class TestNormalization:
             RadialTerm(0.0, 0, 1.0), RadialTerm(1.0, 0, 1e-16)])
         assert f.terms == (RadialTerm(0.0, 0, 1.0), RadialTerm(1.0, 0, 1e-16))
         assert apply_hardy(3, 0.0, f).terms == (RadialTerm(-1.0, 0, -2e-16),)
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_power_difference_is_the_merged_difference(self, data):
+        exps = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+        a = data.draw(exps)
+        b = data.draw(st.one_of(st.just(a), st.just(-a), exps))
+        bits = [(t.tau.hex(), t.log_power, t.coeff.hex())
+                for t in RadialFunction.power_difference(a, b).terms]
+        assert bits == [(t.tau.hex(), t.log_power, t.coeff.hex())
+                        for t in (mono(1.0, a) - mono(1.0, b)).terms]
+        assert (a == b) == (bits == [])
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.nan),
+                                      (math.nan, math.nan), (-math.inf,
+                                                             -math.inf)])
+    def test_power_difference_rejects_non_finite(self, a, b):
+        with pytest.raises(DomainValidationError):
+            RadialFunction.power_difference(a, b)
 
     def test_log_power_validation(self):
         with pytest.raises(DomainValidationError):
@@ -294,6 +318,39 @@ class TestFdOracle:
         with pytest.raises(DomainValidationError):
             hardy_fd_oracle(N, mu, f, radii, steps)
 
+    @given(st.integers(min_value=3, max_value=8),
+           # 5e-14 inside the snap band, so the oracle snaps mu itself
+           st.one_of(st.floats(min_value=0.0, max_value=5.0),
+                     st.sampled_from([-5e-14, 5e-14])),
+           st.lists(st.lists(st.tuples(st.floats(min_value=-3.0,
+                                                 max_value=3.0),
+                                       st.integers(min_value=0, max_value=1),
+                                       st.floats(min_value=-2.0,
+                                                 max_value=2.0).filter(
+                                           lambda c: c != 0.0)),
+                             max_size=3),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(st.floats(min_value=1e-6, max_value=2.0),
+                              st.floats(min_value=1e-3, max_value=1.0)),
+                    min_size=1, max_size=8),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_stencil_matches_oracle(self, N, mu_off, functions,
+                                           points, scalar):
+        # one stencil for several functions gives hardy_fd_oracle's bits
+        mu = mu_zero(N) + mu_off
+        if scalar:
+            r, h = points[0][0], points[0][0] * points[0][1] / 8.0
+        else:
+            r = np.array([x for x, _ in points])
+            h = np.array([x * frac / 8.0 for x, frac in points])
+        stencil = _fd_stencil(r, h)
+        for terms in functions:
+            f = RadialFunction.from_terms(RadialTerm(*t) for t in terms)
+            shared = _fd_hardy(N, snap_mu(N, mu), f, stencil)
+            assert np.asarray(shared).tobytes() == \
+                np.asarray(hardy_fd_oracle(N, mu, f, r, h)).tobytes()
+
     def test_second_order_convergence(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -381,9 +438,36 @@ class TestGrid:
             g.radii *= 2.0
         assert g.radii.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("r_min, r_max", [(1.0, math.nan),
+                                              (-1.0, -2.0)])
+    def test_log_radii_are_checked(self, r_min, r_max):
+        # the one check of a grid's radii, made where they are made
+        with pytest.raises(DomainValidationError, match="radii must be"):
+            log_radii(r_min, r_max, 4)
+
     def test_count_type_is_kept(self):
         # np.geomspace rejects a float count; a cached int entry must not
         # answer for it
         assert RadialGrid(1e-3, 1.0, 4).radii.size == 4
         with pytest.raises(TypeError):
             RadialGrid(1e-3, 1.0, 4.0).radii
+
+
+#: Formula shapes with one owner each: the 5-point stencil combinations in
+#: radial._fd_hardy and the factored root coefficient
+#: -(tau - tau_+)(tau - tau_-) in exponents.ExponentPair.coefficient_at.
+_OWNED_FORMULAS = (
+    (r"8\.0 \* fp1|8\.0 \* fm1|2\.0 \* f0\b|12\.0 \* h|4\.0 \* h \* h",
+     "radial.py", 2),
+    (r"tau_plus\)\s*\*\s*\(|tau_minus\)\s*\*\s*\(", "exponents.py", 1))
+
+
+@pytest.mark.parametrize("pattern, owner, lines", _OWNED_FORMULAS,
+                         ids=["fd_stencil", "root_coefficient"])
+def test_operator_formulas_have_one_owner(pattern, owner, lines):
+    package = pathlib.Path(hardylane.__file__).parent
+    hits = [f"{path.relative_to(package)}:{n}: {line.strip()}"
+            for path in sorted(package.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+    assert [hit.split(":")[0] for hit in hits] == [owner] * lines, hits
