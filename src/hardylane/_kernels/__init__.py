@@ -2,10 +2,12 @@
 
 classify_codes evaluates the decision tree of the scalar reference
 _pure.classify_code as a first-match mask cascade: the points are split by
-regime and each regime's branches, in the reference's order, go through one
-np.select.  Every margin is computed by the same floating-point expression
-as in the reference, and min/max ties resolve the same way, so codes,
-margins (signed zeros included) and flags agree bit for bit.
+regime and each regime's branches, in the reference's order, go through
+_first_match, a chain of np.where from the last branch to the first (what
+np.select computes, in about a third of its time at a sweep's batch size).
+Every margin is computed by the same floating-point expression as in the
+reference, and min/max ties resolve the same way, so codes, margins
+(signed zeros included) and flags agree bit for bit.
 """
 
 import numpy as np
@@ -49,13 +51,35 @@ def _min(a, b):
     return np.where(b < a, b, a)
 
 
-def _gate(p, q, code, margin, gated_codes):
+def _first_match(conds, choices, default):
+    """np.select(conds, choices, default): each element takes the choice of
+    the first condition that holds there, else the default.
+
+    Built from the last condition to the first, so an earlier condition
+    overwrites a later one.  np.where copies the chosen values, so signed
+    zeros and NaN come through as np.select gives them.
+    """
+    out = default
+    for cond, choice in zip(reversed(conds), reversed(choices)):
+        out = np.where(cond, choice, out)
+    return out
+
+
+#: The codes each regime passes through _gate, as inclusive code ranges:
+#: the reference gates exactly the codes in each range, and no other
+#: branch of that regime yields one of them (tests/test_kernels.py checks
+#: that each range still holds exactly the gated codes).
+_GATED_A = (CODE_T3_I_CASE1, CODE_T3_I_CASE3)
+_GATED_B = (CODE_T3_II_A1, CODE_T3_II_B2)
+
+
+def _gate(p, q, code, margin, gated):
     """Existence constructions need p, q > 1; otherwise the point is open.
 
-    gated_codes are the codes whose branches the reference passes through
-    its _gate; no other branch yields them.
+    gated is the (lowest, highest) code of the regime's gated range.
     """
-    shut = np.isin(code, gated_codes) & ~((p > 1.0 + TOL) & (q > 1.0 + TOL))
+    lo, hi = gated
+    shut = (code >= lo) & (code <= hi) & ~((p > 1.0 + TOL) & (q > 1.0 + TOL))
     return (np.where(shut, CODE_DOTTED, code),
             np.where(shut, _min(p, q) - 1.0, margin))
 
@@ -74,13 +98,11 @@ def _regime_a(N, mu0, mu1, t1, t2, p, q):
     edge_ii = at_mu0 & (e1 <= TOL)
     conds = [upper, edge_ii, at_mu0, strip & (e1 < -TOL),
              strip & (e1 <= TOL), strip, q >= qlo - TOL]
-    code = np.select(conds, [CODE_T1_I, CODE_T1_II, CODE_T3_I_CASE1,
-                             CODE_T1_II, CODE_CURVE_AQ, CODE_T3_I_CASE1,
-                             CODE_T3_I_CASE3], CODE_T3_I_CASE2)
-    margin = np.select(conds, [q - qup, e1, e1, e1, e1, e1, 0.0], qlo - q)
-    code, margin = _gate(p, q, code, margin, (CODE_T3_I_CASE1,
-                                               CODE_T3_I_CASE2,
-                                               CODE_T3_I_CASE3))
+    code = _first_match(conds, [CODE_T1_I, CODE_T1_II, CODE_T3_I_CASE1,
+                                CODE_T1_II, CODE_CURVE_AQ, CODE_T3_I_CASE1,
+                                CODE_T3_I_CASE3], CODE_T3_I_CASE2)
+    margin = _first_match(conds, [q - qup, e1, e1, e1, e1, e1, 0.0], qlo - q)
+    code, margin = _gate(p, q, code, margin, _GATED_A)
     return code, margin, ~upper & edge_ii & (np.abs(e1) <= TOL)
 
 
@@ -114,15 +136,14 @@ def _regime_b(N, t1, t2, p, q):
              in_q & (e1 > TOL), in_p & (e2 > TOL),
              on_plo & below_q,
              (below_q | on_qlo) & (p < plo - TOL)]
-    code = np.select(conds, [CODE_T2_I, CODE_T2_III, CODE_T2_II, CODE_T2_III,
-                             CODE_CURVE_AB, CODE_CURVE_BC, CODE_T3_II_A1,
-                             CODE_T3_II_B1, CODE_T3_II_B2, CODE_T3_II_A2],
-                     CODE_DOTTED)
-    margin = np.select(conds, [half_plane, e2, e1, e2, e1, e2, e1, e2,
-                               qlo - q, _min(qlo - q, plo - p)], 0.0)
+    code = _first_match(conds, [CODE_T2_I, CODE_T2_III, CODE_T2_II,
+                                CODE_T2_III, CODE_CURVE_AB, CODE_CURVE_BC,
+                                CODE_T3_II_A1, CODE_T3_II_B1, CODE_T3_II_B2,
+                                CODE_T3_II_A2], CODE_DOTTED)
+    margin = _first_match(conds, [half_plane, e2, e1, e2, e1, e2, e1, e2,
+                                  qlo - q, _min(qlo - q, plo - p)], 0.0)
     # the corner where both critical curves meet (CODE_DOTTED) is not gated
-    return _gate(p, q, code, margin, (CODE_T3_II_A1, CODE_T3_II_B1,
-                                      CODE_T3_II_B2, CODE_T3_II_A2))
+    return _gate(p, q, code, margin, _GATED_B)
 
 
 def _tau_pair(N, mu0, mu):

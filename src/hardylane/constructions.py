@@ -352,11 +352,28 @@ def _oracle_deviation(cand: SupersolutionCandidate,
 def _grid_slacks(cand: SupersolutionCandidate, t: float,
                  u_vals: np.ndarray, v_vals: np.ndarray,
                  lu: np.ndarray, lv: np.ndarray) -> Tuple[float, float]:
-    """Minima of the two scaled inequality slacks over the grid."""
-    with np.errstate(over="ignore"):
+    """Minima of the two scaled inequality slacks over the grid.
+
+    An image that overflows gives an infinite slack, or a NaN one (inf -
+    inf), with warnings off; a NaN makes that minimum NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         slack_u = t * lu - np.power(t * v_vals, cand.pq.p)
         slack_v = t * lv - np.power(t * u_vals, cand.pq.q)
     return float(slack_u.min()), float(slack_v.min())
+
+
+def _slack_defect(radii: np.ndarray, t: float, min_u: float, min_v: float,
+                  lu: np.ndarray, lv: np.ndarray) -> str:
+    """"" unless a slack minimum is NaN, else a one-line diagnostic for the
+    first such slack: the first radius where its scaled image t Lu or t Lv
+    is not finite (a NaN slack needs one)."""
+    for name, min_slack, image in (("Lu", min_u, lu), ("Lv", min_v, lv)):
+        if math.isnan(min_slack):
+            with np.errstate(over="ignore"):
+                bad = ~np.isfinite(t * image)
+            return f"{name} is not finite near r={radii[bad.argmax()]:.3e}"
+    return ""
 
 
 def _slacks_ok(min_u: float, min_v: float) -> bool:
@@ -368,15 +385,17 @@ def _slacks_ok(min_u: float, min_v: float) -> bool:
 def _verified(cand: SupersolutionCandidate, grid: RadialGrid,
               min_u: float, min_v: float,
               images: Tuple[RadialFunction, RadialFunction],
-              h: float, samples: int) -> VerificationReport:
+              h: float, samples: int, diagnostic: str = ""
+              ) -> VerificationReport:
     """The report on a pair positive on the grid, from its slack minima at
-    the scale under test and its symbolic images (for the cross-check)."""
+    the scale under test, its symbolic images (for the cross-check) and
+    the diagnostic of a NaN slack minimum."""
     dev = _oracle_deviation(cand, images, grid, h, samples)
     return VerificationReport(ok=_slacks_ok(min_u, min_v), min_slack_u=min_u,
                               min_slack_v=min_v, grid=grid,
                               oracle_max_dev=dev,
                               oracle_exceeded=dev > ORACLE_DEV_LIMIT,
-                              positivity_ok=True)
+                              positivity_ok=True, diagnostic=diagnostic)
 
 
 def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
@@ -392,10 +411,13 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
         slack_v(r) = t Lv(r) - (t u(r))^q,
 
     and ok means both minima over the grid are nonnegative.  A value of u
-    or v on the grid that is not positive, or not finite (u and v are
-    evaluated with overflow warnings off), fails the report with a
-    diagnostic instead of raising on the fractional power.  oracle_samples
-    must be an int >= 1.
+    or v on the grid that is not positive, or not finite (u, v, Lu, Lv and
+    the slacks are evaluated with overflow warnings off), fails the report
+    with a diagnostic instead of raising on the fractional power.  A slack
+    minimum that is NaN (an image that overflows to inf against an
+    infinite power, or is NaN) fails the report too, with a diagnostic
+    naming the image; an infinite slack is decided by its sign.
+    oracle_samples must be an int >= 1.
 
     evaluated, if given, is (u, v, Lu, Lv) already evaluated at
     grid.radii for this candidate; they are used instead of evaluating
@@ -436,9 +458,12 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
 
     images = _images(cand)
     if evaluated is None:
-        lu, lv = _grid_values(images[0], radii), _grid_values(images[1], radii)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lu = _grid_values(images[0], radii)
+            lv = _grid_values(images[1], radii)
     min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
-    return _verified(cand, grid, min_u, min_v, images, h, oracle_samples)
+    return _verified(cand, grid, min_u, min_v, images, h, oracle_samples,
+                     _slack_defect(radii, t, min_u, min_v, lu, lv))
 
 
 def find_scale(cand: SupersolutionCandidate,
@@ -467,8 +492,9 @@ def find_scale(cand: SupersolutionCandidate,
         v_vals = _grid_values(cand.v, radii)
         if not _finite_positive(v_vals):
             return None
-    images = _images(cand)
-    lu, lv = _grid_values(images[0], radii), _grid_values(images[1], radii)
+        images = _images(cand)
+        lu = _grid_values(images[0], radii)
+        lv = _grid_values(images[1], radii)
     for t in SCALE_SCAN:
         min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
         if _slacks_ok(min_u, min_v):

@@ -96,7 +96,14 @@ def _coefficient(mu) -> float:
 
 
 def _snap_near(N: int, mu: float, m0: float, band: float) -> float:
-    """The snap rule, given mu_zero(N) and the band from _constants(N)."""
+    """The snap rule, given mu_zero(N) and the band from _constants(N).
+
+    A plain float above the band and finite is returned at once: every
+    check below passes it unchanged.  Anything else (another type, NaN,
+    an infinity, a value in or below the band) takes the full rule.
+    """
+    if type(mu) is float and m0 + band < mu < math.inf:
+        return mu
     if type(mu) is not float:
         mu = _coefficient(mu)
     if not math.isfinite(mu):
@@ -234,7 +241,13 @@ class Powers:
     q: float
 
     def __post_init__(self):
-        for name, v in (("p", self.p), ("q", self.q)):
+        state = self.__dict__
+        p, q = state["p"], state["q"]
+        # plain finite positive floats pass the checks below unchanged
+        if (type(p) is float and type(q) is float
+                and 0.0 < p < math.inf and 0.0 < q < math.inf):
+            return
+        for name, v in (("p", p), ("q", q)):
             if not (isinstance(v, (int, float)) and not isinstance(v, bool)
                     and math.isfinite(v) and v > 0):
                 raise DomainValidationError(

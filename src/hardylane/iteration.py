@@ -100,30 +100,27 @@ def _iterate(params: HardyParams, pq: Powers, cap: int,
     tau1, tau2 = pair1.tau_plus, pair2.tau_plus
     seed1, seed2 = tau1, tau2
 
-    steps = [StepRecord(j=0, tau1=tau1, tau2=tau2)]
+    steps = [StepRecord(0, tau1, tau2)]
 
+    # only the first cycle of the clamped variant is clamped
+    clamp = variant is Variant.CLAMPED
     for j in range(1, cap + 1):
-        clamp = variant is Variant.CLAMPED and j == 1
-
-        new2 = tau1 * q + 2.0
+        tau2 = tau1 * q + 2.0
         clamped2 = False
-        if clamp and seed2 < new2:
-            new2, clamped2 = seed2, True
-        tau2 = new2
+        if clamp and seed2 < tau2:
+            tau2, clamped2 = seed2, True
         if tau2 <= t2_minus:
-            steps.append(StepRecord(j=j, tau1=tau1, tau2=tau2,
-                                    tau2_clamped=clamped2, tau1_carried=True))
+            steps.append(StepRecord(j, tau1, tau2, False, clamped2, True))
             cert = Certificate(CertificateKind.CROSSED_TAU2, j, tau2, t2_minus)
             return IterationTrace(variant, params, pq, steps, cert)
 
-        new1 = tau2 * p + 2.0
-        clamped1 = False
-        if clamp and seed1 < new1:
-            new1, clamped1 = seed1, True
         prev1 = tau1
-        tau1 = new1
-        steps.append(StepRecord(j=j, tau1=tau1, tau2=tau2,
-                                tau1_clamped=clamped1, tau2_clamped=clamped2))
+        tau1 = tau2 * p + 2.0
+        clamped1 = False
+        if clamp and seed1 < tau1:
+            tau1, clamped1 = seed1, True
+        clamp = False
+        steps.append(StepRecord(j, tau1, tau2, clamped1, clamped2))
         if tau1 <= t1_minus:
             cert = Certificate(CertificateKind.CROSSED_TAU1, j, tau1, t1_minus)
             return IterationTrace(variant, params, pq, steps, cert)

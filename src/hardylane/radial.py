@@ -326,9 +326,11 @@ class RadialGrid:
     count: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
+        # inf passes 0 < r_min < r_max, and geomspace would give inf radii
+        if not (0.0 < self.r_min < self.r_max < math.inf):
             raise DomainValidationError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+                f"need 0 < r_min < r_max, both finite, got "
+                f"[{self.r_min}, {self.r_max}]")
         if self.count < 2:
             raise DomainValidationError(f"count must be >= 2, got {self.count}")
 

@@ -200,9 +200,8 @@ def _integrability_witness(N: int, source_tau: float, weight_mu: float,
         raise WitnessMismatchError(
             f"{label}: expected weighted-L^1 failure but sigma = "
             f"{verdict.critical_exponent_gap:g} > 0")
-    return Witness(mechanism="integrability", provenance="P2.1",
-                   description=label, verdict=verdict,
-                   exponent=source_tau, weight_mu=weight_mu)
+    return Witness("integrability", "P2.1", label, verdict, source_tau,
+                   weight_mu)
 
 
 def _iteration_witness(params: HardyParams, pq: Powers, clamped: bool,
@@ -212,9 +211,17 @@ def _iteration_witness(params: HardyParams, pq: Powers, clamped: bool,
         raise WitnessMismatchError(
             f"{label}: iteration ended {trace.outcome.kind.value} "
             f"instead of crossing")
-    return Witness(mechanism="iteration",
-                   provenance="P3.2" if clamped else "P3.1",
-                   description=label, trace=trace)
+    return Witness("iteration", "P3.2" if clamped else "P3.1", label,
+                   None, None, None, trace)
+
+
+#: citation -> (clamped, label) of the bootstrap regions' iteration
+#: witnesses; T1.ii on the mu1 = mu0 edge is an integrability failure.
+_ITERATIONS = {
+    "T1.ii": (False, "plain bootstrap crossing"),
+    "T2.ii": (True, "clamped bootstrap crossing"),
+    "T2.iii": (True, "clamped bootstrap crossing (roles swapped)"),
+}
 
 
 def nonexistence_witness(params: HardyParams, pq: Powers,
@@ -224,46 +231,46 @@ def nonexistence_witness(params: HardyParams, pq: Powers,
     The mechanism matches the citation: the closed half-planes (T1.i, T2.i)
     and the mu1 = mu0 critical edge are integrability failures; interior
     bootstrap regions are iteration crossings.
+
+    The citation reads the point in the region's orientation (mu1, mu2, p,
+    q exchanged with mu2, mu1, q, p when region.swapped).  An integrability
+    witness takes the oriented values straight from params and pq; an
+    iteration witness gets params and pq swapped once when its roles are
+    exchanged (T2.iii runs the bootstrap with the roles of the
+    orientation exchanged again).
     """
     if region is None:
         region = classify(params, pq)
     if region.verdict is not Verdict.NONEXISTENCE:
         raise DomainValidationError(
             f"witness requested for verdict {region.verdict.value}")
-
-    eff_params, eff_pq = params, pq
-    if region.swapped:
-        eff_params, eff_pq = params.swapped(), pq.swapped()
-    t1 = eff_params.tau1.tau_plus
-    t2 = eff_params.tau2.tau_plus
     cite = region.citation
 
-    if cite == "T1.i":
+    iteration = _ITERATIONS.get(cite)
+    if iteration is not None and not (cite == "T1.ii" and region.mu0_edge):
+        if region.swapped != (cite == "T2.iii"):
+            params, pq = params.swapped(), pq.swapped()
+        clamped, label = iteration
+        return _iteration_witness(params, pq, clamped, label)
+
+    N = params.N
+    if region.swapped:
+        mu1, mu2, p, q = params.mu2, params.mu1, pq.q, pq.p
+        t1, t2 = params.tau2.tau_plus, params.tau1.tau_plus
+    else:
+        mu1, mu2, p, q = params.mu1, params.mu2, pq.p, pq.q
+        t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
+
+    # T2.i lies in regime B, so t1 < 0 there
+    if cite == "T1.i" or (cite == "T2.i"
+                          and q >= bd.q_upper(N, t1, t2) - K.TOL):
         return _integrability_witness(
-            eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
-            "u^q fails L^1 against the second weight")
+            N, t1 * q, mu2, t2, "u^q fails L^1 against the second weight")
     if cite == "T2.i":
-        # regime B, so t1 < 0
-        if eff_pq.q >= bd.q_upper(eff_params.N, t1, t2) - K.TOL:
-            return _integrability_witness(
-                eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
-                "u^q fails L^1 against the second weight")
         return _integrability_witness(
-            eff_params.N, t2 * eff_pq.p, eff_params.mu1, t1,
-            "v^p fails L^1 against the first weight")
+            N, t2 * p, mu1, t1, "v^p fails L^1 against the first weight")
     if cite == "T1.ii":
-        if region.mu0_edge:
-            boot = (t1 * eff_pq.q + 2.0) * eff_pq.p
-            return _integrability_witness(
-                eff_params.N, boot, eff_params.mu1, t1,
-                "one-bootstrap source power fails L^1 at the threshold edge")
-        return _iteration_witness(eff_params, eff_pq, clamped=False,
-                                  label="plain bootstrap crossing")
-    if cite == "T2.ii":
-        return _iteration_witness(eff_params, eff_pq, clamped=True,
-                                  label="clamped bootstrap crossing")
-    if cite == "T2.iii":
-        return _iteration_witness(eff_params.swapped(), eff_pq.swapped(),
-                                  clamped=True,
-                                  label="clamped bootstrap crossing (roles swapped)")
+        return _integrability_witness(
+            N, (t1 * q + 2.0) * p, mu1, t1,
+            "one-bootstrap source power fails L^1 at the threshold edge")
     raise WitnessMismatchError(f"no witness mechanism for citation {cite}")

@@ -192,6 +192,20 @@ class TestVerifyCommand:
         assert rec["positivity_ok"] is False
         assert rec["diagnostic"] == "u is not finite near r=1.000e-320"
 
+    def test_overflowing_image_fails_with_diagnostic(self, capsys):
+        # u and v are finite at r = 1e-300 but Lu overflows: the record
+        # names it, and no RuntimeWarning reaches stderr
+        code, out, err = run_cli(capsys, "verify", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "0", "--p", "2", "--q", "3",
+                                 "--case", "C1", "--r-min", "1e-300")
+        assert code == 0 and err == ""
+        rec = json.loads(out)
+        jsonschema.validate(rec, load_schema("verify"))
+        assert rec["ok"] is False and rec["t"] is None
+        assert rec["positivity_ok"] is True
+        assert rec["min_slack_u"] is None
+        assert rec["diagnostic"] == "Lu is not finite near r=1.000e-300"
+
 
 class TestPlotCommand:
     def test_outputs_and_round_trip(self, capsys, tmp_path):

@@ -402,6 +402,32 @@ class TestVerification:
         assert math.isnan(report.oracle_max_dev)
         assert report.diagnostic == "u is not finite near r=1.000e-320"
 
+    def test_overflowing_image_fails_with_diagnostic(self):
+        # u and v are finite at r = 1e-300, but Lu has an r^-2 term: the NaN
+        # slack minimum is named, and no RuntimeWarning escapes
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        grid = RadialGrid(1e-300, 0.999, 512)
+        assert find_scale(cand, grid=grid) is None
+        report = verify_on_grid(cand, t=1.0, grid=grid)
+        assert not report.ok and report.positivity_ok
+        assert math.isnan(report.min_slack_u)
+        assert report.diagnostic == "Lu is not finite near r=1.000e-300"
+
+    def test_infinite_slack_is_decided_by_its_sign(self):
+        # an image of +inf against a finite power leaves the slack +inf:
+        # no diagnostic, and the minimum is the finite rest
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        grid = default_grid()
+        radii = grid.radii
+        arrays = [np.asarray(evaluate(f, radii)) for f in
+                  (cand.u, cand.v, apply_hardy(5, -2.0, cand.u),
+                   apply_hardy(5, 0.0, cand.v))]
+        arrays[2][[0, 7]] = math.inf
+        got = verify_on_grid(cand, t=1.0, grid=grid, evaluated=arrays)
+        assert got.ok and got.diagnostic == ""
+        slack_u = arrays[2] - np.power(arrays[1], cand.pq.p)
+        assert got.min_slack_u == slack_u.min() < math.inf
+
     @pytest.mark.parametrize("side, value", [(0, math.nan), (0, -math.inf),
                                              (1, math.inf), (1, math.nan)])
     def test_handed_non_finite_values_fail(self, side, value):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylane import exponents
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  HardyParams, Powers, boundary_expressions,
                                  mu_zero, p_star, root_coefficient,
@@ -325,3 +326,90 @@ class TestPowersSwap:
         assert repr(mirrored) == repr(Powers(q, p))
         assert mirrored.swapped() == pq
         assert (type(mirrored.p), type(mirrored.q)) == (type(q), type(p))
+
+
+# --- the early returns against the checks they skip --------------------------
+
+def reference_snap(N, mu):
+    """The snap rule as it was written before its early return."""
+    _, m0, band = exponents._constants(N)
+    if type(mu) is not float:
+        mu = exponents._coefficient(mu)
+    if not math.isfinite(mu):
+        raise DomainValidationError(f"mu must be finite, got {mu!r}")
+    if mu < m0 - band:
+        raise DomainValidationError(
+            f"mu={mu} below the Hardy threshold mu_zero({N})={m0}")
+    if mu <= m0 + band:
+        return m0
+    return mu
+
+
+def reference_powers_check(p, q):
+    """Powers' check as it was written before its early return."""
+    for name, v in (("p", p), ("q", q)):
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) and v > 0):
+            raise DomainValidationError(
+                f"power {name} must be finite and > 0, got {v!r}")
+
+
+class FloatSubclass(float):
+    pass
+
+
+def typed_bits(v):
+    """A value as its type and, for a float, its float.hex."""
+    return type(v).__name__, float.hex(v) if isinstance(v, float) else v
+
+
+def outcome(call):
+    """What call() returns, by typed_bits, or its error message."""
+    try:
+        return typed_bits(call())
+    except DomainValidationError as exc:
+        return "error", str(exc)
+
+
+def _edge_coefficients(N):
+    """Coefficients on, and one ulp either side of, both ends of the snap
+    band of dimension N."""
+    _, m0, band = exponents._constants(N)
+    out = []
+    for edge in (m0 + band, m0 - band, m0):
+        out += [edge, math.nextafter(edge, -math.inf),
+                math.nextafter(edge, math.inf)]
+    return out
+
+
+_ODD_VALUES = [np.float64(-1.0), np.float64(0.5), -1, 0, 2, FloatSubclass(-1.0),
+               FloatSubclass(0.5), True, False, math.nan, math.inf, -math.inf,
+               -0.0, 0.0, 5e-324, -5e-324, 1e308, np.int64(1)]
+
+
+class TestEarlyReturns:
+    """The early returns of _snap_near and Powers give what the full checks
+    give: the same values, of the same type, or the same error message."""
+
+    @pytest.mark.parametrize("N", [3, 5, 10, 70])
+    def test_coefficients(self, N):
+        for mu in _edge_coefficients(N) + _ODD_VALUES:
+            want = outcome(lambda: reference_snap(N, mu))
+            assert outcome(lambda: snap_mu(N, mu)) == want, mu
+            assert outcome(lambda: HardyParams(N, mu, 0.0).mu1) == want, mu
+            assert outcome(lambda: HardyParams(N, 0.0, mu).mu2) == want, mu
+            if want[0] != "error":
+                snapped = float.fromhex(want[1])
+                assert same_pair(HardyParams(N, mu, mu).tau1,
+                                 tau_pair(N, snapped))
+
+    def test_powers(self):
+        for p in _ODD_VALUES + [2.5, 1e-300]:
+            for q in (3.0, p):
+                want = outcome(lambda: reference_powers_check(p, q))
+                if want[0] == "error":
+                    assert outcome(lambda: Powers(p, q)) == want, (p, q)
+                else:
+                    pq = Powers(p, q)
+                    assert (typed_bits(pq.p), typed_bits(pq.q)) == (
+                        typed_bits(p), typed_bits(q))

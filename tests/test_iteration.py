@@ -77,6 +77,18 @@ class TestClampedIteration:
         assert trace.steps[1].tau2 == -1.0
         assert trace.steps[1].tau2_clamped
 
+    def test_only_the_first_cycle_is_clamped(self):
+        # cycle 1 clamps tau2 to its seed; cycle 2's tau2 = -1.5 * 1.1 + 2
+        # lies above the seed too, but is no longer clamped
+        trace = iterate_clamped(HardyParams(5, -2.0, -2.0), Powers(3.5, 1.1),
+                                cap=3)
+        tau2 = -1.5 * 1.1 + 2.0
+        assert [(s.tau1, s.tau2) for s in trace.steps[:3]] == [
+            (-1.0, -1.0), (-1.5, -1.0), (tau2 * 3.5 + 2.0, tau2)]
+        assert trace.steps[1].tau2_clamped
+        assert not any(s.tau1_clamped or s.tau2_clamped
+                       for s in trace.steps[2:])
+
     def test_consistency_with_plain_when_clamp_inactive(self):
         params = HardyParams(5, -2.0, -2.0)
         pq = Powers(2.5, 3.5)

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +154,61 @@ def snap_band_points(draw):
 @given(snap_band_points())
 def test_snap_band_point_matches_scalar(point):
     check_against_reference(*(np.array([v]) for v in point))
+
+
+class TestFirstMatch:
+    """_first_match is np.select, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10),
+           st.integers(0, 64))
+    def test_matches_np_select(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        # signed zeros, NaN and infinities among the choices, some of them
+        # scalars, as in the kernel's margin cascades
+        pool = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, 1.5, -2.0])
+        conds = [rng.random(n) < rng.random() for _ in range(k)]
+
+        def choice():
+            if rng.random() < 0.3:
+                return float(rng.choice(pool))
+            return rng.choice(pool, n)
+
+        choices = [choice() for _ in range(k)]
+        default = choice()
+        got = K._first_match(conds, choices, default)
+        want = np.select(conds, choices, default)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_codes_match_np_select(self, seed, n):
+        rng = np.random.default_rng(seed)
+        conds = [rng.random(n) < 0.3 for _ in range(7)]
+        codes = [int(c) for c in rng.integers(0, 17, 7)]
+        got = K._first_match(conds, codes, K.CODE_DOTTED)
+        want = np.select(conds, codes, K.CODE_DOTTED)
+        assert np.array_equal(got, want)
+
+
+def _codes_gated_by_reference(function):
+    """Names of the codes that _pure's `function` passes through _gate."""
+    tree = ast.parse(inspect.getsource(getattr(_pure, function)))
+    return {call.args[2].id for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "_gate"}
+
+
+def test_gate_ranges_hold_exactly_the_gated_codes():
+    # _gate tests a contiguous code range per regime; a renumbering of the
+    # CODE_* constants or a new gated branch must not slip past it
+    for gated, function in ((K._GATED_A, "_regime_a"),
+                            (K._GATED_B, "_regime_b")):
+        names = _codes_gated_by_reference(function)
+        assert names, function
+        lo, hi = gated
+        assert set(range(lo, hi + 1)) == {getattr(K, n) for n in names}
 
 
 class TestBackendSelection:

@@ -411,6 +411,15 @@ class TestGrid:
         with pytest.raises(DomainValidationError):
             RadialGrid(0.1, 1.0, 1)
 
+    @pytest.mark.parametrize("r_min, r_max", [
+        (1e-6, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+        (1e-6, math.nan), (math.inf, math.inf)])
+    def test_non_finite_bounds_rejected(self, r_min, r_max):
+        # inf passes 0 < r_min < r_max; the grid would hold r = inf
+        with pytest.raises(DomainValidationError, match="both finite") as err:
+            RadialGrid(r_min, r_max, 4)
+        assert "\n" not in str(err.value)
+
     def test_default_grid(self):
         g = default_grid()
         assert g.count == 512

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -6,13 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardylane import _kernels as K
+from hardylane import boundaries as bd
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  HardyParams, Powers, boundary_expressions,
                                  mu_zero, tau_pair)
-from hardylane.integrability import is_gamma_integrable
-from hardylane.iteration import CertificateKind
+from hardylane.integrability import is_gamma_integrable, power_verdict
+from hardylane.iteration import CertificateKind, iterate_clamped, iterate_plain
 from hardylane.radial import RadialFunction
-from hardylane.regions import (_OUTCOMES, RegionClass, Verdict, _wrap,
+from hardylane.regions import (_OUTCOMES, _WITNESS_EDGE_TOL, RegionClass,
+                               Verdict, Witness, WitnessMismatchError, _wrap,
                                classify, classify_field, nonexistence_witness)
 
 
@@ -529,3 +533,191 @@ class TestWrapOracle:
     def test_unknown_key_raises(self, code, flags):
         with pytest.raises(KeyError):
             _wrap(code, 0.0, flags)
+
+
+# --- the witness path against the functions it replaced ----------------------
+# Verbatim copies of nonexistence_witness and its two helpers as they were
+# before the witness path took its oriented values straight from params and
+# pq: the reference the current path must match bit for bit.
+
+def _reference_integrability_witness(N: int, source_tau: float,
+                                     weight_mu: float, weight_tp: float,
+                                     label: str) -> Witness:
+    verdict = power_verdict(N, source_tau, weight_tp)
+    if verdict.critical_exponent_gap > _WITNESS_EDGE_TOL:
+        raise WitnessMismatchError(
+            f"{label}: expected weighted-L^1 failure but sigma = "
+            f"{verdict.critical_exponent_gap:g} > 0")
+    return Witness(mechanism="integrability", provenance="P2.1",
+                   description=label, verdict=verdict,
+                   exponent=source_tau, weight_mu=weight_mu)
+
+
+def _reference_iteration_witness(params: HardyParams, pq: Powers,
+                                 clamped: bool, label: str) -> Witness:
+    trace = (iterate_clamped if clamped else iterate_plain)(params, pq)
+    if not trace.crossed:
+        raise WitnessMismatchError(
+            f"{label}: iteration ended {trace.outcome.kind.value} "
+            f"instead of crossing")
+    return Witness(mechanism="iteration",
+                   provenance="P3.2" if clamped else "P3.1",
+                   description=label, trace=trace)
+
+
+def reference_witness(params: HardyParams, pq: Powers,
+                      region: Optional[RegionClass] = None) -> Witness:
+    if region is None:
+        region = classify(params, pq)
+    if region.verdict is not Verdict.NONEXISTENCE:
+        raise DomainValidationError(
+            f"witness requested for verdict {region.verdict.value}")
+
+    eff_params, eff_pq = params, pq
+    if region.swapped:
+        eff_params, eff_pq = params.swapped(), pq.swapped()
+    t1 = eff_params.tau1.tau_plus
+    t2 = eff_params.tau2.tau_plus
+    cite = region.citation
+
+    if cite == "T1.i":
+        return _reference_integrability_witness(
+            eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
+            "u^q fails L^1 against the second weight")
+    if cite == "T2.i":
+        # regime B, so t1 < 0
+        if eff_pq.q >= bd.q_upper(eff_params.N, t1, t2) - K.TOL:
+            return _reference_integrability_witness(
+                eff_params.N, t1 * eff_pq.q, eff_params.mu2, t2,
+                "u^q fails L^1 against the second weight")
+        return _reference_integrability_witness(
+            eff_params.N, t2 * eff_pq.p, eff_params.mu1, t1,
+            "v^p fails L^1 against the first weight")
+    if cite == "T1.ii":
+        if region.mu0_edge:
+            boot = (t1 * eff_pq.q + 2.0) * eff_pq.p
+            return _reference_integrability_witness(
+                eff_params.N, boot, eff_params.mu1, t1,
+                "one-bootstrap source power fails L^1 at the threshold edge")
+        return _reference_iteration_witness(eff_params, eff_pq, clamped=False,
+                                            label="plain bootstrap crossing")
+    if cite == "T2.ii":
+        return _reference_iteration_witness(eff_params, eff_pq, clamped=True,
+                                            label="clamped bootstrap crossing")
+    if cite == "T2.iii":
+        return _reference_iteration_witness(
+            eff_params.swapped(), eff_pq.swapped(), clamped=True,
+            label="clamped bootstrap crossing (roles swapped)")
+    raise WitnessMismatchError(f"no witness mechanism for citation {cite}")
+
+
+def bits(v):
+    """v with its type, every float by float.hex, through the fields of the
+    value types (and a HardyParams' stored exponent pairs) and lists."""
+    if dataclasses.is_dataclass(v):
+        out = [type(v).__name__]
+        out += [bits(getattr(v, f.name)) for f in dataclasses.fields(v)]
+        if isinstance(v, HardyParams):
+            out += [bits(v.tau1), bits(v.tau2)]
+        return tuple(out)
+    if isinstance(v, list):
+        return tuple(map(bits, v))
+    if isinstance(v, float):
+        return type(v).__name__, float.hex(v)
+    return type(v).__name__, v
+
+
+def witness_outcome(function, params, pq, region):
+    """The bits of function's witness, or the error it raises."""
+    try:
+        return bits(function(params, pq, region))
+    except (DomainValidationError, WitnessMismatchError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_witness_matches_reference(params, pq):
+    """The same witness, or error, as the reference, with the region given
+    and without it; returns the region (None if it is invalid)."""
+    try:
+        region = classify(params, pq)
+    except DomainValidationError:
+        return None
+    for given_region in (None, region):
+        assert witness_outcome(nonexistence_witness, params, pq,
+                               given_region) == \
+            witness_outcome(reference_witness, params, pq, given_region)
+    return region
+
+
+@st.composite
+def witness_point(draw):
+    """edge_point's points, plus points on the e1 = 0 curve at mu1 = mu0
+    (the one-bootstrap witness of the threshold edge), in both
+    orientations."""
+    N = draw(st.integers(min_value=3, max_value=10))
+    m0 = mu_zero(N)
+    band = MU0_SNAP_REL * (N - 2) ** 2
+    power = st.floats(min_value=1e-3, max_value=20.0)
+    if draw(st.booleans()):
+        mu = st.one_of(st.floats(min_value=m0, max_value=3.0), st.just(m0),
+                       st.floats(min_value=m0 - band, max_value=m0 + band))
+        params = HardyParams(N, draw(mu), draw(mu))
+        pq = Powers(draw(power), draw(power))
+    else:
+        t1 = -(N - 2) / 2.0
+        p = draw(power)
+        q = (1.0 - (2.0 * p + 2.0) / t1) / p
+        params = HardyParams(N, m0, draw(st.floats(min_value=0.0,
+                                                   max_value=3.0)))
+        pq = Powers(p, q)
+    if draw(st.booleans()):
+        return params.swapped(), pq.swapped()
+    return params, pq
+
+
+#: (citation, swapped, mu0_edge) of every kind of nonexistence witness.
+WITNESS_KINDS = {("T1.i", False, False), ("T1.i", True, False),
+                 ("T1.ii", False, False), ("T1.ii", True, False),
+                 ("T1.ii", False, True), ("T1.ii", True, True),
+                 ("T2.i", False, False), ("T2.ii", False, False),
+                 ("T2.iii", False, False)}
+
+
+class TestWitnessMatchesReference:
+    @given(witness_point())
+    @settings(max_examples=1000, deadline=None)
+    def test_random_points(self, point):
+        assert_witness_matches_reference(*point)
+
+    def test_every_witness_kind(self):
+        # a random batch with mu = mu0 in both roles, plus points on the
+        # threshold edge's e1 = 0 curve in both orientations: every kind
+        # of witness is compared, both T2.i branches and the mu0 edge
+        rng = np.random.default_rng(2718)
+        points = []
+        for _ in range(4000):
+            N = int(rng.integers(3, 11))
+            m0 = mu_zero(N)
+            mu1, mu2 = (m0 + rng.random(2) * (3.0 - m0)).tolist()
+            roll = rng.random()
+            mu1 = m0 if roll < 0.1 else mu1
+            mu2 = m0 if 0.1 <= roll < 0.2 else mu2
+            p, q = (20.0 * (1.0 - rng.random(2))).tolist()
+            points.append((HardyParams(N, mu1, mu2), Powers(p, q)))
+        for N in range(3, 11):
+            for p in np.linspace(0.5, 8.0, 16).tolist():
+                q = (1.0 + (2.0 * p + 2.0) / ((N - 2) / 2.0)) / p
+                params, pq = HardyParams(N, mu_zero(N), 0.5), Powers(p, q)
+                points += [(params, pq), (params.swapped(), pq.swapped())]
+        seen, descriptions = set(), set()
+        for params, pq in points:
+            region = assert_witness_matches_reference(params, pq)
+            if region is not None and \
+                    region.verdict is Verdict.NONEXISTENCE:
+                seen.add((region.citation, region.swapped, region.mu0_edge))
+                if region.citation == "T2.i":
+                    descriptions.add(
+                        nonexistence_witness(params, pq, region).description)
+        assert seen == WITNESS_KINDS
+        assert descriptions == {"u^q fails L^1 against the second weight",
+                                "v^p fails L^1 against the first weight"}
