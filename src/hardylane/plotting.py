@@ -7,9 +7,14 @@ p horizontal, q vertical (increasing upward).
 
 Cell text (a CSV line or a <rect>) is formatted once per distinct value:
 per column, per row, per region code present and, in the CSV, per
-distinct margin.  Fancy indexing then lays the pieces out in an object
-array of shape (res, res, pieces), and each file is one join of it, so no
-Python runs per cell.  Code-indexed lookup tables are built only after
+distinct margin.  A file is its head, then the cells one block of whole
+grid rows (about _BLOCK_CELLS cells) at a time, then its tail.  For each
+block, fancy indexing lays the pieces out in an object array of shape
+(rows, res, pieces) and one join makes its text, so no Python runs per
+cell.  emit_csv and emit_svg write each block as it is joined, so a file
+is never held whole in memory; grid_csv_text and render_svg join the same
+blocks.  Every check runs before the first block, so a rejected grid
+opens no file.  Code-indexed lookup tables are built only after
 _regions_present has rejected CODE_INVALID.
 
 Marked corner points (present when inside the plotted ranges):
@@ -29,7 +34,7 @@ e2 = 0 on the respective closed edges, B solves both simultaneously.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +68,12 @@ _COLORS = {
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56.0, 248.0, 24.0, 44.0
 _PLOT_W, _PLOT_H = 560.0, 560.0
+
+# Cells joined into one block of a file: 16 rows at res 200, one row from
+# res 3200 up, so a block of SVG text stays near 0.3 MB.  In the plot-grid
+# benchmark, blocks of 8 to 32 rows at res 200 ran at the same speed and
+# blocks of 64 rows (about 1 MB) about 20% slower.
+_BLOCK_CELLS = 3200
 
 
 @frozen
@@ -150,6 +161,12 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
     column index = p ascending, as produced by classify_field.  Raises
     DomainValidationError if a cell holds CODE_INVALID.
     """
+    return "".join(_svg_blocks(codes, spec))
+
+
+def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
+    """The SVG document in blocks; raises before returning, not while
+    iterating."""
     res = spec.resolution
     p_lo, p_hi = spec.p_range
     q_lo, q_hi = spec.q_range
@@ -186,10 +203,6 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
                        for i in range(res)], dtype=object)
     fills = _by_code({code: f'{_COLORS.get(code, "#000000")}"/>\n'
                       for code in legend})
-    cells = np.empty(codes.shape + (3,), dtype=object)
-    cells[..., 0] = x_text
-    cells[..., 1] = y_text[:, None]
-    cells[..., 2] = fills[codes]
 
     tail: List[str] = []
     # axes frame
@@ -247,16 +260,38 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
                     f'font-size="11" font-family="monospace">'
                     f'{region.verdict.value}: {region.citation}</text>')
     tail.append("</svg>")
-    return _join_cells("\n".join(head) + "\n", cells,
-                       "\n".join(tail) + "\n")
+    return _blocks("\n".join(head) + "\n", x_text, y_text, [(fills, codes)],
+                   "\n".join(tail) + "\n")
 
 
-def _join_cells(head: str, cells: np.ndarray, tail: str) -> str:
-    """head, the pieces of cells in C order, then tail, as one string."""
-    pieces = cells.ravel().tolist()
-    pieces.insert(0, head)
-    pieces.append(tail)
-    return "".join(pieces)
+def _blocks(head: str, columns: np.ndarray, rows: np.ndarray,
+            lookups: List[Tuple[np.ndarray, np.ndarray]],
+            tail: str) -> Iterator[str]:
+    """head, the text of each grid cell in row-major order, then tail.
+
+    The text of cell (i, j) is columns[j], rows[i], then table[index[i, j]]
+    for each (table, index) in lookups.  The pieces are laid out by
+    indexing in an object array and joined one block of whole grid rows
+    at a time, so neither the pieces of the whole grid nor its text are
+    ever held at once.
+    """
+    yield head
+    step = max(1, _BLOCK_CELLS // len(columns))
+    for start in range(0, len(rows), step):
+        block_rows = rows[start:start + step]
+        cells = np.empty((len(block_rows), len(columns), 2 + len(lookups)),
+                         dtype=object)
+        cells[..., 0] = columns
+        cells[..., 1] = block_rows[:, None]
+        for k, (table, index) in enumerate(lookups, 2):
+            cells[..., k] = table[index[start:start + step]]
+        yield "".join(cells.ravel().tolist())
+    yield tail
+
+
+def _write(path: str, blocks: Iterator[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(blocks)
 
 
 def _by_code(texts: Dict[int, str]) -> np.ndarray:
@@ -284,10 +319,9 @@ def _regions_present(codes: np.ndarray) -> Dict[int, RegionClass]:
 
 
 def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:
-    """Write the SVG; identical inputs produce byte-identical files."""
-    text = render_svg(codes, spec)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write render_svg's text block by block; identical inputs produce
+    byte-identical files."""
+    _write(path, _svg_blocks(codes, spec))
 
 
 def grid_csv_text(codes: np.ndarray, margins: np.ndarray,
@@ -303,30 +337,40 @@ def grid_csv_text(codes: np.ndarray, margins: np.ndarray,
     then pieced together by indexing, with no Python per cell.  Raises
     DomainValidationError if a cell holds CODE_INVALID.
     """
+    return "".join(_csv_blocks(codes, margins, spec))
+
+
+def _csv_blocks(codes: np.ndarray, margins: np.ndarray,
+                spec: PlotSpec) -> Iterator[str]:
+    """The CSV in blocks; raises before returning, not while iterating."""
     res = spec.resolution
-    p_text = np.array([f"{p:.12g}," for p in
-                       np.linspace(spec.p_range[0], spec.p_range[1],
-                                   res).tolist()], dtype=object)
-    q_text = np.array([f"{q:.12g}," for q in
-                       np.linspace(spec.q_range[0], spec.q_range[1],
-                                   res).tolist()], dtype=object)
+    p_text = _g12(np.linspace(spec.p_range[0], spec.p_range[1], res), ",")
+    q_text = _g12(np.linspace(spec.q_range[0], spec.q_range[1], res), ",")
     labels = _by_code({code: f"{region.verdict.value},{region.citation},"
                        for code, region in _regions_present(codes).items()})
     bits, which = np.unique(np.ascontiguousarray(margins, dtype=np.float64)
                             .view(np.int64), return_inverse=True)
-    margin_text = np.array([f"{m:.12g}\n" for m in
-                            bits.view(np.float64).tolist()], dtype=object)
-    cells = np.empty(codes.shape + (4,), dtype=object)
-    cells[..., 0] = p_text
-    cells[..., 1] = q_text[:, None]
-    cells[..., 2] = labels[codes]
-    cells[..., 3] = margin_text[which.reshape(codes.shape)]
-    return _join_cells("p,q,verdict,citation,margin\n", cells, "")
+    margin_text = _g12(bits.view(np.float64), "\n")
+    return _blocks("p,q,verdict,citation,margin\n", p_text, q_text,
+                   [(labels, codes),
+                    (margin_text, which.reshape(codes.shape))], "")
+
+
+def _g12(values: np.ndarray, end: str) -> np.ndarray:
+    """f"{v:.12g}{end}" for each float v, end "," or newline, as an object
+    array.
+
+    One %-format writes every value on a line of its own ("%.12g" gives
+    the text of f"{v:.12g}", signed zeros, subnormals, inf and nan
+    included); the lines keep their newline only when end is one.
+    """
+    line = "%.12g\n" if end == "\n" else "%.12g" + end + "\n"
+    text = line * values.size % tuple(values.tolist())
+    return np.array(text.splitlines(end == "\n"), dtype=object)
 
 
 def emit_csv(codes: np.ndarray, margins: np.ndarray, spec: PlotSpec,
              path: str) -> None:
-    """Write grid_csv_text: UTF-8, LF-terminated, with a header row."""
-    text = grid_csv_text(codes, margins, spec)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write grid_csv_text block by block: UTF-8, LF-terminated, with a
+    header row."""
+    _write(path, _csv_blocks(codes, margins, spec))

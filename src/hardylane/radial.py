@@ -317,6 +317,11 @@ def _fd_hardy(N: int, mu: float, f: RadialFunction,
     return -(d2 + (N - 1) / r * d1) + mu / (r * r) * f0
 
 
+def _bounds_error(r_min: float, r_max: float) -> DomainValidationError:
+    return DomainValidationError(
+        f"need 0 < r_min < r_max, both finite, got [{r_min}, {r_max}]")
+
+
 @frozen
 class RadialGrid:
     """Logarithmically spaced radii on [r_min, r_max], origin excluded."""
@@ -328,9 +333,7 @@ class RadialGrid:
     def __post_init__(self):
         # inf passes 0 < r_min < r_max, and geomspace would give inf radii
         if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise DomainValidationError(
-                f"need 0 < r_min < r_max, both finite, got "
-                f"[{self.r_min}, {self.r_max}]")
+            raise _bounds_error(self.r_min, self.r_max)
         if self.count < 2:
             raise DomainValidationError(f"count must be >= 2, got {self.count}")
 
@@ -354,8 +357,12 @@ def log_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
     radii several times, while a domain search walks through many.  The
     radii are checked here, once per grid, as evaluate checks its radii
     (DomainValidationError unless all are positive), so verification
-    evaluates on them without checking again.
+    evaluates on them without checking again.  An infinite bound raises
+    as it does in RadialGrid, before geomspace would warn and make inf
+    radii.
     """
+    if math.isinf(r_min) or math.isinf(r_max):
+        raise _bounds_error(r_min, r_max)
     radii = np.geomspace(r_min, r_max, count)
     _as_radii(radii)
     radii.flags.writeable = False

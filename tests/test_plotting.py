@@ -1,13 +1,19 @@
+import math
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylane import _kernels as K
+from hardylane import plotting
 from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.plotting import (_COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H,
                                 _PLOT_W, PlotSpec, critical_curve_points,
-                                grid_csv_text, region_markers, render_svg)
+                                emit_csv, emit_svg, grid_csv_text,
+                                region_markers, render_svg)
 from hardylane.regions import _CITATIONS, _wrap, classify_field
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
@@ -232,9 +238,10 @@ def test_emitters_match_per_cell_oracles(grid):
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (3, 1), (-1, -1), None])
-def test_emitters_reject_invalid_code(cell):
+def test_emitters_reject_invalid_code(cell, tmp_path):
     # CODE_INVALID (-1) must never index a lookup table, where it would
-    # read the entry of the highest code present
+    # read the entry of the highest code present; the file writers raise
+    # before they open their file
     spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
                     resolution=4)
     codes = np.full((4, 4), K.CODE_DOTTED, dtype=np.int16)
@@ -247,3 +254,78 @@ def test_emitters_reject_invalid_code(cell):
         grid_csv_text(codes, margins, spec)
     with pytest.raises(DomainValidationError):
         render_svg(codes, spec)
+    with pytest.raises(DomainValidationError):
+        emit_csv(codes, margins, spec, str(tmp_path / "plot.csv"))
+    with pytest.raises(DomainValidationError):
+        emit_svg(codes, spec, str(tmp_path / "plot.svg"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _block_rows(res):
+    """Grid rows per block written at resolution res."""
+    return max(1, plotting._BLOCK_CELLS // res)
+
+
+def _res_whose_last_block(rows_left):
+    """The smallest res above 2 with at least two blocks of 3 or more rows
+    whose last block holds rows_left(full block) rows."""
+    return next(res for res in range(3, 4097)
+                if 3 <= _block_rows(res) < res // 2
+                and (res - 1) % _block_rows(res) + 1
+                == rows_left(_block_rows(res)))
+
+
+_BLOCK_CASES = {
+    "res 2": 2,
+    "one block, not full": math.isqrt(plotting._BLOCK_CELLS) - 1,
+    "last block one row short": _res_whose_last_block(lambda n: n - 1),
+    "last block full": _res_whose_last_block(lambda n: n),
+    "last block one row": _res_whose_last_block(lambda n: 1),
+}
+
+
+@pytest.mark.parametrize("res", list(_BLOCK_CASES.values()),
+                         ids=list(_BLOCK_CASES))
+def test_files_hold_the_text_functions_bytes(res, tmp_path):
+    # the files are written block by block; they must hold exactly the
+    # joined text, here with a non-ASCII title and every valid code
+    rng = np.random.default_rng(res)
+    codes = rng.choice(np.array(sorted(_CITATIONS), dtype=np.int16),
+                       size=(res, res))
+    pool = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1 / 3])
+    margins = np.where(rng.random((res, res)) < 0.5,
+                       pool[rng.integers(0, len(pool), (res, res))],
+                       rng.standard_normal((res, res)))
+    spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
+                    resolution=res, title="N=5 \u03bc\u2081=-2 \u03bc\u2082=-2")
+    emit_csv(codes, margins, spec, str(tmp_path / "plot.csv"))
+    emit_svg(codes, spec, str(tmp_path / "plot.svg"))
+    assert (tmp_path / "plot.csv").read_bytes() == \
+        grid_csv_text(codes, margins, spec).encode("utf-8")
+    assert (tmp_path / "plot.svg").read_bytes() == \
+        render_svg(codes, spec).encode("utf-8")
+
+
+@pytest.mark.parametrize("mus", [(-2.0, -2.0), (-2.0, 0.0), (0.0, -2.0),
+                                 (-2.25, 0.0)])
+def test_writers_hold_less_than_the_file(mus, tmp_path):
+    # a writer that built the whole text first would peak at about twice
+    # the file (the text and its UTF-8 copy); block by block, it holds the
+    # lookup tables and one block's pieces and text
+    params = HardyParams(5, *mus)
+    grid = np.linspace(0.1, 8.0, 300)
+    codes, margins, _ = classify_field(params, grid, grid)
+    spec = PlotSpec(params=params, p_range=(0.1, 8.0), q_range=(0.1, 8.0),
+                    resolution=300)
+    for name, write in (("csv", lambda path: emit_csv(codes, margins, spec,
+                                                      path)),
+                        ("svg", lambda path: emit_svg(codes, spec, path))):
+        path = str(tmp_path / f"plot.{name}")
+        write(path)                   # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path), (name, peak)

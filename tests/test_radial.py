@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +454,20 @@ class TestGrid:
         # the one check of a grid's radii, made where they are made
         with pytest.raises(DomainValidationError, match="radii must be"):
             log_radii(r_min, r_max, 4)
+
+    @pytest.mark.parametrize("r_min, r_max", [
+        (1e-6, math.inf), (-math.inf, 1.0), (math.inf, math.inf)])
+    def test_log_radii_reject_infinite_bounds(self, r_min, r_max):
+        # geomspace would warn and return inf radii; raise as RadialGrid does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainValidationError) as err:
+                log_radii(r_min, r_max, 4)
+            with pytest.raises(DomainValidationError) as grid_err:
+                RadialGrid(r_min, r_max, 4)
+        assert str(err.value) == str(grid_err.value)
+        assert "both finite" in str(err.value)
+        assert "\n" not in str(err.value)
 
     def test_count_type_is_kept(self):
         # np.geomspace rejects a float count; a cached int entry must not
