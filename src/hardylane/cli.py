@@ -33,11 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from .constructions import (CASE_IDS, build_candidate, find_scale,
-                            verify_on_grid)
+from .constructions import (CASE_IDS, SCALE_SCAN, build_candidate,
+                            find_scale, verify_on_grid)
 from .exponents import DomainValidationError, HardyParams, Powers
-from .iteration import Variant, iterate_clamped, iterate_plain
+from .iteration import DEFAULT_CAP, iterate_clamped, iterate_plain
 from .plotting import PlotSpec, emit_csv, emit_svg, region_markers
+from .radial import default_grid
 from .regions import (Verdict, WitnessMismatchError, classify,
                       classify_field, nonexistence_witness)
 from .schemas import SCHEMA_VERSION
@@ -229,7 +230,7 @@ def cmd_iterate(args) -> int:
     _require_args(args, ["p", "q"])
     pq = Powers(args.p, args.q)
     variant = args.variant or "plain"
-    cap = args.cap if args.cap is not None else 10_000
+    cap = args.cap if args.cap is not None else DEFAULT_CAP
     run = iterate_plain if variant == "plain" else iterate_clamped
     trace = run(params, pq, cap=cap)
     steps = [{"j": s.j, "tau1": s.tau1, "tau2": s.tau2,
@@ -269,14 +270,14 @@ def cmd_verify(args) -> int:
     _require_args(args, ["p", "q", "case"])
     pq = Powers(args.p, args.q)
     cand = build_candidate(args.case, params, pq)
-    grid_points = 512 if args.grid_points is None else args.grid_points
-    r_min = 1e-6 if args.r_min is None else args.r_min
-    from .radial import RadialGrid
-    grid = RadialGrid(r_min, cand.r_domain * (1.0 - 1e-3), grid_points)
+    given = {"count": args.grid_points, "r_min": args.r_min}
+    grid = default_grid(cand.r_domain,
+                        **{k: v for k, v in given.items() if v is not None})
     found = find_scale(cand, grid=grid)
     if found is None:
+        # reported at the smallest scale the scan tries
         t: Optional[float] = None
-        report = verify_on_grid(cand, t=SCALE_FALLBACK, grid=grid)
+        report = verify_on_grid(cand, t=SCALE_SCAN[-1], grid=grid)
     else:
         t, report = found
     record = {
@@ -300,9 +301,6 @@ def cmd_verify(args) -> int:
     }
     _emit_record(record, args)
     return EXIT_OK
-
-
-SCALE_FALLBACK = 2.0 ** -60  # reported when no scale verifies
 
 
 def cmd_plot(args) -> int:

@@ -20,6 +20,9 @@ the existence regions.  Writing t1 = tau_+(mu1), t2 = tau_+(mu2):
     C8  p in (plo, (N+t1)/(-t2)), e2 > 0:
         u = r^(t2 p+2),              v = r^t2 - r^((t2 p+2)q+2)
 
+C8 is C1's single-power pair with the roles mirrored: (v, u) is C1's
+(u, v) built from t2 with p and q exchanged.
+
 In every recipe the leading power is a kernel function of its operator, so
 the symbolic image has a single positive term and the supersolution slack
 at scale t has the pointwise form a(r) t - b(r) t^s with s > 1: small t
@@ -70,14 +73,18 @@ ORACLE_DEV_LIMIT = 1e-4
 ORACLE_STEP = 1e-4
 ORACLE_SAMPLES = 16
 
+#: Grid size and smallest ball radius of find_domain's search.
+DOMAIN_GRID_POINTS = 512
+DOMAIN_R_FLOOR = 1e-8
+
 
 @frozen
 class SupersolutionCandidate:
     """A candidate pair (u, v) for one construction case.
 
     The pair solves the system inequalities only after scaling by some
-    t in (0, 1]; t stays None until find_scale determines it.  r_domain
-    is the verification ball radius (1 except for the C3 log recipe).
+    t in (0, 1], which find_scale determines.  r_domain is the
+    verification ball radius (1 except for the C3 log recipe).
     """
 
     case_id: str
@@ -86,7 +93,6 @@ class SupersolutionCandidate:
     u: RadialFunction
     v: RadialFunction
     r_domain: float = 1.0
-    t: Optional[float] = None
     notes: Tuple[str, ...] = ()
 
 
@@ -118,6 +124,14 @@ def _require(cond: bool, case_id: str, msg: str, strict: bool,
     if strict:
         raise DomainValidationError(f"{case_id} hypothesis violated: {msg}")
     notes.append(f"hypothesis violated: {msg}")
+
+
+def _single_power_pair(t1: float, p: float, q: float
+                       ) -> Tuple[RadialFunction, RadialFunction]:
+    """C1's pair u = r^t1 - r^((t1 q+2)p+2), v = r^(t1 q+2)."""
+    tau2c = t1 * q + 2.0
+    return (RadialFunction.power_difference(t1, tau2c * p + 2.0),
+            RadialFunction.monomial(1.0, tau2c))
 
 
 def build_candidate(case_id: str, params: HardyParams, pq: Powers,
@@ -154,23 +168,14 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
     diff = RadialFunction.power_difference
 
     if case_id in ("C1", "C4"):
-        if case_id == "C1":
-            lo = bd.q_lower(t1, 0.0)
-        else:
-            lo = vals.q_lower
+        lo = bd.q_lower(t1, 0.0) if case_id == "C1" else vals.q_lower
         _require(lo < q < vals.q_upper, case_id,
                  f"q={q} outside the strip ({lo:g}, {vals.q_upper:g})",
                  strict, notes)
         _require(vals.e1 > 0.0, case_id, f"e1={vals.e1:g} not positive",
                  strict, notes)
-        tau2c = t1 * q + 2.0
-        tau1c = tau2c * p + 2.0
-        u = diff(t1, tau1c)
-        v = mono(1.0, tau2c)
-        return SupersolutionCandidate(case_id, params, pq, u, v,
-                                      notes=tuple(notes))
-
-    if case_id == "C2":
+        u, v = _single_power_pair(t1, p, q)
+    elif case_id == "C2":
         foot = bd.q_lower(t1, 0.0)
         _require(q < foot, case_id,
                  f"q={q} not below 2/(-t1)={foot:g}", strict, notes)
@@ -181,25 +186,17 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             # origin: the single-power v of C1 remains valid there.
             notes.append("two-term v not positive here; using the "
                          "single-power v recipe")
-            tau2c = tau4c
-            tau1c = tau2c * p + 2.0
-            u = diff(t1, tau1c)
-            v = mono(1.0, tau2c)
-            return SupersolutionCandidate(case_id, params, pq, u, v,
-                                          notes=tuple(notes))
-        if gap_edge > -LINE_TOL:
+            u, v = _single_power_pair(t1, p, q)
+        elif gap_edge > -LINE_TOL:
             raise DomainValidationError(
                 "C2 degenerates at q = (2 - tau_+(mu2))/(-tau_+(mu1)): "
                 "the candidate v vanishes")
-        tau3c = t2 * p + 2.0
-        if not tau4c > 0.0:
-            notes.append(f"exponent window note: t1*q+2 = {tau4c:g} <= 0")
-        u = diff(t1, tau3c)
-        v = diff(t2, tau4c)
-        return SupersolutionCandidate(case_id, params, pq, u, v,
-                                      notes=tuple(notes))
-
-    if case_id == "C3":
+        else:
+            if not tau4c > 0.0:
+                notes.append(f"exponent window note: t1*q+2 = {tau4c:g} <= 0")
+            u = diff(t1, t2 * p + 2.0)
+            v = diff(t2, tau4c)
+    elif case_id == "C3":
         qlo = bd.q_lower(t1, 0.0)
         _require(abs(q - qlo) <= LINE_TOL * max(1.0, qlo), case_id,
                  f"q={q} not on the line 2/(-t1)={qlo:g}", strict, notes)
@@ -207,38 +204,28 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             # the strip recipe is valid down to q = 2/(-t1) when t2 > 0
             notes.append("tau_+(mu2) > 0: single-power v recipe valid on "
                          "the line; no log factor needed")
-            tau2c = t1 * q + 2.0
-            tau1c = tau2c * p + 2.0
-            u = diff(t1, tau1c)
-            v = mono(1.0, tau2c)
-            return SupersolutionCandidate(case_id, params, pq, u, v,
+            u, v = _single_power_pair(t1, p, q)
+        else:
+            u = diff(t1, t2 * p + 1.0)
+            v = mono(1.0, t2, log_power=1)
+            cand = SupersolutionCandidate(case_id, params, pq, u, v,
                                           notes=tuple(notes))
-        tau5c = t2 * p + 1.0
-        u = diff(t1, tau5c)
-        v = mono(1.0, t2, log_power=1)
-        cand = SupersolutionCandidate(case_id, params, pq, u, v,
-                                      r_domain=1.0, notes=tuple(notes))
-        r1 = find_domain(cand)
-        return replace(cand, r_domain=r1,
-                       notes=cand.notes + (f"log recipe on the ball of "
-                                           f"radius {r1:g}",))
-
-    if case_id == "C5":
+            r1 = find_domain(cand)
+            return replace(cand, r_domain=r1,
+                           notes=cand.notes + (f"log recipe on the ball of "
+                                               f"radius {r1:g}",))
+    elif case_id == "C5":
         _require(q < vals.q_lower, case_id,
                  f"q={q} not below {vals.q_lower:g}", strict, notes)
         _require(p < vals.p_lower, case_id,
                  f"p={p} not below {vals.p_lower:g}", strict, notes)
-        tau3c = t2 * p + 2.0
         tau4c = t1 * q + 2.0
         if not tau4c < 0.0:
             # the recipe stays positive; the claimed window is informational
             notes.append(f"exponent window note: t1*q+2 = {tau4c:g} >= 0")
-        u = diff(t1, tau3c)
+        u = diff(t1, t2 * p + 2.0)
         v = diff(t2, tau4c)
-        return SupersolutionCandidate(case_id, params, pq, u, v,
-                                      notes=tuple(notes))
-
-    if case_id == "C6":
+    elif case_id == "C6":
         _require(abs(q - vals.q_lower) <= LINE_TOL * max(1.0, vals.q_lower),
                  case_id, f"q={q} not on the line {vals.q_lower:g}",
                  strict, notes)
@@ -249,13 +236,9 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                 "C6 needs mu2 > mu_zero: the log image coefficient "
                 "2 tau_+ + N - 2 vanishes at the threshold")
         eps0 = max(1e-3, t1 - (t2 * p + 2.0) + 1e-3)
-        tau6c = t2 * p + 2.0 + eps0
-        u = diff(t1, tau6c)
+        u = diff(t1, t2 * p + 2.0 + eps0)
         v = mono(1.0, t2, log_power=1)
-        return SupersolutionCandidate(case_id, params, pq, u, v,
-                                      notes=tuple(notes))
-
-    if case_id == "C7":
+    elif case_id == "C7":
         _require(abs(p - vals.p_lower) <= LINE_TOL * max(1.0, vals.p_lower),
                  case_id, f"p={p} not on the line {vals.p_lower:g}",
                  strict, notes)
@@ -265,23 +248,18 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             raise DomainValidationError(
                 "C7 needs mu1 > mu_zero: the log image coefficient "
                 "2 tau_+ + N - 2 vanishes at the threshold")
-        tau8c = t1 * q + 2.0
         u = mono(1.0, t1, log_power=1)
-        v = diff(t2, tau8c)
-        return SupersolutionCandidate(case_id, params, pq, u, v,
-                                      notes=tuple(notes))
+        v = diff(t2, t1 * q + 2.0)
+    else:  # C8
+        _require(vals.p_lower < p < vals.p_upper, case_id,
+                 f"p={p} outside the strip "
+                 f"({vals.p_lower:g}, {vals.p_upper:g})", strict, notes)
+        _require(vals.e2 > 0.0, case_id, f"e2={vals.e2:g} not positive",
+                 strict, notes)
+        v, u = _single_power_pair(t2, q, p)
 
-    # C8
-    _require(vals.p_lower < p < vals.p_upper, case_id,
-             f"p={p} outside the strip ({vals.p_lower:g}, {vals.p_upper:g})",
-             strict, notes)
-    _require(vals.e2 > 0.0, case_id, f"e2={vals.e2:g} not positive",
-             strict, notes)
-    tau10c = t2 * p + 2.0
-    tau9c = tau10c * q + 2.0
-    u = mono(1.0, tau10c)
-    v = diff(t2, tau9c)
-    return SupersolutionCandidate("C8", params, pq, u, v, notes=tuple(notes))
+    return SupersolutionCandidate(case_id, params, pq, u, v,
+                                  notes=tuple(notes))
 
 
 def _images(cand: SupersolutionCandidate
@@ -293,52 +271,65 @@ def _images(cand: SupersolutionCandidate
             _hardy_image(params.N, params.tau2, cand.v))
 
 
-def _grid_values(f: RadialFunction, radii: np.ndarray) -> np.ndarray:
-    """f at a grid's radii, which log_radii has already checked."""
-    return _term_sums(f, radii, False)[0]
-
-
 def _finite_positive(vals: np.ndarray) -> bool:
     """Every value finite and positive; NaN fails both comparisons."""
     return vals.min() > 0.0 and vals.max() < math.inf
 
 
-def _pair_defect(radii: np.ndarray, u_vals: np.ndarray,
-                 v_vals: np.ndarray) -> str:
-    """"" when u and v are finite and positive at every grid radius, else
-    a one-line diagnostic for u if it fails, else for v: the first radius
-    with a NaN or infinite value, or the radius of the smallest value."""
-    for name, vals in (("u", u_vals), ("v", v_vals)):
-        if not _finite_positive(vals):
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                return f"{name} is not finite near r={radii[bad.argmax()]:.3e}"
-            return f"{name} is not positive near r={radii[vals.argmin()]:.3e}"
-    return ""
+def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
+    """The values of u, v, Lu and Lv at radii that log_radii has checked,
+    then the symbolic images (Lu, Lv); None as soon as u, then v, is not
+    finite and positive there.  Overflow warnings are off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_vals = _term_sums(cand.u, radii, False)[0]
+        if not _finite_positive(u_vals):
+            return None
+        v_vals = _term_sums(cand.v, radii, False)[0]
+        if not _finite_positive(v_vals):
+            return None
+        images = _images(cand)
+        lu = _term_sums(images[0], radii, False)[0]
+        lv = _term_sums(images[1], radii, False)[0]
+    return u_vals, v_vals, lu, lv, images
+
+
+def _pair_defect(cand: SupersolutionCandidate, radii: np.ndarray) -> str:
+    """The one-line diagnostic of a pair that _evaluated rejects: for u if
+    it fails, else for v, the first radius with a NaN or infinite value,
+    or the radius of the smallest value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        name, vals = "u", _term_sums(cand.u, radii, False)[0]
+        if _finite_positive(vals):
+            name, vals = "v", _term_sums(cand.v, radii, False)[0]
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        return f"{name} is not finite near r={radii[bad.argmax()]:.3e}"
+    return f"{name} is not positive near r={radii[vals.argmin()]:.3e}"
 
 
 def _oracle_deviation(cand: SupersolutionCandidate,
                       images: Tuple[RadialFunction, RadialFunction],
-                      grid: RadialGrid, h: float, samples: int) -> float:
+                      grid: RadialGrid) -> float:
     """Scale-normalized max deviation between the two operator evaluations.
 
     Deviation at radius r is |symbolic - finite difference| divided by
     max(1, |symbolic|, sum of |term| magnitudes), which keeps the measure
     meaningful for steeply singular candidates where absolute comparison
-    would be dominated by the r^(tau-2) blow-up.  The sample radii are
-    log-spaced over [max(r_min, r_max/4), 0.85 r_max] with step
-    min(h, r/8).  images are the candidate's symbolic images Lu and Lv;
-    u and v each take one oracle call over all sample radii, and their
-    image one pass over its terms for its value and magnitude.  Both
-    oracle calls share one stencil, checked once; they give the bits of
-    hardy_fd_oracle(N, mu, f, radii, h_r), as params holds snapped mu.
-    A NaN deviation is skipped, not propagated into the maximum.
+    would be dominated by the r^(tau-2) blow-up.  The ORACLE_SAMPLES
+    sample radii are log-spaced over [max(r_min, r_max/4), 0.85 r_max]
+    with step min(ORACLE_STEP, r/8).  images are the candidate's symbolic
+    images Lu and Lv; u and v each take one oracle call over all sample
+    radii, and their image one pass over its terms for its value and
+    magnitude.  Both oracle calls share one stencil, checked once; they
+    give the bits of hardy_fd_oracle(N, mu, f, radii, h_r), as params
+    holds snapped mu.  A NaN deviation is skipped, not propagated into the
+    maximum.
     """
     params = cand.params
     r_hi = grid.r_max * 0.85
     r_lo = max(grid.r_min, 0.25 * grid.r_max)
-    radii = log_radii(r_lo, r_hi, samples)
-    stencil = _fd_stencil(radii, np.minimum(h, radii / 8.0))
+    radii = log_radii(r_lo, r_hi, ORACLE_SAMPLES)
+    stencil = _fd_stencil(radii, np.minimum(ORACLE_STEP, radii / 8.0))
     worst = 0.0
     for f, mu, image in ((cand.u, params.mu1, images[0]),
                          (cand.v, params.mu2, images[1])):
@@ -382,27 +373,21 @@ def _slacks_ok(min_u: float, min_v: float) -> bool:
             and min_u >= 0.0 and min_v >= 0.0)
 
 
-def _verified(cand: SupersolutionCandidate, grid: RadialGrid,
-              min_u: float, min_v: float,
-              images: Tuple[RadialFunction, RadialFunction],
-              h: float, samples: int, diagnostic: str = ""
-              ) -> VerificationReport:
-    """The report on a pair positive on the grid, from its slack minima at
-    the scale under test, its symbolic images (for the cross-check) and
-    the diagnostic of a NaN slack minimum."""
-    dev = _oracle_deviation(cand, images, grid, h, samples)
-    return VerificationReport(ok=_slacks_ok(min_u, min_v), min_slack_u=min_u,
-                              min_slack_v=min_v, grid=grid,
-                              oracle_max_dev=dev,
-                              oracle_exceeded=dev > ORACLE_DEV_LIMIT,
-                              positivity_ok=True, diagnostic=diagnostic)
+def _report(cand: SupersolutionCandidate, grid: RadialGrid, t: float,
+            min_u: float, min_v: float, evaluated) -> VerificationReport:
+    """The report at scale t on a pair that _evaluated accepts on the
+    grid, from its slack minima there and _evaluated's result."""
+    _, _, lu, lv, images = evaluated
+    dev = _oracle_deviation(cand, images, grid)
+    return VerificationReport(
+        ok=_slacks_ok(min_u, min_v), min_slack_u=min_u, min_slack_v=min_v,
+        grid=grid, oracle_max_dev=dev, oracle_exceeded=dev > ORACLE_DEV_LIMIT,
+        positivity_ok=True,
+        diagnostic=_slack_defect(grid.radii, t, min_u, min_v, lu, lv))
 
 
-def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
-                   grid: Optional[RadialGrid] = None, h: float = ORACLE_STEP,
-                   oracle_samples: int = ORACLE_SAMPLES, *,
-                   evaluated: Optional[Tuple[np.ndarray, ...]] = None
-                   ) -> VerificationReport:
+def verify_on_grid(cand: SupersolutionCandidate, t: float,
+                   grid: Optional[RadialGrid] = None) -> VerificationReport:
     """Check both scaled inequalities pointwise and cross-check the operator.
 
     The scaled pair is (t u, t v); the slacks are
@@ -410,60 +395,31 @@ def verify_on_grid(cand: SupersolutionCandidate, t: Optional[float] = None,
         slack_u(r) = t Lu(r) - (t v(r))^p,
         slack_v(r) = t Lv(r) - (t u(r))^q,
 
-    and ok means both minima over the grid are nonnegative.  A value of u
-    or v on the grid that is not positive, or not finite (u, v, Lu, Lv and
-    the slacks are evaluated with overflow warnings off), fails the report
-    with a diagnostic instead of raising on the fractional power.  A slack
-    minimum that is NaN (an image that overflows to inf against an
-    infinite power, or is NaN) fails the report too, with a diagnostic
-    naming the image; an infinite slack is decided by its sign.
-    oracle_samples must be an int >= 1.
-
-    evaluated, if given, is (u, v, Lu, Lv) already evaluated at
-    grid.radii for this candidate; they are used instead of evaluating
-    again.  Their shapes must match the grid, and the positivity check
-    still runs on them.  The operator cross-check always evaluates its own
-    sample radii.  find_scale gives the same report for the scale it
-    accepts without calling this function: it shares the same private
-    verification step and hands it the images it has already built.
+    and ok means both minima over the grid (default_grid(cand.r_domain)
+    unless given) are nonnegative.  t must be finite and positive.  A
+    value of u or v on the grid that is not positive, or not finite (u,
+    v, Lu, Lv and the slacks are evaluated with overflow warnings off),
+    fails the report with a diagnostic instead of raising on the
+    fractional power.  A slack minimum that is NaN (an image that
+    overflows to inf against an infinite power, or is NaN) fails the
+    report too, with a diagnostic naming the image; an infinite slack is
+    decided by its sign.  find_scale's report for the scale it accepts is
+    this function's, bit for bit: both run _evaluated and _report.
     """
-    if t is None:
-        t = cand.t
-    if t is None or not (t > 0.0):
-        raise DomainValidationError("verification needs a positive scale t")
-    if not (isinstance(oracle_samples, (int, np.integer))
-            and not isinstance(oracle_samples, bool) and oracle_samples >= 1):
+    if not 0.0 < t < math.inf:
         raise DomainValidationError(
-            f"oracle_samples must be an int >= 1, got {oracle_samples!r}")
+            "verification needs a finite positive scale t")
     if grid is None:
         grid = default_grid(cand.r_domain)
     radii = grid.radii
-
+    evaluated = _evaluated(cand, radii)
     if evaluated is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_vals = _grid_values(cand.u, radii)
-            v_vals = _grid_values(cand.v, radii)
-    else:
-        if len(evaluated) != 4 or any(np.shape(a) != radii.shape
-                                      for a in evaluated):
-            raise DomainValidationError(
-                "evaluated must be (u, v, Lu, Lv) at the grid's radii")
-        u_vals, v_vals, lu, lv = map(np.asarray, evaluated)
-    defect = _pair_defect(radii, u_vals, v_vals)
-    if defect:
         return VerificationReport(
             ok=False, min_slack_u=math.nan, min_slack_v=math.nan, grid=grid,
             oracle_max_dev=math.nan, oracle_exceeded=False,
-            positivity_ok=False, diagnostic=defect)
-
-    images = _images(cand)
-    if evaluated is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lu = _grid_values(images[0], radii)
-            lv = _grid_values(images[1], radii)
-    min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
-    return _verified(cand, grid, min_u, min_v, images, h, oracle_samples,
-                     _slack_defect(radii, t, min_u, min_v, lu, lv))
+            positivity_ok=False, diagnostic=_pair_defect(cand, radii))
+    min_u, min_v = _grid_slacks(cand, t, *evaluated[:4])
+    return _report(cand, grid, t, min_u, min_v, evaluated)
 
 
 def find_scale(cand: SupersolutionCandidate,
@@ -474,61 +430,53 @@ def find_scale(cand: SupersolutionCandidate,
     Both slacks have the pointwise form a(r) t - b(r) t^s with s > 1 and
     a, b >= 0 where the recipe is valid, so acceptance is monotone in t and
     the first hit of the descending scan is the largest accepted scale.
-    u, v, the symbolic images Lu, Lv and their values are computed once;
+    _evaluated computes u, v, the symbolic images and their values once;
     the scan evaluates the slack minima only, and the accepted scale gets
-    the full report of verify_on_grid (including the operator
-    cross-check, which reuses the images), bit for bit.  Returns None when
+    _report's full report (including the operator cross-check, which
+    reuses the images), the same as verify_on_grid's.  Returns None when
     no scale verifies: either the hypothesis is violated or the grid is
     too coarse, or u or v is not positive or not finite on the grid;
     callers decide, nothing is masked.
     """
     if grid is None:
         grid = default_grid(cand.r_domain)
-    radii = grid.radii
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_vals = _grid_values(cand.u, radii)
-        if not _finite_positive(u_vals):
-            return None
-        v_vals = _grid_values(cand.v, radii)
-        if not _finite_positive(v_vals):
-            return None
-        images = _images(cand)
-        lu = _grid_values(images[0], radii)
-        lv = _grid_values(images[1], radii)
+    evaluated = _evaluated(cand, grid.radii)
+    if evaluated is None:
+        return None
+    u_vals, v_vals, lu, lv, _ = evaluated
     for t in SCALE_SCAN:
         min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
         if _slacks_ok(min_u, min_v):
-            return t, _verified(cand, grid, min_u, min_v, images,
-                                ORACLE_STEP, ORACLE_SAMPLES)
+            return t, _report(cand, grid, t, min_u, min_v, evaluated)
     return None
 
 
-def find_domain(cand: SupersolutionCandidate, grid_points: int = 512,
-                r_floor: float = 1e-8) -> float:
+def find_domain(cand: SupersolutionCandidate) -> float:
     """Largest ball radius on which a log-bearing candidate verifies.
 
-    Bisects r1 in (r_floor, 1): feasibility at r1 means some scale t passes
-    verification on a log grid over (r1 * 1e-6, r1].  Candidates without a
-    log factor in v are valid on the unit ball and return 1 unchanged.
+    Bisects r1 in (DOMAIN_R_FLOOR, 1): feasibility at r1 means some scale
+    t passes verification on a DOMAIN_GRID_POINTS log grid over
+    (r1 * 1e-6, r1].  Candidates without a log factor in v are valid on
+    the unit ball and return 1 unchanged.
     """
     if all(term.log_power == 0 for term in cand.v.terms):
         return 1.0
 
     def feasible(r1: float) -> bool:
-        g = RadialGrid(r1 * 1e-6, r1, grid_points)
-        return find_scale(replace(cand, r_domain=r1), grid=g) is not None
+        g = RadialGrid(r1 * 1e-6, r1, DOMAIN_GRID_POINTS)
+        return find_scale(cand, grid=g) is not None
 
     hi = 1.0 - 1e-6
     if feasible(hi):
         return hi
     lo = hi
-    while lo > r_floor:
+    while lo > DOMAIN_R_FLOOR:
         lo *= 0.25
         if feasible(lo):
             break
     else:
         raise DomainValidationError(
-            f"no verification radius found above {r_floor:g}")
+            f"no verification radius found above {DOMAIN_R_FLOOR:g}")
     # invariant: feasible(lo), not feasible(hi)
     for _ in range(40):
         mid = math.sqrt(lo * hi)
