@@ -159,15 +159,19 @@ def classify_codes(N, mu1, mu2, p, q):
     p and q are equal-length 1-D arrays.  N, mu1 and mu2 are arrays of the
     same length or scalars (one parameter triple for every point, as on a
     region grid).  Point i gets exactly classify_code(N[i], mu1[i], mu2[i],
-    p[i], q[i]).
+    p[i], q[i]).  When all five are scalars the one point is classified
+    as a batch of one and the outputs are 0-d arrays holding
+    classify_code(N, mu1, mu2, p, q).
     """
     N = np.asarray(N, dtype=np.int64)
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu2 = np.asarray(mu2, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    shape = np.broadcast_shapes(N.shape, mu1.shape, mu2.shape, p.shape,
-                                q.shape)
+    out_shape = np.broadcast_shapes(N.shape, mu1.shape, mu2.shape, p.shape,
+                                    q.shape)
+    # points() gathers by flat index, which a 0-d array does not take
+    shape = out_shape or (1,)
     codes = np.full(shape, CODE_INVALID, dtype=np.int16)
     margins = np.full(shape, np.nan)
     flags = np.zeros(shape, dtype=np.uint8)
@@ -213,5 +217,7 @@ def classify_codes(N, mu1, mu2, p, q):
         codes[idx] = CODE_OUT_OF_SCOPE
         margins[idx] = _min(at(mu1), at(mu2))
         flags[idx] = 2 << REGIME_SHIFT
+    if not out_shape:
+        return codes.reshape(()), margins.reshape(()), flags.reshape(())
     return codes, margins, flags
 

@@ -31,7 +31,12 @@ always wins where the recipe is valid.
 Verification is grid-based, not a proof: both inequalities are checked at
 log-spaced radii and the symbolic operator is cross-checked against the
 finite-difference oracle at sample radii.  Failures are reported, never
-masked.
+masked.  Each candidate gets one verification pass: u, v, Lu and Lv are
+evaluated once on the grid, the scale scan computes slack minima only,
+and the report, cross-check included, is built for the accepted scale
+alone.  The cross-check's sample radii and stencil are built once per
+grid and shared, u and v go through one stacked finite-difference pass,
+and find_domain's probes scan without building a report.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
@@ -45,6 +50,7 @@ Known degeneracies handled here rather than assumed away:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from typing import Optional, Tuple
@@ -117,10 +123,12 @@ class VerificationReport:
     diagnostic: str = ""
 
 
-def _require(cond: bool, case_id: str, msg: str, strict: bool,
-             notes: list) -> None:
-    if cond:
-        return
+def _violated(case_id: str, msg: str, strict: bool, notes: list) -> None:
+    """A case hypothesis does not hold: raise if strict, else note it.
+
+    Callers test the hypothesis first, so the message is formatted only
+    for a violation.
+    """
     if strict:
         raise DomainValidationError(f"{case_id} hypothesis violated: {msg}")
     notes.append(f"hypothesis violated: {msg}")
@@ -158,27 +166,29 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
 
     # strict in both modes: the recipe has no exponents outside its regime
     if case_id in ("C1", "C2", "C3"):
-        _require(regime_a, case_id, "needs mu1 < 0 <= mu2", True, notes)
-    else:
-        _require(regime_b, case_id, "needs mu1, mu2 < 0", True, notes)
-    _require(p > 1.0 and q > 1.0, case_id,
-             "constructions assume p, q > 1", strict, notes)
+        if not regime_a:
+            _violated(case_id, "needs mu1 < 0 <= mu2", True, notes)
+    elif not regime_b:
+        _violated(case_id, "needs mu1, mu2 < 0", True, notes)
+    if not (p > 1.0 and q > 1.0):
+        _violated(case_id, "constructions assume p, q > 1", strict, notes)
 
     mono = RadialFunction.monomial
     diff = RadialFunction.power_difference
 
     if case_id in ("C1", "C4"):
         lo = bd.q_lower(t1, 0.0) if case_id == "C1" else vals.q_lower
-        _require(lo < q < vals.q_upper, case_id,
-                 f"q={q} outside the strip ({lo:g}, {vals.q_upper:g})",
-                 strict, notes)
-        _require(vals.e1 > 0.0, case_id, f"e1={vals.e1:g} not positive",
-                 strict, notes)
+        if not lo < q < vals.q_upper:
+            _violated(case_id, f"q={q} outside the strip "
+                      f"({lo:g}, {vals.q_upper:g})", strict, notes)
+        if not vals.e1 > 0.0:
+            _violated(case_id, f"e1={vals.e1:g} not positive", strict, notes)
         u, v = _single_power_pair(t1, p, q)
     elif case_id == "C2":
         foot = bd.q_lower(t1, 0.0)
-        _require(q < foot, case_id,
-                 f"q={q} not below 2/(-t1)={foot:g}", strict, notes)
+        if not q < foot:
+            _violated(case_id, f"q={q} not below 2/(-t1)={foot:g}", strict,
+                      notes)
         tau4c = t1 * q + 2.0
         gap_edge = t2 - tau4c  # > 0 where the paper's two-term v is positive
         if gap_edge > LINE_TOL:
@@ -198,8 +208,9 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             v = diff(t2, tau4c)
     elif case_id == "C3":
         qlo = bd.q_lower(t1, 0.0)
-        _require(abs(q - qlo) <= LINE_TOL * max(1.0, qlo), case_id,
-                 f"q={q} not on the line 2/(-t1)={qlo:g}", strict, notes)
+        if not abs(q - qlo) <= LINE_TOL * max(1.0, qlo):
+            _violated(case_id, f"q={q} not on the line 2/(-t1)={qlo:g}",
+                      strict, notes)
         if t2 > 0.0:
             # the strip recipe is valid down to q = 2/(-t1) when t2 > 0
             notes.append("tau_+(mu2) > 0: single-power v recipe valid on "
@@ -215,10 +226,12 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                            notes=cand.notes + (f"log recipe on the ball of "
                                                f"radius {r1:g}",))
     elif case_id == "C5":
-        _require(q < vals.q_lower, case_id,
-                 f"q={q} not below {vals.q_lower:g}", strict, notes)
-        _require(p < vals.p_lower, case_id,
-                 f"p={p} not below {vals.p_lower:g}", strict, notes)
+        if not q < vals.q_lower:
+            _violated(case_id, f"q={q} not below {vals.q_lower:g}", strict,
+                      notes)
+        if not p < vals.p_lower:
+            _violated(case_id, f"p={p} not below {vals.p_lower:g}", strict,
+                      notes)
         tau4c = t1 * q + 2.0
         if not tau4c < 0.0:
             # the recipe stays positive; the claimed window is informational
@@ -226,11 +239,12 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         u = diff(t1, t2 * p + 2.0)
         v = diff(t2, tau4c)
     elif case_id == "C6":
-        _require(abs(q - vals.q_lower) <= LINE_TOL * max(1.0, vals.q_lower),
-                 case_id, f"q={q} not on the line {vals.q_lower:g}",
-                 strict, notes)
-        _require(p < vals.p_lower, case_id,
-                 f"p={p} not below {vals.p_lower:g}", strict, notes)
+        if not abs(q - vals.q_lower) <= LINE_TOL * max(1.0, vals.q_lower):
+            _violated(case_id, f"q={q} not on the line {vals.q_lower:g}",
+                      strict, notes)
+        if not p < vals.p_lower:
+            _violated(case_id, f"p={p} not below {vals.p_lower:g}", strict,
+                      notes)
         if params.mu2 <= mu_zero(params.N):
             raise DomainValidationError(
                 "C6 needs mu2 > mu_zero: the log image coefficient "
@@ -239,11 +253,12 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         u = diff(t1, t2 * p + 2.0 + eps0)
         v = mono(1.0, t2, log_power=1)
     elif case_id == "C7":
-        _require(abs(p - vals.p_lower) <= LINE_TOL * max(1.0, vals.p_lower),
-                 case_id, f"p={p} not on the line {vals.p_lower:g}",
-                 strict, notes)
-        _require(q < vals.q_lower, case_id,
-                 f"q={q} not below {vals.q_lower:g}", strict, notes)
+        if not abs(p - vals.p_lower) <= LINE_TOL * max(1.0, vals.p_lower):
+            _violated(case_id, f"p={p} not on the line {vals.p_lower:g}",
+                      strict, notes)
+        if not q < vals.q_lower:
+            _violated(case_id, f"q={q} not below {vals.q_lower:g}", strict,
+                      notes)
         if params.mu1 <= mu_zero(params.N):
             raise DomainValidationError(
                 "C7 needs mu1 > mu_zero: the log image coefficient "
@@ -251,11 +266,11 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         u = mono(1.0, t1, log_power=1)
         v = diff(t2, t1 * q + 2.0)
     else:  # C8
-        _require(vals.p_lower < p < vals.p_upper, case_id,
-                 f"p={p} outside the strip "
-                 f"({vals.p_lower:g}, {vals.p_upper:g})", strict, notes)
-        _require(vals.e2 > 0.0, case_id, f"e2={vals.e2:g} not positive",
-                 strict, notes)
+        if not vals.p_lower < p < vals.p_upper:
+            _violated(case_id, f"p={p} outside the strip "
+                      f"({vals.p_lower:g}, {vals.p_upper:g})", strict, notes)
+        if not vals.e2 > 0.0:
+            _violated(case_id, f"e2={vals.e2:g} not positive", strict, notes)
         v, u = _single_power_pair(t2, q, p)
 
     return SupersolutionCandidate(case_id, params, pq, u, v,
@@ -279,17 +294,16 @@ def _finite_positive(vals: np.ndarray) -> bool:
 def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
     """The values of u, v, Lu and Lv at radii that log_radii has checked,
     then the symbolic images (Lu, Lv); None as soon as u, then v, is not
-    finite and positive there.  Overflow warnings are off."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_vals = _term_sums(cand.u, radii, False)[0]
-        if not _finite_positive(u_vals):
-            return None
-        v_vals = _term_sums(cand.v, radii, False)[0]
-        if not _finite_positive(v_vals):
-            return None
-        images = _images(cand)
-        lu = _term_sums(images[0], radii, False)[0]
-        lv = _term_sums(images[1], radii, False)[0]
+    finite and positive there.  Callers turn overflow warnings off."""
+    u_vals = _term_sums(cand.u, radii, False)[0]
+    if not _finite_positive(u_vals):
+        return None
+    v_vals = _term_sums(cand.v, radii, False)[0]
+    if not _finite_positive(v_vals):
+        return None
+    images = _images(cand)
+    lu = _term_sums(images[0], radii, False)[0]
+    lv = _term_sums(images[1], radii, False)[0]
     return u_vals, v_vals, lu, lv, images
 
 
@@ -307,6 +321,25 @@ def _pair_defect(cand: SupersolutionCandidate, radii: np.ndarray) -> str:
     return f"{name} is not positive near r={radii[vals.argmin()]:.3e}"
 
 
+@functools.lru_cache(maxsize=8)
+def _oracle_stencil(r_min: float, r_max: float
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator cross-check's (r, h, stencil), from _fd_stencil, for a
+    grid with bounds [r_min, r_max]; every array is shared and read-only.
+
+    The ORACLE_SAMPLES sample radii r are log-spaced over
+    [max(r_min, r_max/4), 0.85 r_max] with step h = min(ORACLE_STEP, r/8).
+    They depend on the bounds alone, so every candidate verified on a grid
+    shares one geometry, built and checked once; as in log_radii, the few
+    most recent grids are kept.
+    """
+    radii = log_radii(max(r_min, 0.25 * r_max), r_max * 0.85, ORACLE_SAMPLES)
+    r, h, points = _fd_stencil(radii, np.minimum(ORACLE_STEP, radii / 8.0))
+    h.flags.writeable = False
+    points.flags.writeable = False
+    return r, h, points
+
+
 def _oracle_deviation(cand: SupersolutionCandidate,
                       images: Tuple[RadialFunction, RadialFunction],
                       grid: RadialGrid) -> float:
@@ -315,29 +348,29 @@ def _oracle_deviation(cand: SupersolutionCandidate,
     Deviation at radius r is |symbolic - finite difference| divided by
     max(1, |symbolic|, sum of |term| magnitudes), which keeps the measure
     meaningful for steeply singular candidates where absolute comparison
-    would be dominated by the r^(tau-2) blow-up.  The ORACLE_SAMPLES
-    sample radii are log-spaced over [max(r_min, r_max/4), 0.85 r_max]
-    with step min(ORACLE_STEP, r/8).  images are the candidate's symbolic
-    images Lu and Lv; u and v each take one oracle call over all sample
-    radii, and their image one pass over its terms for its value and
-    magnitude.  Both oracle calls share one stencil, checked once; they
-    give the bits of hardy_fd_oracle(N, mu, f, radii, h_r), as params
-    holds snapped mu.  A NaN deviation is skipped, not propagated into the
-    maximum.
+    would be dominated by the r^(tau-2) blow-up.  The sample radii and
+    stencil are the grid's shared _oracle_stencil.  images are the
+    candidate's symbolic images Lu and Lv, each evaluated in one pass over
+    its terms for its value and magnitude.  u's and v's stencil values are
+    stacked for one _fd_hardy pass with mu1 and mu2 per row; each row has
+    the bits of hardy_fd_oracle(N, mu, f, radii, h_r), as params holds
+    snapped mu.  The deviation is reduced over both rows at once; a NaN
+    deviation is skipped, not propagated into the maximum.
     """
     params = cand.params
-    r_hi = grid.r_max * 0.85
-    r_lo = max(grid.r_min, 0.25 * grid.r_max)
-    radii = log_radii(r_lo, r_hi, ORACLE_SAMPLES)
-    stencil = _fd_stencil(radii, np.minimum(ORACLE_STEP, radii / 8.0))
-    worst = 0.0
-    for f, mu, image in ((cand.u, params.mu1, images[0]),
-                         (cand.v, params.mu2, images[1])):
-        fd = _fd_hardy(params.N, mu, f, stencil)
-        sym, mag = _term_sums(image, radii, True)
-        dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
-        worst = max(worst, float(np.fmax.reduce(dev)))
-    return worst
+    r, h, points = _oracle_stencil(grid.r_min, grid.r_max)
+    # shape (5, 2, n): one row per stencil offset holding u's values, then
+    # v's; contiguous, which numpy runs faster than a transposed stack
+    values = np.concatenate((_term_sums(cand.u, points, False)[0],
+                             _term_sums(cand.v, points, False)[0]),
+                            axis=1).reshape(5, 2, -1)
+    fd = _fd_hardy(params.N, np.array(((params.mu1,), (params.mu2,))),
+                   values, r, h)
+    (sym_u, mag_u), (sym_v, mag_v) = [_term_sums(image, r, True)
+                                      for image in images]
+    sym, mag = np.array((sym_u, sym_v)), np.array((mag_u, mag_v))
+    dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
+    return max(0.0, float(np.fmax.reduce(dev, axis=None)))
 
 
 def _grid_slacks(cand: SupersolutionCandidate, t: float,
@@ -346,11 +379,11 @@ def _grid_slacks(cand: SupersolutionCandidate, t: float,
     """Minima of the two scaled inequality slacks over the grid.
 
     An image that overflows gives an infinite slack, or a NaN one (inf -
-    inf), with warnings off; a NaN makes that minimum NaN.
+    inf); a NaN makes that minimum NaN.  Callers turn overflow and
+    invalid-value warnings off.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        slack_u = t * lu - np.power(t * v_vals, cand.pq.p)
-        slack_v = t * lv - np.power(t * u_vals, cand.pq.q)
+    slack_u = t * lu - np.power(t * v_vals, cand.pq.p)
+    slack_v = t * lv - np.power(t * u_vals, cand.pq.q)
     return float(slack_u.min()), float(slack_v.min())
 
 
@@ -412,14 +445,36 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
     if grid is None:
         grid = default_grid(cand.r_domain)
     radii = grid.radii
-    evaluated = _evaluated(cand, radii)
-    if evaluated is None:
-        return VerificationReport(
-            ok=False, min_slack_u=math.nan, min_slack_v=math.nan, grid=grid,
-            oracle_max_dev=math.nan, oracle_exceeded=False,
-            positivity_ok=False, diagnostic=_pair_defect(cand, radii))
-    min_u, min_v = _grid_slacks(cand, t, *evaluated[:4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluated = _evaluated(cand, radii)
+        if evaluated is None:
+            return VerificationReport(
+                ok=False, min_slack_u=math.nan, min_slack_v=math.nan,
+                grid=grid, oracle_max_dev=math.nan, oracle_exceeded=False,
+                positivity_ok=False, diagnostic=_pair_defect(cand, radii))
+        min_u, min_v = _grid_slacks(cand, t, *evaluated[:4])
     return _report(cand, grid, t, min_u, min_v, evaluated)
+
+
+def _scan(cand: SupersolutionCandidate, grid: RadialGrid):
+    """find_scale's scan without the report: (t, (min_u, min_v),
+    evaluated) for the largest scale of SCALE_SCAN whose slack minima on
+    the grid pass, with _evaluated's result; None when _evaluated rejects
+    the pair or no scale passes.
+
+    Overflow warnings are turned off once, around the evaluation and every
+    step of the scan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluated = _evaluated(cand, grid.radii)
+        if evaluated is None:
+            return None
+        u_vals, v_vals, lu, lv, _ = evaluated
+        for t in SCALE_SCAN:
+            minima = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
+            if _slacks_ok(*minima):
+                return t, minima, evaluated
+    return None
 
 
 def find_scale(cand: SupersolutionCandidate,
@@ -430,41 +485,38 @@ def find_scale(cand: SupersolutionCandidate,
     Both slacks have the pointwise form a(r) t - b(r) t^s with s > 1 and
     a, b >= 0 where the recipe is valid, so acceptance is monotone in t and
     the first hit of the descending scan is the largest accepted scale.
-    _evaluated computes u, v, the symbolic images and their values once;
-    the scan evaluates the slack minima only, and the accepted scale gets
-    _report's full report (including the operator cross-check, which
-    reuses the images), the same as verify_on_grid's.  Returns None when
-    no scale verifies: either the hypothesis is violated or the grid is
-    too coarse, or u or v is not positive or not finite on the grid;
-    callers decide, nothing is masked.
+    The scan (_scan) evaluates u, v, the symbolic images and their values
+    once and computes the slack minima only; the report is built for the
+    accepted scale alone, by _report (including the operator cross-check
+    on the grid's shared oracle stencil, which reuses the images), the
+    same as verify_on_grid's.  Returns None when no scale verifies: either
+    the hypothesis is violated or the grid is too coarse, or u or v is not
+    positive or not finite on the grid; callers decide, nothing is masked.
     """
     if grid is None:
         grid = default_grid(cand.r_domain)
-    evaluated = _evaluated(cand, grid.radii)
-    if evaluated is None:
+    found = _scan(cand, grid)
+    if found is None:
         return None
-    u_vals, v_vals, lu, lv, _ = evaluated
-    for t in SCALE_SCAN:
-        min_u, min_v = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
-        if _slacks_ok(min_u, min_v):
-            return t, _report(cand, grid, t, min_u, min_v, evaluated)
-    return None
+    t, (min_u, min_v), evaluated = found
+    return t, _report(cand, grid, t, min_u, min_v, evaluated)
 
 
 def find_domain(cand: SupersolutionCandidate) -> float:
     """Largest ball radius on which a log-bearing candidate verifies.
 
     Bisects r1 in (DOMAIN_R_FLOOR, 1): feasibility at r1 means some scale
-    t passes verification on a DOMAIN_GRID_POINTS log grid over
-    (r1 * 1e-6, r1].  Candidates without a log factor in v are valid on
-    the unit ball and return 1 unchanged.
+    t passes find_scale's scan on a DOMAIN_GRID_POINTS log grid over
+    (r1 * 1e-6, r1].  A probe runs the scan alone and builds no report:
+    only whether a scale passes decides it.  Candidates without a log
+    factor in v are valid on the unit ball and return 1 unchanged.
     """
     if all(term.log_power == 0 for term in cand.v.terms):
         return 1.0
 
     def feasible(r1: float) -> bool:
         g = RadialGrid(r1 * 1e-6, r1, DOMAIN_GRID_POINTS)
-        return find_scale(cand, grid=g) is not None
+        return _scan(cand, g) is not None
 
     hi = 1.0 - 1e-6
     if feasible(hi):

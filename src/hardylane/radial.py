@@ -269,12 +269,13 @@ def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
     element must satisfy 0 < h < r/4, and the whole stencil is one
     evaluation.  Each element gets the same arithmetic as a scalar call,
     and scalar r and h return a float.  This validates N, mu, r and h,
-    then applies _fd_hardy to the stencil of _fd_stencil; a caller that
-    checks several functions at the same radii builds the stencil once.
+    then applies _fd_hardy to f's values on the stencil of _fd_stencil; a
+    caller that checks several functions at the same radii builds the
+    stencil once and stacks their values for one _fd_hardy pass.
     """
     mu = snap_mu(N, mu)
-    stencil = _fd_stencil(r, h)
-    out = _fd_hardy(N, mu, f, stencil)
+    r, h, points = _fd_stencil(r, h)
+    out = _fd_hardy(N, mu, _term_sums(f, points, False)[0], r, h)
     return float(out) if out.ndim == 0 else out
 
 
@@ -302,16 +303,19 @@ def _fd_stencil(r: ArrayLike, h: ArrayLike
     return r, h, stencil
 
 
-def _fd_hardy(N: int, mu: float, f: RadialFunction,
-              stencil: Tuple[np.ndarray, np.ndarray, np.ndarray]
-              ) -> np.ndarray:
-    """The finite-difference operator on a stencil from _fd_stencil, for a
-    validated N and a snapped mu.
+def _fd_hardy(N: int, mu: ArrayLike, values: np.ndarray, r: np.ndarray,
+              h: np.ndarray) -> np.ndarray:
+    """The finite-difference operator from values on a stencil of
+    _fd_stencil's (r, h), for a validated N and a snapped mu.
 
-    The one place the 5-point combinations are written.
+    values holds one row per stencil offset k = -2..2: a function's values
+    at r + k h (shape (5,) + r.shape), or m functions' values stacked
+    inside each row (shape (5, m) + r.shape) with one mu per function
+    (shape (m, 1) for 1-D r).  Every element gets the arithmetic of a
+    single function's pass, so stacking changes no bits.  The one place
+    the 5-point combinations are written.
     """
-    r, h, points = stencil
-    fm2, fm1, f0, fp1, fp2 = _term_sums(f, points, False)[0]
+    fm2, fm1, f0, fp1, fp2 = values
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     d2 = (fp2 - 2.0 * f0 + fm2) / (4.0 * h * h)
     return -(d2 + (N - 1) / r * d1) + mu / (r * r) * f0

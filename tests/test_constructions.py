@@ -39,6 +39,49 @@ ACCEPTING = (("C1", A_PARAMS, Powers(2, 3)), ("C2", A_PARAMS, Powers(1.5, 1.5)),
              ("C8", B_PARAMS, Powers(3.2, 1.5)))
 
 
+#: find_scale's (t, min_slack_u, min_slack_v, oracle_max_dev) by float.hex
+#: at one accepting point per case, the worked C1 instance first, C3 both
+#: with tau_+(mu2) > 0 (single-power v) and on the log recipe.
+GOLDEN = (
+    ("C1", (5, -2.0, 0.0, 2.0, 3.0),
+     ("0x1.0000000000000p+0", "0x1.008344d4b1fc7p+0",
+      "0x1.00c500788d518p+1", "0x1.588d97c9f287ep-19")),
+    ("C1", (5, -2.0, 1.0, 1.2, 3.5),
+     ("0x1.0000000000000p+0", "0x1.a498c601a6378p+0",
+      "0x1.a175938174614p+1", "0x1.5aa43d8c678bbp-19")),
+    ("C2", (5, -2.0, 0.0, 1.5, 1.5),
+     ("0x1.0000000000000p+0", "0x1.600c48f10201ep+3",
+      "0x1.c0a17a86fa97bp+0", "0x1.cc6475eeaaaabp-18")),
+    ("C3", (5, -2.0, 4.0, 1.5, 2.0),
+     ("0x1.0000000000000p+0", "0x1.6000000000000p+3",
+      "0x1.00831f15032c3p+2", "0x1.cc6475eeaaaabp-18")),
+    ("C3", (5, -2.0, 0.0, 1.5, 2.0),
+     ("0x1.0000000000000p+0", "0x1.8061fb459bcb2p+2",
+      "0x1.80c4f8060a511p+1", "0x1.cc01e9a33629cp-19")),
+    ("C4", (5, -2.0, -2.0, 1.5, 3.2),
+     ("0x1.0000000000000p-2", "0x1.1269eb555e659p-1",
+      "0x1.48bb1483ea514p-5", "0x1.8da5dad970e4dp-17")),
+    ("C5", (5, -2.0, -2.0, 2.0, 2.5),
+     ("0x1.0000000000000p-1", "0x1.008343c79669fp+0",
+      "0x1.80f6307324095p-2", "0x1.8c76db31c5d0fp-19")),
+    ("C6", (5, -2.0, -2.0, 2.0, 3.0),
+     ("0x1.0000000000000p-7", "0x1.00e5bc8eab771p-6",
+      "0x1.00c5007ab4a8cp-7", "0x1.2abb51f47eb0ap-18")),
+    ("C7", (5, -2.0, -2.0, 3.0, 2.0),
+     ("0x1.0000000000000p-7", "0x1.00c5007ab4a8dp-7",
+      "0x1.008344c3de1bcp-6", "0x1.2abb51f47eb0ap-18")),
+    ("C8", (5, -2.0, -2.0, 3.2, 1.5),
+     ("0x1.0000000000000p-2", "0x1.48bb1483ea514p-5",
+      "0x1.1269eb555e659p-1", "0x1.8da5dad970e4dp-17")),
+)
+
+#: The C3 log candidate's domain radius, 1 - 1e-6 (the first probe
+#: passes), and the radius a bisection reaches when u = r^-1 - 2 replaces
+#: its u (positive below r = 1/2 only).
+C3_LOG_DOMAIN = "0x1.ffffde7210be9p-1"
+C3_HALF_DOMAIN = "0x1.fffffffffef03p-2"
+
+
 def exponents_of(f):
     return [(t.tau, t.log_power, t.coeff) for t in f.terms]
 
@@ -463,6 +506,38 @@ class TestVerification:
         # once for u and once for v: the oracle reuses the scan's images
         assert calls == [cand.u, cand.v]
 
+    @pytest.mark.parametrize("case, point, bits", GOLDEN,
+                             ids=[f"{c}-{pt[2]}" for c, pt, _ in GOLDEN])
+    def test_golden_bits(self, case, point, bits):
+        N, mu1, mu2, p, q = point
+        t, report = find_scale(build_candidate(case, HardyParams(N, mu1, mu2),
+                                               Powers(p, q)))
+        assert report.ok and not report.oracle_exceeded
+        assert (t.hex(), report.min_slack_u.hex(), report.min_slack_v.hex(),
+                report.oracle_max_dev.hex()) == bits
+
+    def test_oracle_geometry_is_shared_per_grid(self):
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        grid, other = default_grid(), RadialGrid(1e-5, 0.5, 200)
+        geometry = constructions._oracle_stencil(grid.r_min, grid.r_max)
+        for arr in geometry:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # one object per grid: reports on the grid and on a grid of other
+        # bounds leave it in place; the other grid gets its own entry
+        verify_on_grid(cand, 1.0, grid)
+        verify_on_grid(cand, 1.0, other)
+        assert constructions._oracle_stencil(grid.r_min, grid.r_max) \
+            is geometry
+        second = constructions._oracle_stencil(other.r_min, other.r_max)
+        assert second is not geometry
+        assert second[0].tobytes() == log_radii(
+            max(other.r_min, 0.25 * other.r_max), other.r_max * 0.85,
+            ORACLE_SAMPLES).tobytes()
+        assert second[1].tobytes() == np.minimum(
+            ORACLE_STEP, second[0] / 8.0).tobytes()
+
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_requires_finite_positive_scale(self, t):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
@@ -486,6 +561,21 @@ class TestDomainSearch:
         cand = build_candidate("C3", A_PARAMS, Powers(1.2, 2.0))
         assert 0.0 < cand.r_domain < 1.0
         assert find_scale(cand) is not None
+
+    def test_probes_build_no_report(self, monkeypatch):
+        # the probes only ask whether a scale passes: with the oracle
+        # cross-check unavailable the radii stay the same, bisection too
+        cand = build_candidate("C3", A_PARAMS, Powers(1.5, 2.0))
+        half = replace(cand, u=RadialFunction.from_terms(
+            [RadialTerm(-1.0, 0, 1.0), RadialTerm(0.0, 0, -2.0)]))
+
+        def no_oracle(*args):
+            raise AssertionError("a domain probe built a report")
+
+        monkeypatch.setattr(constructions, "_oracle_deviation", no_oracle)
+        built = build_candidate("C3", A_PARAMS, Powers(1.5, 2.0))
+        assert built.r_domain.hex() == cand.r_domain.hex() == C3_LOG_DOMAIN
+        assert find_domain(half).hex() == C3_HALF_DOMAIN
 
 
 class TestCaseSelection:
@@ -569,7 +659,13 @@ class TestAgainstReference:
 # one builder (_single_power_pair) and one return: the reference the
 # current builder must match bit for bit.
 
-_require = constructions._require
+def _require(cond: bool, case_id: str, msg: str, strict: bool,
+             notes: list) -> None:
+    if cond:
+        return
+    if strict:
+        raise DomainValidationError(f"{case_id} hypothesis violated: {msg}")
+    notes.append(f"hypothesis violated: {msg}")
 
 
 def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,

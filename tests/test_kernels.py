@@ -133,6 +133,16 @@ class TestVectorMatchesScalar:
         codes, margins, flags = K.classify_codes([], [], [], [], [])
         assert codes.shape == margins.shape == flags.shape == (0,)
 
+    def test_all_scalar_input_gives_0d_outputs(self):
+        # one point per regime, the mirrored orientation, and invalid points
+        for point in [(5, -2.0, 0.0, 2.0, 3.0), (5, -2.0, -2.0, 3.2, 1.5),
+                      (5, 0.0, -2.0, 2.5, 2.0), (4, 1.0, 0.5, 2.0, 2.0),
+                      (2, -2.0, 0.0, 2.0, 3.0), (5, -2.0, 0.0, -1.0, 3.0)]:
+            got = K.classify_codes(*point)
+            assert [a.shape for a in got] == [(), (), ()], point
+            assert_identical(got, tuple(np.array(x) for x in
+                                        _pure.classify_code(*point)))
+
 
 @st.composite
 def snap_band_points(draw):

@@ -13,9 +13,10 @@ import hardylane
 from hardylane.exponents import (DomainValidationError, mu_zero, snap_mu,
                                  tau_pair)
 from hardylane.radial import (PositivityError, RadialFunction, RadialGrid,
-                              RadialTerm, _fd_hardy, _fd_stencil, apply_hardy,
-                              default_grid, evaluate, evaluate_with_magnitude,
-                              hardy_fd_oracle, log_radii, pow_eval, scale)
+                              RadialTerm, _fd_hardy, _fd_stencil, _term_sums,
+                              apply_hardy, default_grid, evaluate,
+                              evaluate_with_magnitude, hardy_fd_oracle,
+                              log_radii, pow_eval, scale)
 
 mono = RadialFunction.monomial
 
@@ -338,19 +339,31 @@ class TestFdOracle:
     @settings(max_examples=200, deadline=None)
     def test_shared_stencil_matches_oracle(self, N, mu_off, functions,
                                            points, scalar):
-        # one stencil for several functions gives hardy_fd_oracle's bits
+        # one stencil for several functions gives hardy_fd_oracle's bits,
+        # one function at a time and all of them stacked in one pass
         mu = mu_zero(N) + mu_off
         if scalar:
             r, h = points[0][0], points[0][0] * points[0][1] / 8.0
         else:
             r = np.array([x for x, _ in points])
             h = np.array([x * frac / 8.0 for x, frac in points])
-        stencil = _fd_stencil(r, h)
-        for terms in functions:
-            f = RadialFunction.from_terms(RadialTerm(*t) for t in terms)
-            shared = _fd_hardy(N, snap_mu(N, mu), f, stencil)
-            assert np.asarray(shared).tobytes() == \
-                np.asarray(hardy_fd_oracle(N, mu, f, r, h)).tobytes()
+        r_s, h_s, stencil = _fd_stencil(r, h)
+        fs = [RadialFunction.from_terms(RadialTerm(*t) for t in terms)
+              for terms in functions]
+        mus = [mu + k for k in range(len(fs))]
+        # the functions' values stacked inside each offset row, one mu each
+        per_row = np.reshape([snap_mu(N, m) for m in mus],
+                             (-1,) + (1,) * r_s.ndim)
+        stacked = _fd_hardy(
+            N, per_row,
+            np.stack([_term_sums(f, stencil, False)[0] for f in fs], axis=1),
+            r_s, h_s)
+        for f, m, row in zip(fs, mus, stacked):
+            alone = _fd_hardy(N, snap_mu(N, m),
+                              _term_sums(f, stencil, False)[0], r_s, h_s)
+            want = np.asarray(hardy_fd_oracle(N, m, f, r, h)).tobytes()
+            assert alone.tobytes() == want
+            assert row.tobytes() == want
 
     def test_second_order_convergence(self):
         rng = np.random.default_rng(11)
