@@ -69,11 +69,15 @@ _COLORS = {
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56.0, 248.0, 24.0, 44.0
 _PLOT_W, _PLOT_H = 560.0, 560.0
 
-# Cells joined into one block of a file: 16 rows at res 200, one row from
-# res 3200 up, so a block of SVG text stays near 0.3 MB.  In the plot-grid
-# benchmark, blocks of 8 to 32 rows at res 200 ran at the same speed and
-# blocks of 64 rows (about 1 MB) about 20% slower.
-_BLOCK_CELLS = 3200
+# Cells joined into one block of a file: 7 rows at res 200, one row from
+# res 1400 up.  A block of SVG text (about 85 bytes a cell) then stays near
+# 119 KB, below glibc's default 128 KiB mmap threshold, so its str and its
+# UTF-8 copy reuse heap memory instead of being mapped fresh each block.
+# At 200x200 (2 cores, four plot-grid windows), 3,200-cell blocks (272 KB)
+# took about 2,040 minor faults per `hardylane plot` and 1,400-cell blocks
+# about 650; a plot ran 2 to 6 ms faster.  Classification has its own
+# block size (regions._FIELD_BLOCK_CELLS).
+_BLOCK_CELLS = 1400
 
 
 @frozen

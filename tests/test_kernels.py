@@ -42,6 +42,16 @@ def check_against_reference(*points):
     assert_identical(K.classify_codes(*points), scalar_reference(*points))
 
 
+def check_broadcast(*points):
+    """classify_codes on broadcast inputs gives classify_code at each index
+    of the broadcast shape."""
+    arrays = np.broadcast_arrays(*(np.asarray(x) for x in points))
+    want = scalar_reference(*(a.ravel() for a in arrays))
+    got = K.classify_codes(*points)
+    assert all(a.shape == arrays[0].shape for a in got)
+    assert_identical([a.ravel() for a in got], want)
+
+
 class TestVectorMatchesScalar:
     def test_random_sweep_identical(self):
         check_against_reference(*random_points(100_000, seed=42))
@@ -129,6 +139,25 @@ class TestVectorMatchesScalar:
                                          np.full(n, mu2), pp, qq)
             assert_identical(K.classify_codes(N, mu1, mu2, pp, qq), per_point)
 
+    def test_broadcast_shapes_match_scalar(self):
+        # 2-D and broadcast inputs spanning several regimes, with invalid
+        # cells (p or q <= 0), take the gather path of each regime and must
+        # give classify_code at every index
+        mus = np.array([-2.0, 0.0, -2.25, 1.0, -0.5])
+        grid = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 7.0])
+        # a 4x4 meshgrid with one p = -1 and scalar parameters
+        pp, qq = np.meshgrid([-1.0, 0.5, 2.0, 3.5], [0.5, 2.0, 3.0, 6.0])
+        check_broadcast(5, -2.0, 0.0, pp, qq)
+        # meshgrids of p, q, mu1 and mu2: every regime and invalid cells
+        pp, qq, m1, m2 = np.meshgrid(grid, grid, mus, mus, indexing="ij")
+        check_broadcast(5, m1, m2, pp, qq)
+        # p a row, q a column; mu1 varies along the row, mu2 down the column
+        row, col = grid[None, :], grid[::-1, None]
+        check_broadcast(5, np.resize(mus, row.shape),
+                        np.resize(mus, col.shape), row, col)
+        check_broadcast(np.array([[4], [5], [2], [6], [5], [3], [7], [5]]),
+                        -0.25, -1.0, row, col)
+
     def test_empty_input(self):
         codes, margins, flags = K.classify_codes([], [], [], [], [])
         assert codes.shape == margins.shape == flags.shape == (0,)
@@ -167,7 +196,7 @@ def test_snap_band_point_matches_scalar(point):
 
 
 class TestFirstMatch:
-    """_first_match is np.select, bit for bit."""
+    """_first_match writes np.select's result, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10),
@@ -186,10 +215,9 @@ class TestFirstMatch:
 
         choices = [choice() for _ in range(k)]
         default = choice()
-        got = K._first_match(conds, choices, default)
-        want = np.select(conds, choices, default)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        got = np.empty(n)
+        K._first_match(conds, choices, default, got)
+        assert got.tobytes() == np.select(conds, choices, default).tobytes()
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 64))
     @settings(max_examples=100, deadline=None)
@@ -197,7 +225,8 @@ class TestFirstMatch:
         rng = np.random.default_rng(seed)
         conds = [rng.random(n) < 0.3 for _ in range(7)]
         codes = [int(c) for c in rng.integers(0, 17, 7)]
-        got = K._first_match(conds, codes, K.CODE_DOTTED)
+        got = np.empty(n, dtype=np.int16)
+        K._first_match(conds, codes, K.CODE_DOTTED, got)
         want = np.select(conds, codes, K.CODE_DOTTED)
         assert np.array_equal(got, want)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hardylane import _kernels as K
 from hardylane import boundaries as bd
+from hardylane import regions
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  HardyParams, Powers, boundary_expressions,
                                  mu_zero, tau_pair)
@@ -432,6 +434,31 @@ class TestWitnessExamples:
         assert w.weight_mu == params.mu1
 
 
+#: (N, mu1, mu2) of regime A, mirrored A, B, C and the mu1 = mu0 (or
+#: mu2 = mu0) edge.
+FIELD_WINDOWS = [(5, -2.0, 0.0), (5, 0.0, -2.0), (5, -2.0, -2.0),
+                 (4, 1.0, 0.5), (5, -2.25, 0.0), (5, 0.0, -2.25),
+                 (6, -4.0, -1.0)]
+
+
+@st.composite
+def field_grids(draw):
+    """(params, p_values, q_values) whose rows fill classify_field's last
+    block partly, exactly, or by one row; the ranges may reach p <= 0 or
+    q <= 0."""
+    n_p = draw(st.integers(64, 512))
+    rows = regions._FIELD_BLOCK_CELLS // n_p
+    n_q = rows * draw(st.integers(1, 2)) + draw(st.one_of(
+        st.integers(1 - rows, -1), st.just(0), st.just(1)))
+
+    def axis(n):
+        lo = draw(st.floats(-1.0, 2.0))
+        return np.linspace(lo, lo + draw(st.floats(0.5, 10.0)), n)
+
+    params = HardyParams(*draw(st.sampled_from(FIELD_WINDOWS)))
+    return params, axis(n_p), axis(n_q)
+
+
 class TestGrid:
     def test_grid_matches_pointwise(self):
         params = HardyParams(5, -2.0, 0.0)
@@ -479,6 +506,38 @@ class TestGrid:
                 assert a.shape == (q_values.size, p_values.size)
                 assert np.array_equal(a.ravel(), b)
         assert field[0][0, 0] == K.CODE_OUT_OF_SCOPE
+
+    @settings(max_examples=40, deadline=None)
+    @given(field_grids())
+    def test_field_is_the_flat_kernel_call(self, grid):
+        # row blocks and broadcast axes give the bits of one flat call on
+        # the meshgrid, signed zeros included
+        params, p_values, q_values = grid
+        field = classify_field(params, p_values, q_values)
+        pp, qq = np.meshgrid(p_values, q_values)
+        flat = K.classify_codes(params.N, params.mu1, params.mu2, pp.ravel(),
+                                qq.ravel())
+        for a, b in zip(field, flat):
+            assert a.shape == (q_values.size, p_values.size)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mus", [(-2.0, -2.0), (-2.0, 0.0), (0.0, -2.0),
+                                     (-2.25, 0.0)])
+    def test_field_holds_little_beyond_its_outputs(self, mus):
+        # the kernel runs on row blocks into preallocated outputs, so its
+        # temporaries stay block-sized: a 1000x1000 grid in one call with a
+        # meshgrid peaked at 7.6-10.7 times the outputs
+        params = HardyParams(5, *mus)
+        grid = np.linspace(0.1, 8.0, 1000)
+        classify_field(params, grid, grid)      # lazy set-up outside
+        tracemalloc.start()
+        try:
+            out = classify_field(params, grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(a.nbytes for a in out), peak
 
 
 #: The 17 valid region codes and the 12 flags values the kernel can give
