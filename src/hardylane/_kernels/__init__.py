@@ -15,8 +15,9 @@ cores) that cut classify_field from about 4.9 to 1.4 ms and from about 800
 to 200 minor page faults (ru_minflt) per call on a regime-A grid, and from
 6.4 to 3.2 ms and 1,100 to 420 faults on a regime-B grid; most faults came
 from full-grid temporaries mapped afresh on each call.  Otherwise each
-regime's points are gathered (by flat index from 1-D inputs, by boolean
-mask from broadcast ones), classified into new arrays and scattered back.
+regime's points are gathered by the index tuple of np.nonzero (one
+integer gather for 1-D and broadcast inputs alike), classified into new
+arrays and scattered back.
 Every margin is computed by the same floating-point expression as in the
 reference, and min/max ties resolve the same way, so codes, margins
 (signed zeros included) and flags agree bit for bit.
@@ -229,14 +230,12 @@ def classify_codes(N, mu1, mu2, p, q, out=None):
                 if edge is not None:
                     np.copyto(flags, flag | edge_flag, where=edge)
                 return
-            # gather the points (by flat index from 1-D inputs, by mask
-            # from broadcast ones), classify them, scatter the results
-            idx = np.flatnonzero(mask) if len(shape) == 1 else mask
-            args = [x if x.ndim == 0 else x[idx] if x.shape == shape
-                    else np.broadcast_to(x, shape)[idx] for x in args]
-            count = np.count_nonzero(mask)
-            code = np.empty(count, dtype=np.int16)
-            margin = np.empty(count)
+            # gather the points by index, classify them, scatter the results
+            idx = np.nonzero(mask)
+            args = [x if x.ndim == 0 else np.broadcast_to(x, shape)[idx]
+                    for x in args]
+            code = np.empty(idx[0].size, dtype=np.int16)
+            margin = np.empty(idx[0].size)
             edge = regime(*args, code, margin)
             codes[idx], margins[idx] = code, margin
             flags[idx] = flag if edge is None else np.where(
