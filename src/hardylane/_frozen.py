@@ -3,8 +3,8 @@
 dataclass(frozen=True) generates an __init__ that stores each field with
 object.__setattr__, because the class's own __setattr__ refuses to: one
 builtin call per field.  The witness path builds several such records per
-point (RegionClass, HardyParams with its two ExponentPairs, Powers,
-Witness, StepRecord, ...), and those calls were a large share of its time.
+point (RegionClass, HardyParams, Powers, Witness, StepRecord, ...), and
+those calls were a large share of its time.
 
 frozen(cls) is dataclass(frozen=True, init=False, ...) plus an __init__
 with the generated one's signature and defaults that stores the fields

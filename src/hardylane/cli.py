@@ -349,8 +349,12 @@ _COMMANDS = ("classify", "iterate", "verify", "plot")
 
 def _config_argv(path: str) -> tuple:
     """Read a JSON config; returns (its command or None, its option tokens)."""
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DomainValidationError(
+            f"config {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(config, dict):
         raise DomainValidationError(
             f"config {path} must hold a JSON object, not "

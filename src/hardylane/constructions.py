@@ -155,8 +155,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
     """
     if case_id not in CASE_IDS:
         raise DomainValidationError(f"unknown case id {case_id!r}")
-    t1 = params.tau1.tau_plus
-    t2 = params.tau2.tau_plus
+    t1, _, t2, _ = params.roots
     p, q = pq.p, pq.q
     vals = boundary_expressions(params, pq)
     notes: list = []
@@ -280,7 +279,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
 def _images(cand: SupersolutionCandidate
             ) -> Tuple[RadialFunction, RadialFunction]:
     """The symbolic images Lu and Lv of the candidate pair, from the
-    exponent pairs its params store."""
+    exponent pairs of its params (two ExponentPairs built here)."""
     params = cand.params
     return (_hardy_image(params.N, params.tau1, cand.u),
             _hardy_image(params.N, params.tau2, cand.v))

@@ -152,13 +152,14 @@ def tau_pair(N: int, mu: float) -> ExponentPair:
 def _pair(N: int, mu: float) -> ExponentPair:
     """tau_pair for a validated N and an already snapped mu."""
     half, m0, _ = _constants(N)
-    return _roots(mu, half, m0)
+    return ExponentPair(*_roots(mu, half, m0))
 
 
-def _roots(mu: float, half: float, m0: float) -> ExponentPair:
-    """The root formula, given (N-2)/2 and mu_zero(N) from _constants(N)."""
+def _roots(mu: float, half: float, m0: float) -> tuple[float, float]:
+    """The root formula, given (N-2)/2 and mu_zero(N) from _constants(N):
+    (tau_plus, tau_minus) as plain floats."""
     s = math.sqrt(mu - m0)
-    return ExponentPair(-half + s, -half - s)  # (tau_plus, tau_minus)
+    return -half + s, -half - s
 
 
 def root_coefficient(N: int, mu: float, tau: float) -> float:
@@ -186,13 +187,19 @@ class HardyParams:
 
     Both coefficients are validated against the Hardy threshold and snapped
     onto it when within the tolerance band, so that downstream boundary
-    rules are deterministic.  N is validated once, and both exponent pairs
-    are computed once, here at construction: tau1 and tau2 return the
-    stored pairs, equal bit for bit to tau_pair(N, mu1) and tau_pair(N, mu2).
-    swapped() hands the stored pairs over, exchanged, without validating or
-    computing anything again.  Only (N, mu1, mu2) are fields: equality,
-    hashing and repr see nothing else, and dataclasses.replace builds a new
-    instance that computes its own pairs.
+    rules are deterministic.  N is validated once, and the four exponent
+    roots are computed once, here at construction, and stored as one tuple
+    of floats:
+
+        roots = (tau_+(mu1), tau_-(mu1), tau_+(mu2), tau_-(mu2)).
+
+    Code that needs only the exponents unpacks roots.  tau1 and tau2 build
+    a new ExponentPair from it on each access, equal bit for bit to
+    tau_pair(N, mu1) and tau_pair(N, mu2).  swapped() hands the stored
+    roots over, reordered, without validating or computing anything again.
+    Only (N, mu1, mu2) are fields: equality, hashing and repr see nothing
+    else, and dataclasses.replace builds a new instance that computes its
+    own roots.
     """
 
     N: int
@@ -205,8 +212,7 @@ class HardyParams:
         half, m0, band = _checked_constants(N)
         state["mu1"] = mu1 = _snap_near(N, state["mu1"], m0, band)
         state["mu2"] = mu2 = _snap_near(N, state["mu2"], m0, band)
-        state["_tau1"] = _roots(mu1, half, m0)
-        state["_tau2"] = _roots(mu2, half, m0)
+        state["roots"] = _roots(mu1, half, m0) + _roots(mu2, half, m0)
 
     @property
     def mu_zero(self) -> float:
@@ -214,22 +220,27 @@ class HardyParams:
 
     @property
     def tau1(self) -> ExponentPair:
-        return self._tau1
+        """A new ExponentPair of mu1's roots."""
+        tau_plus, tau_minus, _, _ = self.roots
+        return ExponentPair(tau_plus, tau_minus)
 
     @property
     def tau2(self) -> ExponentPair:
-        return self._tau2
+        """A new ExponentPair of mu2's roots."""
+        _, _, tau_plus, tau_minus = self.roots
+        return ExponentPair(tau_plus, tau_minus)
 
     def swapped(self) -> "HardyParams":
         """HardyParams(N, mu2, mu1), bit for bit, built from what is stored.
 
         Both mu are already snapped and _snap is idempotent on snapped
-        values, so validating and computing the pairs again would give
+        values, so validating and computing the roots again would give
         back the same values.
         """
+        tp1, tm1, tp2, tm2 = self.roots
         out = object.__new__(HardyParams)
         out.__dict__.update(N=self.N, mu1=self.mu2, mu2=self.mu1,
-                            _tau1=self._tau2, _tau2=self._tau1)
+                            roots=(tp2, tm2, tp1, tm1))
         return out
 
 
@@ -288,8 +299,7 @@ class BoundaryValues:
 
 def boundary_expressions(params: HardyParams, pq: Powers) -> BoundaryValues:
     """Evaluate every boundary expression used by the region classifier."""
-    t1 = params.tau1.tau_plus
-    t2 = params.tau2.tau_plus
+    t1, _, t2, _ = params.roots
     p, q = pq.p, pq.q
     N = params.N
     return BoundaryValues(

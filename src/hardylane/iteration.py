@@ -95,9 +95,7 @@ def _iterate(params: HardyParams, pq: Powers, cap: int,
     if cap < 1:
         raise DomainValidationError(f"cap must be >= 1, got {cap}")
     p, q = pq.p, pq.q
-    pair1, pair2 = params.tau1, params.tau2
-    t1_minus, t2_minus = pair1.tau_minus, pair2.tau_minus
-    tau1, tau2 = pair1.tau_plus, pair2.tau_plus
+    tau1, t1_minus, tau2, t2_minus = params.roots
     seed1, seed2 = tau1, tau2
 
     steps = [StepRecord(0, tau1, tau2)]
@@ -200,8 +198,7 @@ def crossing_step_bound(params: HardyParams, pq: Powers) -> int:
     if ratio <= 1.0:
         raise DomainValidationError("step bound requires pq > 1")
     fix = affine_fixed_point(pq)
-    pair = params.tau1
-    top, bottom = pair.tau_plus, pair.tau_minus
+    top, bottom, _, _ = params.roots
     if top >= fix:
         raise DomainValidationError(
             "step bound requires a decreasing iteration (tau_+ < fixed point)")

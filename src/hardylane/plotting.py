@@ -103,8 +103,7 @@ def region_markers(params: HardyParams, p_range: Tuple[float, float],
     The regime follows the sign of each computed tau_+, as in the kernel:
     a mu whose tau_+ rounds to 0 counts as mu = 0.
     """
-    t1 = params.tau1.tau_plus
-    t2 = params.tau2.tau_plus
+    t1, _, t2, _ = params.roots
     if t2 < 0.0 <= t1:
         sw = region_markers(params.swapped(), q_range, p_range)
         return {name: (xy[1], xy[0]) for name, xy in sw.items()}
@@ -142,17 +141,20 @@ def critical_curve_points(params: HardyParams, which: str,
     """Sample the curve e1 = 0 (which='e1') or e2 = 0 ('e2') inside the window.
 
     e1 = 0 is solved for q as a function of p; e2 = 0 for p as a function
-    of q.  Points outside the window are dropped.
+    of q.  Points outside the window are dropped, and so are the infinities
+    and NaNs that the formula gives where it overflows on a wide window.
     """
     if which not in ("e1", "e2"):
         raise ValueError(f"unknown curve {which!r}")
     swap = which == "e2"
-    t = (params.tau2 if swap else params.tau1).tau_plus
+    t = params.roots[2 if swap else 0]
     if t >= 0.0:
         return []
     a_range, b_range = (q_range, p_range) if swap else (p_range, q_range)
     a = np.linspace(a_range[0], a_range[1], samples)
-    b = bd.e1_curve(t, a)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = bd.e1_curve(t, a)
+    # a NaN or an infinity fails the finite window's comparisons
     keep = (b_range[0] <= b) & (b <= b_range[1])
     a, b = a[keep].tolist(), b[keep].tolist()
     return list(zip(b, a) if swap else zip(a, b))

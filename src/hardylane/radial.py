@@ -229,8 +229,8 @@ def apply_hardy(N: int, mu: float, f: RadialFunction) -> RadialFunction:
     Zero output coefficients are dropped, so applying the operator to
     r^(tau_+-) (or to r^(tau_-) * (-ln r) at the double root) returns the
     exact zero function.  This is the validating entry point: a caller
-    that already holds tau_pair(N, mu) (HardyParams stores both pairs)
-    calls _hardy_image with it.
+    that already holds HardyParams calls _hardy_image with its tau1 or
+    tau2.
     """
     return _hardy_image(N, tau_pair(N, mu), f)
 

@@ -270,12 +270,12 @@ def nonexistence_witness(params: HardyParams, pq: Powers,
         return _iteration_witness(params, pq, clamped, label)
 
     N = params.N
+    t1, _, t2, _ = params.roots
     if region.swapped:
         mu1, mu2, p, q = params.mu2, params.mu1, pq.q, pq.p
-        t1, t2 = params.tau2.tau_plus, params.tau1.tau_plus
+        t1, t2 = t2, t1
     else:
         mu1, mu2, p, q = params.mu1, params.mu2, pq.p, pq.q
-        t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
 
     # T2.i lies in regime B, so t1 < 0 there
     if cite == "T1.i" or (cite == "T2.i"

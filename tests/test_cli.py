@@ -451,6 +451,13 @@ class TestConfig:
         assert code == 1
         assert err.count("\n") == 1 and "JSON object" in err
 
+    def test_non_utf8_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'\xff\xfe{"N": 5}')
+        code, _, err = run_cli(capsys, "--config", str(cfg), "classify")
+        assert code == 1
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
     def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise ZeroDivisionError("induced for the exit-code contract")

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 from dataclasses import fields, replace
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylane import exponents
+from hardylane import constructions, exponents
+from hardylane.constructions import build_candidate
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
-                                 HardyParams, Powers, boundary_expressions,
-                                 mu_zero, p_star, root_coefficient,
-                                 snap_mu, tau_pair)
+                                 ExponentPair, HardyParams, Powers,
+                                 boundary_expressions, mu_zero, p_star,
+                                 root_coefficient, snap_mu, tau_pair)
+from hardylane.iteration import iterate_clamped, iterate_plain
+from hardylane.regions import classify, nonexistence_witness
 
 
 class TestMuZero:
@@ -312,6 +316,123 @@ class TestCachedPairs:
     @pytest.mark.parametrize("N", range(3, 13))
     def test_mu_zero_property_matches_function(self, N):
         assert HardyParams(N, 0.0, 0.0).mu_zero.hex() == mu_zero(N).hex()
+
+
+def _bit_cases():
+    """(N, mu1, mu2) at mu_zero, inside the snap band on both sides of it,
+    and away from it."""
+    out = []
+    for N in (3, 5, 10):
+        m0, band = mu_zero(N), MU0_SNAP_REL * (N - 2) ** 2
+        for mu1 in (m0, m0 + band / 2, m0 - band / 2, m0 + band, m0 / 2):
+            out.append((N, mu1, 0.7))
+            out.append((N, 1.5, mu1))
+    return out
+
+
+class TestPairsFromRoots:
+    """tau1 and tau2 are built from the stored roots on each access and
+    equal tau_pair bit for bit, however the params were made."""
+
+    @pytest.mark.parametrize("point", _bit_cases())
+    def test_pairs_match_tau_pair_after_every_copy(self, point):
+        N, mu1, mu2 = point
+        params = HardyParams(N, mu1, mu2)
+        want1, want2 = tau_pair(N, mu1), tau_pair(N, mu2)
+        same = (params, params.swapped().swapped(),
+                pickle.loads(pickle.dumps(params)), copy.copy(params),
+                copy.deepcopy(params), replace(params))
+        for made in same:
+            assert type(made.tau1) is type(made.tau2) is ExponentPair
+            assert same_pair(made.tau1, want1)
+            assert same_pair(made.tau2, want2)
+            assert [r.hex() for r in made.roots] == [
+                want1.tau_plus.hex(), want1.tau_minus.hex(),
+                want2.tau_plus.hex(), want2.tau_minus.hex()]
+        mirrored = params.swapped()
+        for made in (mirrored, pickle.loads(pickle.dumps(mirrored)),
+                     copy.copy(mirrored), replace(mirrored)):
+            assert same_pair(made.tau1, want2)
+            assert same_pair(made.tau2, want1)
+
+
+@pytest.fixture
+def pairs_built(monkeypatch):
+    """The argument tuples of every ExponentPair built while a test runs."""
+    built = []
+    init = ExponentPair.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExponentPair, "__init__", counting)
+    return built
+
+
+#: (N, mu1, mu2, p, q) -> (citation, swapped, mu0_edge) of its witness.
+_WITNESS_POINTS = {
+    (5, -2.0, 0.0, 2.0, 6.0): ("T1.i", False, False),
+    (5, 0.0, -2.0, 6.0, 2.0): ("T1.i", True, False),
+    (5, -2.0, 0.0, 2.0, 4.0): ("T1.ii", False, False),
+    (5, 0.0, -2.0, 4.0, 2.0): ("T1.ii", True, False),
+    (5, -2.25, 0.0, 2.0, 2.5): ("T1.ii", False, True),
+    (5, -2.0, -2.0, 4.5, 1.0): ("T2.i", False, False),
+    (5, -2.0, -2.0, 2.5, 3.5): ("T2.ii", False, False),
+    (5, -2.0, -2.0, 3.5, 2.9): ("T2.iii", False, False),
+}
+
+#: Accepting points of every construction; C3 with tau_+(mu2) > 0 builds
+#: no log ball (find_domain verifies the candidate, images included).
+_CONSTRUCTION_POINTS = (
+    ("C1", (5, -2.0, 0.0), (2.0, 3.0)), ("C2", (5, -2.0, 0.0), (1.5, 1.5)),
+    ("C3", (5, -2.0, 4.0), (1.5, 2.0)), ("C4", (5, -2.0, -2.0), (1.5, 3.2)),
+    ("C5", (5, -2.0, -2.0), (2.0, 2.5)), ("C6", (5, -2.0, -2.0), (2.0, 3.0)),
+    ("C7", (5, -2.0, -2.0), (3.0, 2.0)), ("C8", (5, -2.0, -2.0), (3.2, 1.5)))
+
+
+class TestNoPairsOffRequest:
+    """The exponent readers unpack HardyParams.roots; only tau1, tau2,
+    tau_pair and the symbolic images build ExponentPairs."""
+
+    def test_the_counter_sees_a_pair(self, pairs_built):
+        tau_pair(5, 0.0)
+        HardyParams(5, -2.0, 0.0).tau2
+        assert pairs_built == [(0.0, -3.0), (0.0, -3.0)]
+
+    def test_params_and_swap(self, pairs_built):
+        params = HardyParams(5, -1.3, 0.7)
+        params.swapped().swapped()
+        HardyParams(5, -2.25, -2.25 + 1e-14)
+        assert pairs_built == []
+
+    @pytest.mark.parametrize("point", sorted(_WITNESS_POINTS))
+    def test_witnesses(self, point, pairs_built):
+        params, pq = HardyParams(*point[:3]), Powers(*point[3:])
+        region = classify(params, pq)
+        assert (region.citation, region.swapped, region.mu0_edge) == \
+            _WITNESS_POINTS[point]
+        pairs_built.clear()
+        nonexistence_witness(params, pq, region)
+        assert pairs_built == []
+
+    def test_bootstrap_and_boundaries(self, pairs_built):
+        for params, pq in ((HardyParams(5, -2.0, 0.0), Powers(2.0, 4.0)),
+                           (HardyParams(5, -2.0, -2.0), Powers(2.5, 3.5))):
+            iterate_plain(params, pq)
+            iterate_clamped(params, pq)
+            boundary_expressions(params, pq)
+        assert pairs_built == []
+
+    @pytest.mark.parametrize("case,coefficients,powers", _CONSTRUCTION_POINTS)
+    def test_candidates_and_images(self, case, coefficients, powers,
+                                   pairs_built):
+        params = HardyParams(*coefficients)
+        cand = build_candidate(case, params, Powers(*powers))
+        assert pairs_built == []
+        constructions._images(cand)
+        assert pairs_built == [(params.roots[0], params.roots[1]),
+                               (params.roots[2], params.roots[3])]
 
 
 class TestPowersSwap:

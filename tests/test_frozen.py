@@ -219,7 +219,8 @@ def test_hardy_params_keeps_its_cached_pairs_through_pickle_and_copy():
     x = HardyParams(5, -1.3, 0.7)
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x),
               dataclasses.replace(x), x.swapped().swapped()):
-        assert list(vars(y)) == ["N", "mu1", "mu2", "_tau1", "_tau2"]
+        assert list(vars(y)) == ["N", "mu1", "mu2", "roots"]
+        assert [r.hex() for r in y.roots] == [r.hex() for r in x.roots]
         assert (y.tau1, y.tau2) == (x.tau1, x.tau2)
 
 

@@ -84,6 +84,26 @@ class TestCurveOverlay:
     def test_second_curve_absent_without_negative_mu2(self):
         assert critical_curve_points(A_PARAMS, "e2", *WINDOW) == []
 
+    @pytest.mark.parametrize("mu1", [-2.0, -2.25])
+    def test_wide_window_drops_overflowed_points(self, mu1):
+        # up to p = 1e308, 2p overflows to inf; with |tau_+| > 1 (mu1 =
+        # mu_zero) the denominator does too and the quotient is NaN
+        wide, narrow = (0.1, 1e308), (0.1, 8.0)
+        pts = critical_curve_points(HardyParams(5, mu1, 0.0), "e1",
+                                    wide, narrow)
+        assert pts
+        assert all(math.isfinite(p) and wide[0] <= p <= wide[1]
+                   and narrow[0] <= q <= narrow[1] for p, q in pts)
+        mirrored = critical_curve_points(HardyParams(5, 0.0, mu1), "e2",
+                                         narrow, wide)
+        assert mirrored == [(p, q) for q, p in pts]
+
+    def test_subnormal_window_drops_divided_points(self):
+        # tau_+ = -0.127 times p = 5e-324 rounds to -0.0: q = -inf
+        params = HardyParams(10, -1.0, 0.0)
+        assert critical_curve_points(params, "e1", (5e-324, 1e-320),
+                                     (0.1, 8.0)) == []
+
     def test_unknown_curve_rejected(self):
         with pytest.raises(ValueError):
             critical_curve_points(A_PARAMS, "e3", *WINDOW)
