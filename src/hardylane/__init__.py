@@ -14,8 +14,7 @@ from ._kernels import BACKEND as kernel_backend
 from .exponents import (BoundaryValues, DomainValidationError, ExponentPair,
                         HardyParams, Powers, boundary_expressions, mu_zero,
                         p_star, tau_pair)
-from .integrability import (IntegrabilityVerdict, integral_behavior,
-                            is_gamma_integrable, weighted_integral)
+from .integrability import IntegrabilityVerdict, is_gamma_integrable
 from .iteration import (Certificate, CertificateKind, IterationTrace,
                         StepRecord, Variant, claim1_check,
                         crossing_step_bound, iterate_clamped, iterate_plain)
@@ -35,8 +34,8 @@ __all__ = [
     "StepRecord", "Variant", "Verdict", "Witness", "WitnessMismatchError",
     "apply_hardy", "boundary_expressions", "claim1_check", "classify",
     "classify_field", "crossing_step_bound", "default_grid",
-    "evaluate", "hardy_fd_oracle", "integral_behavior", "is_gamma_integrable",
+    "evaluate", "hardy_fd_oracle", "is_gamma_integrable",
     "iterate_clamped", "iterate_plain", "kernel_backend", "mu_zero",
     "nonexistence_witness", "p_star", "pow_eval", "scale", "tau_pair",
-    "weighted_integral", "__version__",
+    "__version__",
 ]

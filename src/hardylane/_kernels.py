@@ -1,10 +1,10 @@
-"""Classification kernel: one vectorised NumPy decision tree.
+"""Classification kernel: the package's one decision tree, in NumPy.
 
-classify_codes evaluates the decision tree of the scalar reference
-_pure.classify_code as a first-match mask cascade over inputs that
-broadcast together: equal-length 1-D arrays in a sweep, p as a row and q
-as a column on a region grid.  The points are split by regime and each
-regime's branches, in the reference's order, go through _first_match,
+classify_codes evaluates the decision tree as a first-match mask cascade
+over inputs that broadcast together: equal-length 1-D arrays in a sweep,
+p as a row and q as a column on a region grid, or five scalars for one
+point (regions.classify).  The points are split by regime and each
+regime's branches, in the tree's order, go through _first_match,
 which writes each branch's choice into an output array with
 np.copyto(where=...) from the last branch to the first, so no branch makes
 a new array.  When one regime covers every point of a call, as on a region
@@ -18,45 +18,55 @@ from full-grid temporaries mapped afresh on each call.  Otherwise each
 regime's points are gathered by the index tuple of np.nonzero (one
 integer gather for 1-D and broadcast inputs alike), classified into new
 arrays and scattered back.
-Every margin is computed by the same floating-point expression as in the
-reference, and min/max ties resolve the same way, so codes, margins
-(signed zeros included) and flags agree bit for bit.
+
+The kernel returns integer region codes, the signed margin of the binding
+inequality and a flags byte:
+
+    bit 0: roles swapped (mu2 < 0 <= mu1 handled by the mirrored rules)
+    bit 1: closed-edge verdict at mu1 = mu0 with e1 snapped to zero
+    bits 2-3: regime (0 = one negative coefficient, 1 = both, 2 = none)
+
+tests/reference_tree.py states the same tree as readable scalar Python,
+and the tests check the two agree bit for bit: codes, margins (signed
+zeros included) and flags.
 """
 
 import numpy as np
 
-from .. import boundaries as bd
-from . import _pure
-from ._pure import classify_code
+from . import boundaries as bd
+from .exponents import MU0_SNAP_REL
 
 BACKEND = "numpy"
 
-# Region codes, flag bits and tolerances are defined by the reference.
-CODE_INVALID = _pure.CODE_INVALID
-CODE_OUT_OF_SCOPE = _pure.CODE_OUT_OF_SCOPE
-CODE_T1_I = _pure.CODE_T1_I
-CODE_T1_II = _pure.CODE_T1_II
-CODE_T2_I = _pure.CODE_T2_I
-CODE_T2_II = _pure.CODE_T2_II
-CODE_T2_III = _pure.CODE_T2_III
-CODE_T3_I_CASE1 = _pure.CODE_T3_I_CASE1
-CODE_T3_I_CASE2 = _pure.CODE_T3_I_CASE2
-CODE_T3_I_CASE3 = _pure.CODE_T3_I_CASE3
-CODE_T3_II_A1 = _pure.CODE_T3_II_A1
-CODE_T3_II_A2 = _pure.CODE_T3_II_A2
-CODE_T3_II_B1 = _pure.CODE_T3_II_B1
-CODE_T3_II_B2 = _pure.CODE_T3_II_B2
-CODE_CURVE_AQ = _pure.CODE_CURVE_AQ
-CODE_CURVE_AB = _pure.CODE_CURVE_AB
-CODE_CURVE_BC = _pure.CODE_CURVE_BC
-CODE_DOTTED = _pure.CODE_DOTTED
-FLAG_SWAPPED = _pure.FLAG_SWAPPED
-FLAG_MU0_EDGE = _pure.FLAG_MU0_EDGE
-REGIME_SHIFT = _pure.REGIME_SHIFT
-TOL = _pure.TOL
-MU0_SNAP_REL = _pure.MU0_SNAP_REL
+# Region codes.  The mapping to citation strings lives in hardylane.regions.
+CODE_INVALID = -1
+CODE_OUT_OF_SCOPE = 0
+CODE_T1_I = 1
+CODE_T1_II = 2
+CODE_T2_I = 3
+CODE_T2_II = 4
+CODE_T2_III = 5
+CODE_T3_I_CASE1 = 6
+CODE_T3_I_CASE2 = 7
+CODE_T3_I_CASE3 = 8
+CODE_T3_II_A1 = 9
+CODE_T3_II_A2 = 10
+CODE_T3_II_B1 = 11
+CODE_T3_II_B2 = 12
+CODE_CURVE_AQ = 13
+CODE_CURVE_AB = 14
+CODE_CURVE_BC = 15
+CODE_DOTTED = 16
 
-__all__ = ["BACKEND", "classify_code", "classify_codes"]
+FLAG_SWAPPED = 1
+FLAG_MU0_EDGE = 2
+REGIME_SHIFT = 2  # bits 2-3
+
+#: Boundary tolerance: a margin within this distance of zero is classified
+#: by the closed/open rule of the relevant boundary.
+TOL = 1e-12
+
+__all__ = ["BACKEND", "classify_codes"]
 
 
 def _min(a, b):
@@ -80,9 +90,9 @@ def _first_match(conds, choices, default, out):
 
 
 #: The codes each regime passes through _gate, as inclusive code ranges:
-#: the reference gates exactly the codes in each range, and no other
-#: branch of that regime yields one of them (tests/test_kernels.py checks
-#: that each range still holds exactly the gated codes).
+#: the tree gates exactly the codes in each range, and no other branch of
+#: that regime yields one of them (tests/test_kernels.py checks that each
+#: range still holds exactly the codes the reference tree gates).
 _GATED_A = (CODE_T3_I_CASE1, CODE_T3_I_CASE3)
 _GATED_B = (CODE_T3_II_A1, CODE_T3_II_B2)
 
@@ -182,8 +192,8 @@ def classify_codes(N, mu1, mu2, p, q, out=None):
     N, mu1, mu2, p and q are arrays or scalars that broadcast together:
     equal-length 1-D arrays (a sweep), scalar N, mu1 and mu2 with p a row
     and q a column (a region grid), or any other shapes that broadcast.
-    The element at each index of the broadcast shape gets exactly
-    classify_code of the five values there; all-scalar inputs give 0-d
+    The element at each index of the broadcast shape gets the
+    classification of the five values there; all-scalar inputs give 0-d
     outputs.  out, if given, is a (codes, margins, flags) triple of
     arrays of the broadcast shape and those dtypes: the results are
     written into it, and it is returned.
@@ -204,13 +214,19 @@ def classify_codes(N, mu1, mu2, p, q, out=None):
     flags.fill(0)
 
     with np.errstate(all="ignore"):
-        mu0 = -((N - 2) * (N - 2)) / 4.0
-        band = MU0_SNAP_REL * (N - 2) * (N - 2)
+        # (N - 2)^2 in float64: the int64 square wraps past N = 3.04e9, and
+        # every N up to 2**53 (exponents' bound) converts exactly, so this
+        # rounds the exact square once, as Python's int arithmetic does
+        n2 = (N - 2).astype(np.float64)
+        mu0 = -(n2 * n2) / 4.0
+        band = MU0_SNAP_REL * n2 * n2
         valid = ((N >= 3) & (p > 0.0) & (q > 0.0) & np.isfinite(p)
                  & np.isfinite(q) & ~(mu1 < mu0 - band) & ~(mu2 < mu0 - band))
         mu1 = np.where(mu1 <= mu0 + band, mu0, mu1)
         mu2 = np.where(mu2 <= mu0 + band, mu0, mu2)
-        # regimes split on the sign of the computed exponent (see _pure)
+        # regimes split on the sign of the computed exponent, which matches
+        # the sign of mu except when mu is negative below double resolution
+        # (then tau_+ rounds to exactly 0 and the point behaves as mu = 0)
         t1, _ = _tau_pair(N, mu0, mu1)
         t2, _ = _tau_pair(N, mu0, mu2)
         neg1 = t1 < 0.0

@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(sp):
-        sp.add_argument("--N", type=int, default=None, help="dimension (>= 3)")
+        sp.add_argument("--N", type=int, default=None, help="dimension (3 to 2**53)")
         sp.add_argument("--mu1", type=float, default=None)
         sp.add_argument("--mu2", type=float, default=None)
         sp.add_argument("--out", default=None, help="output path prefix")

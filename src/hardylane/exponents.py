@@ -42,11 +42,19 @@ def _mu0(N: int) -> float:
     return -((N - 2) ** 2) / 4.0
 
 
+#: Largest admissible dimension: up to 2**53 a float64 holds every integer,
+#: so the classification kernel's float arithmetic on N matches the exact
+#: integer formulas.
+N_MAX = 2 ** 53
+
+
 def _check_dimension(N: int) -> None:
     if not isinstance(N, (int,)) or isinstance(N, bool):
         raise DomainValidationError(f"dimension N must be an integer, got {N!r}")
     if N < 3:
         raise DomainValidationError(f"dimension N must be >= 3, got {N}")
+    if N > N_MAX:
+        raise DomainValidationError(f"dimension N must be <= 2**53, got {N}")
 
 
 def snap_mu(N: int, mu: float) -> float:

@@ -140,10 +140,10 @@ def _wrap(code: int, margin: float, flags: int) -> RegionClass:
 
 
 def classify(params: HardyParams, pq: Powers) -> RegionClass:
-    """Classify one admissible parameter point."""
-    code, margin, flags = K.classify_code(params.N, params.mu1, params.mu2,
-                                          pq.p, pq.q)
-    return _wrap(code, margin, flags)
+    """Classify one admissible parameter point (the kernel on scalars)."""
+    code, margin, flags = K.classify_codes(params.N, params.mu1, params.mu2,
+                                           pq.p, pq.q)
+    return _wrap(int(code), float(margin), int(flags))
 
 
 #: Grid cells per kernel call in classify_field (whole rows, at least one

@@ -1,54 +1,30 @@
-"""Scalar classification kernel (reference implementation).
+"""The decision tree as readable scalar Python: the kernel's test oracle.
 
-classify_code is the readable statement of the decision tree.  The
-vectorised classify_codes in hardylane._kernels evaluates the same tree as
-a NumPy mask cascade; tests assert the two agree point for point (codes,
-margins with their sign bits, flags).  Both take the boundary formulas from
-hardylane.boundaries, so only the decision tree is mirrored: keep its
-changes synchronized.
+classify_code states, one branch at a time, the tree that
+hardylane._kernels.classify_codes evaluates as a NumPy mask cascade; the
+tests assert that the two agree point for point (codes, margins with their
+sign bits, flags).  Both take the boundary formulas from
+hardylane.boundaries and the codes, flag bits and tolerance from the
+kernel, so only the tree itself is written twice: a change to the kernel's
+tree must be made here as well.
 
-The kernel works on raw floats and returns integer region codes plus the
-signed margin of the binding inequality and a flags byte:
-
-    bit 0: roles swapped (mu2 < 0 <= mu1 handled by the mirrored rules)
-    bit 1: closed-edge verdict at mu1 = mu0 with e1 snapped to zero
-    bits 2-3: regime (0 = one negative coefficient, 1 = both, 2 = none)
+It works on raw floats and Python ints (exact, so (N - 2)^2 cannot wrap)
+and returns (code, margin, flags) as classify_codes gives them.
 """
 
 from __future__ import annotations
 
 import math
 
-from .. import boundaries as bd
-from ..exponents import MU0_SNAP_REL
-
-# Region codes.  The mapping to citation strings lives in hardylane.regions.
-CODE_INVALID = -1
-CODE_OUT_OF_SCOPE = 0
-CODE_T1_I = 1
-CODE_T1_II = 2
-CODE_T2_I = 3
-CODE_T2_II = 4
-CODE_T2_III = 5
-CODE_T3_I_CASE1 = 6
-CODE_T3_I_CASE2 = 7
-CODE_T3_I_CASE3 = 8
-CODE_T3_II_A1 = 9
-CODE_T3_II_A2 = 10
-CODE_T3_II_B1 = 11
-CODE_T3_II_B2 = 12
-CODE_CURVE_AQ = 13
-CODE_CURVE_AB = 14
-CODE_CURVE_BC = 15
-CODE_DOTTED = 16
-
-FLAG_SWAPPED = 1
-FLAG_MU0_EDGE = 2
-REGIME_SHIFT = 2  # bits 2-3
-
-#: Boundary tolerance: a margin within this distance of zero is classified
-#: by the closed/open rule of the relevant boundary.
-TOL = 1e-12
+from hardylane import boundaries as bd
+from hardylane._kernels import (CODE_CURVE_AB, CODE_CURVE_AQ, CODE_CURVE_BC,
+                                CODE_DOTTED, CODE_INVALID, CODE_OUT_OF_SCOPE,
+                                CODE_T1_I, CODE_T1_II, CODE_T2_I, CODE_T2_II,
+                                CODE_T2_III, CODE_T3_I_CASE1, CODE_T3_I_CASE2,
+                                CODE_T3_I_CASE3, CODE_T3_II_A1, CODE_T3_II_A2,
+                                CODE_T3_II_B1, CODE_T3_II_B2, FLAG_MU0_EDGE,
+                                FLAG_SWAPPED, REGIME_SHIFT, TOL)
+from hardylane.exponents import MU0_SNAP_REL
 
 
 def classify_code(N: int, mu1: float, mu2: float,

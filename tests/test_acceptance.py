@@ -22,7 +22,7 @@ from hardylane import _kernels as K
 from hardylane.constructions import (build_candidate, case_for_region,
                                      find_scale, verify_on_grid)
 from hardylane.exponents import HardyParams, Powers, boundary_expressions
-from hardylane.integrability import integral_behavior, is_gamma_integrable
+from hardylane.integrability import is_gamma_integrable
 from hardylane.iteration import (CertificateKind, claim1_check,
                                  crossing_step_bound, iterate_clamped,
                                  iterate_plain)
@@ -32,6 +32,7 @@ from hardylane.radial import (RadialFunction, RadialTerm, apply_hardy,
                               evaluate, hardy_fd_oracle)
 from hardylane.regions import (Verdict, _wrap, classify, classify_field,
                                nonexistence_witness)
+from quadrature import integral_behavior
 
 mono = RadialFunction.monomial
 

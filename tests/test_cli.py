@@ -116,6 +116,22 @@ class TestClassifyCommand:
         assert "--bogus" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("N", [str(2 ** 53 + 1), str(10 ** 200)])
+    def test_dimension_past_two_to_the_53_is_refused(self, capsys, N):
+        code, out, err = run_cli(capsys, "classify", "--N", N, "--mu1",
+                                 "-2e31", "--mu2", "0", "--p", "2", "--q",
+                                 "4", "--witness")
+        assert code == 1 and out == ""
+        assert err == f"error: dimension N must be <= 2**53, got {N}\n"
+
+    def test_dimension_two_to_the_53_classifies(self, capsys):
+        rec = run_json(capsys, "classify", "--N", str(2 ** 53), "--mu1",
+                       "-2e31", "--mu2", "0", "--p", "2", "--q", "4",
+                       "--witness")
+        assert rec["n"] == 2 ** 53 and rec["citation"] == "T1.i"
+        assert rec["witness"]["mechanism"] == "integrability"
+        jsonschema.validate(rec, load_schema("classify"))
+
     def test_witness_mismatch_exit_code(self, capsys, monkeypatch):
         from hardylane.regions import WitnessMismatchError
 
@@ -235,6 +251,22 @@ class TestPlotCommand:
             # recomputed from them wobble at the 1e-10 level
             assert r.margin == pytest.approx(float(margin), rel=1e-8,
                                              abs=1e-8)
+
+    def test_large_dimension_agrees_with_classify(self, capsys, tmp_path):
+        # at N = 1e10 the int64 square (N - 2)^2 would wrap: every cell of
+        # the grid must read as classify reads its point
+        big = ("--N", "10000000000", "--mu1", "-2", "--mu2", "0")
+        code, _, err = run_cli(capsys, "plot", *big, "--p-range", "1..3",
+                               "--q-range", "2..4", "--res", "2", "--out",
+                               str(tmp_path / "big"), "--format", "csv")
+        assert code == 0, err
+        lines = (tmp_path / "big.csv").read_text().splitlines()[1:]
+        assert len(lines) == 4
+        for line in lines:
+            p, q, verdict, citation, margin = line.split(",")
+            rec = run_json(capsys, "classify", *big, "--p", p, "--q", q)
+            assert (rec["verdict"], rec["citation"], rec["margin"]) == \
+                (verdict, citation, float(margin))
 
     def test_svg_deterministic(self, capsys, tmp_path):
         args = ("plot", "--N", "5", "--mu1", "-2", "--mu2", "-2",

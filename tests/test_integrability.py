@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylane.exponents import DomainValidationError, mu_zero, tau_pair
-from hardylane.integrability import (integral_behavior, is_gamma_integrable,
-                                     weighted_integral)
+from hardylane.integrability import is_gamma_integrable
 from hardylane.radial import RadialFunction
+from quadrature import integral_behavior, weighted_integral
 
 mono = RadialFunction.monomial
 

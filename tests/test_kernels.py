@@ -5,8 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_tree
 from hardylane import _kernels as K
-from hardylane._kernels import _pure
 
 
 def random_points(n, seed):
@@ -21,8 +21,9 @@ def random_points(n, seed):
 
 
 def scalar_reference(N, mu1, mu2, p, q):
-    """The scalar classify_code applied point by point."""
-    out = [_pure.classify_code(int(n), float(a), float(b), float(x), float(y))
+    """The reference tree's scalar classify_code applied point by point."""
+    out = [reference_tree.classify_code(int(n), float(a), float(b),
+                                        float(x), float(y))
            for n, a, b, x, y in zip(N, mu1, mu2, p, q)]
     codes, margins, flags = zip(*out)
     return (np.array(codes, dtype=np.int16), np.array(margins),
@@ -43,8 +44,8 @@ def check_against_reference(*points):
 
 
 def check_broadcast(*points):
-    """classify_codes on broadcast inputs gives classify_code at each index
-    of the broadcast shape."""
+    """classify_codes on broadcast inputs gives the reference tree's
+    classify_code at each index of the broadcast shape."""
     arrays = np.broadcast_arrays(*(np.asarray(x) for x in points))
     want = scalar_reference(*(a.ravel() for a in arrays))
     got = K.classify_codes(*points)
@@ -142,7 +143,7 @@ class TestVectorMatchesScalar:
     def test_broadcast_shapes_match_scalar(self):
         # 2-D and broadcast inputs spanning several regimes, with invalid
         # cells (p or q <= 0), take the gather path of each regime and must
-        # give classify_code at every index
+        # give the reference tree's classify_code at every index
         mus = np.array([-2.0, 0.0, -2.25, 1.0, -0.5])
         grid = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 7.0])
         # a 4x4 meshgrid with one p = -1 and scalar parameters
@@ -157,6 +158,15 @@ class TestVectorMatchesScalar:
                         np.resize(mus, col.shape), row, col)
         check_broadcast(np.array([[4], [5], [2], [6], [5], [3], [7], [5]]),
                         -0.25, -1.0, row, col)
+        # N a column up to 2**53, past where the int64 square (N - 2)^2
+        # wraps (N = 3,037,000,502), with mu1 or mu2 on the mu0 edge
+        big = np.array([[3], [3_037_000_501], [3_037_000_502], [4 * 10**9],
+                        [10**10], [2**40 + 1], [2**53 - 1], [2**53]])
+        mu0 = np.array([[-((n - 2) ** 2) / 4.0] for n in big[:, 0].tolist()])
+        check_broadcast(big, -0.25, -1.0, row, col)
+        check_broadcast(big, mu0, -1.0, row, col)
+        check_broadcast(big, 0.5, mu0, row, col)
+        check_broadcast(big, mu0, mu0, row, col)
 
     def test_empty_input(self):
         codes, margins, flags = K.classify_codes([], [], [], [], [])
@@ -170,7 +180,7 @@ class TestVectorMatchesScalar:
             got = K.classify_codes(*point)
             assert [a.shape for a in got] == [(), (), ()], point
             assert_identical(got, tuple(np.array(x) for x in
-                                        _pure.classify_code(*point)))
+                                        reference_tree.classify_code(*point)))
 
 
 @st.composite
@@ -232,8 +242,9 @@ class TestFirstMatch:
 
 
 def _codes_gated_by_reference(function):
-    """Names of the codes that _pure's `function` passes through _gate."""
-    tree = ast.parse(inspect.getsource(getattr(_pure, function)))
+    """Names of the codes that the reference tree's `function` passes
+    through _gate."""
+    tree = ast.parse(inspect.getsource(getattr(reference_tree, function)))
     return {call.args[2].id for call in ast.walk(tree)
             if isinstance(call, ast.Call)
             and getattr(call.func, "id", None) == "_gate"}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_tree
 from hardylane import _kernels as K
 from hardylane import boundaries as bd
 from hardylane import regions
@@ -25,6 +26,19 @@ from hardylane.regions import (_OUTCOMES, _WITNESS_EDGE_TOL, RegionClass,
 def ver(*args):
     params = HardyParams(*args[:3])
     return classify(params, Powers(*args[3:]))
+
+
+def batch_regions(points):
+    """The RegionClass of each (params, pq), or None where the kernel finds
+    it invalid: one classify_codes call over the points' columns, then
+    _wrap per point, as a sweep classifies."""
+    N, mu1, mu2, p, q = (np.array(c) for c in zip(*(
+        (params.N, params.mu1, params.mu2, pq.p, pq.q)
+        for params, pq in points)))
+    return [None if code == K.CODE_INVALID
+            else _wrap(int(code), float(margin), int(flags))
+            for code, margin, flags in zip(*K.classify_codes(N, mu1, mu2,
+                                                            p, q))]
 
 
 class TestRegimeA:
@@ -259,10 +273,10 @@ class TestIntegrabilityWitnessOracle:
                 for q in grid:
                     points.append((Ne, mu_zero(Ne), 0.5, p, q))
                     points.append((Ne, 0.5, mu_zero(Ne), q, p))
+        cases = [(HardyParams(Ni, m1, m2), Powers(p, q))
+                 for Ni, m1, m2, p, q in points]
         seen = set()
-        for Ni, m1, m2, p, q in points:
-            params, pq = HardyParams(Ni, m1, m2), Powers(p, q)
-            r = classify(params, pq)
+        for (params, pq), r in zip(cases, batch_regions(cases)):
             if r.verdict is not Verdict.NONEXISTENCE:
                 continue
             w = nonexistence_witness(params, pq, r)
@@ -467,7 +481,8 @@ class TestGrid:
         codes, margins, flags = classify_field(params, p_values, q_values)
         for i, qv in enumerate(q_values):
             for j, pv in enumerate(p_values):
-                direct = classify(params, Powers(pv, qv))
+                direct = _wrap(*reference_tree.classify_code(
+                    params.N, params.mu1, params.mu2, float(pv), float(qv)))
                 cell = _wrap(int(codes[i, j]), margins[i, j],
                              int(flags[i, j]))
                 assert cell.citation == direct.citation
@@ -694,18 +709,16 @@ def witness_outcome(function, params, pq, region):
         return type(exc).__name__, str(exc)
 
 
-def assert_witness_matches_reference(params, pq):
+def assert_witness_matches_reference(params, pq, region):
     """The same witness, or error, as the reference, with the region given
-    and without it; returns the region (None if it is invalid)."""
-    try:
-        region = classify(params, pq)
-    except DomainValidationError:
-        return None
+    and without it.  region is the point's RegionClass from batch_regions
+    (None if it is invalid: then nothing is compared)."""
+    if region is None:
+        return
     for given_region in (None, region):
         assert witness_outcome(nonexistence_witness, params, pq,
                                given_region) == \
             witness_outcome(reference_witness, params, pq, given_region)
-    return region
 
 
 @st.composite
@@ -746,7 +759,7 @@ class TestWitnessMatchesReference:
     @given(witness_point())
     @settings(max_examples=1000, deadline=None)
     def test_random_points(self, point):
-        assert_witness_matches_reference(*point)
+        assert_witness_matches_reference(*point, *batch_regions([point]))
 
     def test_every_witness_kind(self):
         # a random batch with mu = mu0 in both roles, plus points on the
@@ -769,8 +782,8 @@ class TestWitnessMatchesReference:
                 params, pq = HardyParams(N, mu_zero(N), 0.5), Powers(p, q)
                 points += [(params, pq), (params.swapped(), pq.swapped())]
         seen, descriptions = set(), set()
-        for params, pq in points:
-            region = assert_witness_matches_reference(params, pq)
+        for (params, pq), region in zip(points, batch_regions(points)):
+            assert_witness_matches_reference(params, pq, region)
             if region is not None and \
                     region.verdict is Verdict.NONEXISTENCE:
                 seen.add((region.citation, region.swapped, region.mu0_edge))
@@ -780,3 +793,44 @@ class TestWitnessMatchesReference:
         assert seen == WITNESS_KINDS
         assert descriptions == {"u^q fails L^1 against the second weight",
                                 "v^p fails L^1 against the first weight"}
+
+
+@st.composite
+def tree_point(draw):
+    """(N, mu1, mu2, p, q) in every regime, in both orientations: N up to
+    2**53 (an int64 square (N - 2)^2 would wrap from N = 3,037,000,502), each
+    mu at mu0, inside its snap band or anywhere up to 3, and sometimes
+    mu1 = mu0 with q on the e1 = 0 curve (the closed mu0 edge)."""
+    N = draw(st.one_of(st.integers(3, 10), st.integers(11, 2 ** 53),
+                       st.sampled_from([3_037_000_501, 3_037_000_502,
+                                        2 ** 53 - 1, 2 ** 53])))
+    m0 = mu_zero(N)
+    band = MU0_SNAP_REL * (N - 2) ** 2
+    mu = st.one_of(st.floats(min_value=m0, max_value=3.0), st.just(m0),
+                   st.floats(min_value=m0 - band, max_value=m0 + band))
+    power = st.floats(min_value=1e-3, max_value=20.0)
+    mu1, mu2, p, q = draw(mu), draw(mu), draw(power), draw(power)
+    if draw(st.booleans()):
+        t1 = -(N - 2) / 2.0
+        mu1, q = m0, (1.0 - (2.0 * p + 2.0) / t1) / p
+    if draw(st.booleans()):
+        return N, mu2, mu1, q, p
+    return N, mu1, mu2, p, q
+
+
+class TestClassifyIsTheReferenceTree:
+    """classify runs the kernel on one point's scalars; its codes, margins,
+    flags and RegionClass are the reference tree's, bit for bit."""
+
+    @given(tree_point())
+    @settings(max_examples=500, deadline=None)
+    def test_random_points(self, point):
+        params, pq = HardyParams(*point[:3]), Powers(*point[3:])
+        args = (params.N, params.mu1, params.mu2, pq.p, pq.q)
+        code, margin, flags = reference_tree.classify_code(*args)
+        got = K.classify_codes(*args)
+        assert (int(got[0]), float(got[1]).hex(), int(got[2])) == \
+            (code, margin.hex(), flags)
+        region, want = classify(params, pq), _wrap(code, margin, flags)
+        assert bits(region) == bits(want)
+        assert region.code == code and region.citation == want.citation
