@@ -12,15 +12,11 @@ verifies the explicit radial supersolution constructions on log grids.
 
 from ._kernels import BACKEND as kernel_backend
 from .exponents import (BoundaryValues, DomainValidationError, ExponentPair,
-                        HardyParams, Powers, boundary_expressions, mu_zero,
-                        p_star, tau_pair)
-from .integrability import IntegrabilityVerdict, is_gamma_integrable
+                        HardyParams, Powers, boundary_expressions, mu_zero)
+from .integrability import IntegrabilityVerdict
 from .iteration import (Certificate, CertificateKind, IterationTrace,
-                        StepRecord, Variant, claim1_check,
-                        crossing_step_bound, iterate_clamped, iterate_plain)
-from .radial import (PositivityError, RadialFunction, RadialGrid, RadialTerm,
-                     apply_hardy, default_grid, evaluate, hardy_fd_oracle,
-                     pow_eval, scale)
+                        StepRecord, Variant, iterate_clamped, iterate_plain)
+from .radial import RadialFunction, RadialGrid, RadialTerm, default_grid
 from .regions import (RegionClass, Verdict, Witness, WitnessMismatchError,
                       classify, classify_field, nonexistence_witness)
 
@@ -29,13 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryValues", "Certificate", "CertificateKind",
     "DomainValidationError", "ExponentPair", "HardyParams",
-    "IntegrabilityVerdict", "IterationTrace", "Powers", "PositivityError",
-    "RadialFunction", "RadialGrid", "RadialTerm", "RegionClass",
-    "StepRecord", "Variant", "Verdict", "Witness", "WitnessMismatchError",
-    "apply_hardy", "boundary_expressions", "claim1_check", "classify",
-    "classify_field", "crossing_step_bound", "default_grid",
-    "evaluate", "hardy_fd_oracle", "is_gamma_integrable",
-    "iterate_clamped", "iterate_plain", "kernel_backend", "mu_zero",
-    "nonexistence_witness", "p_star", "pow_eval", "scale", "tau_pair",
+    "IntegrabilityVerdict", "IterationTrace", "Powers", "RadialFunction",
+    "RadialGrid", "RadialTerm", "RegionClass", "StepRecord", "Variant",
+    "Verdict", "Witness", "WitnessMismatchError", "boundary_expressions",
+    "classify", "classify_field", "default_grid", "iterate_clamped",
+    "iterate_plain", "kernel_backend", "mu_zero", "nonexistence_witness",
     "__version__",
 ]

@@ -9,7 +9,7 @@ the existence regions.  Writing t1 = tau_+(mu1), t2 = tau_+(mu2):
     C2  q < 2/(-t1):
         u = r^t1 - r^(t2 p+2),       v = r^t2 - r^(t1 q+2)
     C3  q = 2/(-t1):
-        u = r^t1 - r^(t2 p+1),       v = r^t2 (-ln r)   on a ball B_r1
+        u = r^t1 - r^(t2 p+1),       v = r^t2 (-ln r)
   regime B (t1, t2 < 0), with qlo = (2-t2)/(-t1), plo = (2-t1)/(-t2):
     C4  strip q in (qlo, (N+t2)/(-t1)), e1 > 0: same formulas as C1
     C5  q < qlo, p < plo: same formulas as C2
@@ -23,6 +23,13 @@ the existence regions.  Writing t1 = tau_+(mu1), t2 = tau_+(mu2):
 C8 is C1's single-power pair with the roles mirrored: (v, u) is C1's
 (u, v) built from t2 with p and q exchanged.
 
+Every recipe is verified on the unit ball.  C3's log recipe arises only at
+t2 = 0, where u = r^t1 - r and v = -ln r, so Lu = K_u r^-1 with
+K_u = N - 1 - mu1 and Lv = (N - 2) r^-2.  Since max r (-ln r)^p over
+(0, 1) is (p/e)^p and u^q r^2 < 1 (t1 q = -2), both slacks are
+nonnegative on the whole punctured unit ball for
+t <= min((K_u (e/p)^p)^(1/(p-1)), (N-2)^(1/(q-1))).
+
 In every recipe the leading power is a kernel function of its operator, so
 the symbolic image has a single positive term and the supersolution slack
 at scale t has the pointwise form a(r) t - b(r) t^s with s > 1: small t
@@ -35,8 +42,8 @@ masked.  Each candidate gets one verification pass: u, v, Lu and Lv are
 evaluated once on the grid, the scale scan computes slack minima only,
 and the report, cross-check included, is built for the accepted scale
 alone.  The cross-check's sample radii and stencil are built once per
-grid and shared, u and v go through one stacked finite-difference pass,
-and find_domain's probes scan without building a report.
+grid and shared, and u and v go through one stacked finite-difference
+pass.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
@@ -52,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -79,18 +85,13 @@ ORACLE_DEV_LIMIT = 1e-4
 ORACLE_STEP = 1e-4
 ORACLE_SAMPLES = 16
 
-#: Grid size and smallest ball radius of find_domain's search.
-DOMAIN_GRID_POINTS = 512
-DOMAIN_R_FLOOR = 1e-8
-
 
 @frozen
 class SupersolutionCandidate:
     """A candidate pair (u, v) for one construction case.
 
-    The pair solves the system inequalities only after scaling by some
-    t in (0, 1], which find_scale determines.  r_domain is the
-    verification ball radius (1 except for the C3 log recipe).
+    The pair solves the system inequalities on the unit ball only after
+    scaling by some t in (0, 1], which find_scale determines.
     """
 
     case_id: str
@@ -98,7 +99,6 @@ class SupersolutionCandidate:
     pq: Powers
     u: RadialFunction
     v: RadialFunction
-    r_domain: float = 1.0
     notes: Tuple[str, ...] = ()
 
 
@@ -107,10 +107,10 @@ class VerificationReport:
     """Pointwise slack minima plus the symbolic/numeric cross-check.
 
     ok reflects the slack signs only (and positivity of the pair);
-    oracle_max_dev is the largest scale-normalized deviation between
-    apply_hardy and the finite-difference oracle at the sample radii, and
-    oracle_exceeded flags deviations beyond the contract limit so they are
-    never silently passed.
+    oracle_max_dev is the largest scale-normalized deviation between the
+    symbolic images and the finite-difference operator at the sample
+    radii, and oracle_exceeded flags deviations beyond the contract limit
+    so they are never silently passed.
     """
 
     ok: bool
@@ -218,12 +218,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         else:
             u = diff(t1, t2 * p + 1.0)
             v = mono(1.0, t2, log_power=1)
-            cand = SupersolutionCandidate(case_id, params, pq, u, v,
-                                          notes=tuple(notes))
-            r1 = find_domain(cand)
-            return replace(cand, r_domain=r1,
-                           notes=cand.notes + (f"log recipe on the ball of "
-                                               f"radius {r1:g}",))
+            notes.append("log recipe on the unit ball")
     elif case_id == "C5":
         if not q < vals.q_lower:
             _violated(case_id, f"q={q} not below {vals.q_lower:g}", strict,
@@ -351,10 +346,10 @@ def _oracle_deviation(cand: SupersolutionCandidate,
     stencil are the grid's shared _oracle_stencil.  images are the
     candidate's symbolic images Lu and Lv, each evaluated in one pass over
     its terms for its value and magnitude.  u's and v's stencil values are
-    stacked for one _fd_hardy pass with mu1 and mu2 per row; each row has
-    the bits of hardy_fd_oracle(N, mu, f, radii, h_r), as params holds
-    snapped mu.  The deviation is reduced over both rows at once; a NaN
-    deviation is skipped, not propagated into the maximum.
+    stacked for one _fd_hardy pass with mu1 and mu2 per row (params holds
+    snapped mu), which gives each row the bits of its own pass.  The
+    deviation is reduced over both rows at once; a NaN deviation is
+    skipped, not propagated into the maximum.
     """
     params = cand.params
     r, h, points = _oracle_stencil(grid.r_min, grid.r_max)
@@ -427,10 +422,10 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
         slack_u(r) = t Lu(r) - (t v(r))^p,
         slack_v(r) = t Lv(r) - (t u(r))^q,
 
-    and ok means both minima over the grid (default_grid(cand.r_domain)
-    unless given) are nonnegative.  t must be finite and positive.  A
-    value of u or v on the grid that is not positive, or not finite (u,
-    v, Lu, Lv and the slacks are evaluated with overflow warnings off),
+    and ok means both minima over the grid (default_grid() unless given)
+    are nonnegative.  t must be finite and positive.  A value of u or v
+    on the grid that is not positive, or not finite (u, v, Lu, Lv and the
+    slacks are evaluated with overflow warnings off),
     fails the report with a diagnostic instead of raising on the
     fractional power.  A slack minimum that is NaN (an image that
     overflows to inf against an infinite power, or is NaN) fails the
@@ -442,7 +437,7 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
         raise DomainValidationError(
             "verification needs a finite positive scale t")
     if grid is None:
-        grid = default_grid(cand.r_domain)
+        grid = default_grid()
     radii = grid.radii
     with np.errstate(over="ignore", invalid="ignore"):
         evaluated = _evaluated(cand, radii)
@@ -455,27 +450,6 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
     return _report(cand, grid, t, min_u, min_v, evaluated)
 
 
-def _scan(cand: SupersolutionCandidate, grid: RadialGrid):
-    """find_scale's scan without the report: (t, (min_u, min_v),
-    evaluated) for the largest scale of SCALE_SCAN whose slack minima on
-    the grid pass, with _evaluated's result; None when _evaluated rejects
-    the pair or no scale passes.
-
-    Overflow warnings are turned off once, around the evaluation and every
-    step of the scan.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        evaluated = _evaluated(cand, grid.radii)
-        if evaluated is None:
-            return None
-        u_vals, v_vals, lu, lv, _ = evaluated
-        for t in SCALE_SCAN:
-            minima = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
-            if _slacks_ok(*minima):
-                return t, minima, evaluated
-    return None
-
-
 def find_scale(cand: SupersolutionCandidate,
                grid: Optional[RadialGrid] = None
                ) -> Optional[Tuple[float, VerificationReport]]:
@@ -484,70 +458,26 @@ def find_scale(cand: SupersolutionCandidate,
     Both slacks have the pointwise form a(r) t - b(r) t^s with s > 1 and
     a, b >= 0 where the recipe is valid, so acceptance is monotone in t and
     the first hit of the descending scan is the largest accepted scale.
-    The scan (_scan) evaluates u, v, the symbolic images and their values
-    once and computes the slack minima only; the report is built for the
-    accepted scale alone, by _report (including the operator cross-check
-    on the grid's shared oracle stencil, which reuses the images), the
-    same as verify_on_grid's.  Returns None when no scale verifies: either
-    the hypothesis is violated or the grid is too coarse, or u or v is not
-    positive or not finite on the grid; callers decide, nothing is masked.
+    The scan evaluates u, v, the symbolic images and their values once,
+    with overflow warnings off, and computes the slack minima only; the
+    report is built for the accepted scale alone, by _report (including
+    the operator cross-check on the grid's shared oracle stencil, which
+    reuses the images), the same as verify_on_grid's.  Returns None when
+    no scale verifies: either the hypothesis is violated or the grid is
+    too coarse, or u or v is not positive or not finite on the grid;
+    callers decide, nothing is masked.
     """
     if grid is None:
-        grid = default_grid(cand.r_domain)
-    found = _scan(cand, grid)
-    if found is None:
-        return None
-    t, (min_u, min_v), evaluated = found
-    return t, _report(cand, grid, t, min_u, min_v, evaluated)
-
-
-def find_domain(cand: SupersolutionCandidate) -> float:
-    """Largest ball radius on which a log-bearing candidate verifies.
-
-    Bisects r1 in (DOMAIN_R_FLOOR, 1): feasibility at r1 means some scale
-    t passes find_scale's scan on a DOMAIN_GRID_POINTS log grid over
-    (r1 * 1e-6, r1].  A probe runs the scan alone and builds no report:
-    only whether a scale passes decides it.  Candidates without a log
-    factor in v are valid on the unit ball and return 1 unchanged.
-    """
-    if all(term.log_power == 0 for term in cand.v.terms):
-        return 1.0
-
-    def feasible(r1: float) -> bool:
-        g = RadialGrid(r1 * 1e-6, r1, DOMAIN_GRID_POINTS)
-        return _scan(cand, g) is not None
-
-    hi = 1.0 - 1e-6
-    if feasible(hi):
-        return hi
-    lo = hi
-    while lo > DOMAIN_R_FLOOR:
-        lo *= 0.25
-        if feasible(lo):
-            break
-    else:
-        raise DomainValidationError(
-            f"no verification radius found above {DOMAIN_R_FLOOR:g}")
-    # invariant: feasible(lo), not feasible(hi)
-    for _ in range(40):
-        mid = math.sqrt(lo * hi)
-        if feasible(mid):
-            lo = mid
+        grid = default_grid()
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluated = _evaluated(cand, grid.radii)
+        if evaluated is None:
+            return None
+        u_vals, v_vals, lu, lv, _ = evaluated
+        for t in SCALE_SCAN:
+            minima = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
+            if _slacks_ok(*minima):
+                break
         else:
-            hi = mid
-    return lo
-
-
-def case_for_region(params: HardyParams, pq: Powers, citation: str) -> str:
-    """Map an existence citation to the construction case that realizes it."""
-    table = {"T3.i.case1": "C1", "T3.i.case2": "C2", "T3.i.case3": "C3",
-             "T3.ii.a1": "C4", "T3.ii.b1": "C8", "T3.ii.b2": "C7"}
-    if citation in table:
-        return table[citation]
-    if citation == "T3.ii.a2":
-        vals = boundary_expressions(params, pq)
-        if vals.q_lower is not None and \
-                abs(pq.q - vals.q_lower) <= LINE_TOL * max(1.0, vals.q_lower):
-            return "C6"
-        return "C5"
-    raise DomainValidationError(f"no construction for citation {citation!r}")
+            return None
+    return t, _report(cand, grid, t, *minima, evaluated)

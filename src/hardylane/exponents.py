@@ -6,10 +6,10 @@ region classifier) is driven by the two roots of
     mu - tau * (tau + N - 2) = 0,
 
 written tau_plus(mu) >= tau_minus(mu).  They exist for mu >= mu_zero(N)
-= -(N-2)^2/4 and coincide at that threshold.  This module validates and
-snaps mu, computes the roots and the critical source power p_star, and
-gathers the boundary formulas of hardylane.boundaries at one point
-(boundary_expressions).
+= -(N-2)^2/4 and coincide at that threshold.  HardyParams is the one
+validating entry point: it checks N, snaps both coefficients and computes
+the four roots once.  boundary_expressions gathers the boundary formulas
+of hardylane.boundaries at one point.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ def _check_dimension(N: int) -> None:
         raise DomainValidationError(f"dimension N must be <= 2**53, got {N}")
 
 
-def snap_mu(N: int, mu: float) -> float:
-    """Validate N and mu >= mu_zero(N); snap values near the threshold onto it.
-
-    This is the validating entry point; HardyParams and tau_pair share its
-    rule through _snap.
-    """
-    _check_dimension(N)
-    return _snap(N, mu)
-
-
 def _constants(N: int) -> tuple[float, float, float]:
     """(N-2)/2, mu_zero(N) and the snap band's half-width, for a valid N."""
     return (N - 2) / 2.0, _mu0(N), MU0_SNAP_REL * (N - 2) ** 2
@@ -88,12 +78,6 @@ def _checked_constants(N: int) -> tuple[float, float, float]:
             return found
     _check_dimension(N)
     return _constants(N)
-
-
-def _snap(N: int, mu: float) -> float:
-    """snap_mu for an N that has already been validated."""
-    _, m0, band = _constants(N)
-    return _snap_near(N, mu, m0, band)
 
 
 def _coefficient(mu) -> float:
@@ -131,10 +115,6 @@ class ExponentPair:
     tau_plus: float
     tau_minus: float
 
-    @property
-    def is_double_root(self) -> bool:
-        return self.tau_plus == self.tau_minus
-
     def coefficient_at(self, tau: float) -> float:
         """mu - tau(tau+N-2) for the mu of this pair, in the factored form
         -(tau - tau_+)(tau - tau_-).
@@ -146,47 +126,11 @@ class ExponentPair:
         return -(tau - self.tau_plus) * (tau - self.tau_minus)
 
 
-def tau_pair(N: int, mu: float) -> ExponentPair:
-    """Roots -(N-2)/2 +- sqrt(mu - mu_zero) of mu - tau(tau+N-2) = 0.
-
-    The validating entry point: checks N once, rejects mu below the
-    threshold (complex roots) and snaps mu as snap_mu does; at the snapped
-    threshold the pair degenerates to the double root -(N-2)/2.
-    """
-    _check_dimension(N)
-    return _pair(N, _snap(N, mu))
-
-
-def _pair(N: int, mu: float) -> ExponentPair:
-    """tau_pair for a validated N and an already snapped mu."""
-    half, m0, _ = _constants(N)
-    return ExponentPair(*_roots(mu, half, m0))
-
-
 def _roots(mu: float, half: float, m0: float) -> tuple[float, float]:
     """The root formula, given (N-2)/2 and mu_zero(N) from _constants(N):
     (tau_plus, tau_minus) as plain floats."""
     s = math.sqrt(mu - m0)
     return -half + s, -half - s
-
-
-def root_coefficient(N: int, mu: float, tau: float) -> float:
-    """mu - tau(tau+N-2), evaluated in the factored form -(tau-t+)(tau-t-).
-
-    tau_pair(N, mu).coefficient_at(tau): like tau_pair, it reads mu after
-    snap_mu, so inside the snap band the value is that of mu = mu_zero(N).
-    """
-    return tau_pair(N, mu).coefficient_at(tau)
-
-
-def p_star(N: int, mu: float) -> float:
-    """Critical power 1 + 2/(-tau_plus(mu)), defined for mu in [mu_zero, 0)."""
-    mu = snap_mu(N, mu)
-    if mu >= 0.0:
-        raise DomainValidationError(
-            f"p_star requires mu in [mu_zero, 0); got mu={mu}")
-    tp = _pair(N, mu).tau_plus
-    return 1.0 + 2.0 / (-tp)
 
 
 @frozen
@@ -202,12 +146,12 @@ class HardyParams:
         roots = (tau_+(mu1), tau_-(mu1), tau_+(mu2), tau_-(mu2)).
 
     Code that needs only the exponents unpacks roots.  tau1 and tau2 build
-    a new ExponentPair from it on each access, equal bit for bit to
-    tau_pair(N, mu1) and tau_pair(N, mu2).  swapped() hands the stored
-    roots over, reordered, without validating or computing anything again.
-    Only (N, mu1, mu2) are fields: equality, hashing and repr see nothing
-    else, and dataclasses.replace builds a new instance that computes its
-    own roots.
+    a new ExponentPair from it on each access, for the symbolic operator
+    images, which need the factored root coefficient.  swapped() hands the
+    stored roots over, reordered, without validating or computing anything
+    again.  Only (N, mu1, mu2) are fields: equality, hashing and repr see
+    nothing else, and dataclasses.replace builds a new instance that
+    computes its own roots.
     """
 
     N: int
@@ -228,7 +172,9 @@ class HardyParams:
 
     @property
     def tau1(self) -> ExponentPair:
-        """A new ExponentPair of mu1's roots."""
+        """A new ExponentPair of mu1's roots, roots[0] and roots[1]; it
+        depends on N and mu1 alone, so HardyParams(N, mu, mu).tau1 is the
+        pair of a lone coefficient mu."""
         tau_plus, tau_minus, _, _ = self.roots
         return ExponentPair(tau_plus, tau_minus)
 
@@ -241,9 +187,9 @@ class HardyParams:
     def swapped(self) -> "HardyParams":
         """HardyParams(N, mu2, mu1), bit for bit, built from what is stored.
 
-        Both mu are already snapped and _snap is idempotent on snapped
-        values, so validating and computing the roots again would give
-        back the same values.
+        Both mu are already snapped and the snap rule is idempotent on
+        snapped values, so validating and computing the roots again would
+        give back the same values.
         """
         tp1, tm1, tp2, tm2 = self.roots
         out = object.__new__(HardyParams)

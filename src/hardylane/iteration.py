@@ -15,13 +15,13 @@ plain recursion.
 
 Eliminating the half-step shows tau1 evolves under the affine map
 tau1 <- pq * tau1 + 2p + 2, with fixed point (2p+2)/(1-pq); for pq > 1 the
-iteration diverges geometrically, which yields an a-priori bound on the
-number of steps to a crossing.
+iteration diverges geometrically.  The test suite checks traces against
+this law and against the a-priori bound on the number of steps to a
+crossing that it yields.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import List
 
@@ -143,66 +143,3 @@ def iterate_clamped(params: HardyParams, pq: Powers,
                     cap: int = DEFAULT_CAP) -> IterationTrace:
     """Run the bootstrap with the first cycle clamped by the seed exponents."""
     return _iterate(params, pq, cap, Variant.CLAMPED)
-
-
-def _usable_tau1(trace: IterationTrace) -> List[float]:
-    """tau1 values after any clamping, excluding carried (uncomputed) entries."""
-    start = 0
-    if any(s.tau1_clamped or s.tau2_clamped for s in trace.steps):
-        start = 1  # differences must not straddle the clamped first cycle
-    vals = [s.tau1 for s in trace.steps[start:] if not s.tau1_carried]
-    return vals
-
-
-def claim1_check(trace: IterationTrace, pq: Powers,
-                 rel_tol: float = 1e-9) -> bool:
-    """Verify the geometric law s_{j+1} = pq * s_j of successive differences.
-
-    s_j = tau1^(j) - tau1^(j-1).  Requires at least three usable tau1 values
-    (so at least two consecutive differences) outside any clamped cycle.
-    A single perturbed entry breaks the relation, so this doubles as a
-    trace-corruption detector.
-    """
-    vals = _usable_tau1(trace)
-    if len(vals) < 3:
-        raise DomainValidationError(
-            f"need >= 3 usable steps for the geometric-law check, "
-            f"have {len(vals)}")
-    ratio = pq.p * pq.q
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    for s_prev, s_next in zip(diffs, diffs[1:]):
-        if abs(s_next - ratio * s_prev) > rel_tol * max(1.0, abs(s_prev)):
-            return False
-    return True
-
-
-def affine_fixed_point(pq: Powers) -> float:
-    """Fixed point (2p+2)/(1-pq) of the full-cycle tau1 map (pq != 1)."""
-    denom = 1.0 - pq.p * pq.q
-    if denom == 0.0:
-        raise DomainValidationError("pq = 1 has no affine fixed point")
-    return (2.0 * pq.p + 2.0) / denom
-
-
-def crossing_step_bound(params: HardyParams, pq: Powers) -> int:
-    """Upper bound on full cycles until tau1 crosses tau_-(mu1).
-
-    Valid when pq > 1 and the first cycle is strictly decreasing (the
-    supercritical side).  From tau1^(j) - fix = (pq)^j (tau1^(0) - fix) the
-    crossing needs (pq)^j >= (tau_- - fix)/(tau1^(0) - fix), both factors
-    negative, so
-
-        j* = ceil( log((tau_- - fix)/(tau_+ - fix)) / log(pq) ).
-    """
-    ratio = pq.p * pq.q
-    if ratio <= 1.0:
-        raise DomainValidationError("step bound requires pq > 1")
-    fix = affine_fixed_point(pq)
-    top, bottom, _, _ = params.roots
-    if top >= fix:
-        raise DomainValidationError(
-            "step bound requires a decreasing iteration (tau_+ < fixed point)")
-    arg = (bottom - fix) / (top - fix)
-    if arg <= 1.0:
-        return 1
-    return math.ceil(math.log(arg) / math.log(ratio))

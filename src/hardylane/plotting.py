@@ -12,8 +12,8 @@ grid rows (about _BLOCK_CELLS cells) at a time, then its tail.  For each
 block, fancy indexing lays the pieces out in an object array of shape
 (rows, res, pieces) and one join makes its text, so no Python runs per
 cell.  emit_csv and emit_svg write each block as it is joined, so a file
-is never held whole in memory; grid_csv_text and render_svg join the same
-blocks.  Every check runs before the first block, so a rejected grid
+is never held whole in memory; render_svg joins the same blocks into one
+string.  Every check runs before the first block, so a rejected grid
 opens no file.  Code-indexed lookup tables are built only after
 _regions_present has rejected CODE_INVALID.
 
@@ -34,7 +34,7 @@ e2 = 0 on the respective closed edges, B solves both simultaneously.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -330,10 +330,10 @@ def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:
     _write(path, _svg_blocks(codes, spec))
 
 
-def grid_csv_text(codes: np.ndarray, margins: np.ndarray,
-                  spec: PlotSpec) -> str:
-    """The CSV: a header, then rows p,q,verdict,citation,margin in row-major
-    grid order, each ending in a newline.
+def _csv_blocks(codes: np.ndarray, margins: np.ndarray,
+                spec: PlotSpec) -> Iterator[str]:
+    """The CSV in blocks: a header, then rows p,q,verdict,citation,margin
+    in row-major grid order, each ending in a newline.
 
     p and q are formatted once per column and row, verdict and citation
     once per code present, and each distinct margin once: many margins
@@ -341,14 +341,9 @@ def grid_csv_text(codes: np.ndarray, margins: np.ndarray,
     plot holds far fewer distinct margins than cells.  Margins are told
     apart by bit pattern, which keeps 0.0 and -0.0 apart.  The rows are
     then pieced together by indexing, with no Python per cell.  Raises
-    DomainValidationError if a cell holds CODE_INVALID.
+    DomainValidationError, before returning rather than while iterating,
+    if a cell holds CODE_INVALID.
     """
-    return "".join(_csv_blocks(codes, margins, spec))
-
-
-def _csv_blocks(codes: np.ndarray, margins: np.ndarray,
-                spec: PlotSpec) -> Iterator[str]:
-    """The CSV in blocks; raises before returning, not while iterating."""
     res = spec.resolution
     p_text = _g12(np.linspace(spec.p_range[0], spec.p_range[1], res), ",")
     q_text = _g12(np.linspace(spec.q_range[0], spec.q_range[1], res), ",")
@@ -377,6 +372,6 @@ def _g12(values: np.ndarray, end: str) -> np.ndarray:
 
 def emit_csv(codes: np.ndarray, margins: np.ndarray, spec: PlotSpec,
              path: str) -> None:
-    """Write grid_csv_text block by block: UTF-8, LF-terminated, with a
+    """Write _csv_blocks' CSV block by block: UTF-8, LF-terminated, with a
     header row."""
     _write(path, _csv_blocks(codes, margins, spec))

@@ -10,8 +10,9 @@ operator: for radial f,
 so a finite sum of such terms maps to another finite sum.  The prefactor
 mu - tau(tau+N-2) is evaluated in the factored form -(tau - tau_+)(tau - tau_-)
 so the homogeneous solutions r^(tau_+-) are annihilated exactly, not just to
-round-off.  A finite-difference evaluation of the same operator serves as an
-independent cross-check.
+round-off.  Construction verification evaluates these sums on log grids
+(_term_sums) and cross-checks the symbolic image against a finite-difference
+evaluation of the same operator (_fd_stencil, _fd_hardy).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import Iterable, Tuple, Union
 import numpy as np
 
 from ._frozen import frozen
-from .exponents import (DomainValidationError, ExponentPair, snap_mu,
-                        tau_pair)
+from .exponents import DomainValidationError, ExponentPair
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -35,10 +35,6 @@ ArrayLike = Union[float, np.ndarray]
 #: exponent: the operator may annihilate the larger one and amplify the
 #: smaller one by r^-2, so such a drop would make the algebra non-linear.
 COEFF_DROP_REL = 1e-14
-
-
-class PositivityError(ValueError):
-    """A fractional power was requested for a non-positive base."""
 
 
 @frozen(order=True)
@@ -109,15 +105,6 @@ class RadialFunction:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "RadialFunction") -> "RadialFunction":
-        return RadialFunction.from_terms(self.terms + other.terms)
-
-    def __sub__(self, other: "RadialFunction") -> "RadialFunction":
-        return self + scale(other, -1.0)
-
-    def __rmul__(self, t: float) -> "RadialFunction":
-        return scale(self, t)
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "RadialFunction(0)"
@@ -131,6 +118,7 @@ class RadialFunction:
 
 
 def _as_radii(r: ArrayLike) -> np.ndarray:
+    """r as a float array, checked to be nonempty and positive."""
     arr = np.asarray(r, dtype=float)
     # min() is NaN when any radius is NaN, which fails the comparison too
     if arr.size == 0 or not arr.min() > 0.0:
@@ -166,78 +154,15 @@ def _term_sums(f: RadialFunction, arr: np.ndarray, with_magnitude: bool):
     return out, mag
 
 
-def evaluate(f: RadialFunction, r: ArrayLike) -> ArrayLike:
-    """Pointwise value sum(c * r^tau * (-ln r)^k); r may be a scalar or array.
-
-    For r >= 1 the factor (-ln r) is taken as-is and may be <= 0.  Scalar
-    and 0-d r return a float, any other shape an array of that shape.
-    """
-    arr = _as_radii(r)
-    out, _ = _term_sums(f, arr, False)
-    return float(out) if arr.ndim == 0 else out
-
-
-def evaluate_with_magnitude(f: RadialFunction, r: ArrayLike
-                            ) -> Tuple[ArrayLike, ArrayLike]:
-    """evaluate(f, r) together with the same sum over |c|.
-
-    The second value is the scale a term-by-term cancellation is measured
-    against; both come from one power r^tau per term and have evaluate's
-    bits, so the magnitude equals evaluate of f with every coefficient
-    replaced by its absolute value.
-    """
-    arr = _as_radii(r)
-    out, mag = _term_sums(f, arr, True)
-    if arr.ndim == 0:
-        return float(out), float(mag)
-    return out, mag
-
-
-def scale(f: RadialFunction, t: float) -> RadialFunction:
-    """Multiply every coefficient by t."""
-    if not math.isfinite(t):
-        raise DomainValidationError(f"scale factor must be finite, got {t}")
-    if t == 0.0:
-        return RadialFunction.zero()
-    scaled = []
-    for term in f.terms:
-        c = term.coeff * t
-        if c != 0.0:  # guard against underflow to zero
-            scaled.append(RadialTerm(term.tau, term.log_power, c))
-    return RadialFunction.from_terms(scaled)
-
-
-def pow_eval(f: RadialFunction, s: float, r: ArrayLike) -> ArrayLike:
-    """evaluate(f, r) ** s, rejecting negative bases for non-integer s.
-
-    A negative base signals that the candidate function is not positive at
-    r; callers treat that as a verification failure, not a crash.
-    """
-    base = evaluate(f, r)
-    arr = np.asarray(base, dtype=float)
-    if float(s) != round(float(s)) and np.any(arr < 0.0):
-        worst = float(np.min(arr))
-        raise PositivityError(
-            f"negative base {worst:g} under fractional power {s}")
-    out = np.power(arr, s)
-    return float(out) if np.ndim(base) == 0 else out
-
-
-def apply_hardy(N: int, mu: float, f: RadialFunction) -> RadialFunction:
-    """Exact image of f under -Delta + mu/|x|^2, term by term.
+def _hardy_image(N: int, pair: ExponentPair, f: RadialFunction
+                 ) -> RadialFunction:
+    """Exact image of f under -Delta + mu/|x|^2, term by term, for a
+    validated N and the exponent pair of mu.
 
     Zero output coefficients are dropped, so applying the operator to
     r^(tau_+-) (or to r^(tau_-) * (-ln r) at the double root) returns the
-    exact zero function.  This is the validating entry point: a caller
-    that already holds HardyParams calls _hardy_image with its tau1 or
-    tau2.
+    exact zero function.
     """
-    return _hardy_image(N, tau_pair(N, mu), f)
-
-
-def _hardy_image(N: int, pair: ExponentPair, f: RadialFunction
-                 ) -> RadialFunction:
-    """apply_hardy for a validated N, given the exponent pair of mu."""
     out = []
     for t in f.terms:
         c_main = t.coeff * pair.coefficient_at(t.tau)
@@ -251,32 +176,6 @@ def _hardy_image(N: int, pair: ExponentPair, f: RadialFunction
             if c_extra != 0.0:
                 out.append(RadialTerm(t.tau - 2.0, 0, c_extra))
     return RadialFunction.from_terms(out)
-
-
-def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
-                    h: ArrayLike = 1e-4) -> ArrayLike:
-    """Finite-difference value of -(f'' + (N-1)/r f') + mu/r^2 f at r.
-
-    Independent cross-check for apply_hardy: f is differentiated
-    numerically through its values, never through its symbolic image.
-    Both derivatives come from the symmetric 5-point stencil
-    {r-2h, r-h, r, r+h, r+2h}: the first derivative uses the 4th-order
-    combination, the second derivative the wide central difference over
-    +-2h, so the overall truncation error is O(h^2) and halving h divides
-    the deviation by ~4.
-
-    r and h may be scalars or arrays; they broadcast together, every
-    element must satisfy 0 < h < r/4, and the whole stencil is one
-    evaluation.  Each element gets the same arithmetic as a scalar call,
-    and scalar r and h return a float.  This validates N, mu, r and h,
-    then applies _fd_hardy to f's values on the stencil of _fd_stencil; a
-    caller that checks several functions at the same radii builds the
-    stencil once and stacks their values for one _fd_hardy pass.
-    """
-    mu = snap_mu(N, mu)
-    r, h, points = _fd_stencil(r, h)
-    out = _fd_hardy(N, mu, _term_sums(f, points, False)[0], r, h)
-    return float(out) if out.ndim == 0 else out
 
 
 _FD_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -358,10 +257,9 @@ def log_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
     """np.geomspace(r_min, r_max, count) as a shared, read-only array.
 
     The few most recent grids are kept: a verification reads the same
-    radii several times, while a domain search walks through many.  The
-    radii are checked here, once per grid, as evaluate checks its radii
-    (DomainValidationError unless all are positive), so verification
-    evaluates on them without checking again.  An infinite bound raises
+    radii several times.  The radii are checked here, once per grid, by
+    _as_radii (DomainValidationError unless all are positive), so
+    verification evaluates on them without checking again.  An infinite bound raises
     as it does in RadialGrid, before geomspace would warn and make inf
     radii.
     """
@@ -373,7 +271,6 @@ def log_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
     return radii
 
 
-def default_grid(r_domain: float = 1.0, count: int = 512,
-                 r_min: float = 1e-6) -> RadialGrid:
-    """The standard verification grid [r_min, r_domain*(1 - 1e-3)]."""
-    return RadialGrid(r_min=r_min, r_max=r_domain * (1.0 - 1e-3), count=count)
+def default_grid(count: int = 512, r_min: float = 1e-6) -> RadialGrid:
+    """The standard verification grid [r_min, 1 - 1e-3] on the unit ball."""
+    return RadialGrid(r_min=r_min, r_max=1.0 - 1e-3, count=count)

@@ -13,8 +13,9 @@ import math
 
 from scipy.integrate import quad
 
-from hardylane.exponents import DomainValidationError, tau_pair
-from hardylane.radial import RadialFunction, evaluate
+from hardylane.exponents import DomainValidationError
+from hardylane.radial import RadialFunction
+from oracles import pair_of, values
 
 #: Increment-ratio threshold of the divergence detector (see
 #: integral_behavior).  A tail ratio within this margin of 1 means the
@@ -28,16 +29,16 @@ def weighted_integral(N: int, mu: float, f: RadialFunction,
 
     Computed by adaptive quadrature after the substitution r = e^-u, which
     removes the power singularity from the integrand; independent of the
-    closed-form margin used by is_gamma_integrable.
+    closed-form margin of integrability.power_verdict.
     """
-    tp = tau_pair(N, mu).tau_plus
+    tp = pair_of(N, mu).tau_plus
     if not (0.0 < eps < r0 <= 1.0):
         raise DomainValidationError(f"need 0 < eps < r0 <= 1, got ({eps}, {r0})")
     w = tp + N  # weight r^(w-1) dr becomes e^(-w u) du
 
     def integrand(u: float) -> float:
         r = math.exp(-u)
-        return float(evaluate(f, r)) * math.exp(-w * u)
+        return float(values(f, r)) * math.exp(-w * u)
 
     val, _ = quad(integrand, -math.log(r0), -math.log(eps),
                   epsabs=1e-12, epsrel=1e-10, limit=200)

@@ -19,19 +19,17 @@ import numpy as np
 import pytest
 
 from hardylane import _kernels as K
-from hardylane.constructions import (build_candidate, case_for_region,
-                                     find_scale, verify_on_grid)
+from hardylane.constructions import build_candidate, find_scale
 from hardylane.exponents import HardyParams, Powers, boundary_expressions
-from hardylane.integrability import is_gamma_integrable
-from hardylane.iteration import (CertificateKind, claim1_check,
-                                 crossing_step_bound, iterate_clamped,
-                                 iterate_plain)
+from hardylane.integrability import power_verdict
+from hardylane.iteration import CertificateKind, iterate_clamped, iterate_plain
 from hardylane.plotting import (PlotSpec, critical_curve_points,
                                 region_markers, render_svg)
-from hardylane.radial import (RadialFunction, RadialTerm, apply_hardy,
-                              evaluate, hardy_fd_oracle)
+from hardylane.radial import RadialFunction, RadialTerm
 from hardylane.regions import (Verdict, _wrap, classify, classify_field,
                                nonexistence_witness)
+from oracles import (claim1_check, crossing_step_bound, hardy_fd_oracle,
+                     hardy_image, pair_of, values)
 from quadrature import integral_behavior
 
 mono = RadialFunction.monomial
@@ -82,8 +80,8 @@ def test_criterion_2_operator_oracle():
                             rng.uniform(0.2, 0.8) * rng.choice([-1.0, 1.0]))
                  for _ in range(int(rng.integers(1, 5)))]
         f = RadialFunction.from_terms(terms)
-        sym = apply_hardy(N, mu, f)
-        sym_vals = [float(evaluate(sym, float(r))) for r in radii]
+        sym = hardy_image(N, mu, f)
+        sym_vals = [float(values(sym, float(r))) for r in radii]
 
         def rms(h):
             ds = [hardy_fd_oracle(N, mu, f, float(r), h) - s
@@ -105,12 +103,11 @@ def test_criterion_2_operator_oracle():
         N = int(rng.integers(3, 11))
         m0 = -((N - 2) ** 2) / 4.0
         mu = m0 + rng.random() * 20.0
-        from hardylane.exponents import tau_pair
-        pair = tau_pair(N, mu)
-        kernels_exact &= apply_hardy(N, mu, mono(1.0, pair.tau_plus)).is_zero
-        kernels_exact &= apply_hardy(N, mu, mono(1.0, pair.tau_minus)).is_zero
-        pair0 = tau_pair(N, m0)
-        kernels_exact &= apply_hardy(
+        pair = pair_of(N, mu)
+        kernels_exact &= hardy_image(N, mu, mono(1.0, pair.tau_plus)).is_zero
+        kernels_exact &= hardy_image(N, mu, mono(1.0, pair.tau_minus)).is_zero
+        pair0 = pair_of(N, m0)
+        kernels_exact &= hardy_image(
             N, m0, mono(1.0, pair0.tau_minus, log_power=1)).is_zero
     elapsed = time.perf_counter() - start
     ratios = np.asarray(ratios)
@@ -126,12 +123,13 @@ def test_criterion_2_operator_oracle():
 def test_criterion_3_integrability_sharpness():
     # f = r^(tau_+(mu1) q) = r^(-q) against the mu2 = 0 weight: the margin
     # is 5 - q, so the verdict flips exactly at q = 5
+    tp = pair_of(5, 0.0).tau_plus
     flips_ok = True
     for q, expect in ((5.0, False), (4.999, True), (5.001, False),
                       (4.0, True), (6.0, False)):
-        v = is_gamma_integrable(5, 0.0, mono(1.0, -q), 1.0)
+        v = power_verdict(5, -q, tp)
         flips_ok &= v.integrable == expect
-    v5 = is_gamma_integrable(5, 0.0, mono(1.0, -5.0), 1.0)
+    v5 = power_verdict(5, -5.0, tp)
     kind_at, _ = integral_behavior(5, 0.0, mono(1.0, -5.0))
     kind_below, _ = integral_behavior(5, 0.0, mono(1.0, -4.999))
     ok = (flips_ok and v5.critical_exponent_gap == 0.0
@@ -427,11 +425,11 @@ def test_criterion_7_construction_verification():
     cand = build_candidate("C1", HardyParams(5, -2.0, 0.0), Powers(2, 3))
     t_found, rep = find_scale(cand)
     grid = rep.grid
-    lu = apply_hardy(5, -2.0, cand.u)
+    lu = hardy_image(5, -2.0, cand.u)
     hand_ok = t_found == 1.0  # largest power of two below the t = 2 boundary
     for t in (1.0, 2.0):
-        slack = t * np.asarray(evaluate(lu, grid.radii)) - \
-            (t * np.asarray(evaluate(cand.v, grid.radii))) ** 2
+        slack = t * values(lu, grid.radii) - \
+            (t * values(cand.v, grid.radii)) ** 2
         hand_ok &= float(np.max(np.abs(slack * grid.radii ** 2
                                        - (2.0 * t - t * t)))) <= 1e-9
 

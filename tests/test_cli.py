@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardylane import cli
-from hardylane.exponents import HardyParams
+from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.regions import _CODE_BY_CITATION, classify_field
 from hardylane.schemas import load_schema
 
@@ -167,6 +167,22 @@ class TestIterateCommand:
         assert lines[1].startswith("0,-1,0,")
         assert lines[2].split(",") == ["1", "-2", "-2", "-1"]
 
+    @pytest.mark.parametrize("cap, message", [
+        ("0", "cap must be >= 1, got 0"), ("1", None), ("100000", None),
+        ("100001", "--cap must lie in [1, 100000], got 100001")],
+        ids=["below", "lowest", "highest", "above"])
+    def test_cap_bounds(self, capsys, cap, message):
+        # the trace crosses at step 1, so the largest cap runs no further
+        code, out, err = run_cli(capsys, "iterate", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "0", "--p", "2", "--q", "4",
+                                 "--cap", cap)
+        if message is None:
+            assert code == 0, err
+            assert json.loads(out)["cap"] == int(cap)
+        else:
+            assert code == 1 and out == ""
+            assert err == f"error: {message}\n"
+
 
 class TestVerifyCommand:
     def test_verified_construction(self, capsys):
@@ -195,6 +211,45 @@ class TestVerifyCommand:
                                  "--case", "C1", flag)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("points, message", [
+        ("1", "count must be >= 2, got 1"),
+        ("1048577", "--grid-points must lie in [2, 1048576], got 1048577")],
+        ids=["below", "above"])
+    def test_grid_points_outside_bounds(self, capsys, points, message):
+        code, out, err = run_cli(capsys, "verify", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "0", "--p", "2", "--q", "3",
+                                 "--case", "C1", "--grid-points", points)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_grid_points_at_bounds(self, capsys, monkeypatch):
+        rec = run_json(capsys, "verify", "--N", "5", "--mu1", "-2", "--mu2",
+                       "0", "--p", "2", "--q", "3", "--case", "C1",
+                       "--grid-points", "2")
+        assert rec["grid"]["count"] == 2
+
+        # 2**20 radii pass the check; the scan on them is not run here
+        def stop(cand, grid):
+            raise DomainValidationError(f"scan on {grid.count} radii")
+
+        monkeypatch.setattr(cli, "find_scale", stop)
+        code, _, err = run_cli(capsys, "verify", "--N", "5", "--mu1", "-2",
+                               "--mu2", "0", "--p", "2", "--q", "3",
+                               "--case", "C1", "--grid-points", "1048576")
+        assert code == 1 and err == "error: scan on 1048576 radii\n"
+
+    @pytest.mark.parametrize("command", [("classify",),
+                                         ("verify", "--case", "C1")],
+                             ids=["classify", "verify"])
+    def test_format_is_not_an_option(self, capsys, command):
+        # only iterate and plot read --format; without it both commands run
+        point = ("--N", "5", "--mu1", "-2", "--mu2", "0", "--p", "2",
+                 "--q", "3")
+        assert run_cli(capsys, *command, *point)[0] == 0
+        code, out, err = run_cli(capsys, *command, *point, "--format", "svg")
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: --format svg\n"
 
     def test_overflowing_grid_fails_with_diagnostic(self, capsys):
         # u = r^-1 - 1 overflows at r = 1e-320: the record says so, quietly
@@ -475,6 +530,19 @@ class TestConfig:
         code, _, err = run_cli(capsys, "--config", str(cfg))
         assert code == 1
         assert err.count("\n") == 1 and f"--{key}=1" in err
+
+    @pytest.mark.parametrize("command, extra", [("classify", {}),
+                                                ("verify", {"case": "C1"})],
+                             ids=["classify", "verify"])
+    def test_config_format_only_for_iterate_and_plot(self, capsys, tmp_path,
+                                                     command, extra):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": command, "N": 5, "mu1": -2.0, "mu2": 0.0,
+            "p": 2.0, "q": 3.0, "format": "json", **extra}))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: --format=json\n"
 
     def test_non_object_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -2,7 +2,6 @@ import ast
 import itertools
 import math
 import pathlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +15,13 @@ from hardylane.constructions import (CASE_IDS, LINE_TOL, ORACLE_DEV_LIMIT,
                                      ORACLE_SAMPLES, ORACLE_STEP, SCALE_SCAN,
                                      SupersolutionCandidate,
                                      VerificationReport, build_candidate,
-                                     case_for_region, find_domain, find_scale,
-                                     verify_on_grid)
+                                     find_scale, verify_on_grid)
 from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
                                  boundary_expressions, mu_zero)
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
-                              apply_hardy, default_grid, evaluate,
-                              evaluate_with_magnitude, hardy_fd_oracle,
-                              log_radii)
+                              _term_sums, default_grid, log_radii)
 from hardylane.regions import Verdict, classify
+from oracles import case_for_region, hardy_fd_oracle, hardy_image, values
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)
@@ -56,8 +53,8 @@ GOLDEN = (
      ("0x1.0000000000000p+0", "0x1.6000000000000p+3",
       "0x1.00831f15032c3p+2", "0x1.cc6475eeaaaabp-18")),
     ("C3", (5, -2.0, 0.0, 1.5, 2.0),
-     ("0x1.0000000000000p+0", "0x1.8061fb459bcb2p+2",
-      "0x1.80c4f8060a511p+1", "0x1.cc01e9a33629cp-19")),
+     ("0x1.0000000000000p+0", "0x1.8061e247a8e9bp+2",
+      "0x1.80c4c5a881f2bp+1", "0x1.cbdd380b6c49bp-19")),
     ("C4", (5, -2.0, -2.0, 1.5, 3.2),
      ("0x1.0000000000000p-2", "0x1.1269eb555e659p-1",
       "0x1.48bb1483ea514p-5", "0x1.8da5dad970e4dp-17")),
@@ -75,12 +72,6 @@ GOLDEN = (
       "0x1.1269eb555e659p-1", "0x1.8da5dad970e4dp-17")),
 )
 
-#: The C3 log candidate's domain radius, 1 - 1e-6 (the first probe
-#: passes), and the radius a bisection reaches when u = r^-1 - 2 replaces
-#: its u (positive below r = 1/2 only).
-C3_LOG_DOMAIN = "0x1.ffffde7210be9p-1"
-C3_HALF_DOMAIN = "0x1.fffffffffef03p-2"
-
 
 def exponents_of(f):
     return [(t.tau, t.log_power, t.coeff) for t in f.terms]
@@ -93,21 +84,21 @@ def oracle_deviation_per_radius(params, cand, grid, h=1e-4, samples=16):
     radii = np.geomspace(r_lo, r_hi, samples)
     worst = 0.0
     for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
-        sym_f = apply_hardy(params.N, mu, f)
+        sym_f = hardy_image(params.N, mu, f)
         mag_f = RadialFunction.from_terms(
             [RadialTerm(t.tau, t.log_power, abs(t.coeff)) for t in sym_f.terms])
         for r in radii:
             h_r = min(h, r / 8.0)
             fd = hardy_fd_oracle(params.N, mu, f, float(r), h_r)
-            sym = float(evaluate(sym_f, float(r)))
-            scale_r = max(1.0, abs(sym), float(evaluate(mag_f, float(r))))
+            sym = float(values(sym_f, float(r)))
+            scale_r = max(1.0, abs(sym), float(values(mag_f, float(r))))
             worst = max(worst, abs(sym - fd) / scale_r)
     return worst
 
 
 def oracle_deviation_public(cand, grid):
-    """Reference: the operator cross-check from public calls, one
-    hardy_fd_oracle and one evaluate_with_magnitude per function."""
+    """Reference: the operator cross-check one function at a time, one
+    hardy_fd_oracle and one value-and-magnitude term sum per function."""
     params = cand.params
     radii = log_radii(max(grid.r_min, 0.25 * grid.r_max), grid.r_max * 0.85,
                       ORACLE_SAMPLES)
@@ -115,7 +106,7 @@ def oracle_deviation_public(cand, grid):
     worst = 0.0
     for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
         fd = hardy_fd_oracle(params.N, mu, f, radii, h_r)
-        sym, mag = evaluate_with_magnitude(apply_hardy(params.N, mu, f), radii)
+        sym, mag = _term_sums(hardy_image(params.N, mu, f), radii, True)
         dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
         worst = max(worst, float(np.fmax.reduce(dev)))
     return worst
@@ -133,8 +124,8 @@ def verify_reference(cand, t, grid, h=1e-4, samples=16):
     radius."""
     radii = np.geomspace(grid.r_min, grid.r_max, grid.count)
     params = cand.params
-    u_vals = np.asarray(evaluate(cand.u, radii))
-    v_vals = np.asarray(evaluate(cand.v, radii))
+    u_vals = values(cand.u, radii)
+    v_vals = values(cand.v, radii)
     if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
         which = "u" if np.min(u_vals) <= 0.0 else "v"
         bad = radii[np.argmin(u_vals if which == "u" else v_vals)]
@@ -143,8 +134,8 @@ def verify_reference(cand, t, grid, h=1e-4, samples=16):
             oracle_max_dev=math.nan, oracle_exceeded=False,
             positivity_ok=False,
             diagnostic=f"{which} is not positive near r={bad:.3e}")
-    lu = np.asarray(evaluate(apply_hardy(params.N, params.mu1, cand.u), radii))
-    lv = np.asarray(evaluate(apply_hardy(params.N, params.mu2, cand.v), radii))
+    lu = values(hardy_image(params.N, params.mu1, cand.u), radii)
+    lv = values(hardy_image(params.N, params.mu2, cand.v), radii)
     min_u, min_v = slacks_reference(cand, t, u_vals, v_vals, lu, lv)
     ok = (math.isfinite(min_u) and math.isfinite(min_v)
           and min_u >= 0.0 and min_v >= 0.0)
@@ -157,15 +148,15 @@ def verify_reference(cand, t, grid, h=1e-4, samples=16):
 
 def find_scale_reference(cand):
     """Reference: the descending scan, re-verified by verify_reference."""
-    grid = default_grid(cand.r_domain)
+    grid = default_grid()
     radii = np.geomspace(grid.r_min, grid.r_max, grid.count)
     params = cand.params
-    u_vals = np.asarray(evaluate(cand.u, radii))
-    v_vals = np.asarray(evaluate(cand.v, radii))
+    u_vals = values(cand.u, radii)
+    v_vals = values(cand.v, radii)
     if np.min(u_vals) <= 0.0 or np.min(v_vals) <= 0.0:
         return None
-    lu = np.asarray(evaluate(apply_hardy(params.N, params.mu1, cand.u), radii))
-    lv = np.asarray(evaluate(apply_hardy(params.N, params.mu2, cand.v), radii))
+    lu = values(hardy_image(params.N, params.mu1, cand.u), radii)
+    lv = values(hardy_image(params.N, params.mu2, cand.v), radii)
     for t in SCALE_SCAN:
         min_u, min_v = slacks_reference(cand, t, u_vals, v_vals, lu, lv)
         if (math.isfinite(min_u) and math.isfinite(min_v)
@@ -239,7 +230,7 @@ class TestRecipes:
         cand = build_candidate("C3", A_PARAMS, Powers(1.2, 2.0))
         assert exponents_of(cand.u) == [(-1.0, 0, 1.0), (1.0, 0, -1.0)]
         assert exponents_of(cand.v) == [(0.0, 1, 1.0)]
-        assert 0.0 < cand.r_domain <= 1.0
+        assert cand.notes == ("log recipe on the unit ball",)
 
     def test_log_line_with_positive_second_exponent(self):
         # tau_+(mu2) > 0: no log needed, single-power v on the line
@@ -332,11 +323,9 @@ class TestScaleSearch:
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         grid = RadialGrid(1e-6, 0.999, 512)
         radii = grid.radii
-        lu = apply_hardy(5, -2.0, cand.u)
-        from hardylane.radial import evaluate
+        lu = hardy_image(5, -2.0, cand.u)
         for t in (1.0, 2.0, 4.0):
-            slack = t * np.asarray(evaluate(lu, radii)) - \
-                (t * np.asarray(evaluate(cand.v, radii))) ** 2
+            slack = t * values(lu, radii) - (t * values(cand.v, radii)) ** 2
             normalized = slack * radii ** 2
             expected = 2.0 * t - t * t
             assert np.max(np.abs(normalized - expected)) <= 1e-9
@@ -395,7 +384,7 @@ class TestVerification:
                                  ("C5", B_PARAMS, Powers(2.0, 2.5)),
                                  ("C8", B_PARAMS, Powers(3.2, 1.5))):
             cand = build_candidate(case, params, pq)
-            lu = apply_hardy(params.N, params.mu1, cand.u)
+            lu = hardy_image(params.N, params.mu1, cand.u)
             assert len(lu.terms) == 1
 
     def test_oracle_recorded_and_small(self):
@@ -416,7 +405,7 @@ class TestVerification:
     @settings(max_examples=150, deadline=None)
     def test_shared_stencil_matches_public_oracle(self, cand, r_max):
         # one stencil for u and v gives the bits of one hardy_fd_oracle and
-        # one evaluate_with_magnitude call per function
+        # one value-and-magnitude term sum per function
         grid = RadialGrid(r_max * 1e-3, r_max, 64)
         dev = constructions._oracle_deviation(
             cand, constructions._images(cand), grid)
@@ -452,9 +441,9 @@ class TestVerification:
         # no diagnostic, and the minimum is the finite rest
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         radii = default_grid().radii
-        u, v, lu, lv = [np.asarray(evaluate(f, radii)) for f in
-                        (cand.u, cand.v, apply_hardy(5, -2.0, cand.u),
-                         apply_hardy(5, 0.0, cand.v))]
+        u, v, lu, lv = [values(f, radii) for f in
+                        (cand.u, cand.v, hardy_image(5, -2.0, cand.u),
+                         hardy_image(5, 0.0, cand.v))]
         lu[[0, 7]] = math.inf
         min_u, min_v = constructions._grid_slacks(cand, 1.0, u, v, lu, lv)
         assert constructions._slacks_ok(min_u, min_v)
@@ -472,7 +461,7 @@ class TestVerification:
     def test_handed_arrays_still_checked_for_positivity(self):
         for case, params, pq in ACCEPTING:
             cand = build_candidate(case, params, pq)
-            grid = default_grid(cand.r_domain)
+            grid = default_grid()
             t, report = find_scale(cand)
             # find_scale's report is verify_on_grid's, computed from scratch
             assert report_bits(report) == \
@@ -483,9 +472,9 @@ class TestVerification:
             assert find_scale(cand, grid=wide) is None, case
             bad = verify_on_grid(cand, t, wide)
             assert not bad.ok and not bad.positivity_ok, case
-            u = np.asarray(evaluate(cand.u, wide.radii))
+            u = values(cand.u, wide.radii)
             name, vals = ("u", u) if u.min() <= 0.0 else \
-                ("v", np.asarray(evaluate(cand.v, wide.radii)))
+                ("v", values(cand.v, wide.radii))
             assert bad.diagnostic == f"{name} is not positive near " \
                 f"r={wide.radii[vals.argmin()]:.3e}", case
 
@@ -552,30 +541,68 @@ class TestVerification:
         assert found[1].oracle_max_dev <= 1e-4
 
 
+@st.composite
+def c3_log_points(draw):
+    """A point of C3's log recipe: mu1 in (mu_zero, 0), mu2 = 0, q on the
+    line 2/(-t1) and p in (1.05, 6)."""
+    N = draw(st.integers(min_value=3, max_value=8))
+    mu1 = draw(st.floats(min_value=mu_zero(N), max_value=0.0,
+                         exclude_min=True, exclude_max=True))
+    params = HardyParams(N, mu1, 0.0)
+    t1 = params.roots[0]
+    # t1 rounds to 0 for |mu1| below about 1e-16 (N-2)^2, which puts the
+    # point outside the recipe's regime (ROADMAP item 1); every recipe
+    # assumes q > 1
+    assume(t1 < 0.0 and 2.0 / -t1 > 1.0)
+    p = draw(st.floats(min_value=1.05, max_value=6.0, exclude_min=True,
+                       exclude_max=True))
+    return params, Powers(p, 2.0 / -t1)
+
+
+def log2_closed_form_scale(params, pq):
+    """log2 of t_max = min((K_u (e/p)^p)^(1/(p-1)), (N-2)^(1/(q-1))),
+    K_u = N - 1 - mu1: the largest scale at which both slacks of the C3
+    log recipe are nonnegative on the whole punctured unit ball."""
+    N, p, q = params.N, pq.p, pq.q
+    k_u = N - 1 - params.mu1
+    return min((math.log2(k_u) + p * math.log2(math.e / p)) / (p - 1),
+               math.log2(N - 2) / (q - 1))
+
+
 class TestDomainSearch:
+    """Every candidate, C3's log recipe included, is verified on the unit
+    ball: the default grid ends at r = 1 - 1e-3."""
+
     def test_power_candidates_keep_unit_ball(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
-        assert find_domain(cand) == 1.0
+        assert find_scale(cand)[1].grid == default_grid()
 
     def test_log_candidate_radius(self):
         cand = build_candidate("C3", A_PARAMS, Powers(1.2, 2.0))
-        assert 0.0 < cand.r_domain < 1.0
-        assert find_scale(cand) is not None
+        found = find_scale(cand)
+        assert found is not None and found[1].ok
+        assert found[1].grid == default_grid()
+        assert default_grid().r_max == 0.999
 
-    def test_probes_build_no_report(self, monkeypatch):
-        # the probes only ask whether a scale passes: with the oracle
-        # cross-check unavailable the radii stay the same, bisection too
-        cand = build_candidate("C3", A_PARAMS, Powers(1.5, 2.0))
-        half = replace(cand, u=RadialFunction.from_terms(
-            [RadialTerm(-1.0, 0, 1.0), RadialTerm(0.0, 0, -2.0)]))
-
-        def no_oracle(*args):
-            raise AssertionError("a domain probe built a report")
-
-        monkeypatch.setattr(constructions, "_oracle_deviation", no_oracle)
-        built = build_candidate("C3", A_PARAMS, Powers(1.5, 2.0))
-        assert built.r_domain.hex() == cand.r_domain.hex() == C3_LOG_DOMAIN
-        assert find_domain(half).hex() == C3_HALF_DOMAIN
+    @given(c3_log_points())
+    @settings(max_examples=60, deadline=None)
+    def test_log_recipe_scale_is_the_closed_form(self, point):
+        params, pq = point
+        cand = build_candidate("C3", params, pq)
+        assert cand.notes == ("log recipe on the unit ball",)
+        expect = 2.0 ** min(0, math.floor(log2_closed_form_scale(params, pq)))
+        t, report = find_scale(cand)
+        assert t == expect and report.ok
+        # on grids reaching closer to 0 the scale keeps its power of two
+        # within one: a recipe that fails near 0 (C6, C7 as coded) loses
+        # a factor (-ln r_min)^(p/(p-1)).  It can move by one because at
+        # N = 3 the v-side bound t = 1 is attained only as r -> 0, where
+        # rounding of q decides the slack's sign, and because 512 radii
+        # over 100 decades can step over the u-side minimum at r = e^-p
+        for r_min in (1e-30, 1e-100):
+            found = find_scale(cand, grid=default_grid(r_min=r_min))
+            assert found is not None
+            assert expect / 2.0 <= found[0] <= 2.0 * expect, r_min
 
 
 class TestCaseSelection:
@@ -648,7 +675,7 @@ class TestAgainstReference:
                                   for c, _, pq in ACCEPTING[:1] + WRONG_SIDE])
     def test_verify_on_grid(self, case, params, pq):
         cand = build_candidate(case, params, pq, strict=False)
-        grid = default_grid(cand.r_domain)
+        grid = default_grid()
         for t in (1.0, 0.5, 10.0):
             assert report_bits(verify_on_grid(cand, t=t)) == \
                 report_bits(verify_reference(cand, t, grid))
@@ -656,8 +683,8 @@ class TestAgainstReference:
 
 # --- build_candidate against the builder it replaced -------------------------
 # A verbatim copy of build_candidate as it was before each recipe shape got
-# one builder (_single_power_pair) and one return: the reference the
-# current builder must match bit for bit.
+# one builder (_single_power_pair) and one return, with C3's log recipe on
+# the unit ball: the reference the current builder must match bit for bit.
 
 def _require(cond: bool, case_id: str, msg: str, strict: bool,
              notes: list) -> None:
@@ -755,12 +782,9 @@ def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,
         tau5c = t2 * p + 1.0
         u = diff(t1, tau5c)
         v = mono(1.0, t2, log_power=1)
-        cand = SupersolutionCandidate(case_id, params, pq, u, v,
-                                      r_domain=1.0, notes=tuple(notes))
-        r1 = find_domain(cand)
-        return replace(cand, r_domain=r1,
-                       notes=cand.notes + (f"log recipe on the ball of "
-                                           f"radius {r1:g}",))
+        notes.append("log recipe on the unit ball")
+        return SupersolutionCandidate(case_id, params, pq, u, v,
+                                      notes=tuple(notes))
 
     if case_id == "C5":
         _require(q < vals.q_lower, case_id,
@@ -824,8 +848,8 @@ def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,
 
 
 def candidate_bits(builder, case, params, pq, strict):
-    """The builder's candidate, its terms by float.hex, its notes and
-    r_domain, or the type and message of the error it raises."""
+    """The builder's candidate, its terms by float.hex and its notes, or
+    the type and message of the error it raises."""
     try:
         cand = builder(case, params, pq, strict=strict)
     except DomainValidationError as exc:
@@ -833,7 +857,7 @@ def candidate_bits(builder, case, params, pq, strict):
     return (cand.case_id, cand.params is params, cand.pq is pq,
             tuple(tuple((t.tau.hex(), t.log_power, t.coeff.hex())
                         for t in f.terms) for f in (cand.u, cand.v)),
-            cand.notes, cand.r_domain.hex())
+            cand.notes)
 
 
 def assert_builds_like_reference(case, params, pq):

@@ -12,10 +12,15 @@ from hardylane import constructions, exponents
 from hardylane.constructions import build_candidate
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  ExponentPair, HardyParams, Powers,
-                                 boundary_expressions, mu_zero, p_star,
-                                 root_coefficient, snap_mu, tau_pair)
+                                 boundary_expressions, mu_zero)
 from hardylane.iteration import iterate_clamped, iterate_plain
 from hardylane.regions import classify, nonexistence_witness
+from oracles import pair_of
+
+
+def snapped(N, mu):
+    """mu after HardyParams' snap rule."""
+    return HardyParams(N, mu, mu).mu1
 
 
 class TestMuZero:
@@ -35,31 +40,30 @@ class TestMuZero:
 
 class TestTauPair:
     def test_mu_zero_coefficient_gives_homogeneous_roots(self):
-        pair = tau_pair(5, 0.0)
+        pair = pair_of(5, 0.0)
         assert pair.tau_plus == 0.0
         assert pair.tau_minus == -3.0
 
     def test_double_root_at_threshold(self):
-        pair = tau_pair(5, -2.25)
+        pair = pair_of(5, -2.25)
         assert pair.tau_plus == pair.tau_minus == -1.5
-        assert pair.is_double_root
 
     def test_quadratic_solution(self):
         # -2 = tau (tau + 3) has roots -1 and -2
-        pair = tau_pair(5, -2.0)
+        pair = pair_of(5, -2.0)
         assert pair.tau_plus == pytest.approx(-1.0, abs=1e-14)
         assert pair.tau_minus == pytest.approx(-2.0, abs=1e-14)
 
     def test_rejects_below_threshold(self):
         with pytest.raises(DomainValidationError):
-            tau_pair(5, -2.2500001)
+            pair_of(5, -2.2500001)
 
     def test_snap_band(self):
-        assert snap_mu(5, -2.25 - 5e-13) == -2.25
-        assert snap_mu(5, -2.25 + 5e-13) == -2.25
-        assert snap_mu(5, -2.24) == -2.24
+        assert snapped(5, -2.25 - 5e-13) == -2.25
+        assert snapped(5, -2.25 + 5e-13) == -2.25
+        assert snapped(5, -2.24) == -2.24
         with pytest.raises(DomainValidationError):
-            snap_mu(5, -2.25 - 1e-11)
+            snapped(5, -2.25 - 1e-11)
 
 
 @st.composite
@@ -74,7 +78,7 @@ class TestRootProperties:
     @settings(max_examples=400)
     def test_root_identity(self, Nmu):
         N, mu = Nmu
-        pair = tau_pair(N, mu)
+        pair = pair_of(N, mu)
         tol = 1e-12 * max(1.0, abs(mu))
         for tau in (pair.tau_plus, pair.tau_minus):
             assert abs(mu - tau * (tau + N - 2)) <= tol
@@ -83,7 +87,7 @@ class TestRootProperties:
     @settings(max_examples=400)
     def test_vieta(self, Nmu):
         N, mu = Nmu
-        pair = tau_pair(N, mu)
+        pair = pair_of(N, mu)
         assert abs(pair.tau_plus + pair.tau_minus + (N - 2)) <= 1e-12
         assert abs(pair.tau_plus * pair.tau_minus + mu) <= 1e-12 * max(1.0, abs(mu))
 
@@ -94,14 +98,14 @@ class TestRootProperties:
     def test_monotonicity(self, N, d1, d2):
         lo = mu_zero(N) + d1
         hi = lo + d2
-        assert tau_pair(N, hi).tau_plus > tau_pair(N, lo).tau_plus
-        assert tau_pair(N, hi).tau_minus < tau_pair(N, lo).tau_minus
+        assert pair_of(N, hi).tau_plus > pair_of(N, lo).tau_plus
+        assert pair_of(N, hi).tau_minus < pair_of(N, lo).tau_minus
 
     @given(admissible())
     @settings(max_examples=400)
     def test_sign_regimes(self, Nmu):
         N, mu = Nmu
-        tp = tau_pair(N, mu).tau_plus
+        tp = pair_of(N, mu).tau_plus
         if mu < 0:
             assert tp < 0
         elif mu == 0:
@@ -113,23 +117,11 @@ class TestRootProperties:
     @settings(max_examples=300)
     def test_factored_coefficient_matches_expanded(self, Nmu, tau):
         N, mu = Nmu
-        # mu inside the snap band is mu_zero, as in tau_pair
-        expanded = snap_mu(N, mu) - tau * (tau + N - 2)
+        # mu inside the snap band is mu_zero, as in HardyParams
+        expanded = snapped(N, mu) - tau * (tau + N - 2)
         scale = max(1.0, abs(expanded))
-        assert abs(root_coefficient(N, mu, tau) - expanded) <= 1e-12 * scale
-
-
-class TestPStar:
-    def test_worked_values(self):
-        assert p_star(5, -2.0) == pytest.approx(3.0, abs=1e-14)
-        assert p_star(4, -1.0) == pytest.approx(3.0, abs=1e-14)
-        assert p_star(5, -2.25) == pytest.approx(1.0 + 4.0 / 3.0, abs=1e-14)
-
-    def test_rejects_nonnegative_mu(self):
-        with pytest.raises(DomainValidationError):
-            p_star(5, 0.0)
-        with pytest.raises(DomainValidationError):
-            p_star(5, 1.0)
+        factored = pair_of(N, mu).coefficient_at(tau)
+        assert abs(factored - expanded) <= 1e-12 * scale
 
 
 class TestBoundaryExpressions:
@@ -168,7 +160,7 @@ class TestParamTypes:
     def test_hardy_params_snaps(self):
         params = HardyParams(5, -2.25 - 1e-14, 0.0)
         assert params.mu1 == -2.25
-        assert params.tau1.is_double_root
+        assert params.tau1.tau_plus == params.tau1.tau_minus
 
     def test_hardy_params_rejects(self):
         with pytest.raises(DomainValidationError):
@@ -203,8 +195,7 @@ class TestParamTypes:
     @pytest.mark.parametrize("mu", ["-2", "0", True, False, np.bool_(True),
                                     None, 1j, b"0"])
     def test_coefficients_must_be_real_numbers(self, mu):
-        for call in (lambda: snap_mu(5, mu), lambda: tau_pair(5, mu),
-                     lambda: HardyParams(5, mu, 0.0),
+        for call in (lambda: HardyParams(5, mu, 0.0),
                      lambda: HardyParams(5, 0.0, mu)):
             with pytest.raises(DomainValidationError, match="real number"):
                 call()
@@ -212,12 +203,10 @@ class TestParamTypes:
     @pytest.mark.parametrize("mu", [-2, 0, 1, -2.0, np.float64(-2.0),
                                     np.float32(-2.0), np.int64(-2)])
     def test_coefficients_accept_ints_and_floats(self, mu):
-        expect = tau_pair(5, float(mu))
-        assert type(snap_mu(5, mu)) is float
-        assert snap_mu(5, mu) == float(mu)
-        assert tau_pair(5, mu) == expect
+        expect = pair_of(5, float(mu))
         params = HardyParams(5, mu, mu)
         assert type(params.mu1) is float and type(params.mu2) is float
+        assert params.mu1 == params.mu2 == float(mu)
         assert params.tau1 == params.tau2 == expect
 
     @pytest.mark.parametrize("N", [3.0, 5.0, True, np.int64(5), np.int32(4),
@@ -230,8 +219,8 @@ class TestParamTypes:
     def test_dimension_constants_inside_and_past_the_table(self, N):
         mu = mu_zero(N) / 2.0
         params = HardyParams(N, mu, 0.0)
-        assert params.tau1 == tau_pair(N, mu)
-        assert params.tau2 == tau_pair(N, 0.0)
+        assert params.tau1 == pair_of(N, mu)
+        assert params.tau2 == pair_of(N, 0.0)
         assert HardyParams(N, mu_zero(N) * (1 + 1e-15), 0.0).mu1 == mu_zero(N)
 
 
@@ -256,10 +245,11 @@ class TestCachedPairs:
     @given(coefficient_pairs())
     @settings(max_examples=500)
     def test_pairs_match_tau_pair(self, point):
+        # each pair depends on its own coefficient alone
         N, mu1, mu2 = point
         params = HardyParams(N, mu1, mu2)
-        assert same_pair(params.tau1, tau_pair(N, mu1))
-        assert same_pair(params.tau2, tau_pair(N, mu2))
+        assert same_pair(params.tau1, pair_of(N, mu1))
+        assert same_pair(params.tau2, pair_of(N, mu2))
 
     def test_swapped_exchanges_pairs(self):
         params = HardyParams(5, -2.0, 1.0)
@@ -270,11 +260,11 @@ class TestCachedPairs:
     def test_replace_recomputes_pairs(self):
         params = replace(HardyParams(5, -2.0, 1.0), mu2=-2.25 + 1e-14)
         assert params.mu2 == -2.25
-        assert same_pair(params.tau2, tau_pair(5, -2.25))
-        assert same_pair(params.tau1, tau_pair(5, -2.0))
+        assert same_pair(params.tau2, pair_of(5, -2.25))
+        assert same_pair(params.tau1, pair_of(5, -2.0))
         with pytest.raises(DomainValidationError):
             replace(params, mu1=-3.0)
-        assert same_pair(replace(params, N=7).tau1, tau_pair(7, -2.0))
+        assert same_pair(replace(params, N=7).tau1, pair_of(7, -2.0))
 
     def test_pickle_round_trip(self):
         params = HardyParams(6, -4.0, 0.5)
@@ -332,13 +322,14 @@ def _bit_cases():
 
 class TestPairsFromRoots:
     """tau1 and tau2 are built from the stored roots on each access and
-    equal tau_pair bit for bit, however the params were made."""
+    equal a lone coefficient's pair bit for bit, however the params were
+    made."""
 
     @pytest.mark.parametrize("point", _bit_cases())
     def test_pairs_match_tau_pair_after_every_copy(self, point):
         N, mu1, mu2 = point
         params = HardyParams(N, mu1, mu2)
-        want1, want2 = tau_pair(N, mu1), tau_pair(N, mu2)
+        want1, want2 = pair_of(N, mu1), pair_of(N, mu2)
         same = (params, params.swapped().swapped(),
                 pickle.loads(pickle.dumps(params)), copy.copy(params),
                 copy.deepcopy(params), replace(params))
@@ -382,21 +373,22 @@ _WITNESS_POINTS = {
     (5, -2.0, -2.0, 3.5, 2.9): ("T2.iii", False, False),
 }
 
-#: Accepting points of every construction; C3 with tau_+(mu2) > 0 builds
-#: no log ball (find_domain verifies the candidate, images included).
+#: Accepting points of every construction, C3 both with tau_+(mu2) > 0 and
+#: on the log recipe.
 _CONSTRUCTION_POINTS = (
     ("C1", (5, -2.0, 0.0), (2.0, 3.0)), ("C2", (5, -2.0, 0.0), (1.5, 1.5)),
     ("C3", (5, -2.0, 4.0), (1.5, 2.0)), ("C4", (5, -2.0, -2.0), (1.5, 3.2)),
     ("C5", (5, -2.0, -2.0), (2.0, 2.5)), ("C6", (5, -2.0, -2.0), (2.0, 3.0)),
-    ("C7", (5, -2.0, -2.0), (3.0, 2.0)), ("C8", (5, -2.0, -2.0), (3.2, 1.5)))
+    ("C7", (5, -2.0, -2.0), (3.0, 2.0)), ("C8", (5, -2.0, -2.0), (3.2, 1.5)),
+    ("C3", (5, -2.0, 0.0), (1.5, 2.0)))
 
 
 class TestNoPairsOffRequest:
-    """The exponent readers unpack HardyParams.roots; only tau1, tau2,
-    tau_pair and the symbolic images build ExponentPairs."""
+    """The exponent readers unpack HardyParams.roots; only tau1, tau2 and
+    the symbolic images build ExponentPairs."""
 
     def test_the_counter_sees_a_pair(self, pairs_built):
-        tau_pair(5, 0.0)
+        HardyParams(5, 0.0, -2.0).tau1
         HardyParams(5, -2.0, 0.0).tau2
         assert pairs_built == [(0.0, -3.0), (0.0, -3.0)]
 
@@ -516,13 +508,12 @@ class TestEarlyReturns:
     def test_coefficients(self, N):
         for mu in _edge_coefficients(N) + _ODD_VALUES:
             want = outcome(lambda: reference_snap(N, mu))
-            assert outcome(lambda: snap_mu(N, mu)) == want, mu
             assert outcome(lambda: HardyParams(N, mu, 0.0).mu1) == want, mu
             assert outcome(lambda: HardyParams(N, 0.0, mu).mu2) == want, mu
             if want[0] != "error":
-                snapped = float.fromhex(want[1])
+                snapped_mu = float.fromhex(want[1])
                 assert same_pair(HardyParams(N, mu, mu).tau1,
-                                 tau_pair(N, snapped))
+                                 pair_of(N, snapped_mu))
 
     def test_powers(self):
         for p in _ODD_VALUES + [2.5, 1e-300]:

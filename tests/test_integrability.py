@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylane.exponents import DomainValidationError, mu_zero, tau_pair
-from hardylane.integrability import is_gamma_integrable
+from hardylane.exponents import mu_zero
+from hardylane.integrability import power_verdict
 from hardylane.radial import RadialFunction
+from oracles import pair_of
 from quadrature import integral_behavior, weighted_integral
 
 mono = RadialFunction.monomial
@@ -14,40 +15,32 @@ mono = RadialFunction.monomial
 
 class TestVerdicts:
     def test_borderline_divergent(self):
-        v = is_gamma_integrable(5, 0.0, mono(1.0, -5.0), 1.0)
+        v = power_verdict(5, -5.0, pair_of(5, 0.0).tau_plus)
         assert not v.integrable
         assert v.critical_exponent_gap == pytest.approx(0.0, abs=1e-14)
 
     def test_barely_integrable(self):
-        v = is_gamma_integrable(5, 0.0, mono(1.0, -4.999), 1.0)
+        v = power_verdict(5, -4.999, pair_of(5, 0.0).tau_plus)
         assert v.integrable
         assert v.critical_exponent_gap == pytest.approx(0.001, abs=1e-12)
 
     def test_negative_weight_shifts_threshold(self):
         # tau_+(-2) = -1: sigma = -4 - 1 + 5 = 0
-        v = is_gamma_integrable(5, -2.0, mono(1.0, -4.0), 1.0)
+        v = power_verdict(5, -4.0, pair_of(5, -2.0).tau_plus)
         assert not v.integrable
         assert v.critical_exponent_gap == pytest.approx(0.0, abs=1e-14)
 
     def test_log_factor_never_rescues(self):
-        v = is_gamma_integrable(5, -2.0, mono(1.0, -4.0, log_power=1), 0.5)
-        assert not v.integrable
+        # sigma = 0: the power's verdict holds for r^-4 (-ln r) as well
+        assert not power_verdict(5, -4.0, pair_of(5, -2.0).tau_plus).integrable
+        kind, _ = integral_behavior(5, -2.0, mono(1.0, -4.0, log_power=1))
+        assert kind == "divergent"
 
     def test_log_factor_kept_when_margin_positive(self):
-        v = is_gamma_integrable(5, -2.0, mono(1.0, -3.5, log_power=1), 1.0)
-        assert v.integrable
-
-    def test_zero_function(self):
-        assert is_gamma_integrable(5, 0.0, RadialFunction.zero()).integrable
-
-    def test_rejects_mixed_sign(self):
-        f = mono(1.0, -1.0) - mono(1.0, 0.0)
-        with pytest.raises(DomainValidationError):
-            is_gamma_integrable(5, 0.0, f)
-
-    def test_rejects_bad_radius(self):
-        with pytest.raises(DomainValidationError):
-            is_gamma_integrable(5, 0.0, mono(1.0, -1.0), r0=1.5)
+        # sigma = 1/2: r^-3.5 (-ln r) stays integrable, as its power says
+        assert power_verdict(5, -3.5, pair_of(5, -2.0).tau_plus).integrable
+        kind, _ = integral_behavior(5, -2.0, mono(1.0, -3.5, log_power=1))
+        assert kind == "convergent"
 
     @given(st.integers(min_value=3, max_value=10),
            st.floats(min_value=0.0, max_value=10.0),
@@ -56,9 +49,9 @@ class TestVerdicts:
     @settings(max_examples=300)
     def test_threshold_sharpness(self, N, off, delta):
         mu = mu_zero(N) + off
-        tp = tau_pair(N, mu).tau_plus
+        tp = pair_of(N, mu).tau_plus
         tau = -N - tp + delta  # sigma = delta
-        v = is_gamma_integrable(N, mu, mono(1.0, tau))
+        v = power_verdict(N, tau, tp)
         assert v.integrable == (delta > 0.0)
         assert v.critical_exponent_gap == pytest.approx(delta, abs=1e-9)
 
@@ -103,8 +96,8 @@ class TestQuadratureCrossCheck:
     @settings(max_examples=60, deadline=None)
     def test_detector_agrees_with_verdict(self, N, off, sigma, logk):
         mu = mu_zero(N) + off
-        tp = tau_pair(N, mu).tau_plus
+        tp = pair_of(N, mu).tau_plus
         f = mono(1.0, sigma - tp - N, log_power=logk)
-        verdict = is_gamma_integrable(N, mu, f)
+        verdict = power_verdict(N, f.terms[0].tau, tp)
         kind, _ = integral_behavior(N, mu, f)
         assert verdict.integrable == (kind == "convergent")

@@ -1,10 +1,13 @@
 """The sdist built from pyproject.toml ships the JSON schemas and needs
-numpy alone at run time; the four commands run with scipy blocked.
+numpy alone at run time; the four commands run with scipy blocked.  The
+package imports nothing it does not use, and holds no public function or
+class that no package code calls, bar a few named entry points.
 
 The build runs on a copy of the project in a temporary directory, so no
 egg-info or build output lands in the source tree.
 """
 
+import ast
 import os
 import re
 import shutil
@@ -16,7 +19,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hardylane"
 SCHEMAS = ("classify", "iterate", "plot", "verify")
+
+#: Public names that no package code calls, each with who calls it.  The
+#: console script's cli.main and the README library example's names are
+#: called inside the package too, so they need no entry.
+ENTRY_POINTS = {
+    "hardylane.plotting.render_svg":
+        "hlbench/test_checks.py reads a plot's SVG text",
+    "hardylane.schemas.load_schema":
+        "the CLI tests validate records against the shipped schemas",
+}
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +132,59 @@ def test_commands_run_without_scipy(tmp_path):
     assert "EXIT [0, 0, 0, 0]" in proc.stderr, proc.stderr
     assert {p.name for p in tmp_path.iterdir()} == {
         "plot.csv", "plot.svg", "plot.json"}
+
+
+def _package_modules():
+    """(dotted module name, parsed source) for each module of the package."""
+    return [(".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+             .removesuffix(".__init__"),
+             ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.rglob("*.py"))]
+
+
+def test_no_unused_import():
+    # a name an import binds must be read in its module; the package's
+    # re-exports are read through __all__
+    unused = []
+    for module, tree in _package_modules():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and \
+                    [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{module}:{node.lineno}: {name}"
+                       for name in bound if name not in read]
+    assert unused == []
+
+
+def test_public_names_are_called_in_the_package():
+    # every public module-level function and class is read somewhere in
+    # the package outside its own definition (the package's re-exports
+    # do not count), or is an entry point named with its caller
+    read, public = set(), []
+    for module, tree in _package_modules():
+        if module == "hardylane":
+            continue
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    public.append(f"{module}.{own}")
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    uncalled = [name for name in public
+                if name.rpartition(".")[2] not in read]
+    assert sorted(uncalled) == sorted(ENTRY_POINTS)

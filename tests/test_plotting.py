@@ -12,8 +12,8 @@ from hardylane import plotting
 from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.plotting import (_COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H,
                                 _PLOT_W, PlotSpec, critical_curve_points,
-                                emit_csv, emit_svg, grid_csv_text,
-                                region_markers, render_svg)
+                                emit_csv, emit_svg, region_markers,
+                                render_svg)
 from hardylane.regions import _CITATIONS, _wrap, classify_field
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
@@ -21,9 +21,14 @@ B_PARAMS = HardyParams(5, -2.0, -2.0)
 WINDOW = ((0.1, 8.0), (0.1, 8.0))
 
 
+def csv_text(codes, margins, spec):
+    """The CSV that emit_csv writes, joined into one string."""
+    return "".join(plotting._csv_blocks(codes, margins, spec))
+
+
 def grid_csv_lines(codes, margins, spec):
-    """grid_csv_text split into its lines; every line ends in a newline."""
-    text = grid_csv_text(codes, margins, spec)
+    """csv_text split into its lines; every line ends in a newline."""
+    text = csv_text(codes, margins, spec)
     assert text.endswith("\n")
     return text[:-1].split("\n")
 
@@ -246,7 +251,7 @@ def _grids(draw):
 def test_emitters_match_per_cell_oracles(grid):
     codes, margins, spec = grid
     flags = np.zeros(codes.shape, dtype=np.uint8)
-    text = grid_csv_text(codes, margins, spec)
+    text = csv_text(codes, margins, spec)
     assert text == "\n".join(per_cell_csv_lines(codes, margins, flags,
                                                 spec)) + "\n"
     lines = render_svg(codes, spec).split("\n")
@@ -271,7 +276,7 @@ def test_emitters_reject_invalid_code(cell, tmp_path):
         codes[cell] = K.CODE_INVALID
     margins = np.linspace(-1.0, 1.0, 16).reshape(4, 4)
     with pytest.raises(DomainValidationError):
-        grid_csv_text(codes, margins, spec)
+        csv_text(codes, margins, spec)
     with pytest.raises(DomainValidationError):
         render_svg(codes, spec)
     with pytest.raises(DomainValidationError):
@@ -321,7 +326,7 @@ def test_files_hold_the_text_functions_bytes(res, tmp_path):
     emit_csv(codes, margins, spec, str(tmp_path / "plot.csv"))
     emit_svg(codes, spec, str(tmp_path / "plot.svg"))
     assert (tmp_path / "plot.csv").read_bytes() == \
-        grid_csv_text(codes, margins, spec).encode("utf-8")
+        csv_text(codes, margins, spec).encode("utf-8")
     assert (tmp_path / "plot.svg").read_bytes() == \
         render_svg(codes, spec).encode("utf-8")
 

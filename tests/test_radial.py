@@ -10,20 +10,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hardylane
-from hardylane.exponents import (DomainValidationError, mu_zero, snap_mu,
-                                 tau_pair)
-from hardylane.radial import (PositivityError, RadialFunction, RadialGrid,
-                              RadialTerm, _fd_hardy, _fd_stencil, _term_sums,
-                              apply_hardy, default_grid, evaluate,
-                              evaluate_with_magnitude, hardy_fd_oracle,
-                              log_radii, pow_eval, scale)
+from hardylane.exponents import DomainValidationError, HardyParams, mu_zero
+from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
+                              _as_radii, _fd_hardy, _fd_stencil, _term_sums,
+                              default_grid, log_radii)
+from oracles import hardy_fd_oracle, hardy_image, pair_of, values
 
 mono = RadialFunction.monomial
 
 
+def combination(*pairs):
+    """The sum of c * f over (c, f) pairs, merged by from_terms; a product
+    that is zero (c = 0, or an underflow) adds no term."""
+    return RadialFunction.from_terms(
+        RadialTerm(t.tau, t.log_power, c * t.coeff)
+        for c, f in pairs for t in f.terms if c * t.coeff != 0.0)
+
+
 def evaluate_reference(f, r):
-    """evaluate's formula before it accumulated in place: a fresh array per
-    partial sum and -ln r taken for every function with terms."""
+    """The term sums as a fresh array per partial sum, with -ln r taken
+    for every function with terms."""
     arr = np.asarray(r, dtype=float)
     out = np.zeros_like(arr)
     if not f.is_zero:
@@ -66,32 +72,34 @@ def radii_inputs(draw):
 
 
 class TestEvaluate:
+    """The term sums (_term_sums) on radii that _as_radii has checked."""
+
     def test_constant(self):
-        assert evaluate(mono(1.0, 0.0), 0.5) == 1.0
+        assert values(mono(1.0, 0.0), 0.5) == 1.0
 
     def test_log_solution_at_threshold(self):
         # r^(-3/2) * (-ln r) in dimension 5 at r = 1/e
         f = mono(1.0, -1.5, log_power=1)
-        assert evaluate(f, math.exp(-1.0)) == pytest.approx(math.exp(1.5),
-                                                            rel=1e-14)
+        assert values(f, math.exp(-1.0)) == pytest.approx(math.exp(1.5),
+                                                          rel=1e-14)
 
     def test_two_terms(self):
-        f = mono(1.0, -1.0) - mono(1.0, 0.0)
-        assert evaluate(f, 0.25) == pytest.approx(3.0, abs=1e-14)
+        f = RadialFunction.power_difference(-1.0, 0.0)
+        assert values(f, 0.25) == pytest.approx(3.0, abs=1e-14)
 
     def test_log_sign_above_one(self):
         f = mono(1.0, 0.0, log_power=1)
-        assert evaluate(f, math.e) == pytest.approx(-1.0, rel=1e-14)
+        assert values(f, math.e) == pytest.approx(-1.0, rel=1e-14)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(DomainValidationError):
-            evaluate(mono(1.0, 1.0), 0.0)
+            _as_radii(0.0)
         with pytest.raises(DomainValidationError):
-            evaluate(mono(1.0, 1.0), -1.0)
+            _as_radii(-1.0)
 
     def test_array_evaluation(self):
         f = mono(2.0, -1.0)
-        out = evaluate(f, np.array([0.5, 0.25]))
+        out = values(f, np.array([0.5, 0.25]))
         assert np.allclose(out, [4.0, 8.0])
 
     @given(TERMS, radii_inputs())
@@ -101,15 +109,14 @@ class TestEvaluate:
             RadialTerm(tau, k, c) for tau, k, c in terms)
         mag_f = RadialFunction.from_terms(
             RadialTerm(t.tau, t.log_power, abs(t.coeff)) for t in f.terms)
+        arr = _as_radii(r)
         with np.errstate(all="ignore"):
-            out = evaluate(f, r)
+            out, none = _term_sums(f, arr, False)
             ref = evaluate_reference(f, r)
-            value, mag = evaluate_with_magnitude(f, r)
+            value, mag = _term_sums(f, arr, True)
             mag_ref = evaluate_reference(mag_f, r)
-        if np.ndim(r) == 0:
-            assert type(out) is type(value) is type(mag) is float
-        else:
-            assert out.shape == value.shape == mag.shape == np.shape(r)
+        assert none is None
+        assert out.shape == value.shape == mag.shape == np.shape(r)
         assert hex_bits(out) == hex_bits(ref)
         assert hex_bits(value) == hex_bits(ref)
         assert hex_bits(mag) == hex_bits(mag_ref)
@@ -120,10 +127,11 @@ class TestEvaluate:
     @pytest.mark.parametrize("f", [RadialFunction.zero(), mono(1.0, 1.0),
                                    mono(2.0, -1.5, log_power=1)])
     def test_rejects_invalid_radii(self, f, r):
+        # the check runs before any of f's terms is evaluated
         with pytest.raises(DomainValidationError):
-            evaluate(f, r)
+            _term_sums(f, _as_radii(r), False)
         with pytest.raises(DomainValidationError):
-            evaluate_with_magnitude(f, r)
+            _term_sums(f, _as_radii(r), True)
 
 
 class TestNormalization:
@@ -135,7 +143,7 @@ class TestNormalization:
         assert f.terms[1].coeff == 5.0
 
     def test_cancellation_yields_zero(self):
-        f = mono(1.0, 2.0) - mono(1.0, 2.0)
+        f = combination((1.0, mono(1.0, 2.0)), (-1.0, mono(1.0, 2.0)))
         assert f.is_zero
 
     def test_relative_drop_of_tiny_coefficients(self):
@@ -150,7 +158,7 @@ class TestNormalization:
         f = RadialFunction.from_terms([
             RadialTerm(0.0, 0, 1.0), RadialTerm(1.0, 0, 1e-16)])
         assert f.terms == (RadialTerm(0.0, 0, 1.0), RadialTerm(1.0, 0, 1e-16))
-        assert apply_hardy(3, 0.0, f).terms == (RadialTerm(-1.0, 0, -2e-16),)
+        assert hardy_image(3, 0.0, f).terms == (RadialTerm(-1.0, 0, -2e-16),)
 
     @given(st.data())
     @settings(max_examples=500, deadline=None)
@@ -161,8 +169,10 @@ class TestNormalization:
         b = data.draw(st.one_of(st.just(a), st.just(-a), exps))
         bits = [(t.tau.hex(), t.log_power, t.coeff.hex())
                 for t in RadialFunction.power_difference(a, b).terms]
+        merged = RadialFunction.from_terms([RadialTerm(a, 0, 1.0),
+                                            RadialTerm(b, 0, -1.0)])
         assert bits == [(t.tau.hex(), t.log_power, t.coeff.hex())
-                        for t in (mono(1.0, a) - mono(1.0, b)).terms]
+                        for t in merged.terms]
         assert (a == b) == (bits == [])
 
     @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.nan),
@@ -182,11 +192,11 @@ class TestNormalization:
 class TestApplyHardy:
     def test_annihilates_homogeneous_solution(self):
         # tau_+(-2) = -1 in dimension 5
-        assert apply_hardy(5, -2.0, mono(1.0, -1.0)).is_zero
+        assert hardy_image(5, -2.0, mono(1.0, -1.0)).is_zero
 
     def test_power_two(self):
         # mu - tau(tau + N - 2) = -2 - 2*5 = -12
-        out = apply_hardy(5, -2.0, mono(1.0, 2.0))
+        out = hardy_image(5, -2.0, mono(1.0, 2.0))
         assert len(out.terms) == 1
         t = out.terms[0]
         assert (t.tau, t.log_power) == (0.0, 0)
@@ -194,7 +204,7 @@ class TestApplyHardy:
 
     def test_log_term_at_kernel_exponent(self):
         # first coefficient vanishes at tau_+; second is 2 tau + N - 2 = 1
-        out = apply_hardy(5, -2.0, mono(1.0, -1.0, log_power=1))
+        out = hardy_image(5, -2.0, mono(1.0, -1.0, log_power=1))
         assert len(out.terms) == 1
         t = out.terms[0]
         assert (t.tau, t.log_power) == (-3.0, 0)
@@ -205,16 +215,16 @@ class TestApplyHardy:
     @settings(max_examples=200)
     def test_kernel_property(self, N, offset):
         mu = mu_zero(N) + offset
-        pair = tau_pair(N, mu)
-        assert apply_hardy(N, mu, mono(1.0, pair.tau_plus)).is_zero
-        assert apply_hardy(N, mu, mono(1.0, pair.tau_minus)).is_zero
+        pair = pair_of(N, mu)
+        assert hardy_image(N, mu, mono(1.0, pair.tau_plus)).is_zero
+        assert hardy_image(N, mu, mono(1.0, pair.tau_minus)).is_zero
 
     @given(st.integers(min_value=3, max_value=10))
     @settings(max_examples=20)
     def test_log_kernel_at_double_root(self, N):
         mu = mu_zero(N)
-        tau = tau_pair(N, mu).tau_minus
-        assert apply_hardy(N, mu, mono(1.0, tau, log_power=1)).is_zero
+        tau = pair_of(N, mu).tau_minus
+        assert hardy_image(N, mu, mono(1.0, tau, log_power=1)).is_zero
 
     @given(st.integers(min_value=3, max_value=8),
            st.floats(min_value=-1.0, max_value=5.0),
@@ -227,27 +237,30 @@ class TestApplyHardy:
         # compared pointwise: the cancellation-residue drop rule may prune
         # the two normalized term lists differently at the 1e-14 level
         mu = mu_zero(N) + mu_off if mu_off > 0 else 0.0
-        f = mono(1.0, tau_a) + mono(0.5, tau_b, log_power=1)
-        g = mono(1.0, tau_b) - mono(2.0, tau_a)
-        lhs = apply_hardy(N, mu, scale(f, ca) + scale(g, cb))
-        rhs = scale(apply_hardy(N, mu, f), ca) + scale(apply_hardy(N, mu, g), cb)
+        f = combination((1.0, mono(1.0, tau_a)),
+                        (1.0, mono(0.5, tau_b, log_power=1)))
+        g = combination((1.0, mono(1.0, tau_b)), (-1.0, mono(2.0, tau_a)))
+        lhs = hardy_image(N, mu, combination((ca, f), (cb, g)))
+        rhs = combination((ca, hardy_image(N, mu, f)),
+                          (cb, hardy_image(N, mu, g)))
         for r in (0.07, 0.35, 0.8):
             ref = sum(abs(t.coeff) * r ** t.tau * abs(math.log(r)) ** t.log_power
                       for t in lhs.terms + rhs.terms)
-            assert abs(evaluate(lhs, r) - evaluate(rhs, r)) <= \
+            assert abs(values(lhs, r) - values(rhs, r)) <= \
                 1e-12 * max(1.0, ref)
 
     def test_linearity_with_small_log_term(self):
         # N=3, mu=0: the constant is a kernel function, so the image of
         # 1e-14 (1 + 0.5 (-ln r)) - 1 is the log term's 5e-15 r^-2 alone
-        g = mono(1.0, 0.0) + mono(0.5, 0.0, log_power=1)
-        f = scale(g, 1e-14) - mono(1.0, 0.0)
+        g = combination((1.0, mono(1.0, 0.0)),
+                        (1.0, mono(0.5, 0.0, log_power=1)))
+        f = combination((1e-14, g), (-1.0, mono(1.0, 0.0)))
         assert len(f.terms) == 2
-        lhs = apply_hardy(3, 0.0, f)
-        rhs = scale(apply_hardy(3, 0.0, g), 1e-14) - \
-            apply_hardy(3, 0.0, mono(1.0, 0.0))
+        lhs = hardy_image(3, 0.0, f)
+        rhs = combination((1e-14, hardy_image(3, 0.0, g)),
+                          (-1.0, hardy_image(3, 0.0, mono(1.0, 0.0))))
         assert lhs.terms == rhs.terms == (RadialTerm(-2.0, 0, 5e-15),)
-        assert evaluate(lhs, 0.07) == evaluate(rhs, 0.07) > 1e-12
+        assert values(lhs, 0.07) == values(rhs, 0.07) > 1e-12
 
     @given(st.integers(min_value=3, max_value=10),
            st.floats(min_value=0.001, max_value=10.0),
@@ -255,13 +268,13 @@ class TestApplyHardy:
     @settings(max_examples=300)
     def test_sign_of_coefficient_between_roots(self, N, offset, frac):
         mu = mu_zero(N) + offset
-        pair = tau_pair(N, mu)
+        pair = pair_of(N, mu)
         inside = pair.tau_minus + frac * (pair.tau_plus - pair.tau_minus)
-        out = apply_hardy(N, mu, mono(1.0, inside))
+        out = hardy_image(N, mu, mono(1.0, inside))
         if out.terms:
             assert out.terms[0].coeff > 0.0
         above = pair.tau_plus + 0.3 + frac
-        out = apply_hardy(N, mu, mono(1.0, above))
+        out = hardy_image(N, mu, mono(1.0, above))
         assert out.terms[0].coeff < 0.0
 
 
@@ -352,14 +365,14 @@ class TestFdOracle:
               for terms in functions]
         mus = [mu + k for k in range(len(fs))]
         # the functions' values stacked inside each offset row, one mu each
-        per_row = np.reshape([snap_mu(N, m) for m in mus],
+        per_row = np.reshape([HardyParams(N, m, m).mu1 for m in mus],
                              (-1,) + (1,) * r_s.ndim)
         stacked = _fd_hardy(
             N, per_row,
             np.stack([_term_sums(f, stencil, False)[0] for f in fs], axis=1),
             r_s, h_s)
         for f, m, row in zip(fs, mus, stacked):
-            alone = _fd_hardy(N, snap_mu(N, m),
+            alone = _fd_hardy(N, HardyParams(N, m, m).mu1,
                               _term_sums(f, stencil, False)[0], r_s, h_s)
             want = np.asarray(hardy_fd_oracle(N, m, f, r, h)).tobytes()
             assert alone.tobytes() == want
@@ -375,12 +388,12 @@ class TestFdOracle:
                                 rng.uniform(0.2, 1.0) * rng.choice([-1, 1]))
                      for _ in range(int(rng.integers(1, 5)))]
             f = RadialFunction.from_terms(terms)
-            sym = apply_hardy(N, mu, f)
+            sym = hardy_image(N, mu, f)
             radii = np.geomspace(0.05, 0.8, 16)
 
             def rms(h):
                 devs = [hardy_fd_oracle(N, mu, f, float(r), h)
-                        - float(evaluate(sym, float(r))) for r in radii]
+                        - float(values(sym, float(r))) for r in radii]
                 return math.sqrt(sum(d * d for d in devs) / len(devs))
 
             e1, e2 = rms(1e-3), rms(5e-4)
@@ -390,25 +403,6 @@ class TestFdOracle:
             assert 3.5 <= e1 / e2 <= 4.5
             checked += 1
         assert checked >= 30
-
-
-class TestScaleAndPow:
-    def test_scale_linearity(self):
-        f = scale(mono(1.0, -1.0) - mono(1.0, 0.0), 2.0)
-        assert [t.coeff for t in f.terms] == [2.0, -2.0]
-
-    def test_pow_integer(self):
-        assert pow_eval(mono(1.0, -1.0), 3.0, 0.5) == pytest.approx(8.0)
-
-    def test_pow_rejects_negative_base(self):
-        f = mono(1.0, -1.0) - mono(1.0, 0.0)
-        assert evaluate(f, 2.0) == pytest.approx(-0.5)
-        with pytest.raises(PositivityError):
-            pow_eval(f, 2.5, 2.0)
-
-    def test_pow_integer_negative_base_allowed(self):
-        f = mono(1.0, -1.0) - mono(1.0, 0.0)
-        assert pow_eval(f, 2.0, 2.0) == pytest.approx(0.25)
 
 
 class TestGrid:

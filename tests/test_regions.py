@@ -9,15 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_tree
+from oracles import pair_of
 from hardylane import _kernels as K
 from hardylane import boundaries as bd
 from hardylane import regions
 from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
                                  HardyParams, Powers, boundary_expressions,
-                                 mu_zero, tau_pair)
-from hardylane.integrability import is_gamma_integrable, power_verdict
+                                 mu_zero)
+from hardylane.integrability import power_verdict
 from hardylane.iteration import CertificateKind, iterate_clamped, iterate_plain
-from hardylane.radial import RadialFunction
 from hardylane.regions import (_OUTCOMES, _WITNESS_EDGE_TOL, RegionClass,
                                Verdict, Witness, WitnessMismatchError, _wrap,
                                classify, classify_field, nonexistence_witness)
@@ -228,20 +228,21 @@ def edge_point(draw):
             Powers(draw(power), draw(power)))
 
 
-def assert_matches_is_gamma_integrable(params, w):
-    """The witness's verdict is is_gamma_integrable's on r^exponent, and its
-    sigma is tau + tau_+ + N summed in that order from a fresh tau_pair."""
-    ref = is_gamma_integrable(params.N, w.weight_mu,
-                              RadialFunction.monomial(1.0, w.exponent))
+def assert_matches_power_verdict(params, w):
+    """The witness's verdict is power_verdict's on r^exponent against the
+    tau_+ of a fresh HardyParams of weight_mu, and its sigma is
+    tau + tau_+ + N summed in that order."""
+    tp = pair_of(params.N, w.weight_mu).tau_plus
+    ref = power_verdict(params.N, w.exponent, tp)
     assert w.verdict.integrable == ref.integrable
     gap = w.verdict.critical_exponent_gap.hex()
     assert gap == ref.critical_exponent_gap.hex()
-    tp = tau_pair(params.N, w.weight_mu).tau_plus
     assert gap == (w.exponent + tp + params.N).hex()
 
 
 class TestIntegrabilityWitnessOracle:
-    """The witness's sigma, from the held tau_+, is is_gamma_integrable's."""
+    """The witness's sigma, from the held tau_+, is the one a fresh
+    HardyParams of its weight gives."""
 
     @given(edge_point())
     @settings(max_examples=500, deadline=None)
@@ -252,7 +253,7 @@ class TestIntegrabilityWitnessOracle:
             return
         w = nonexistence_witness(params, pq, r)
         if w.mechanism == "integrability":
-            assert_matches_is_gamma_integrable(params, w)
+            assert_matches_power_verdict(params, w)
 
     def test_every_integrability_branch(self):
         # a random batch, plus a (p, q) grid at both mu0 edges, where the
@@ -281,7 +282,7 @@ class TestIntegrabilityWitnessOracle:
                 continue
             w = nonexistence_witness(params, pq, r)
             if w.mechanism == "integrability":
-                assert_matches_is_gamma_integrable(params, w)
+                assert_matches_power_verdict(params, w)
                 seen.add((r.citation, r.swapped, w.description))
         assert {(c, sw) for c, sw, _ in seen} >= {
             ("T1.i", False), ("T1.i", True), ("T1.ii", False),
