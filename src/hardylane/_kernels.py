@@ -34,7 +34,6 @@ zeros included) and flags.
 import numpy as np
 
 from . import boundaries as bd
-from .exponents import MU0_SNAP_REL
 
 BACKEND = "numpy"
 
@@ -179,13 +178,6 @@ def _out_of_scope(mu1, mu2, code, margin):
     margin[...] = _min(mu1, mu2)
 
 
-def _tau_pair(N, mu0, mu):
-    """tau_+(mu), tau_-(mu) elementwise, for mu snapped onto [mu0, inf)."""
-    half = (N - 2) / 2.0
-    s = np.sqrt(mu - mu0)
-    return -half + s, -half - s
-
-
 def classify_codes(N, mu1, mu2, p, q, out=None):
     """Classify points; returns (codes int16, margins float64, flags uint8).
 
@@ -214,21 +206,18 @@ def classify_codes(N, mu1, mu2, p, q, out=None):
     flags.fill(0)
 
     with np.errstate(all="ignore"):
-        # (N - 2)^2 in float64: the int64 square wraps past N = 3.04e9, and
-        # every N up to 2**53 (exponents' bound) converts exactly, so this
-        # rounds the exact square once, as Python's int arithmetic does
+        # N - 2 in float64, not int64, whose square wraps past N = 3.04e9
         n2 = (N - 2).astype(np.float64)
-        mu0 = -(n2 * n2) / 4.0
-        band = MU0_SNAP_REL * n2 * n2
+        mu0 = bd.mu0(n2)
+        band = bd.snap_half_width(n2)
         valid = ((N >= 3) & (p > 0.0) & (q > 0.0) & np.isfinite(p)
                  & np.isfinite(q) & ~(mu1 < mu0 - band) & ~(mu2 < mu0 - band))
         mu1 = np.where(mu1 <= mu0 + band, mu0, mu1)
         mu2 = np.where(mu2 <= mu0 + band, mu0, mu2)
-        # regimes split on the sign of the computed exponent, which matches
-        # the sign of mu except when mu is negative below double resolution
-        # (then tau_+ rounds to exactly 0 and the point behaves as mu = 0)
-        t1, _ = _tau_pair(N, mu0, mu1)
-        t2, _ = _tau_pair(N, mu0, mu2)
+        # regimes split on the sign of tau_+, which is the sign of mu
+        h = n2 / 2.0
+        t1, _ = bd.roots(h, mu1, np.sqrt(mu1 - mu0))
+        t2, _ = bd.roots(h, mu2, np.sqrt(mu2 - mu0))
         neg1 = t1 < 0.0
         neg2 = t2 < 0.0
 

@@ -65,8 +65,7 @@ import numpy as np
 
 from . import boundaries as bd
 from ._frozen import frozen
-from .exponents import (DomainValidationError, HardyParams, Powers,
-                        boundary_expressions, mu_zero)
+from .exponents import DomainValidationError, HardyParams, Powers, mu_zero
 from .radial import (RadialFunction, RadialGrid, _fd_hardy, _fd_stencil,
                      _hardy_image, _term_sums, default_grid, log_radii)
 
@@ -157,7 +156,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         raise DomainValidationError(f"unknown case id {case_id!r}")
     t1, _, t2, _ = params.roots
     p, q = pq.p, pq.q
-    vals = boundary_expressions(params, pq)
+    N = params.N
     notes: list = []
     # same tau-sign regime rule as the classifier kernel
     regime_a = t1 < 0.0 <= t2
@@ -171,17 +170,21 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         _violated(case_id, "needs mu1, mu2 < 0", True, notes)
     if not (p > 1.0 and q > 1.0):
         _violated(case_id, "constructions assume p, q > 1", strict, notes)
+    if regime_b:
+        qlo, plo = bd.q_lower(t1, t2), bd.q_lower(t2, t1)
 
     mono = RadialFunction.monomial
     diff = RadialFunction.power_difference
 
     if case_id in ("C1", "C4"):
-        lo = bd.q_lower(t1, 0.0) if case_id == "C1" else vals.q_lower
-        if not lo < q < vals.q_upper:
+        lo = bd.q_lower(t1, 0.0) if case_id == "C1" else qlo
+        qup = bd.q_upper(N, t1, t2)
+        if not lo < q < qup:
             _violated(case_id, f"q={q} outside the strip "
-                      f"({lo:g}, {vals.q_upper:g})", strict, notes)
-        if not vals.e1 > 0.0:
-            _violated(case_id, f"e1={vals.e1:g} not positive", strict, notes)
+                      f"({lo:g}, {qup:g})", strict, notes)
+        e1 = bd.e1(t1, p, q)
+        if not e1 > 0.0:
+            _violated(case_id, f"e1={e1:g} not positive", strict, notes)
         u, v = _single_power_pair(t1, p, q)
     elif case_id == "C2":
         foot = bd.q_lower(t1, 0.0)
@@ -206,9 +209,9 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             u = diff(t1, t2 * p + 2.0)
             v = diff(t2, tau4c)
     elif case_id == "C3":
-        qlo = bd.q_lower(t1, 0.0)
-        if not abs(q - qlo) <= LINE_TOL * max(1.0, qlo):
-            _violated(case_id, f"q={q} not on the line 2/(-t1)={qlo:g}",
+        foot = bd.q_lower(t1, 0.0)
+        if not abs(q - foot) <= LINE_TOL * max(1.0, foot):
+            _violated(case_id, f"q={q} not on the line 2/(-t1)={foot:g}",
                       strict, notes)
         if t2 > 0.0:
             # the strip recipe is valid down to q = 2/(-t1) when t2 > 0
@@ -220,12 +223,10 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             v = mono(1.0, t2, log_power=1)
             notes.append("log recipe on the unit ball")
     elif case_id == "C5":
-        if not q < vals.q_lower:
-            _violated(case_id, f"q={q} not below {vals.q_lower:g}", strict,
-                      notes)
-        if not p < vals.p_lower:
-            _violated(case_id, f"p={p} not below {vals.p_lower:g}", strict,
-                      notes)
+        if not q < qlo:
+            _violated(case_id, f"q={q} not below {qlo:g}", strict, notes)
+        if not p < plo:
+            _violated(case_id, f"p={p} not below {plo:g}", strict, notes)
         tau4c = t1 * q + 2.0
         if not tau4c < 0.0:
             # the recipe stays positive; the claimed window is informational
@@ -233,12 +234,11 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         u = diff(t1, t2 * p + 2.0)
         v = diff(t2, tau4c)
     elif case_id == "C6":
-        if not abs(q - vals.q_lower) <= LINE_TOL * max(1.0, vals.q_lower):
-            _violated(case_id, f"q={q} not on the line {vals.q_lower:g}",
-                      strict, notes)
-        if not p < vals.p_lower:
-            _violated(case_id, f"p={p} not below {vals.p_lower:g}", strict,
+        if not abs(q - qlo) <= LINE_TOL * max(1.0, qlo):
+            _violated(case_id, f"q={q} not on the line {qlo:g}", strict,
                       notes)
+        if not p < plo:
+            _violated(case_id, f"p={p} not below {plo:g}", strict, notes)
         if params.mu2 <= mu_zero(params.N):
             raise DomainValidationError(
                 "C6 needs mu2 > mu_zero: the log image coefficient "
@@ -247,12 +247,11 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         u = diff(t1, t2 * p + 2.0 + eps0)
         v = mono(1.0, t2, log_power=1)
     elif case_id == "C7":
-        if not abs(p - vals.p_lower) <= LINE_TOL * max(1.0, vals.p_lower):
-            _violated(case_id, f"p={p} not on the line {vals.p_lower:g}",
-                      strict, notes)
-        if not q < vals.q_lower:
-            _violated(case_id, f"q={q} not below {vals.q_lower:g}", strict,
+        if not abs(p - plo) <= LINE_TOL * max(1.0, plo):
+            _violated(case_id, f"p={p} not on the line {plo:g}", strict,
                       notes)
+        if not q < qlo:
+            _violated(case_id, f"q={q} not below {qlo:g}", strict, notes)
         if params.mu1 <= mu_zero(params.N):
             raise DomainValidationError(
                 "C7 needs mu1 > mu_zero: the log image coefficient "
@@ -260,11 +259,13 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         u = mono(1.0, t1, log_power=1)
         v = diff(t2, t1 * q + 2.0)
     else:  # C8
-        if not vals.p_lower < p < vals.p_upper:
+        pup = bd.q_upper(N, t2, t1)
+        if not plo < p < pup:
             _violated(case_id, f"p={p} outside the strip "
-                      f"({vals.p_lower:g}, {vals.p_upper:g})", strict, notes)
-        if not vals.e2 > 0.0:
-            _violated(case_id, f"e2={vals.e2:g} not positive", strict, notes)
+                      f"({plo:g}, {pup:g})", strict, notes)
+        e2 = bd.e1(t2, q, p)
+        if not e2 > 0.0:
+            _violated(case_id, f"e2={e2:g} not positive", strict, notes)
         v, u = _single_power_pair(t2, q, p)
 
     return SupersolutionCandidate(case_id, params, pq, u, v,

@@ -8,15 +8,14 @@ region classifier) is driven by the two roots of
 written tau_plus(mu) >= tau_minus(mu).  They exist for mu >= mu_zero(N)
 = -(N-2)^2/4 and coincide at that threshold.  HardyParams is the one
 validating entry point: it checks N, snaps both coefficients and computes
-the four roots once.  boundary_expressions gathers the boundary formulas
-of hardylane.boundaries at one point.
+the four roots once, by the formulas of hardylane.boundaries, which owns
+the threshold, the snap band and the roots.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Optional
 
 from . import boundaries as bd
 from ._frozen import frozen
@@ -26,20 +25,10 @@ class DomainValidationError(ValueError):
     """Raised when parameters fall outside the admissible domain."""
 
 
-#: Relative half-width (in units of (N-2)^2) of the snap band around the
-#: Hardy threshold.  Values inside the band are treated as exactly mu_zero,
-#: because the classifier's strict/non-strict boundary rule flips there.
-MU0_SNAP_REL = 1e-13
-
-
 def mu_zero(N: int) -> float:
     """Hardy threshold -(N-2)^2/4 below which the roots turn complex."""
     _check_dimension(N)
-    return _mu0(N)
-
-
-def _mu0(N: int) -> float:
-    return -((N - 2) ** 2) / 4.0
+    return bd.mu0(N - 2.0)
 
 
 #: Largest admissible dimension: up to 2**53 a float64 holds every integer,
@@ -59,7 +48,8 @@ def _check_dimension(N: int) -> None:
 
 def _constants(N: int) -> tuple[float, float, float]:
     """(N-2)/2, mu_zero(N) and the snap band's half-width, for a valid N."""
-    return (N - 2) / 2.0, _mu0(N), MU0_SNAP_REL * (N - 2) ** 2
+    n2 = N - 2.0
+    return n2 / 2.0, bd.mu0(n2), bd.snap_half_width(n2)
 
 
 #: _constants(N) for the dimensions met in practice, computed once.
@@ -126,13 +116,6 @@ class ExponentPair:
         return -(tau - self.tau_plus) * (tau - self.tau_minus)
 
 
-def _roots(mu: float, half: float, m0: float) -> tuple[float, float]:
-    """The root formula, given (N-2)/2 and mu_zero(N) from _constants(N):
-    (tau_plus, tau_minus) as plain floats."""
-    s = math.sqrt(mu - m0)
-    return -half + s, -half - s
-
-
 @frozen
 class HardyParams:
     """Dimension and the two inverse-square coefficients of the system.
@@ -140,8 +123,8 @@ class HardyParams:
     Both coefficients are validated against the Hardy threshold and snapped
     onto it when within the tolerance band, so that downstream boundary
     rules are deterministic.  N is validated once, and the four exponent
-    roots are computed once, here at construction, and stored as one tuple
-    of floats:
+    roots are computed once, here at construction, by boundaries.roots, and
+    stored as one tuple of floats:
 
         roots = (tau_+(mu1), tau_-(mu1), tau_+(mu2), tau_-(mu2)).
 
@@ -164,11 +147,12 @@ class HardyParams:
         half, m0, band = _checked_constants(N)
         state["mu1"] = mu1 = _snap_near(N, state["mu1"], m0, band)
         state["mu2"] = mu2 = _snap_near(N, state["mu2"], m0, band)
-        state["roots"] = _roots(mu1, half, m0) + _roots(mu2, half, m0)
+        state["roots"] = (bd.roots(half, mu1, math.sqrt(mu1 - m0))
+                          + bd.roots(half, mu2, math.sqrt(mu2 - m0)))
 
     @property
     def mu_zero(self) -> float:
-        return _mu0(self.N)
+        return bd.mu0(self.N - 2.0)
 
     @property
     def tau1(self) -> ExponentPair:
@@ -223,45 +207,3 @@ class Powers:
         out = object.__new__(Powers)
         out.__dict__.update(p=self.q, q=self.p)
         return out
-
-
-@frozen
-class BoundaryValues:
-    """Scalar values of every region boundary expression at one point.
-
-    e1, e2 are the critical-curve expressions
-        e1 = tau_+(mu1)(pq-1) + 2p + 2,
-        e2 = tau_+(mu2)(pq-1) + 2q + 2,
-    and e3 = tau_+(mu1)(pq+1) + 2p + N is the one-bootstrap integrability
-    margin.  The four threshold ratios are present only when the relevant
-    tau_+ is negative (otherwise the quotient is meaningless and left None):
-
-        q_upper =  (N + tau_+(mu2)) / (-tau_+(mu1))
-        p_upper =  (N + tau_+(mu1)) / (-tau_+(mu2))
-        q_lower =  (2 - tau_+(mu2)) / (-tau_+(mu1))
-        p_lower =  (2 - tau_+(mu1)) / (-tau_+(mu2))
-    """
-
-    e1: float
-    e2: float
-    e3: float
-    q_upper: Optional[float]
-    p_upper: Optional[float]
-    q_lower: Optional[float]
-    p_lower: Optional[float]
-
-
-def boundary_expressions(params: HardyParams, pq: Powers) -> BoundaryValues:
-    """Evaluate every boundary expression used by the region classifier."""
-    t1, _, t2, _ = params.roots
-    p, q = pq.p, pq.q
-    N = params.N
-    return BoundaryValues(
-        e1=bd.e1(t1, p, q),
-        e2=bd.e1(t2, q, p),
-        e3=bd.e3(N, t1, p, q),
-        q_upper=bd.q_upper(N, t1, t2) if t1 < 0.0 else None,
-        p_upper=bd.q_upper(N, t2, t1) if t2 < 0.0 else None,
-        q_lower=bd.q_lower(t1, t2) if t1 < 0.0 else None,
-        p_lower=bd.q_lower(t2, t1) if t2 < 0.0 else None,
-    )

@@ -22,14 +22,15 @@ Marked corner points (present when inside the plotted ranges):
   regime A:  E = (0, q_upper)        top of the integrability half-plane
              M = (0, q_lower)        foot of the log-construction line
              A = (p_A, q_upper)      end of the critical curve e1 = 0
-             Q = curve exit at the right edge of the plot
+             Q = curve exit at the right edge of the plot, if finite
   regime B:  E = (0, q_upper),  D = (p_upper, 0)
              B = (p_lower, q_lower)  intersection of the two critical curves
              A = (p_A, q_upper),  C = (p_upper, q_C)  curve endpoints
              F = (0, q_lower),  G = (p_lower, 0)      construction segments
 
 The coordinates follow from the boundary formulas: A and C solve e1 = 0 and
-e2 = 0 on the respective closed edges, B solves both simultaneously.
+e2 = 0 on the respective closed edges (boundaries.curve_end, with the roles
+exchanged for C), B solves both simultaneously.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def region_markers(params: HardyParams, p_range: Tuple[float, float],
                    q_range: Tuple[float, float]) -> Dict[str, Tuple[float, float]]:
     """Corner points of the region pictures, keyed by their letter.
 
-    The regime follows the sign of each computed tau_+, as in the kernel:
-    a mu whose tau_+ rounds to 0 counts as mu = 0.
+    The regime follows the sign of each tau_+, as in the kernel; it is the
+    sign of mu.  A Q that overflows or divides by zero is left out.
     """
     t1, _, t2, _ = params.roots
     if t2 < 0.0 <= t1:
@@ -112,13 +113,14 @@ def region_markers(params: HardyParams, p_range: Tuple[float, float],
 
     N = params.N
     qup = bd.q_upper(N, t1, t2)
-    markers: Dict[str, Tuple[float, float]] = {"E": (0.0, qup)}
-    if N - 2 + t2 > 0.0:
-        markers["A"] = ((2.0 - t1) / (N - 2 + t2), qup)
+    markers: Dict[str, Tuple[float, float]] = {
+        "E": (0.0, qup), "A": (bd.curve_end(N, t1, t2), qup)}
     if t2 >= 0.0:
         markers["M"] = (0.0, bd.q_lower(t1, 0.0))
         p_max = p_range[1]
-        q_exit = bd.e1_curve(t1, p_max)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q_exit = float(bd.e1_curve(np.float64(t1), p_max))
+        # a NaN or an infinity fails the finite window's comparisons
         if q_range[0] <= q_exit <= q_range[1]:
             markers["Q"] = (p_max, q_exit)
     else:
@@ -129,8 +131,7 @@ def region_markers(params: HardyParams, p_range: Tuple[float, float],
         markers["B"] = (plo, qlo)
         markers["F"] = (0.0, qlo)
         markers["G"] = (plo, 0.0)
-        if N - 2 + t1 > 0.0:
-            markers["C"] = (pup, (2.0 - t2) / (N - 2 + t1))
+        markers["C"] = (pup, bd.curve_end(N, t2, t1))
     return markers
 
 

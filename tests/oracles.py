@@ -4,7 +4,9 @@ the bare-(N, mu) forms of its radial calculus.
 hardy_fd_oracle evaluates -Delta + mu/|x|^2 by finite differences from a
 function's values alone, the cross-check of the symbolic image.
 claim1_check and crossing_step_bound read a bootstrap trace against the
-affine law of its full cycle.  case_for_region names the construction
+affine law of its full cycle.  e3 is the one-bootstrap integrability
+margin, which equals e1 at the threshold.  decimal_roots is the Hardy
+roots' high-precision value.  case_for_region names the construction
 that realizes an existence citation.  pair_of, hardy_image and values
 are the exponent pair, the symbolic image and the term sums of a radial
 function for a coefficient given on its own.
@@ -12,17 +14,45 @@ function for a coefficient given on its own.
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import List
 
 import numpy as np
 
+from hardylane import boundaries as bd
 from hardylane.constructions import LINE_TOL
 from hardylane.exponents import (DomainValidationError, ExponentPair,
-                                 HardyParams, Powers, boundary_expressions)
+                                 HardyParams, Powers)
 from hardylane.iteration import IterationTrace
 from hardylane.radial import (ArrayLike, RadialFunction, _fd_hardy,
                               _fd_stencil, _hardy_image, _term_sums)
+
+
+def decimal_roots(N: int, mu: float) -> tuple[decimal.Decimal,
+                                               decimal.Decimal]:
+    """(tau_+, tau_-) of the float mu, to 400 digits, with the exact
+    threshold mu0 = -(N-2)^2/4: -h +- sqrt(mu + h^2), h = (N-2)/2.
+
+    At 400 digits the sum -h + s keeps its accuracy down to |mu| near the
+    smallest subnormal (at 60 it cancels from |mu| below about 1e-228).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        h = decimal.Decimal(N - 2) / 2
+        s = (decimal.Decimal(mu) + h * h).sqrt()
+        return -h + s, -h - s
+
+
+def ulps_from(x: float, exact: decimal.Decimal) -> float:
+    """|x - exact| in units of the last place of exact rounded to a float."""
+    ulp = decimal.Decimal(math.ulp(float(exact)))
+    return float(abs(decimal.Decimal(x) - exact) / ulp)
+
+
+def e3(N, t1, p, q):
+    """One-bootstrap integrability margin t1 (pq + 1) + 2p + N."""
+    return t1 * (p * q + 1.0) + 2.0 * p + N
 
 
 def pair_of(N: int, mu: float) -> ExponentPair:
@@ -136,9 +166,10 @@ def case_for_region(params: HardyParams, pq: Powers, citation: str) -> str:
     if citation in table:
         return table[citation]
     if citation == "T3.ii.a2":
-        vals = boundary_expressions(params, pq)
-        if vals.q_lower is not None and \
-                abs(pq.q - vals.q_lower) <= LINE_TOL * max(1.0, vals.q_lower):
-            return "C6"
+        t1, _, t2, _ = params.roots
+        if t1 < 0.0:
+            qlo = bd.q_lower(t1, t2)
+            if abs(pq.q - qlo) <= LINE_TOL * max(1.0, qlo):
+                return "C6"
         return "C5"
     raise DomainValidationError(f"no construction for citation {citation!r}")

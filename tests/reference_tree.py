@@ -3,13 +3,13 @@
 classify_code states, one branch at a time, the tree that
 hardylane._kernels.classify_codes evaluates as a NumPy mask cascade; the
 tests assert that the two agree point for point (codes, margins with their
-sign bits, flags).  Both take the boundary formulas from
-hardylane.boundaries and the codes, flag bits and tolerance from the
-kernel, so only the tree itself is written twice: a change to the kernel's
-tree must be made here as well.
+sign bits, flags).  Both take the threshold, the snap band, the roots and
+the boundary formulas from hardylane.boundaries and the codes, flag bits
+and tolerance from the kernel, so only the tree itself is written twice: a
+change to the kernel's tree must be made here as well.
 
-It works on raw floats and Python ints (exact, so (N - 2)^2 cannot wrap)
-and returns (code, margin, flags) as classify_codes gives them.
+It works on raw floats and Python ints and returns (code, margin, flags)
+as classify_codes gives them.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from hardylane._kernels import (CODE_CURVE_AB, CODE_CURVE_AQ, CODE_CURVE_BC,
                                 CODE_T3_I_CASE3, CODE_T3_II_A1, CODE_T3_II_A2,
                                 CODE_T3_II_B1, CODE_T3_II_B2, FLAG_MU0_EDGE,
                                 FLAG_SWAPPED, REGIME_SHIFT, TOL)
-from hardylane.exponents import MU0_SNAP_REL
 
 
 def classify_code(N: int, mu1: float, mu2: float,
                   p: float, q: float) -> tuple[int, float, int]:
     """Classify one parameter point; returns (code, margin, flags)."""
-    mu0 = -((N - 2) * (N - 2)) / 4.0
-    band = MU0_SNAP_REL * (N - 2) * (N - 2)
+    n2 = N - 2.0
+    mu0, band = bd.mu0(n2), bd.snap_half_width(n2)
     if N < 3 or not (p > 0.0 and q > 0.0) or not (
             math.isfinite(p) and math.isfinite(q)):
         return CODE_INVALID, math.nan, 0
@@ -42,9 +41,7 @@ def classify_code(N: int, mu1: float, mu2: float,
     if mu2 <= mu0 + band:
         mu2 = mu0
 
-    # regimes split on the sign of the computed exponent, which matches the
-    # sign of mu except when mu is negative below double resolution (then
-    # tau_+ rounds to exactly 0 and the point behaves as mu = 0)
+    # regimes split on the sign of tau_+, which is the sign of mu
     neg1 = _tau_plus(N, mu0, mu1) < 0.0
     neg2 = _tau_plus(N, mu0, mu2) < 0.0
     if neg1 and neg2:
@@ -60,7 +57,7 @@ def classify_code(N: int, mu1: float, mu2: float,
 
 
 def _tau_plus(N: int, mu0: float, mu: float) -> float:
-    return -(N - 2) / 2.0 + math.sqrt(mu - mu0)
+    return bd.roots((N - 2.0) / 2.0, mu, math.sqrt(mu - mu0))[0]
 
 
 def _gate(p: float, q: float, code: int, margin: float,

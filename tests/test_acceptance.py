@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from hardylane import _kernels as K
+from hardylane import boundaries as bd
 from hardylane.constructions import build_candidate, find_scale
-from hardylane.exponents import HardyParams, Powers, boundary_expressions
+from hardylane.exponents import HardyParams, Powers
 from hardylane.integrability import power_verdict
 from hardylane.iteration import CertificateKind, iterate_clamped, iterate_plain
 from hardylane.plotting import (PlotSpec, critical_curve_points,
@@ -28,8 +29,8 @@ from hardylane.plotting import (PlotSpec, critical_curve_points,
 from hardylane.radial import RadialFunction, RadialTerm
 from hardylane.regions import (Verdict, _wrap, classify, classify_field,
                                nonexistence_witness)
-from oracles import (claim1_check, crossing_step_bound, hardy_fd_oracle,
-                     hardy_image, pair_of, values)
+from oracles import (claim1_check, crossing_step_bound, e3,
+                     hardy_fd_oracle, hardy_image, pair_of, values)
 from quadrature import integral_behavior
 
 mono = RadialFunction.monomial
@@ -54,7 +55,7 @@ def test_criterion_1_exponent_identities():
     mu0 = -((N - 2) ** 2) / 4.0
     mu = mu0 + rng.random(n) * 25.0
     mu[: n // 100] = mu0[: n // 100]  # exercise the double root too
-    tp, tm = K._tau_pair(N, mu0, mu)
+    tp, tm = bd.roots((N - 2) / 2.0, mu, np.sqrt(mu - mu0))
     resid_p = np.abs(mu - tp * (tp + N - 2))
     resid_m = np.abs(mu - tm * (tm + N - 2))
     tol = 1e-12 * np.maximum(1.0, np.abs(mu))
@@ -304,10 +305,11 @@ def test_criterion_6_threshold_edge_semantics():
 
     rng = np.random.default_rng(606)
     worst = 0.0
+    t1 = params0.roots[0]
     for _ in range(100_000):
         pv, qv = rng.uniform(0.1, 50.0, 2)
-        vals = boundary_expressions(params0, Powers(pv, qv))
-        worst = max(worst, abs(vals.e3 - vals.e1))
+        worst = max(worst, abs(e3(params0.N, t1, pv, qv)
+                               - bd.e1(t1, pv, qv)))
     ok = edge_ok and worst <= 1e-12
     report(6, ok, f"edge semantics on 50 curve points, "
                   f"|e3 - e1| max {worst:.2e} at the threshold")

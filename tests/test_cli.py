@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylane import cli
+from hardylane.constructions import CASE_IDS
 from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.regions import _CODE_BY_CITATION, classify_field
 from hardylane.schemas import load_schema
@@ -144,6 +150,97 @@ class TestClassifyCommand:
                                "--witness")
         assert code == 2
         assert "inconsistency" in err
+
+
+#: classify --N 5 --mu1=-0.0 --mu2=-2 --p 2 --q 3: tau_+(-0.0) is +0.0.
+_NEGATIVE_ZERO_RECORD = """{
+  "citation": "T3.i.case3",
+  "command": "classify",
+  "domain": "unit_ball",
+  "margin": 0.0,
+  "mu0_edge": false,
+  "mu1": -0.0,
+  "mu2": -2.0,
+  "n": 5,
+  "p": 2.0,
+  "q": 3.0,
+  "regime": "A",
+  "schema_version": "1",
+  "swapped": true,
+  "verdict": "exists_supersolution"
+}
+"""
+
+
+class TestExactExponents:
+    """tau_+ = -(N-2)/2 + sqrt(mu + (N-2)^2/4) computed without
+    cancellation: a small |mu| keeps its sign and its digits."""
+
+    def test_no_false_certificate_near_mu_zero(self, capsys):
+        # the cancelling sum gave q_upper = 1,499,999,975.8 (exact:
+        # 1,499,999,998.3) and a T1.i witness whose exact exponent is
+        # integrable; with e1 = 0.5 > 0 and p < 1 the point is open
+        rec = run_json(capsys, "classify", "--N", "5", "--mu1=-1e-8",
+                       "--mu2", "0", "--p", "0.5", "--q",
+                       "1499999990.8333333", "--witness")
+        assert (rec["verdict"], rec["citation"]) == (
+            "open_critical", "CriticalCurve.DottedBoundary")
+        assert "witness" not in rec
+
+    @pytest.mark.parametrize("N,mu1", [("5", "-1e-17"), ("200000000", "-1")])
+    def test_small_negative_mu_is_in_scope(self, capsys, N, mu1):
+        rec = run_json(capsys, "classify", "--N", N, f"--mu1={mu1}",
+                       "--mu2", "0", "--p", "2", "--q", "3")
+        assert (rec["regime"], rec["citation"]) == ("A", "T3.i.case2")
+
+    def test_verify_at_two_to_the_53(self, capsys):
+        rec = run_json(capsys, "verify", "--N", str(2 ** 53), "--mu1=-1",
+                       "--mu2", "0", "--p", "2", "--q", "3", "--case", "C2")
+        assert rec["ok"]
+
+    def test_negative_zero_record(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--N", "5",
+                                 "--mu1=-0.0", "--mu2=-2", "--p", "2",
+                                 "--q", "3")
+        assert (code, out, err) == (0, _NEGATIVE_ZERO_RECORD, "")
+
+
+def _magnitudes():
+    """Floats over [1e-320, 1], subnormals included, of either sign."""
+    mag = st.one_of(st.floats(min_value=1e-320, max_value=1.0),
+                    st.floats(min_value=1e-320, max_value=1e-300),
+                    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]))
+    return st.one_of(mag, mag.map(lambda x: -x), st.just(0.0))
+
+
+_POWERS = st.one_of(st.floats(min_value=1e-3, max_value=1e300),
+                    st.floats(min_value=5e-324, max_value=1e-300))
+
+
+class TestExitCodes:
+    """Any admissible or inadmissible number ends in exit 0 or 1: an exit
+    2 is an internal error."""
+
+    @given(st.one_of(st.integers(3, 12), st.integers(3, 2 ** 53)),
+           _magnitudes(), _magnitudes(), _POWERS, _POWERS,
+           st.sampled_from(CASE_IDS))
+    @settings(max_examples=200, deadline=None)
+    def test_classify_plot_verify_never_exit_2(self, N, mu1, mu2, p, q,
+                                               case):
+        point = ["--N", str(N), f"--mu1={mu1!r}", f"--mu2={mu2!r}"]
+        powers = ["--p", repr(p), "--q", repr(q)]
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = [["classify", *point, *powers, "--witness"],
+                    ["verify", *point, *powers, "--case", case,
+                     "--grid-points", "64"],
+                    ["plot", *point, "--p-range", f"{p!r}..{2 * p!r}",
+                     "--q-range", f"{q / 2!r}..{q!r}", "--res", "4",
+                     "--format", "json", "--out", f"{tmp}/x"]]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = cli.main(argv)
+                assert code in (0, 1), (argv, err.getvalue())
 
 
 class TestIterateCommand:
@@ -372,14 +469,19 @@ class TestPlotCommand:
         assert markers["D"] == [4.0, 0.0]
 
     def test_exponent_rounding_to_zero_has_no_markers(self, capsys, tmp_path):
-        # tau_+(-1e-20) rounds to 0: the point is out of scope, as at mu = 0
+        # tau_+(-1e-20) = -1e-20/3 does not round to 0: the point is in
+        # regime A, whose half-plane and strip edges lie far above the
+        # window; only the curve's exit Q, off the window, is left out
         out = tmp_path / "x"
         code, _, err = run_cli(capsys, "plot", "--N", "5", "--mu1=-1e-20",
                                "--mu2", "0", "--p-range", "0.5..4",
                                "--q-range", "0.5..6", "--res", "20",
                                "--out", str(out), "--format", "json")
         assert code == 0, err
-        assert '"markers": {}' in (tmp_path / "x.json").read_text()
+        markers = json.loads((tmp_path / "x.json").read_text())["markers"]
+        assert sorted(markers) == ["A", "E", "M"]
+        assert markers["E"] == [0.0, 1.5e21]
+        assert markers["M"] == [0.0, 6e20]
 
     def test_res_outside_bounds(self, capsys, tmp_path):
         for res in ("1", "5000"):

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hardylane.constructions import (CASE_IDS, LINE_TOL, ORACLE_DEV_LIMIT,
                                      VerificationReport, build_candidate,
                                      find_scale, verify_on_grid)
 from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
-                                 boundary_expressions, mu_zero)
+                                 mu_zero)
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
                               _term_sums, default_grid, log_radii)
 from hardylane.regions import Verdict, classify
@@ -550,10 +551,10 @@ def c3_log_points(draw):
                          exclude_min=True, exclude_max=True))
     params = HardyParams(N, mu1, 0.0)
     t1 = params.roots[0]
-    # t1 rounds to 0 for |mu1| below about 1e-16 (N-2)^2, which puts the
-    # point outside the recipe's regime (ROADMAP item 1); every recipe
-    # assumes q > 1
-    assume(t1 < 0.0 and 2.0 / -t1 > 1.0)
+    # t1 has mu1's sign, but the line 2/(-t1) overflows for |mu1| below
+    # about 1e-308 and t1 underflows to -0.0 near the smallest subnormal;
+    # every recipe assumes q > 1
+    assume(t1 < 0.0 and 1.0 < 2.0 / -t1 < math.inf)
     p = draw(st.floats(min_value=1.05, max_value=6.0, exclude_min=True,
                        exclude_max=True))
     return params, Powers(p, 2.0 / -t1)
@@ -695,6 +696,19 @@ def _require(cond: bool, case_id: str, msg: str, strict: bool,
     notes.append(f"hypothesis violated: {msg}")
 
 
+def boundary_values(params: HardyParams, pq: Powers) -> SimpleNamespace:
+    """Every boundary expression at one point; a ratio is None unless the
+    exponent it divides by is negative."""
+    t1, _, t2, _ = params.roots
+    p, q, N = pq.p, pq.q, params.N
+    return SimpleNamespace(
+        e1=bd.e1(t1, p, q), e2=bd.e1(t2, q, p),
+        q_upper=bd.q_upper(N, t1, t2) if t1 < 0.0 else None,
+        p_upper=bd.q_upper(N, t2, t1) if t2 < 0.0 else None,
+        q_lower=bd.q_lower(t1, t2) if t1 < 0.0 else None,
+        p_lower=bd.q_lower(t2, t1) if t2 < 0.0 else None)
+
+
 def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,
                               strict: bool = True) -> SupersolutionCandidate:
     if case_id not in CASE_IDS:
@@ -702,7 +716,7 @@ def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,
     t1 = params.tau1.tau_plus
     t2 = params.tau2.tau_plus
     p, q = pq.p, pq.q
-    vals = boundary_expressions(params, pq)
+    vals = boundary_values(params, pq)
     notes: list = []
     # same tau-sign regime rule as the classifier kernel
     regime_a = t1 < 0.0 <= t2

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylane import boundaries as bd
 from hardylane import constructions, exponents
 from hardylane.constructions import build_candidate
-from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
-                                 ExponentPair, HardyParams, Powers,
-                                 boundary_expressions, mu_zero)
+from hardylane.exponents import (DomainValidationError, ExponentPair,
+                                 HardyParams, Powers, mu_zero)
 from hardylane.iteration import iterate_clamped, iterate_plain
+from hardylane.plotting import region_markers
 from hardylane.regions import classify, nonexistence_witness
-from oracles import pair_of
+from oracles import e3, pair_of
 
 
 def snapped(N, mu):
@@ -125,35 +126,41 @@ class TestRootProperties:
 
 
 class TestBoundaryExpressions:
+    """The formulas of hardylane.boundaries at the roots HardyParams
+    stores."""
+
     def test_worked_example(self):
-        vals = boundary_expressions(HardyParams(5, -2.0, 0.0), Powers(2, 4))
+        t1, _, t2, _ = HardyParams(5, -2.0, 0.0).roots
         # tau_+(mu1) = -1: e1 = -(8 - 1) + 4 + 2
-        assert vals.e1 == pytest.approx(-1.0, abs=1e-12)
-        assert vals.q_upper == pytest.approx(5.0, abs=1e-12)
-        assert vals.p_upper is None  # tau_+(mu2) = 0: ratio undefined
+        assert bd.e1(t1, 2.0, 4.0) == pytest.approx(-1.0, abs=1e-12)
+        assert bd.q_upper(5, t1, t2) == pytest.approx(5.0, abs=1e-12)
+        assert t2 == 0.0  # tau_+(mu2) = 0: p_upper is undefined
 
     def test_identity_e3_equals_e1_at_threshold(self):
-        params = HardyParams(5, -2.25, 0.0)
+        t1 = HardyParams(5, -2.25, 0.0).roots[0]
         rng = np.random.default_rng(3)
         for _ in range(500):
             p, q = rng.uniform(0.1, 50.0, 2)
-            vals = boundary_expressions(params, Powers(p, q))
-            assert abs(vals.e3 - vals.e1) <= 1e-12
+            assert abs(e3(5, t1, p, q) - bd.e1(t1, p, q)) <= 1e-12
 
     def test_regime_b_thresholds(self):
-        vals = boundary_expressions(HardyParams(5, -2.0, -2.0), Powers(2, 2))
-        assert vals.q_upper == pytest.approx(4.0)
-        assert vals.p_upper == pytest.approx(4.0)
-        assert vals.q_lower == pytest.approx(3.0)
-        assert vals.p_lower == pytest.approx(3.0)
+        t1, _, t2, _ = HardyParams(5, -2.0, -2.0).roots
+        assert bd.q_upper(5, t1, t2) == pytest.approx(4.0)
+        assert bd.q_upper(5, t2, t1) == pytest.approx(4.0)
+        assert bd.q_lower(t1, t2) == pytest.approx(3.0)
+        assert bd.q_lower(t2, t1) == pytest.approx(3.0)
 
     def test_ratios_need_a_negative_exponent(self):
-        # tau_+(-1e-20) rounds to 0, so mu1 acts as 0: no q-side ratios
-        vals = boundary_expressions(HardyParams(5, -1e-20, -2.0), Powers(2, 3))
-        assert (vals.q_upper, vals.q_lower) == (None, None)
-        assert (vals.p_upper, vals.p_lower) == (5.0, 2.0)
-        vals = boundary_expressions(HardyParams(5, 0.5, -2.0), Powers(2, 3))
-        assert (vals.q_upper, vals.q_lower) == (None, None)
+        # tau_+(-1e-20) = -1e-20/3 is negative: the q-side ratios exist and
+        # are finite, far above any plotted q
+        t1, _, t2, _ = HardyParams(5, -1e-20, -2.0).roots
+        assert t1 == -1e-20 / 3.0
+        assert bd.q_upper(5, t1, t2) == pytest.approx(1.2e21)
+        assert bd.q_lower(t1, t2) == pytest.approx(9e20)
+        assert (bd.q_upper(5, t2, t1), bd.q_lower(t2, t1)) == (5.0, 2.0)
+        # tau_+(0.5) > 0: no q-side ratio, and dividing by -t1 < 0 would
+        # give a meaningless negative bound
+        assert HardyParams(5, 0.5, -2.0).roots[0] > 0.0
 
 
 class TestParamTypes:
@@ -235,7 +242,7 @@ def coefficient_pairs(draw):
     """(N, mu1, mu2), each mu across [mu_zero, 3] or inside the snap band."""
     N = draw(st.integers(min_value=3, max_value=12))
     m0 = mu_zero(N)
-    band = MU0_SNAP_REL * (N - 2) ** 2
+    band = bd.snap_half_width(N - 2.0)
     mu = st.one_of(st.floats(min_value=m0, max_value=3.0),
                    st.floats(min_value=m0 - band, max_value=m0 + band))
     return N, draw(mu), draw(mu)
@@ -313,7 +320,7 @@ def _bit_cases():
     and away from it."""
     out = []
     for N in (3, 5, 10):
-        m0, band = mu_zero(N), MU0_SNAP_REL * (N - 2) ** 2
+        m0, band = mu_zero(N), bd.snap_half_width(N - 2.0)
         for mu1 in (m0, m0 + band / 2, m0 - band / 2, m0 + band, m0 / 2):
             out.append((N, mu1, 0.7))
             out.append((N, 1.5, mu1))
@@ -413,7 +420,7 @@ class TestNoPairsOffRequest:
                            (HardyParams(5, -2.0, -2.0), Powers(2.5, 3.5))):
             iterate_plain(params, pq)
             iterate_clamped(params, pq)
-            boundary_expressions(params, pq)
+            region_markers(params, (0.1, 8.0), (0.1, 8.0))
         assert pairs_built == []
 
     @pytest.mark.parametrize("case,coefficients,powers", _CONSTRUCTION_POINTS)

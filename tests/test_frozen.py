@@ -17,9 +17,8 @@ import pytest
 
 import hardylane
 from hardylane import constructions, iteration, radial, regions
-from hardylane.exponents import (BoundaryValues, DomainValidationError,
-                                 ExponentPair, HardyParams, Powers,
-                                 boundary_expressions)
+from hardylane.exponents import (DomainValidationError, ExponentPair,
+                                 HardyParams, Powers)
 from hardylane.integrability import IntegrabilityVerdict
 from hardylane.plotting import PlotSpec
 
@@ -58,9 +57,6 @@ EXAMPLES = {
     "hardylane.exponents.HardyParams": (
         lambda: HardyParams(5, -1.3, 0.7), {"mu1": -3.0}),
     "hardylane.exponents.Powers": (lambda: Powers(2, 3.5), {"q": True}),
-    "hardylane.exponents.BoundaryValues": (
-        lambda: boundary_expressions(HardyParams(5, -2.0, 0.5),
-                                     Powers(2.0, 3.0)), None),
     "hardylane.integrability.IntegrabilityVerdict": (
         lambda: IntegrabilityVerdict(False, -0.25), None),
     "hardylane.iteration.Certificate": (
@@ -95,7 +91,7 @@ EXAMPLES = {
 
 def test_every_frozen_class_has_an_example():
     assert sorted(FROZEN) == sorted(EXAMPLES)
-    assert len(FROZEN) == 16
+    assert len(FROZEN) == 15
 
 
 def _values(x):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference_tree
 from hardylane import _kernels as K
+from hardylane import boundaries as bd
 
 
 def random_points(n, seed):
@@ -81,7 +82,7 @@ class TestVectorMatchesScalar:
         N, mu1, mu2, _, _ = random_points(20_000, seed=7)
         rng = np.random.default_rng(8)
         mu0 = -((N - 2) ** 2) / 4.0
-        band = K.MU0_SNAP_REL * (N - 2) * (N - 2)
+        band = bd.snap_half_width(N - 2.0)
         offsets = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
         k = len(N) // 3
         mu1[:k] = mu0[:k] + band[:k] * rng.choice(offsets, k)
@@ -188,7 +189,7 @@ def snap_band_points(draw):
     """(N, mu1, mu2, p, q) with mu1 or mu2 within a few snap bands of mu0."""
     N = draw(st.integers(3, 10))
     mu0 = -((N - 2) * (N - 2)) / 4.0
-    band = K.MU0_SNAP_REL * (N - 2) * (N - 2)
+    band = bd.snap_half_width(N - 2.0)
     near = mu0 + band * draw(st.floats(-3.0, 3.0))
     other = draw(st.one_of(
         st.floats(mu0, 3.0),

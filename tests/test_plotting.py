@@ -63,16 +63,35 @@ class TestMarkers:
             assert mirrored[name] == (q, p)
 
     def test_out_of_scope_has_no_markers(self):
-        # tau_+(-1e-20) rounds to 0: out of scope, as for mu = 0
-        for params in (HardyParams(5, 1.0, 1.0), HardyParams(5, -1e-20, 0.0),
-                       HardyParams(5, 0.0, -1e-20)):
+        # mu >= 0, -0.0 included; a tiny negative mu has a negative tau_+
+        # and is in scope
+        for params in (HardyParams(5, 1.0, 1.0), HardyParams(5, 0.0, 0.0),
+                       HardyParams(5, -0.0, 0.0)):
             assert region_markers(params, *WINDOW) == {}
+        for params in (HardyParams(5, -1e-20, 0.0),
+                       HardyParams(5, 0.0, -1e-20)):
+            assert len(region_markers(params, *WINDOW)) == 3
 
     def test_regime_follows_the_computed_exponent(self):
-        for tiny, zero in (((5, -2.0, -1e-20), (5, -2.0, 0.0)),
-                           ((5, -1e-20, -2.0), (5, 0.0, -2.0))):
-            assert region_markers(HardyParams(*tiny), *WINDOW) == \
-                region_markers(HardyParams(*zero), *WINDOW)
+        # tau_+ has the sign of mu: a mu of -1e-20 puts the point in regime
+        # B, where mu = 0 gives regime A; the markers that divide by that
+        # tau_+ lie far outside the window
+        for tiny, zero, far in (
+                ((5, -2.0, -1e-20), (5, -2.0, 0.0), ["B", "C", "D", "G"]),
+                ((5, -1e-20, -2.0), (5, 0.0, -2.0), ["A", "B", "E", "F"])):
+            got = region_markers(HardyParams(*tiny), *WINDOW)
+            assert sorted(got) == ["A", "B", "C", "D", "E", "F", "G"]
+            assert "M" in region_markers(HardyParams(*zero), *WINDOW)
+            assert sorted(n for n, xy in got.items() if max(xy) > 1e19) == far
+
+    @pytest.mark.parametrize("p_max", [1e-310, 5e-324])
+    def test_curve_exit_that_divides_by_zero_is_dropped(self, p_max):
+        # t1 p_max underflows to -0.0, so Q = (t1 - 2p - 2)/(t1 p) is
+        # infinite: Q is left out, not a ZeroDivisionError
+        params = HardyParams(5, -1e-15, 0.0)
+        assert params.roots[0] * p_max == 0.0
+        got = region_markers(params, (p_max / 10.0, p_max), (0.5, 6.0))
+        assert sorted(got) == ["A", "E", "M"]
 
 
 class TestCurveOverlay:

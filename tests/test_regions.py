@@ -13,8 +13,7 @@ from oracles import pair_of
 from hardylane import _kernels as K
 from hardylane import boundaries as bd
 from hardylane import regions
-from hardylane.exponents import (MU0_SNAP_REL, DomainValidationError,
-                                 HardyParams, Powers, boundary_expressions,
+from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
                                  mu_zero)
 from hardylane.integrability import power_verdict
 from hardylane.iteration import CertificateKind, iterate_clamped, iterate_plain
@@ -220,7 +219,7 @@ def edge_point(draw):
     """admissible_point, each mu also at mu_zero or inside its snap band."""
     N = draw(st.integers(min_value=3, max_value=10))
     m0 = mu_zero(N)
-    band = MU0_SNAP_REL * (N - 2) ** 2
+    band = bd.snap_half_width(N - 2.0)
     mu = st.one_of(st.floats(min_value=m0, max_value=3.0), st.just(m0),
                    st.floats(min_value=m0 - band, max_value=m0 + band))
     power = st.floats(min_value=1e-3, max_value=20.0)
@@ -309,7 +308,7 @@ def raised_point(draw):
     p = draw(st.floats(min_value=1e-3, max_value=20.0))
     q = draw(st.floats(min_value=1e-3, max_value=20.0))
     grow = 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
-    # a negative mu whose tau_+ rounds to 0 has no half-plane
+    # a negative mu whose tau_+ underflows to -0.0 has no half-plane
     if regime_b and draw(st.booleans()):
         assume(t2 < 0.0)
         edge = (N + t1) / (-t2)
@@ -360,11 +359,11 @@ class TestMirrorSymmetry:
         if r.citation in ("T2.ii", "T2.iii"):
             # the mirror cites the other bootstrap with the same margin; when
             # both bootstraps fire with equal margins, both sides cite T2.ii
-            vals = boundary_expressions(params, pq)
+            t1, _, t2, _ = params.roots
             assert m.margin == r.margin
             assert ({m.citation, r.citation} == {"T2.ii", "T2.iii"}
                     or m.citation == r.citation == "T2.ii"
-                    and vals.e1 == vals.e2)
+                    and bd.e1(t1, pq.p, pq.q) == bd.e1(t2, pq.q, pq.p))
 
     @given(admissible_point())
     @settings(max_examples=400, deadline=None)
@@ -380,10 +379,10 @@ class TestMirrorSymmetry:
             a, b = w.trace.outcome, m.trace.outcome
             assert (a.kind, a.step, a.value) == (b.kind, b.step, b.value)
             return
-        vals = boundary_expressions(params, pq)
+        t1, _, t2, _ = params.roots
         both = (r.citation == "T2.i"
-                and pq.q >= vals.q_upper - K.TOL
-                and pq.p >= vals.p_upper - K.TOL)
+                and pq.q >= bd.q_upper(params.N, t1, t2) - K.TOL
+                and pq.p >= bd.q_upper(params.N, t2, t1) - K.TOL)
         if both:
             # each side cites its own q half-plane: the mirror's u^q is
             # this point's v^p
@@ -729,7 +728,7 @@ def witness_point(draw):
     orientations."""
     N = draw(st.integers(min_value=3, max_value=10))
     m0 = mu_zero(N)
-    band = MU0_SNAP_REL * (N - 2) ** 2
+    band = bd.snap_half_width(N - 2.0)
     power = st.floats(min_value=1e-3, max_value=20.0)
     if draw(st.booleans()):
         mu = st.one_of(st.floats(min_value=m0, max_value=3.0), st.just(m0),
@@ -806,7 +805,7 @@ def tree_point(draw):
                        st.sampled_from([3_037_000_501, 3_037_000_502,
                                         2 ** 53 - 1, 2 ** 53])))
     m0 = mu_zero(N)
-    band = MU0_SNAP_REL * (N - 2) ** 2
+    band = bd.snap_half_width(N - 2.0)
     mu = st.one_of(st.floats(min_value=m0, max_value=3.0), st.just(m0),
                    st.floats(min_value=m0 - band, max_value=m0 + band))
     power = st.floats(min_value=1e-3, max_value=20.0)
