@@ -5,17 +5,21 @@ sorted legend entries, so identical inputs produce byte-identical files
 regardless of platform dict order.  Each grid cell is one <rect>.  Axes:
 p horizontal, q vertical (increasing upward).
 
-Cell text (a CSV line or a <rect>) is formatted once per distinct value:
-per column, per row, per region code present and, in the CSV, per
-distinct margin.  A file is its head, then the cells one block of whole
-grid rows (about _BLOCK_CELLS cells) at a time, then its tail.  For each
-block, fancy indexing lays the pieces out in an object array of shape
-(rows, res, pieces) and one join makes its text, so no Python runs per
-cell.  emit_csv and emit_svg write each block as it is joined, so a file
-is never held whole in memory; render_svg joins the same blocks into one
-string.  Every check runs before the first block, so a rejected grid
-opens no file.  Code-indexed lookup tables are built only after
-_regions_present has rejected CODE_INVALID.
+Cell text is formatted once per distinct value: per column, per row, per
+region code present and, in the CSV, per distinct margin.  Each list of
+coordinates is formatted by one %-format over a numpy array.  A file is
+its head, then the cells one block of whole grid rows (about _BLOCK_CELLS
+cells) at a time, then its tail.  In the SVG, the cells of a run of equal
+codes within a row share their y and fill text, so one join writes the
+run with that text as the separator.  In the CSV, fancy indexing lays out
+the pieces of a block's lines in an object array and one join makes its
+text; margins are told apart and formatted per block of at most
+regions._FIELD_BLOCK_CELLS cells, which bounds the CSV's memory.  So no
+Python runs per cell.  emit_csv and emit_svg write each block as it is
+joined, so a file is never held whole in memory; render_svg joins the
+same blocks into one string.  Every check runs before the first block,
+so a rejected grid opens no file.  Code-indexed lookups are built only
+after _regions_present has rejected CODE_INVALID.
 
 Marked corner points (present when inside the plotted ranges):
 
@@ -43,7 +47,7 @@ from . import _kernels as K
 from . import boundaries as bd
 from ._frozen import frozen
 from .exponents import HardyParams
-from .regions import RegionClass, _wrap
+from .regions import _FIELD_BLOCK_CELLS, RegionClass, _wrap
 
 # Fill colors per region code: reds for nonexistence, greens for existence,
 # yellows for open boundaries, grey outside scope.
@@ -74,10 +78,11 @@ _PLOT_W, _PLOT_H = 560.0, 560.0
 # res 1400 up.  A block of SVG text (about 85 bytes a cell) then stays near
 # 119 KB, below glibc's default 128 KiB mmap threshold, so its str and its
 # UTF-8 copy reuse heap memory instead of being mapped fresh each block.
-# At 200x200 (2 cores, four plot-grid windows), 3,200-cell blocks (272 KB)
-# took about 2,040 minor faults per `hardylane plot` and 1,400-cell blocks
-# about 650; a plot ran 2 to 6 ms faster.  Classification has its own
-# block size (regions._FIELD_BLOCK_CELLS).
+# At 200x200 (2 cores, four plot-grid windows, SVG rects joined by runs),
+# 3,200-cell blocks (272 KB) took about 1,850 minor faults per `hardylane
+# plot` and 1,400-cell blocks about 590 (the SVG alone: 1,470 and 370); a
+# plot ran about 5 ms faster.  Classification has its own block size
+# (regions._FIELD_BLOCK_CELLS).
 _BLOCK_CELLS = 1400
 
 
@@ -178,10 +183,11 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
     p_lo, p_hi = spec.p_range
     q_lo, q_hi = spec.q_range
 
-    def sx(p: float) -> float:
+    # the same IEEE operations on a float and on a numpy array
+    def sx(p):
         return _MARGIN_L + (p - p_lo) / (p_hi - p_lo) * _PLOT_W
 
-    def sy(q: float) -> float:
+    def sy(q):
         return _MARGIN_T + (q_hi - q) / (q_hi - q_lo) * _PLOT_H
 
     width = _MARGIN_L + _PLOT_W + _MARGIN_R
@@ -197,19 +203,22 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
     head.append(f'<rect x="0" y="0" width="{_fmt(width)}" '
                 f'height="{_fmt(height)}" fill="#ffffff"/>')
     if spec.title:
+        # as XML character data: the replacements of xml.sax.saxutils.escape
+        # (importing it would import urllib.request, html would add its
+        # entity tables to every process's memory)
+        title = (spec.title.replace("&", "&amp;").replace("<", "&lt;")
+                 .replace(">", "&gt;"))
         head.append(f'<text x="{_fmt(_MARGIN_L)}" y="16" font-size="13" '
-                    f'font-family="monospace">{spec.title}</text>')
+                    f'font-family="monospace">{title}</text>')
 
-    # one rect per grid cell, pieced together by indexing from x per column,
-    # y per row and the fill per code, each formatted once
+    # one rect per grid cell, pieced together from x per column, y per row
+    # and the fill per code, each formatted once
     legend = _regions_present(codes)
-    x_text = np.array([f'<rect x="{_fmt(_MARGIN_L + j * cell_w)}" y="'
-                       for j in range(res)], dtype=object)
+    x_text = _texts('<rect x="%.6f" y="', _MARGIN_L + np.arange(res) * cell_w)
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
-    y_text = np.array([_fmt(_MARGIN_T + (res - 1 - i) * cell_h) + size
-                       for i in range(res)], dtype=object)
-    fills = _by_code({code: f'{_COLORS.get(code, "#000000")}"/>\n'
-                      for code in legend})
+    y_text = _texts("%.6f" + size,
+                    _MARGIN_T + np.arange(res - 1, -1, -1) * cell_h)
+    fills = {code: f'{_COLORS.get(code, "#000000")}"/>\n' for code in legend}
 
     tail: List[str] = []
     # axes frame
@@ -236,7 +245,9 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
         pts = critical_curve_points(spec.params, which, spec.p_range,
                                     spec.q_range, spec.overlay_samples)
         if len(pts) >= 2:
-            path = " ".join(f"{_fmt(sx(p))},{_fmt(sy(q))}" for p, q in pts)
+            p, q = np.array(pts).T
+            path = " ".join(["%.6f,%.6f"] * len(pts)) % tuple(
+                np.column_stack((sx(p), sy(q))).ravel().tolist())
             tail.append(f'<polyline points="{path}" fill="none" '
                         f'stroke="{color}" stroke-width="1.5" '
                         f'stroke-dasharray="6,3"/>')
@@ -267,32 +278,41 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
                     f'font-size="11" font-family="monospace">'
                     f'{region.verdict.value}: {region.citation}</text>')
     tail.append("</svg>")
-    return _blocks("\n".join(head) + "\n", x_text, y_text, [(fills, codes)],
-                   "\n".join(tail) + "\n")
+    return _rect_blocks("\n".join(head) + "\n", x_text, y_text, fills, codes,
+                        "\n".join(tail) + "\n")
 
 
-def _blocks(head: str, columns: np.ndarray, rows: np.ndarray,
-            lookups: List[Tuple[np.ndarray, np.ndarray]],
-            tail: str) -> Iterator[str]:
-    """head, the text of each grid cell in row-major order, then tail.
+def _rect_blocks(head: str, x_text: List[str], y_text: List[str],
+                 fills: Dict[int, str], codes: np.ndarray,
+                 tail: str) -> Iterator[str]:
+    """head, the <rect> of each grid cell in row-major order, then tail.
 
-    The text of cell (i, j) is columns[j], rows[i], then table[index[i, j]]
-    for each (table, index) in lookups.  The pieces are laid out by
-    indexing in an object array and joined one block of whole grid rows
-    at a time, so neither the pieces of the whole grid nor its text are
-    ever held at once.
+    The rect of cell (i, j) is x_text[j], y_text[i], then fills[codes[i, j]].
+    The cells of a run of equal codes within a row share their last two
+    pieces, so one join with those as the separator writes the run.  Runs
+    start where the flattened codes change and at each row's first cell.
+    The text is joined one block of whole grid rows at a time.
     """
     yield head
-    step = max(1, _BLOCK_CELLS // len(columns))
-    for start in range(0, len(rows), step):
-        block_rows = rows[start:start + step]
-        cells = np.empty((len(block_rows), len(columns), 2 + len(lookups)),
-                         dtype=object)
-        cells[..., 0] = columns
-        cells[..., 1] = block_rows[:, None]
-        for k, (table, index) in enumerate(lookups, 2):
-            cells[..., k] = table[index[start:start + step]]
-        yield "".join(cells.ravel().tolist())
+    res = len(x_text)
+    step = max(1, _BLOCK_CELLS // res)
+    for top in range(0, len(y_text), step):
+        flat = codes[top:top + step].ravel()
+        # edges[k] is where run k starts; first[::res] marks each row's
+        # first cell and, the block being whole rows, its end
+        first = np.empty(flat.size + 1, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=first[1:-1])
+        first[::res] = True
+        edges = np.flatnonzero(first)
+        rows, cols = np.divmod(edges[:-1], res)
+        ends = edges[1:] - rows * res
+        text: List[str] = []
+        for i, a, b, code in zip((rows + top).tolist(), cols.tolist(),
+                                 ends.tolist(), flat[edges[:-1]].tolist()):
+            shared = y_text[i] + fills[code]
+            text.append(shared.join(x_text[a:b]))
+            text.append(shared)
+        yield "".join(text)
     yield tail
 
 
@@ -337,38 +357,64 @@ def _csv_blocks(codes: np.ndarray, margins: np.ndarray,
     in row-major grid order, each ending in a newline.
 
     p and q are formatted once per column and row, verdict and citation
-    once per code present, and each distinct margin once: many margins
-    depend on p or q alone (half-planes, the p, q > 1 gate), so a region
-    plot holds far fewer distinct margins than cells.  Margins are told
-    apart by bit pattern, which keeps 0.0 and -0.0 apart.  The rows are
-    then pieced together by indexing, with no Python per cell.  Raises
-    DomainValidationError, before returning rather than while iterating,
-    if a cell holds CODE_INVALID.
+    once per code present.  Raises DomainValidationError, before returning
+    rather than while iterating, if a cell holds CODE_INVALID.
     """
     res = spec.resolution
-    p_text = _g12(np.linspace(spec.p_range[0], spec.p_range[1], res), ",")
-    q_text = _g12(np.linspace(spec.q_range[0], spec.q_range[1], res), ",")
+    p = np.linspace(spec.p_range[0], spec.p_range[1], res)
+    q = np.linspace(spec.q_range[0], spec.q_range[1], res)
     labels = _by_code({code: f"{region.verdict.value},{region.citation},"
                        for code, region in _regions_present(codes).items()})
-    bits, which = np.unique(np.ascontiguousarray(margins, dtype=np.float64)
-                            .view(np.int64), return_inverse=True)
-    margin_text = _g12(bits.view(np.float64), "\n")
-    return _blocks("p,q,verdict,citation,margin\n", p_text, q_text,
-                   [(labels, codes),
-                    (margin_text, which.reshape(codes.shape))], "")
+    return _csv_lines(np.array(_texts("%.12g,", p), dtype=object),
+                      np.array(_texts("%.12g,", q), dtype=object), labels,
+                      codes, margins)
 
 
-def _g12(values: np.ndarray, end: str) -> np.ndarray:
-    """f"{v:.12g}{end}" for each float v, end "," or newline, as an object
-    array.
+def _csv_lines(p_text: np.ndarray, q_text: np.ndarray, labels: np.ndarray,
+               codes: np.ndarray, margins: np.ndarray) -> Iterator[str]:
+    """The header, then the line of each grid cell in row-major order.
 
-    One %-format writes every value on a line of its own ("%.12g" gives
-    the text of f"{v:.12g}", signed zeros, subnormals, inf and nan
-    included); the lines keep their newline only when end is one.
+    The line of cell (i, j) is p_text[j], q_text[i], labels[codes[i, j]],
+    then the text of margins[i, j].  Each distinct margin of a block of
+    whole rows, at most _FIELD_BLOCK_CELLS cells, is formatted once: many
+    margins depend on p or q alone (half-planes, the p, q > 1 gate), so a
+    region plot holds far fewer distinct margins than cells, and a grid
+    whose margins are nearly all distinct holds one block's texts at a
+    time.  Margins are told apart by bit pattern, which keeps 0.0 and -0.0
+    apart.  The pieces are laid out by indexing in an object array and
+    joined _BLOCK_CELLS cells (whole rows) at a time, with no Python per
+    cell.
     """
-    line = "%.12g\n" if end == "\n" else "%.12g" + end + "\n"
-    text = line * values.size % tuple(values.tolist())
-    return np.array(text.splitlines(end == "\n"), dtype=object)
+    yield "p,q,verdict,citation,margin\n"
+    res = len(p_text)
+    step = max(1, _BLOCK_CELLS // res)
+    table_rows = max(1, _FIELD_BLOCK_CELLS // res)
+    for top in range(0, len(q_text), table_rows):
+        block = np.ascontiguousarray(margins[top:top + table_rows],
+                                     dtype=np.float64)
+        bits, which = np.unique(block.view(np.int64), return_inverse=True)
+        margin_text = np.array(_texts("%.12g\n", bits.view(np.float64)),
+                               dtype=object)
+        which = which.reshape(block.shape)
+        for start in range(0, len(block), step):
+            rows = slice(top + start, top + min(start + step, len(block)))
+            cells = np.empty((rows.stop - rows.start, res, 4), dtype=object)
+            cells[..., 0] = p_text
+            cells[..., 1] = q_text[rows, None]
+            cells[..., 2] = labels[codes[rows]]
+            cells[..., 3] = margin_text[which[start:start + step]]
+            yield "".join(cells.ravel().tolist())
+
+
+def _texts(template: str, values: np.ndarray) -> List[str]:
+    """template % v for each float v in values, by one %-format.
+
+    template holds one float conversion and no NUL.  "%.6f" gives the text
+    of f"{v:.6f}" and "%.12g" that of f"{v:.12g}", signed zeros,
+    subnormals, inf and nan included.
+    """
+    return ("\0".join([template] * len(values))
+            % tuple(values.tolist())).split("\0")
 
 
 def emit_csv(codes: np.ndarray, margins: np.ndarray, spec: PlotSpec,

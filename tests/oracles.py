@@ -7,7 +7,8 @@ claim1_check and crossing_step_bound read a bootstrap trace against the
 affine law of its full cycle.  e3 is the one-bootstrap integrability
 margin, which equals e1 at the threshold.  decimal_roots is the Hardy
 roots' high-precision value.  case_for_region names the construction
-that realizes an existence citation.  pair_of, hardy_image and values
+that realizes an existence citation.  svg_cells writes a region plot's
+grid rects one cell at a time.  pair_of, hardy_image and values
 are the exponent pair, the symbolic image and the term sums of a radial
 function for a coefficient given on its own.
 """
@@ -25,6 +26,7 @@ from hardylane.constructions import LINE_TOL
 from hardylane.exponents import (DomainValidationError, ExponentPair,
                                  HardyParams, Powers)
 from hardylane.iteration import IterationTrace
+from hardylane.plotting import _COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W
 from hardylane.radial import (ArrayLike, RadialFunction, _fd_hardy,
                               _fd_stencil, _hardy_image, _term_sums)
 
@@ -173,3 +175,18 @@ def case_for_region(params: HardyParams, pq: Powers, citation: str) -> str:
                 return "C6"
         return "C5"
     raise DomainValidationError(f"no construction for citation {citation!r}")
+
+
+def svg_cells(codes: np.ndarray, res: int) -> str:
+    """The <rect> lines of an SVG region plot's grid cells, in row-major
+    order (row i at the height of q row i, counted from the bottom), one
+    f-string per cell."""
+    cell_w, cell_h = _PLOT_W / res, _PLOT_H / res
+    lines = []
+    for i in range(res):
+        for j in range(res):
+            lines.append(f'<rect x="{_MARGIN_L + j * cell_w:.6f}" '
+                         f'y="{_MARGIN_T + (res - 1 - i) * cell_h:.6f}" '
+                         f'width="{cell_w:.6f}" height="{cell_h:.6f}" '
+                         f'fill="{_COLORS[int(codes[i, j])]}"/>\n')
+    return "".join(lines)

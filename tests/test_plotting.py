@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -10,15 +11,18 @@ from hypothesis import strategies as st
 from hardylane import _kernels as K
 from hardylane import plotting
 from hardylane.exponents import DomainValidationError, HardyParams
-from hardylane.plotting import (_COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H,
-                                _PLOT_W, PlotSpec, critical_curve_points,
-                                emit_csv, emit_svg, region_markers,
-                                render_svg)
-from hardylane.regions import _CITATIONS, _wrap, classify_field
+from hardylane.plotting import (_MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W,
+                                PlotSpec, critical_curve_points, emit_csv,
+                                emit_svg, region_markers, render_svg)
+from hardylane.regions import (_CITATIONS, _FIELD_BLOCK_CELLS, _wrap,
+                               classify_field)
+from oracles import svg_cells
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)
 WINDOW = ((0.1, 8.0), (0.1, 8.0))
+# (mu1, mu2) at N = 5 of the benchmark's plot windows, each over WINDOW
+PLOT_GRID_MUS = [(-2.0, -2.0), (-2.0, 0.0), (0.0, -2.0), (-2.25, 0.0)]
 
 
 def csv_text(codes, margins, spec):
@@ -210,29 +214,120 @@ def test_csv_keeps_signed_zero_margins_apart():
     assert [ln.rpartition(",")[2] for ln in lines[1:3]] == ["0", "-0"]
 
 
-def per_cell_svg_rects(codes, res):
-    """The grid's rects formatted cell by cell (the SVG format's oracle)."""
-    cell_w, cell_h = _PLOT_W / res, _PLOT_H / res
-    return [f'<rect x="{_MARGIN_L + j * cell_w:.6f}" '
-            f'y="{_MARGIN_T + (res - 1 - i) * cell_h:.6f}" '
-            f'width="{cell_w:.6f}" height="{cell_h:.6f}" '
-            f'fill="{_COLORS[int(codes[i, j])]}"/>'
-            for i in range(res) for j in range(res)]
+def _random_grid(res, seed):
+    """Codes over every valid code and margins that repeat a small pool
+    (signed zeros, a subnormal, inf and nan) among distinct values."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(np.array(sorted(_CITATIONS), dtype=np.int16),
+                       size=(res, res))
+    pool = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1 / 3])
+    margins = np.where(rng.random((res, res)) < 0.5,
+                       pool[rng.integers(0, len(pool), (res, res))],
+                       rng.standard_normal((res, res)))
+    return codes, margins
+
+
+@pytest.mark.parametrize("mus", [(-2.0, -2.0), (-2.0, 0.0), None])
+def test_csv_tells_margins_apart_per_block(mus):
+    # at res 300 the margins are told apart in two blocks of whole rows,
+    # 218 rows and then 82, and the last join block of the first is cut
+    # short at its end; the lines must be those of a reference that
+    # formats every margin of the grid on its own.  The random grid holds
+    # values in both blocks and values in one only.
+    res = 300
+    rows = _FIELD_BLOCK_CELLS // res
+    assert rows < res <= 2 * rows and rows % _block_rows(res) != 0
+    spec = PlotSpec(params=B_PARAMS if mus is None else HardyParams(5, *mus),
+                    p_range=WINDOW[0], q_range=WINDOW[1], resolution=res)
+    if mus is None:
+        codes, margins = _random_grid(res, res)
+        flags = np.zeros(codes.shape, dtype=np.uint8)
+    else:
+        grid = np.linspace(*WINDOW[0], res)
+        codes, margins, flags = classify_field(spec.params, grid, grid)
+    assert grid_csv_lines(codes, margins, spec) == \
+        per_cell_csv_lines(codes, margins, flags, spec)
+
+
+def assert_svg_cells(svg, codes, res):
+    """svg holds exactly oracles.svg_cells' rects, right after its head
+    (the canvas rect and the title) and right before the frame."""
+    head, cells, tail = svg.partition(svg_cells(codes, res))
+    assert cells
+    assert head.count("<rect") == 1                         # the canvas
+    assert tail.startswith(f'<rect x="{_MARGIN_L:.6f}" y="{_MARGIN_T:.6f}" '
+                           f'width="{_PLOT_W:.6f}" height="{_PLOT_H:.6f}" '
+                           f'fill="none"')                  # the frame
 
 
 @pytest.mark.parametrize("mus", [(-2.0, -2.0), (-2.0, 0.0), (0.0, -2.0),
                                  (-2.25, 0.0), (1.0, 1.0)])
 def test_svg_cells_match_per_cell_formatting(mus):
+    _assert_plot_cells(mus, 37)
+
+
+@pytest.mark.parametrize("mus", PLOT_GRID_MUS)
+def test_svg_cells_of_plot_grid_windows(mus):
+    _assert_plot_cells(mus, 200)
+
+
+@pytest.mark.parametrize("res", [2, 3, 7, 333])
+def test_svg_cells_at_resolution(res):
+    _assert_plot_cells((-2.0, -2.0), res)
+
+
+def _assert_plot_cells(mus, res):
     params = HardyParams(5, *mus)
-    spec = PlotSpec(params=params, p_range=(0.1, 8.0), q_range=(0.1, 8.0),
-                    resolution=37)
-    grid = np.linspace(0.1, 8.0, 37)
+    spec = PlotSpec(params=params, p_range=WINDOW[0], q_range=WINDOW[1],
+                    resolution=res, title="N=5")
+    grid = np.linspace(*WINDOW[0], res)
     codes, _, _ = classify_field(params, grid, grid)
-    lines = render_svg(codes, spec).split("\n")
-    rects = per_cell_svg_rects(codes, 37)
-    start = lines.index(rects[0])
-    assert lines[start:start + len(rects)] == rects
-    assert 'fill="none"' in lines[start + len(rects)]      # the frame
+    assert_svg_cells(render_svg(codes, spec), codes, res)
+
+
+def _one_code(res):
+    return np.full((res, res), K.CODE_T3_I_CASE1, dtype=np.int16)
+
+
+def _checkerboard(res):
+    # every cell is a run of its own
+    i, j = np.indices((res, res))
+    return np.where((i + j) % 2 == 0, K.CODE_T1_I,
+                    K.CODE_DOTTED).astype(np.int16)
+
+
+def _row_codes(res):
+    # each row one run, whose code differs from the row above
+    return np.repeat(np.arange(res, dtype=np.int16)[:, None] % 3, res, axis=1)
+
+
+def _column_codes(res):
+    # the code changes from column to column, not from row to row
+    return np.repeat(np.arange(res, dtype=np.int16)[None, :] % 3, res, axis=0)
+
+
+@pytest.mark.parametrize("grid", [_one_code, _checkerboard, _row_codes,
+                                  _column_codes])
+@pytest.mark.parametrize("res", [2, 7, 201])
+def test_svg_cells_of_extreme_runs(grid, res):
+    # 201 rows make blocks of 6 rows and a last block of 3
+    codes = grid(res)
+    spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
+                    resolution=res)
+    assert_svg_cells(render_svg(codes, spec), codes, res)
+
+
+@pytest.mark.parametrize("title", ["A & B", "N=5 mu1<0", "p > q && q < p",
+                                   "&amp; <rect/>"])
+def test_svg_title_is_escaped(title):
+    spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
+                    resolution=3, title=title)
+    codes = _checkerboard(3)
+    svg = render_svg(codes, spec)
+    root = ET.fromstring(svg.encode("utf-8"))
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == title
+    assert_svg_cells(svg, codes, 3)
 
 
 # every float a margin can take, drawn from a small pool so that values
@@ -273,12 +368,7 @@ def test_emitters_match_per_cell_oracles(grid):
     text = csv_text(codes, margins, spec)
     assert text == "\n".join(per_cell_csv_lines(codes, margins, flags,
                                                 spec)) + "\n"
-    lines = render_svg(codes, spec).split("\n")
-    rects = per_cell_svg_rects(codes, spec.resolution)
-    start = lines.index(rects[0])
-    assert lines[start - 1].endswith('fill="#ffffff"/>')    # the canvas
-    assert lines[start:start + len(rects)] == rects
-    assert 'fill="none"' in lines[start + len(rects)]      # the frame
+    assert_svg_cells(render_svg(codes, spec), codes, spec.resolution)
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (3, 1), (-1, -1), None])
@@ -298,6 +388,21 @@ def test_emitters_reject_invalid_code(cell, tmp_path):
         csv_text(codes, margins, spec)
     with pytest.raises(DomainValidationError):
         render_svg(codes, spec)
+    with pytest.raises(DomainValidationError):
+        emit_csv(codes, margins, spec, str(tmp_path / "plot.csv"))
+    with pytest.raises(DomainValidationError):
+        emit_svg(codes, spec, str(tmp_path / "plot.svg"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_emitters_reject_invalid_code_past_the_first_block(tmp_path):
+    # the grid is checked whole before the first block is written, also
+    # when the invalid cell lies in the last block
+    res = 300
+    spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
+                    resolution=res)
+    codes, margins = _random_grid(res, 1)
+    codes[-1, -1] = K.CODE_INVALID
     with pytest.raises(DomainValidationError):
         emit_csv(codes, margins, spec, str(tmp_path / "plot.csv"))
     with pytest.raises(DomainValidationError):
@@ -333,13 +438,7 @@ _BLOCK_CASES = {
 def test_files_hold_the_text_functions_bytes(res, tmp_path):
     # the files are written block by block; they must hold exactly the
     # joined text, here with a non-ASCII title and every valid code
-    rng = np.random.default_rng(res)
-    codes = rng.choice(np.array(sorted(_CITATIONS), dtype=np.int16),
-                       size=(res, res))
-    pool = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1 / 3])
-    margins = np.where(rng.random((res, res)) < 0.5,
-                       pool[rng.integers(0, len(pool), (res, res))],
-                       rng.standard_normal((res, res)))
+    codes, margins = _random_grid(res, res)
     spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
                     resolution=res, title="N=5 \u03bc\u2081=-2 \u03bc\u2082=-2")
     emit_csv(codes, margins, spec, str(tmp_path / "plot.csv"))
@@ -373,3 +472,25 @@ def test_writers_hold_less_than_the_file(mus, tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < os.path.getsize(path), (name, peak)
+
+
+def test_csv_writer_holds_one_block_of_distinct_margins(tmp_path):
+    # every margin distinct: the texts of all the grid's margins would
+    # outweigh the file, those of one block of _FIELD_BLOCK_CELLS cells
+    # (a quarter of this grid) do not
+    res = 512
+    rng = np.random.default_rng(res)
+    codes = rng.choice(np.array(sorted(_CITATIONS), dtype=np.int16),
+                       size=(res, res))
+    margins = rng.standard_normal((res, res))
+    spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
+                    resolution=res)
+    path = str(tmp_path / "plot.csv")
+    emit_csv(codes, margins, spec, path)  # lazy set-up, not measured
+    tracemalloc.start()
+    try:
+        emit_csv(codes, margins, spec, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path)
