@@ -11,8 +11,7 @@ verifies the explicit radial supersolution constructions on log grids.
 """
 
 from ._kernels import BACKEND as kernel_backend
-from .exponents import (DomainValidationError, ExponentPair, HardyParams,
-                        Powers, mu_zero)
+from .exponents import DomainValidationError, HardyParams, Powers, mu_zero
 from .integrability import IntegrabilityVerdict
 from .iteration import (Certificate, CertificateKind, IterationTrace,
                         StepRecord, Variant, iterate_clamped, iterate_plain)
@@ -23,10 +22,10 @@ from .regions import (RegionClass, Verdict, Witness, WitnessMismatchError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate", "CertificateKind", "DomainValidationError", "ExponentPair",
-    "HardyParams", "IntegrabilityVerdict", "IterationTrace", "Powers",
-    "RadialFunction", "RadialGrid", "RadialTerm", "RegionClass", "StepRecord",
-    "Variant", "Verdict", "Witness", "WitnessMismatchError", "classify",
+    "Certificate", "CertificateKind", "DomainValidationError", "HardyParams",
+    "IntegrabilityVerdict", "IterationTrace", "Powers", "RadialFunction",
+    "RadialGrid", "RadialTerm", "RegionClass", "StepRecord", "Variant",
+    "Verdict", "Witness", "WitnessMismatchError", "classify",
     "classify_field", "default_grid", "iterate_clamped", "iterate_plain",
     "kernel_backend", "mu_zero", "nonexistence_witness", "__version__",
 ]

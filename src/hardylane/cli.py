@@ -53,6 +53,10 @@ EXIT_INCONSISTENT = 2
 MAX_CAP = 100_000
 MAX_GRID_POINTS = 2 ** 20
 
+#: command -> (the formats it can write, those it writes without --format)
+_FORMATS = {"iterate": (("csv", "json"), ("json",)),
+            "plot": (("csv", "json", "svg"), ("csv", "svg"))}
+
 
 def _json_safe(obj):
     """Replace non-finite floats so records stay strict JSON."""
@@ -117,9 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mu2", type=float, default=None)
         sp.add_argument("--out", default=None, help="output path prefix")
 
-    def formats(sp):
+    def formats(sp, command):
+        allowed = ",".join(_FORMATS[command][0])
         sp.add_argument("--format", default=None,
-                        help="comma-separated subset of csv,json,svg")
+                        help=f"comma-separated subset of {allowed}")
 
     sp = sub.add_parser("classify", allow_abbrev=False,
                         help="classify one (p, q) point")
@@ -132,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("iterate", allow_abbrev=False,
                         help="run the exponent bootstrap")
     common(sp)
-    formats(sp)
+    formats(sp, "iterate")
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--variant", choices=["plain", "clamped"], default=None)
@@ -150,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("plot", allow_abbrev=False,
                         help="sweep a (p, q) window and render it")
     common(sp)
-    formats(sp)
+    formats(sp, "plot")
     sp.add_argument("--p-range", default=None, help="a..b")
     sp.add_argument("--q-range", default=None, help="a..b")
     sp.add_argument("--res", type=int, default=None)
@@ -174,13 +179,19 @@ def _params(args) -> HardyParams:
     return HardyParams(args.N, args.mu1, args.mu2)
 
 
-def _formats(args, default=("json",)) -> set:
+def _formats(args) -> set:
+    """The --format list, checked against the formats the command writes."""
+    allowed, default = _FORMATS[args.command]
     if args.format is None:
         return set(default)
-    fmts = {f.strip() for f in args.format.split(",") if f.strip()}
-    bad = fmts - {"csv", "json", "svg"}
+    fmts = {f.strip() for f in args.format.split(",")} - {""}
+    if not fmts:
+        raise DomainValidationError("--format names no format")
+    bad = fmts.difference(allowed)
     if bad:
-        raise DomainValidationError(f"unknown format(s): {sorted(bad)}")
+        raise DomainValidationError(
+            f"{args.command} cannot write format(s) {sorted(bad)}; "
+            f"choose from {list(allowed)}")
     return fmts
 
 
@@ -245,6 +256,9 @@ def cmd_iterate(args) -> int:
     if cap > MAX_CAP:
         raise DomainValidationError(
             f"--cap must lie in [1, {MAX_CAP}], got {cap}")
+    fmts = _formats(args)
+    if "csv" in fmts and not args.out:
+        raise DomainValidationError("--out is required for csv output")
     run = iterate_plain if variant == "plain" else iterate_clamped
     trace = run(params, pq, cap=cap)
     steps = [{"j": s.j, "tau1": s.tau1, "tau2": s.tau2,
@@ -262,12 +276,9 @@ def cmd_iterate(args) -> int:
                         "value": trace.outcome.value,
                         "threshold": trace.outcome.threshold},
     }
-    fmts = _formats(args)
     if "json" in fmts:
         _emit_record(record, args)
     if "csv" in fmts:
-        if not args.out:
-            raise DomainValidationError("--out is required for csv output")
         lines = ["j,tau1,tau2,s_j"]
         prev = None
         for s in trace.steps:
@@ -329,7 +340,7 @@ def cmd_plot(args) -> int:
     res = args.res
     if not (2 <= res <= 4096):
         raise DomainValidationError(f"--res must lie in [2, 4096], got {res}")
-    fmts = _formats(args, default=("csv", "svg"))
+    fmts = _formats(args)
     if not args.out:
         raise DomainValidationError("--out is required for plot")
 

@@ -274,11 +274,12 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
 
 def _images(cand: SupersolutionCandidate
             ) -> Tuple[RadialFunction, RadialFunction]:
-    """The symbolic images Lu and Lv of the candidate pair, from the
-    exponent pairs of its params (two ExponentPairs built here)."""
+    """The symbolic images Lu and Lv of the candidate pair, from the roots
+    its params hold."""
     params = cand.params
-    return (_hardy_image(params.N, params.tau1, cand.u),
-            _hardy_image(params.N, params.tau2, cand.v))
+    tp1, tm1, tp2, tm2 = params.roots
+    return (_hardy_image(params.N, tp1, tm1, cand.u),
+            _hardy_image(params.N, tp2, tm2, cand.v))
 
 
 def _finite_positive(vals: np.ndarray) -> bool:

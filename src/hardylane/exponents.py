@@ -99,24 +99,6 @@ def _snap_near(N: int, mu: float, m0: float, band: float) -> float:
 
 
 @frozen
-class ExponentPair:
-    """The two homogeneity exponents tau_-(mu) <= tau_+(mu)."""
-
-    tau_plus: float
-    tau_minus: float
-
-    def coefficient_at(self, tau: float) -> float:
-        """mu - tau(tau+N-2) for the mu of this pair, in the factored form
-        -(tau - tau_+)(tau - tau_-).
-
-        The one place the factored form is written.  It vanishes *exactly*
-        (in floating point) at the stored roots, which downstream code
-        relies on to recognise kernel functions.
-        """
-        return -(tau - self.tau_plus) * (tau - self.tau_minus)
-
-
-@frozen
 class HardyParams:
     """Dimension and the two inverse-square coefficients of the system.
 
@@ -128,13 +110,13 @@ class HardyParams:
 
         roots = (tau_+(mu1), tau_-(mu1), tau_+(mu2), tau_-(mu2)).
 
-    Code that needs only the exponents unpacks roots.  tau1 and tau2 build
-    a new ExponentPair from it on each access, for the symbolic operator
-    images, which need the factored root coefficient.  swapped() hands the
-    stored roots over, reordered, without validating or computing anything
-    again.  Only (N, mu1, mu2) are fields: equality, hashing and repr see
-    nothing else, and dataclasses.replace builds a new instance that
-    computes its own roots.
+    This tuple is the one form of the exponents: every consumer unpacks
+    it, and the symbolic operator images take one coefficient's pair from
+    it (roots[:2] for mu1, roots[2:] for mu2).  swapped() hands the stored
+    roots over, reordered, without validating or computing anything again.
+    Only (N, mu1, mu2) are fields: equality, hashing and repr see nothing
+    else, and dataclasses.replace builds a new instance that computes its
+    own roots.
     """
 
     N: int
@@ -149,24 +131,6 @@ class HardyParams:
         state["mu2"] = mu2 = _snap_near(N, state["mu2"], m0, band)
         state["roots"] = (bd.roots(half, mu1, math.sqrt(mu1 - m0))
                           + bd.roots(half, mu2, math.sqrt(mu2 - m0)))
-
-    @property
-    def mu_zero(self) -> float:
-        return bd.mu0(self.N - 2.0)
-
-    @property
-    def tau1(self) -> ExponentPair:
-        """A new ExponentPair of mu1's roots, roots[0] and roots[1]; it
-        depends on N and mu1 alone, so HardyParams(N, mu, mu).tau1 is the
-        pair of a lone coefficient mu."""
-        tau_plus, tau_minus, _, _ = self.roots
-        return ExponentPair(tau_plus, tau_minus)
-
-    @property
-    def tau2(self) -> ExponentPair:
-        """A new ExponentPair of mu2's roots."""
-        _, _, tau_plus, tau_minus = self.roots
-        return ExponentPair(tau_plus, tau_minus)
 
     def swapped(self) -> "HardyParams":
         """HardyParams(N, mu2, mu1), bit for bit, built from what is stored.

@@ -95,7 +95,6 @@ class PlotSpec:
     q_range: Tuple[float, float]
     resolution: int
     title: str = ""
-    overlay_samples: int = 256
 
 
 def _fmt(x: float) -> str:
@@ -243,7 +242,7 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
     # critical curve overlays
     for which, color in (("e1", "#08306b"), ("e2", "#4a1486")):
         pts = critical_curve_points(spec.params, which, spec.p_range,
-                                    spec.q_range, spec.overlay_samples)
+                                    spec.q_range)
         if len(pts) >= 2:
             p, q = np.array(pts).T
             path = " ".join(["%.6f,%.6f"] * len(pts)) % tuple(
@@ -333,15 +332,13 @@ def _by_code(texts: Dict[int, str]) -> np.ndarray:
     return table
 
 
-def _legend_flags(code: int) -> int:
-    if code == K.CODE_OUT_OF_SCOPE:
-        return 2 << K.REGIME_SHIFT
-    return 0
-
-
 def _regions_present(codes: np.ndarray) -> Dict[int, RegionClass]:
-    """The region of each code in the grid, in ascending code order."""
-    return {code: _wrap(code, 0.0, _legend_flags(code))
+    """The region of each code in the grid, in ascending code order.
+
+    Its callers read only the verdict and the citation, which no flags
+    value changes, so every code is wrapped with flags 0.
+    """
+    return {code: _wrap(code, 0.0, 0)
             for code in np.unique(codes).tolist()}
 
 

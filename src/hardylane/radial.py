@@ -24,7 +24,7 @@ from typing import Iterable, Tuple, Union
 import numpy as np
 
 from ._frozen import frozen
-from .exponents import DomainValidationError, ExponentPair
+from .exponents import DomainValidationError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -154,18 +154,21 @@ def _term_sums(f: RadialFunction, arr: np.ndarray, with_magnitude: bool):
     return out, mag
 
 
-def _hardy_image(N: int, pair: ExponentPair, f: RadialFunction
-                 ) -> RadialFunction:
+def _hardy_image(N: int, tau_plus: float, tau_minus: float,
+                 f: RadialFunction) -> RadialFunction:
     """Exact image of f under -Delta + mu/|x|^2, term by term, for a
-    validated N and the exponent pair of mu.
+    validated N and the roots tau_+ >= tau_- of mu.
 
-    Zero output coefficients are dropped, so applying the operator to
-    r^(tau_+-) (or to r^(tau_-) * (-ln r) at the double root) returns the
-    exact zero function.
+    Each term's prefactor mu - tau(tau+N-2) is written here, and only
+    here, in the factored form -(tau - tau_+)(tau - tau_-), which vanishes
+    exactly (in floating point) at the stored roots.  Zero output
+    coefficients are dropped, so applying the operator to r^(tau_+-) (or
+    to r^(tau_-) * (-ln r) at the double root) returns the exact zero
+    function.
     """
     out = []
     for t in f.terms:
-        c_main = t.coeff * pair.coefficient_at(t.tau)
+        c_main = t.coeff * (-(t.tau - tau_plus) * (t.tau - tau_minus))
         if t.log_power == 0:
             if c_main != 0.0:
                 out.append(RadialTerm(t.tau - 2.0, 0, c_main))

@@ -47,51 +47,31 @@ class Verdict(Enum):
     OUT_OF_SCOPE = "out_of_scope"
 
 
-_CITATIONS = {
-    K.CODE_OUT_OF_SCOPE: "Scope",
-    K.CODE_T1_I: "T1.i",
-    K.CODE_T1_II: "T1.ii",
-    K.CODE_T2_I: "T2.i",
-    K.CODE_T2_II: "T2.ii",
-    K.CODE_T2_III: "T2.iii",
-    K.CODE_T3_I_CASE1: "T3.i.case1",
-    K.CODE_T3_I_CASE2: "T3.i.case2",
-    K.CODE_T3_I_CASE3: "T3.i.case3",
-    K.CODE_T3_II_A1: "T3.ii.a1",
-    K.CODE_T3_II_A2: "T3.ii.a2",
-    K.CODE_T3_II_B1: "T3.ii.b1",
-    K.CODE_T3_II_B2: "T3.ii.b2",
-    K.CODE_CURVE_AQ: "CriticalCurve.AQ",
-    K.CODE_CURVE_AB: "CriticalCurve.AB",
-    K.CODE_CURVE_BC: "CriticalCurve.BC",
-    K.CODE_DOTTED: "CriticalCurve.DottedBoundary",
+_NO, _YES, _OPEN = (Verdict.NONEXISTENCE, Verdict.EXISTS_SUPERSOLUTION,
+                    Verdict.OPEN_CRITICAL)
+
+#: code -> (verdict, citation, domain) for every valid region code: the one
+#: table of what a kernel code means.
+_OUTCOMES = {
+    K.CODE_OUT_OF_SCOPE: (Verdict.OUT_OF_SCOPE, "Scope", None),
+    K.CODE_T1_I: (_NO, "T1.i", None),
+    K.CODE_T1_II: (_NO, "T1.ii", None),
+    K.CODE_T2_I: (_NO, "T2.i", None),
+    K.CODE_T2_II: (_NO, "T2.ii", None),
+    K.CODE_T2_III: (_NO, "T2.iii", None),
+    K.CODE_T3_I_CASE1: (_YES, "T3.i.case1", "unit_ball"),
+    K.CODE_T3_I_CASE2: (_YES, "T3.i.case2", "unit_ball"),
+    K.CODE_T3_I_CASE3: (_YES, "T3.i.case3", "unit_ball"),
+    K.CODE_T3_II_A1: (_YES, "T3.ii.a1", None),
+    K.CODE_T3_II_A2: (_YES, "T3.ii.a2", None),
+    K.CODE_T3_II_B1: (_YES, "T3.ii.b1", None),
+    K.CODE_T3_II_B2: (_YES, "T3.ii.b2", None),
+    K.CODE_CURVE_AQ: (_OPEN, "CriticalCurve.AQ", None),
+    K.CODE_CURVE_AB: (_OPEN, "CriticalCurve.AB", None),
+    K.CODE_CURVE_BC: (_OPEN, "CriticalCurve.BC", None),
+    K.CODE_DOTTED: (_OPEN, "CriticalCurve.DottedBoundary", None),
 }
-
-_NONEXISTENCE_CODES = {K.CODE_T1_I, K.CODE_T1_II, K.CODE_T2_I,
-                       K.CODE_T2_II, K.CODE_T2_III}
-_EXISTENCE_CODES = {K.CODE_T3_I_CASE1, K.CODE_T3_I_CASE2, K.CODE_T3_I_CASE3,
-                    K.CODE_T3_II_A1, K.CODE_T3_II_A2, K.CODE_T3_II_B1,
-                    K.CODE_T3_II_B2}
-_OPEN_CODES = {K.CODE_CURVE_AQ, K.CODE_CURVE_AB, K.CODE_CURVE_BC,
-               K.CODE_DOTTED}
-_UNIT_BALL_CODES = {K.CODE_T3_I_CASE1, K.CODE_T3_I_CASE2, K.CODE_T3_I_CASE3}
 _REGIMES = {0: "A", 1: "B", 2: "C"}
-
-
-def _verdict_of(code: int) -> Verdict:
-    if code in _NONEXISTENCE_CODES:
-        return Verdict.NONEXISTENCE
-    if code in _EXISTENCE_CODES:
-        return Verdict.EXISTS_SUPERSOLUTION
-    if code in _OPEN_CODES:
-        return Verdict.OPEN_CRITICAL
-    return Verdict.OUT_OF_SCOPE
-
-
-#: code -> (verdict, citation, domain) for every valid region code.
-_OUTCOMES = {code: (_verdict_of(code), cite,
-                    "unit_ball" if code in _UNIT_BALL_CODES else None)
-             for code, cite in _CITATIONS.items()}
 
 
 @frozen
@@ -106,12 +86,6 @@ class RegionClass:
     mu0_edge: bool = False
     domain: Optional[str] = None
 
-    @property
-    def code(self) -> int:
-        return _CODE_BY_CITATION[self.citation]
-
-
-_CODE_BY_CITATION = {v: k for k, v in _CITATIONS.items()}
 
 #: (code, flags) -> (verdict, citation, regime, swapped, mu0_edge, domain),
 #: every RegionClass field but the margin, for every valid code and every

@@ -9,8 +9,8 @@ margin, which equals e1 at the threshold.  decimal_roots is the Hardy
 roots' high-precision value.  case_for_region names the construction
 that realizes an existence citation.  svg_cells writes a region plot's
 grid rects one cell at a time.  pair_of, hardy_image and values
-are the exponent pair, the symbolic image and the term sums of a radial
-function for a coefficient given on its own.
+are the roots (tau_+, tau_-), the symbolic image and the term sums of a
+radial function for a coefficient given on its own.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 from hardylane import boundaries as bd
 from hardylane.constructions import LINE_TOL
-from hardylane.exponents import (DomainValidationError, ExponentPair,
-                                 HardyParams, Powers)
+from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.iteration import IterationTrace
 from hardylane.plotting import _COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W
 from hardylane.radial import (ArrayLike, RadialFunction, _fd_hardy,
@@ -57,9 +56,9 @@ def e3(N, t1, p, q):
     return t1 * (p * q + 1.0) + 2.0 * p + N
 
 
-def pair_of(N: int, mu: float) -> ExponentPair:
-    """The exponent pair of a lone coefficient mu, as HardyParams makes it."""
-    return HardyParams(N, mu, mu).tau1
+def pair_of(N: int, mu: float) -> tuple[float, float]:
+    """(tau_+, tau_-) of a lone coefficient mu, as HardyParams stores them."""
+    return HardyParams(N, mu, mu).roots[:2]
 
 
 def values(f: RadialFunction, r: ArrayLike) -> np.ndarray:
@@ -69,7 +68,7 @@ def values(f: RadialFunction, r: ArrayLike) -> np.ndarray:
 
 def hardy_image(N: int, mu: float, f: RadialFunction) -> RadialFunction:
     """The symbolic image of f under -Delta + mu/|x|^2."""
-    return _hardy_image(N, pair_of(N, mu), f)
+    return _hardy_image(N, *pair_of(N, mu), f)
 
 
 def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,

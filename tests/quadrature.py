@@ -31,7 +31,7 @@ def weighted_integral(N: int, mu: float, f: RadialFunction,
     removes the power singularity from the integrand; independent of the
     closed-form margin of integrability.power_verdict.
     """
-    tp = pair_of(N, mu).tau_plus
+    tp = pair_of(N, mu)[0]
     if not (0.0 < eps < r0 <= 1.0):
         raise DomainValidationError(f"need 0 < eps < r0 <= 1, got ({eps}, {r0})")
     w = tp + N  # weight r^(w-1) dr becomes e^(-w u) du

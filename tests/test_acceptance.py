@@ -104,12 +104,11 @@ def test_criterion_2_operator_oracle():
         N = int(rng.integers(3, 11))
         m0 = -((N - 2) ** 2) / 4.0
         mu = m0 + rng.random() * 20.0
-        pair = pair_of(N, mu)
-        kernels_exact &= hardy_image(N, mu, mono(1.0, pair.tau_plus)).is_zero
-        kernels_exact &= hardy_image(N, mu, mono(1.0, pair.tau_minus)).is_zero
-        pair0 = pair_of(N, m0)
+        tau_plus, tau_minus = pair_of(N, mu)
+        kernels_exact &= hardy_image(N, mu, mono(1.0, tau_plus)).is_zero
+        kernels_exact &= hardy_image(N, mu, mono(1.0, tau_minus)).is_zero
         kernels_exact &= hardy_image(
-            N, m0, mono(1.0, pair0.tau_minus, log_power=1)).is_zero
+            N, m0, mono(1.0, pair_of(N, m0)[1], log_power=1)).is_zero
     elapsed = time.perf_counter() - start
     ratios = np.asarray(ratios)
     ok = (len(ratios) >= 900 and (ratios >= 3.5).all()
@@ -124,7 +123,7 @@ def test_criterion_2_operator_oracle():
 def test_criterion_3_integrability_sharpness():
     # f = r^(tau_+(mu1) q) = r^(-q) against the mu2 = 0 weight: the margin
     # is 5 - q, so the verdict flips exactly at q = 5
-    tp = pair_of(5, 0.0).tau_plus
+    tp = pair_of(5, 0.0)[0]
     flips_ok = True
     for q, expect in ((5.0, False), (4.999, True), (5.001, False),
                       (4.0, True), (6.0, False)):
@@ -163,8 +162,8 @@ def test_criterion_4_iteration_certificates():
         mu1 = rng.uniform(m0, -1e-6 * abs(m0))
         mu2 = rng.uniform(0.0, 3.0)
         params = HardyParams(N, mu1, mu2)
-        t1 = params.tau1.tau_plus
-        t2 = params.tau2.tau_plus
+        t1 = params.roots[0]
+        t2 = params.roots[2]
         qlo, qup = 2.0 / (-t1), (N + t2) / (-t1)
         q = rng.uniform(qlo * 1.0001, qup * 0.9999)
         p_min = (2.0 - t1) / (-(t1 * q + 2.0))
@@ -289,7 +288,7 @@ def test_criterion_6_threshold_edge_semantics():
     params_eps = HardyParams(5, -2.25 + 1e-6, 0.0)
     edge_ok = True
     for p in np.geomspace(1.2, 40.0, 50):
-        t1 = params0.tau1.tau_plus
+        t1 = params0.roots[0]
         q = (t1 - 2.0 * p - 2.0) / (t1 * p)  # e1 = 0 at the threshold
         r0 = classify(params0, Powers(float(p), float(q)))
         edge_ok &= (r0.verdict is Verdict.NONEXISTENCE
@@ -297,7 +296,7 @@ def test_criterion_6_threshold_edge_semantics():
         w = nonexistence_witness(params0, Powers(float(p), float(q)), r0)
         edge_ok &= w.mechanism == "integrability"
 
-        t1e = params_eps.tau1.tau_plus
+        t1e = params_eps.roots[0]
         qe = (t1e - 2.0 * p - 2.0) / (t1e * p)
         re_ = classify(params_eps, Powers(float(p), float(qe)))
         edge_ok &= (re_.verdict is Verdict.OPEN_CRITICAL
@@ -332,8 +331,8 @@ def _sample_case_points(case, rng, count=10):
             mu1 = m0 + (0.05 + 0.9 * rng.random()) * (-m0)
             mu2 = m0 + (0.05 + 0.9 * rng.random()) * (-m0)
         params = HardyParams(N, mu1, mu2)
-        t1 = params.tau1.tau_plus
-        t2 = params.tau2.tau_plus
+        t1 = params.roots[0]
+        t2 = params.roots[2]
         vals_qup = (N + t2) / (-t1)
         try:
             if case in ("C1", "C4"):
@@ -460,7 +459,7 @@ def test_criterion_8_picture_reproduction(tmp_path):
     region_exact = bool((classifier == formula).all())
 
     # the critical-curve overlay passes through (3, 3)
-    t1 = params_a.tau1.tau_plus
+    t1 = params_a.roots[0]
     q_at_3 = (t1 - 2.0 * 3.0 - 2.0) / (t1 * 3.0)
     pts = critical_curve_points(params_a, "e1", (0.1, 8.0), (0.1, 8.0), 256)
     dist = min(math.hypot(pv - 3.0, qv - 3.0) for pv, qv in pts)

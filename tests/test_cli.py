@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hardylane import cli
 from hardylane.constructions import CASE_IDS
 from hardylane.exponents import DomainValidationError, HardyParams
-from hardylane.regions import _CODE_BY_CITATION, classify_field
+from hardylane.regions import _OUTCOMES, classify_field
 from hardylane.schemas import load_schema
 
 
@@ -27,6 +27,9 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+CODE_BY_CITATION = {cite: code for code, (_, cite, _) in _OUTCOMES.items()}
 
 
 def svg_raster(svg, res):
@@ -44,7 +47,7 @@ def svg_raster(svg, res):
         if tag == "rect" and el.get("stroke") and next_tag == "text":
             _, sep, citation = "".join(nxt.itertext()).partition(": ")
             if sep:
-                legend[el.get("fill")] = _CODE_BY_CITATION[citation]
+                legend[el.get("fill")] = CODE_BY_CITATION[citation]
     rects = [el for tag, el in items if tag == "rect"]
     frame = next(el for el in rects if el.get("fill") == "none")
     x0, y0, width, height = (float(frame.get(k))
@@ -280,6 +283,29 @@ class TestIterateCommand:
             assert code == 1 and out == ""
             assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("fmt, message", [
+        ("svg", "iterate cannot write format(s) ['svg']; "
+                "choose from ['csv', 'json']"),
+        ("json,svg,pdf", "iterate cannot write format(s) ['pdf', 'svg']; "
+                         "choose from ['csv', 'json']"),
+        (",", "--format names no format"),
+        ("", "--format names no format")],
+        ids=["svg", "two-unknown", "comma", "empty"])
+    def test_formats_it_cannot_write(self, capsys, tmp_path, fmt, message):
+        code, out, err = run_cli(capsys, "iterate", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "-2", "--p", "2.5", "--q", "3.5",
+                                 "--format", fmt, "--out", str(tmp_path / "x"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_without_out_prints_nothing(self, capsys):
+        # --out is checked before the JSON record would be printed
+        code, out, err = run_cli(capsys, "iterate", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "-2", "--p", "2.5", "--q", "3.5",
+                                 "--format", "json,csv")
+        assert (code, out) == (1, "")
+        assert err == "error: --out is required for csv output\n"
+
 
 class TestVerifyCommand:
     def test_verified_construction(self, capsys):
@@ -513,6 +539,20 @@ class TestPlotCommand:
                                "--out", str(tmp_path / "x"))
         assert code == 1
         assert err == f"error: range bounds must be finite, got {span}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt, message", [
+        (",", "--format names no format"),
+        (" , ", "--format names no format"),
+        ("svg,png", "plot cannot write format(s) ['png']; "
+                    "choose from ['csv', 'json', 'svg']")],
+        ids=["comma", "blank", "png"])
+    def test_formats_it_cannot_write(self, capsys, tmp_path, fmt, message):
+        code, out, err = run_cli(capsys, "plot", "--N", "5", "--mu1", "-2",
+                                 "--mu2", "-2", "--p-range", "0.1..8",
+                                 "--q-range", "0.1..8", "--res", "4",
+                                 "--format", fmt, "--out", str(tmp_path / "x"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
 

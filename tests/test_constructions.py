@@ -190,7 +190,7 @@ def accepting_points(draw):
     mu2 = draw(st.floats(min_value=0.05, max_value=2.0)) \
         if case in ("C1", "C2") else mu_zero(N) * draw(frac)
     params = HardyParams(N, mu1, mu2)
-    t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
+    t1, t2 = params.roots[0], params.roots[2]
     if case in ("C1", "C4"):
         lo = 2.0 / -t1 if case == "C1" else (2.0 - t2) / -t1
         q = _inside(1.02 * max(lo, 1.0), 0.98 * (N + t2) / -t1, draw(frac))
@@ -487,9 +487,9 @@ class TestVerification:
         calls = []
         image = constructions._hardy_image
 
-        def counted(N, pair, f):
+        def counted(N, tau_plus, tau_minus, f):
             calls.append(f)
-            return image(N, pair, f)
+            return image(N, tau_plus, tau_minus, f)
 
         monkeypatch.setattr(constructions, "_hardy_image", counted)
         assert find_scale(cand) is not None
@@ -713,8 +713,8 @@ def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,
                               strict: bool = True) -> SupersolutionCandidate:
     if case_id not in CASE_IDS:
         raise DomainValidationError(f"unknown case id {case_id!r}")
-    t1 = params.tau1.tau_plus
-    t2 = params.tau2.tau_plus
+    t1 = params.roots[0]
+    t2 = params.roots[2]
     p, q = pq.p, pq.q
     vals = boundary_values(params, pq)
     notes: list = []
@@ -896,7 +896,7 @@ def random_case_point(draw):
     else:
         anywhere = st.one_of(negative, second, st.floats(0.0, 4.0))
         params = HardyParams(N, draw(anywhere), draw(anywhere))
-    t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
+    t1, t2 = params.roots[0], params.roots[2]
     power = st.floats(min_value=0.5, max_value=8.0)
     p_lines = [bd.q_lower(t2, t1)] if t2 < 0.0 else []
     q_lines = [bd.q_lower(t1, 0.0), bd.q_lower(t1, t2)] if t1 < 0.0 else []

@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylane import boundaries as bd
-from hardylane import constructions, exponents
-from hardylane.constructions import build_candidate
-from hardylane.exponents import (DomainValidationError, ExponentPair,
-                                 HardyParams, Powers, mu_zero)
-from hardylane.iteration import iterate_clamped, iterate_plain
-from hardylane.plotting import region_markers
-from hardylane.regions import classify, nonexistence_witness
-from oracles import e3, pair_of
+from hardylane import exponents
+from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
+                                 mu_zero)
+from hardylane.radial import RadialFunction
+from oracles import e3, hardy_image, pair_of
 
 
 def snapped(N, mu):
@@ -41,19 +38,19 @@ class TestMuZero:
 
 class TestTauPair:
     def test_mu_zero_coefficient_gives_homogeneous_roots(self):
-        pair = pair_of(5, 0.0)
-        assert pair.tau_plus == 0.0
-        assert pair.tau_minus == -3.0
+        tau_plus, tau_minus = pair_of(5, 0.0)
+        assert tau_plus == 0.0
+        assert tau_minus == -3.0
 
     def test_double_root_at_threshold(self):
-        pair = pair_of(5, -2.25)
-        assert pair.tau_plus == pair.tau_minus == -1.5
+        tau_plus, tau_minus = pair_of(5, -2.25)
+        assert tau_plus == tau_minus == -1.5
 
     def test_quadratic_solution(self):
         # -2 = tau (tau + 3) has roots -1 and -2
-        pair = pair_of(5, -2.0)
-        assert pair.tau_plus == pytest.approx(-1.0, abs=1e-14)
-        assert pair.tau_minus == pytest.approx(-2.0, abs=1e-14)
+        tau_plus, tau_minus = pair_of(5, -2.0)
+        assert tau_plus == pytest.approx(-1.0, abs=1e-14)
+        assert tau_minus == pytest.approx(-2.0, abs=1e-14)
 
     def test_rejects_below_threshold(self):
         with pytest.raises(DomainValidationError):
@@ -79,18 +76,17 @@ class TestRootProperties:
     @settings(max_examples=400)
     def test_root_identity(self, Nmu):
         N, mu = Nmu
-        pair = pair_of(N, mu)
         tol = 1e-12 * max(1.0, abs(mu))
-        for tau in (pair.tau_plus, pair.tau_minus):
+        for tau in pair_of(N, mu):
             assert abs(mu - tau * (tau + N - 2)) <= tol
 
     @given(admissible())
     @settings(max_examples=400)
     def test_vieta(self, Nmu):
         N, mu = Nmu
-        pair = pair_of(N, mu)
-        assert abs(pair.tau_plus + pair.tau_minus + (N - 2)) <= 1e-12
-        assert abs(pair.tau_plus * pair.tau_minus + mu) <= 1e-12 * max(1.0, abs(mu))
+        tau_plus, tau_minus = pair_of(N, mu)
+        assert abs(tau_plus + tau_minus + (N - 2)) <= 1e-12
+        assert abs(tau_plus * tau_minus + mu) <= 1e-12 * max(1.0, abs(mu))
 
     @given(st.integers(min_value=3, max_value=12),
            st.floats(min_value=0.001, max_value=10.0),
@@ -99,14 +95,14 @@ class TestRootProperties:
     def test_monotonicity(self, N, d1, d2):
         lo = mu_zero(N) + d1
         hi = lo + d2
-        assert pair_of(N, hi).tau_plus > pair_of(N, lo).tau_plus
-        assert pair_of(N, hi).tau_minus < pair_of(N, lo).tau_minus
+        assert pair_of(N, hi)[0] > pair_of(N, lo)[0]
+        assert pair_of(N, hi)[1] < pair_of(N, lo)[1]
 
     @given(admissible())
     @settings(max_examples=400)
     def test_sign_regimes(self, Nmu):
         N, mu = Nmu
-        tp = pair_of(N, mu).tau_plus
+        tp = pair_of(N, mu)[0]
         if mu < 0:
             assert tp < 0
         elif mu == 0:
@@ -118,10 +114,15 @@ class TestRootProperties:
     @settings(max_examples=300)
     def test_factored_coefficient_matches_expanded(self, Nmu, tau):
         N, mu = Nmu
-        # mu inside the snap band is mu_zero, as in HardyParams
+        # mu inside the snap band is mu_zero, as in HardyParams; the image
+        # of r^tau is (mu - tau(tau+N-2)) r^(tau-2), its coefficient in the
+        # factored form, and the zero function where that is exactly zero
         expanded = snapped(N, mu) - tau * (tau + N - 2)
         scale = max(1.0, abs(expanded))
-        factored = pair_of(N, mu).coefficient_at(tau)
+        image = hardy_image(N, mu, RadialFunction.monomial(1.0, tau)).terms
+        assert [(t.tau, t.log_power) for t in image] in (
+            [], [(tau - 2.0, 0)])
+        factored = image[0].coeff if image else 0.0
         assert abs(factored - expanded) <= 1e-12 * scale
 
 
@@ -167,7 +168,7 @@ class TestParamTypes:
     def test_hardy_params_snaps(self):
         params = HardyParams(5, -2.25 - 1e-14, 0.0)
         assert params.mu1 == -2.25
-        assert params.tau1.tau_plus == params.tau1.tau_minus
+        assert params.roots[0] == params.roots[1]
 
     def test_hardy_params_rejects(self):
         with pytest.raises(DomainValidationError):
@@ -214,7 +215,7 @@ class TestParamTypes:
         params = HardyParams(5, mu, mu)
         assert type(params.mu1) is float and type(params.mu2) is float
         assert params.mu1 == params.mu2 == float(mu)
-        assert params.tau1 == params.tau2 == expect
+        assert params.roots[:2] == params.roots[2:] == expect
 
     @pytest.mark.parametrize("N", [3.0, 5.0, True, np.int64(5), np.int32(4),
                                    "5", None])
@@ -226,15 +227,15 @@ class TestParamTypes:
     def test_dimension_constants_inside_and_past_the_table(self, N):
         mu = mu_zero(N) / 2.0
         params = HardyParams(N, mu, 0.0)
-        assert params.tau1 == pair_of(N, mu)
-        assert params.tau2 == pair_of(N, 0.0)
+        assert params.roots[:2] == pair_of(N, mu)
+        assert params.roots[2:] == pair_of(N, 0.0)
         assert HardyParams(N, mu_zero(N) * (1 + 1e-15), 0.0).mu1 == mu_zero(N)
 
 
 def same_pair(a, b):
-    """Bit-for-bit equality of two ExponentPairs (signed zeros included)."""
-    return (a.tau_plus.hex(), a.tau_minus.hex()) == (
-        b.tau_plus.hex(), b.tau_minus.hex())
+    """Bit-for-bit equality of two tuples of roots, such as (tau_+, tau_-)
+    or all four of HardyParams.roots (signed zeros included)."""
+    return [t.hex() for t in a] == [t.hex() for t in b]
 
 
 @st.composite
@@ -255,30 +256,29 @@ class TestCachedPairs:
         # each pair depends on its own coefficient alone
         N, mu1, mu2 = point
         params = HardyParams(N, mu1, mu2)
-        assert same_pair(params.tau1, pair_of(N, mu1))
-        assert same_pair(params.tau2, pair_of(N, mu2))
+        assert same_pair(params.roots[:2], pair_of(N, mu1))
+        assert same_pair(params.roots[2:], pair_of(N, mu2))
 
     def test_swapped_exchanges_pairs(self):
         params = HardyParams(5, -2.0, 1.0)
         mirrored = params.swapped()
-        assert same_pair(mirrored.tau1, params.tau2)
-        assert same_pair(mirrored.tau2, params.tau1)
+        assert same_pair(mirrored.roots[:2], params.roots[2:])
+        assert same_pair(mirrored.roots[2:], params.roots[:2])
 
     def test_replace_recomputes_pairs(self):
         params = replace(HardyParams(5, -2.0, 1.0), mu2=-2.25 + 1e-14)
         assert params.mu2 == -2.25
-        assert same_pair(params.tau2, pair_of(5, -2.25))
-        assert same_pair(params.tau1, pair_of(5, -2.0))
+        assert same_pair(params.roots[2:], pair_of(5, -2.25))
+        assert same_pair(params.roots[:2], pair_of(5, -2.0))
         with pytest.raises(DomainValidationError):
             replace(params, mu1=-3.0)
-        assert same_pair(replace(params, N=7).tau1, pair_of(7, -2.0))
+        assert same_pair(replace(params, N=7).roots[:2], pair_of(7, -2.0))
 
     def test_pickle_round_trip(self):
         params = HardyParams(6, -4.0, 0.5)
         back = pickle.loads(pickle.dumps(params))
         assert back == params
-        assert same_pair(back.tau1, params.tau1)
-        assert same_pair(back.tau2, params.tau2)
+        assert same_pair(back.roots, params.roots)
 
     def test_equality_hash_and_repr_see_only_fields(self):
         a, b = HardyParams(5, -2, 0), HardyParams(5, -2.0, 0.0)
@@ -301,18 +301,12 @@ class TestCachedPairs:
         assert hash(mirrored) == hash(built)
         assert repr(mirrored) == repr(built)
         assert pickle.dumps(mirrored) == pickle.dumps(built)
-        assert same_pair(mirrored.tau1, built.tau1)
-        assert same_pair(mirrored.tau2, built.tau2)
+        assert same_pair(mirrored.roots, built.roots)
         back = mirrored.swapped()
         assert back == params
         assert (back.mu1.hex(), back.mu2.hex()) == (
             params.mu1.hex(), params.mu2.hex())
-        assert same_pair(back.tau1, params.tau1)
-        assert same_pair(back.tau2, params.tau2)
-
-    @pytest.mark.parametrize("N", range(3, 13))
-    def test_mu_zero_property_matches_function(self, N):
-        assert HardyParams(N, 0.0, 0.0).mu_zero.hex() == mu_zero(N).hex()
+        assert same_pair(back.roots, params.roots)
 
 
 def _bit_cases():
@@ -328,9 +322,8 @@ def _bit_cases():
 
 
 class TestPairsFromRoots:
-    """tau1 and tau2 are built from the stored roots on each access and
-    equal a lone coefficient's pair bit for bit, however the params were
-    made."""
+    """The stored roots are four floats, each coefficient's pair equal to
+    a lone coefficient's bit for bit, however the params were made."""
 
     @pytest.mark.parametrize("point", _bit_cases())
     def test_pairs_match_tau_pair_after_every_copy(self, point):
@@ -341,97 +334,13 @@ class TestPairsFromRoots:
                 pickle.loads(pickle.dumps(params)), copy.copy(params),
                 copy.deepcopy(params), replace(params))
         for made in same:
-            assert type(made.tau1) is type(made.tau2) is ExponentPair
-            assert same_pair(made.tau1, want1)
-            assert same_pair(made.tau2, want2)
-            assert [r.hex() for r in made.roots] == [
-                want1.tau_plus.hex(), want1.tau_minus.hex(),
-                want2.tau_plus.hex(), want2.tau_minus.hex()]
+            assert type(made.roots) is tuple
+            assert [type(r) for r in made.roots] == [float] * 4
+            assert same_pair(made.roots, want1 + want2)
         mirrored = params.swapped()
         for made in (mirrored, pickle.loads(pickle.dumps(mirrored)),
                      copy.copy(mirrored), replace(mirrored)):
-            assert same_pair(made.tau1, want2)
-            assert same_pair(made.tau2, want1)
-
-
-@pytest.fixture
-def pairs_built(monkeypatch):
-    """The argument tuples of every ExponentPair built while a test runs."""
-    built = []
-    init = ExponentPair.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ExponentPair, "__init__", counting)
-    return built
-
-
-#: (N, mu1, mu2, p, q) -> (citation, swapped, mu0_edge) of its witness.
-_WITNESS_POINTS = {
-    (5, -2.0, 0.0, 2.0, 6.0): ("T1.i", False, False),
-    (5, 0.0, -2.0, 6.0, 2.0): ("T1.i", True, False),
-    (5, -2.0, 0.0, 2.0, 4.0): ("T1.ii", False, False),
-    (5, 0.0, -2.0, 4.0, 2.0): ("T1.ii", True, False),
-    (5, -2.25, 0.0, 2.0, 2.5): ("T1.ii", False, True),
-    (5, -2.0, -2.0, 4.5, 1.0): ("T2.i", False, False),
-    (5, -2.0, -2.0, 2.5, 3.5): ("T2.ii", False, False),
-    (5, -2.0, -2.0, 3.5, 2.9): ("T2.iii", False, False),
-}
-
-#: Accepting points of every construction, C3 both with tau_+(mu2) > 0 and
-#: on the log recipe.
-_CONSTRUCTION_POINTS = (
-    ("C1", (5, -2.0, 0.0), (2.0, 3.0)), ("C2", (5, -2.0, 0.0), (1.5, 1.5)),
-    ("C3", (5, -2.0, 4.0), (1.5, 2.0)), ("C4", (5, -2.0, -2.0), (1.5, 3.2)),
-    ("C5", (5, -2.0, -2.0), (2.0, 2.5)), ("C6", (5, -2.0, -2.0), (2.0, 3.0)),
-    ("C7", (5, -2.0, -2.0), (3.0, 2.0)), ("C8", (5, -2.0, -2.0), (3.2, 1.5)),
-    ("C3", (5, -2.0, 0.0), (1.5, 2.0)))
-
-
-class TestNoPairsOffRequest:
-    """The exponent readers unpack HardyParams.roots; only tau1, tau2 and
-    the symbolic images build ExponentPairs."""
-
-    def test_the_counter_sees_a_pair(self, pairs_built):
-        HardyParams(5, 0.0, -2.0).tau1
-        HardyParams(5, -2.0, 0.0).tau2
-        assert pairs_built == [(0.0, -3.0), (0.0, -3.0)]
-
-    def test_params_and_swap(self, pairs_built):
-        params = HardyParams(5, -1.3, 0.7)
-        params.swapped().swapped()
-        HardyParams(5, -2.25, -2.25 + 1e-14)
-        assert pairs_built == []
-
-    @pytest.mark.parametrize("point", sorted(_WITNESS_POINTS))
-    def test_witnesses(self, point, pairs_built):
-        params, pq = HardyParams(*point[:3]), Powers(*point[3:])
-        region = classify(params, pq)
-        assert (region.citation, region.swapped, region.mu0_edge) == \
-            _WITNESS_POINTS[point]
-        pairs_built.clear()
-        nonexistence_witness(params, pq, region)
-        assert pairs_built == []
-
-    def test_bootstrap_and_boundaries(self, pairs_built):
-        for params, pq in ((HardyParams(5, -2.0, 0.0), Powers(2.0, 4.0)),
-                           (HardyParams(5, -2.0, -2.0), Powers(2.5, 3.5))):
-            iterate_plain(params, pq)
-            iterate_clamped(params, pq)
-            region_markers(params, (0.1, 8.0), (0.1, 8.0))
-        assert pairs_built == []
-
-    @pytest.mark.parametrize("case,coefficients,powers", _CONSTRUCTION_POINTS)
-    def test_candidates_and_images(self, case, coefficients, powers,
-                                   pairs_built):
-        params = HardyParams(*coefficients)
-        cand = build_candidate(case, params, Powers(*powers))
-        assert pairs_built == []
-        constructions._images(cand)
-        assert pairs_built == [(params.roots[0], params.roots[1]),
-                               (params.roots[2], params.roots[3])]
+            assert same_pair(made.roots, want2 + want1)
 
 
 class TestPowersSwap:
@@ -519,7 +428,7 @@ class TestEarlyReturns:
             assert outcome(lambda: HardyParams(N, 0.0, mu).mu2) == want, mu
             if want[0] != "error":
                 snapped_mu = float.fromhex(want[1])
-                assert same_pair(HardyParams(N, mu, mu).tau1,
+                assert same_pair(HardyParams(N, mu, mu).roots[:2],
                                  pair_of(N, snapped_mu))
 
     def test_powers(self):

@@ -15,30 +15,30 @@ mono = RadialFunction.monomial
 
 class TestVerdicts:
     def test_borderline_divergent(self):
-        v = power_verdict(5, -5.0, pair_of(5, 0.0).tau_plus)
+        v = power_verdict(5, -5.0, pair_of(5, 0.0)[0])
         assert not v.integrable
         assert v.critical_exponent_gap == pytest.approx(0.0, abs=1e-14)
 
     def test_barely_integrable(self):
-        v = power_verdict(5, -4.999, pair_of(5, 0.0).tau_plus)
+        v = power_verdict(5, -4.999, pair_of(5, 0.0)[0])
         assert v.integrable
         assert v.critical_exponent_gap == pytest.approx(0.001, abs=1e-12)
 
     def test_negative_weight_shifts_threshold(self):
         # tau_+(-2) = -1: sigma = -4 - 1 + 5 = 0
-        v = power_verdict(5, -4.0, pair_of(5, -2.0).tau_plus)
+        v = power_verdict(5, -4.0, pair_of(5, -2.0)[0])
         assert not v.integrable
         assert v.critical_exponent_gap == pytest.approx(0.0, abs=1e-14)
 
     def test_log_factor_never_rescues(self):
         # sigma = 0: the power's verdict holds for r^-4 (-ln r) as well
-        assert not power_verdict(5, -4.0, pair_of(5, -2.0).tau_plus).integrable
+        assert not power_verdict(5, -4.0, pair_of(5, -2.0)[0]).integrable
         kind, _ = integral_behavior(5, -2.0, mono(1.0, -4.0, log_power=1))
         assert kind == "divergent"
 
     def test_log_factor_kept_when_margin_positive(self):
         # sigma = 1/2: r^-3.5 (-ln r) stays integrable, as its power says
-        assert power_verdict(5, -3.5, pair_of(5, -2.0).tau_plus).integrable
+        assert power_verdict(5, -3.5, pair_of(5, -2.0)[0]).integrable
         kind, _ = integral_behavior(5, -2.0, mono(1.0, -3.5, log_power=1))
         assert kind == "convergent"
 
@@ -49,7 +49,7 @@ class TestVerdicts:
     @settings(max_examples=300)
     def test_threshold_sharpness(self, N, off, delta):
         mu = mu_zero(N) + off
-        tp = pair_of(N, mu).tau_plus
+        tp = pair_of(N, mu)[0]
         tau = -N - tp + delta  # sigma = delta
         v = power_verdict(N, tau, tp)
         assert v.integrable == (delta > 0.0)
@@ -96,7 +96,7 @@ class TestQuadratureCrossCheck:
     @settings(max_examples=60, deadline=None)
     def test_detector_agrees_with_verdict(self, N, off, sigma, logk):
         mu = mu_zero(N) + off
-        tp = pair_of(N, mu).tau_plus
+        tp = pair_of(N, mu)[0]
         f = mono(1.0, sigma - tp - N, log_power=logk)
         verdict = power_verdict(N, f.terms[0].tau, tp)
         kind, _ = integral_behavior(N, mu, f)

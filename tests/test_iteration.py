@@ -148,7 +148,7 @@ class TestStallCharacterization:
         # curve they either cross (e1 < 0) or run away upward (e1 > 0)
         rng = np.random.default_rng(17)
         params = HardyParams(5, -2.0, 0.0)
-        t1 = params.tau1.tau_plus
+        t1 = params.roots[0]
         for _ in range(60):
             p = rng.uniform(1.2, 6.0)
             q_crit = (t1 - 2.0 * p - 2.0) / (t1 * p)
@@ -181,8 +181,8 @@ class TestAffineStructure:
             mu1 = rng.uniform(mu0, -1e-3)
             mu2 = rng.uniform(0.0, 3.0)
             params = HardyParams(N, mu1, mu2)
-            t1 = params.tau1.tau_plus
-            t2 = params.tau2.tau_plus
+            t1 = params.roots[0]
+            t2 = params.roots[2]
             qlo, qup = 2.0 / (-t1), (N + t2) / (-t1)
             q = rng.uniform(qlo * 1.001, qup * 0.999)
             p_min = (2.0 - t1) / (-(t1 * q + 2.0))

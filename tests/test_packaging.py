@@ -168,23 +168,48 @@ def test_no_unused_import():
     assert unused == []
 
 
+def _reads(node):
+    """(names, attribute names) read under node."""
+    names, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+    return names, attrs
+
+
 def test_public_names_are_called_in_the_package():
     # every public module-level function and class is read somewhere in
     # the package outside its own definition (the package's re-exports
-    # do not count), or is an entry point named with its caller
-    read, public = set(), []
+    # do not count), and so is every public method and property of a
+    # public class, as an attribute (obj.name): a bare name of the same
+    # spelling is some other variable.  The rest are entry points, named
+    # with their callers.  Dunders and the members of private classes
+    # (such as cli._Parser) are exempt.
+    read, attrs, public, members = set(), set(), [], []
     for module, tree in _package_modules():
         if module == "hardylane":
             continue
         for stmt in tree.body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if not own.startswith("_"):
-                    public.append(f"{module}.{own}")
-            read |= {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(stmt)
-                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+            own = getattr(stmt, "name", None)
+            parts = [stmt]
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    not own.startswith("_"):
+                public.append(f"{module}.{own}")
+                if isinstance(stmt, ast.ClassDef):
+                    parts = stmt.body + stmt.bases + stmt.decorator_list
+            for part in parts:
+                member = None
+                if part is not stmt and isinstance(part, ast.FunctionDef):
+                    member = part.name
+                    if not member.startswith("_"):
+                        members.append(f"{module}.{own}.{member}")
+                names, attributes = _reads(part)
+                read |= (names | attributes) - {own, member}
+                attrs |= attributes - {member}
     uncalled = [name for name in public
                 if name.rpartition(".")[2] not in read]
+    uncalled += [name for name in members
+                 if name.rpartition(".")[2] not in attrs]
     assert sorted(uncalled) == sorted(ENTRY_POINTS)

@@ -14,7 +14,7 @@ from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.plotting import (_MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W,
                                 PlotSpec, critical_curve_points, emit_csv,
                                 emit_svg, region_markers, render_svg)
-from hardylane.regions import (_CITATIONS, _FIELD_BLOCK_CELLS, _wrap,
+from hardylane.regions import (_FIELD_BLOCK_CELLS, _OUTCOMES, _wrap,
                                classify_field)
 from oracles import svg_cells
 
@@ -48,7 +48,7 @@ class TestMarkers:
 
     def test_curve_endpoints_lie_on_curves(self):
         m = region_markers(B_PARAMS, *WINDOW)
-        t1 = B_PARAMS.tau1.tau_plus
+        t1 = B_PARAMS.roots[0]
         for name in ("A", "B"):
             p, q = m[name]
             e1 = t1 * (p * q - 1.0) + 2.0 * p + 2.0
@@ -100,11 +100,11 @@ class TestMarkers:
 
 class TestCurveOverlay:
     def test_points_satisfy_equation(self):
-        t1 = B_PARAMS.tau1.tau_plus
+        t1 = B_PARAMS.roots[0]
         for p, q in critical_curve_points(B_PARAMS, "e1", *WINDOW, 64):
             assert t1 * (p * q - 1.0) + 2.0 * p + 2.0 == \
                 pytest.approx(0.0, abs=1e-12)
-        t2 = B_PARAMS.tau2.tau_plus
+        t2 = B_PARAMS.roots[2]
         for p, q in critical_curve_points(B_PARAMS, "e2", *WINDOW, 64):
             assert t2 * (p * q - 1.0) + 2.0 * q + 2.0 == \
                 pytest.approx(0.0, abs=1e-12)
@@ -155,9 +155,8 @@ class TestRendering:
         q = np.linspace(*WINDOW[1], 48)
         codes, _, _ = classify_field(A_PARAMS, p, q)
         svg = render_svg(codes, spec)
-        from hardylane.regions import _CITATIONS
         for code in np.unique(codes):
-            assert _CITATIONS[int(code)] in svg
+            assert _OUTCOMES[int(code)][1] in svg
 
     def test_csv_header_and_order(self):
         spec = self._spec(A_PARAMS, 3)
@@ -218,7 +217,7 @@ def _random_grid(res, seed):
     """Codes over every valid code and margins that repeat a small pool
     (signed zeros, a subnormal, inf and nan) among distinct values."""
     rng = np.random.default_rng(seed)
-    codes = rng.choice(np.array(sorted(_CITATIONS), dtype=np.int16),
+    codes = rng.choice(np.array(sorted(_OUTCOMES), dtype=np.int16),
                        size=(res, res))
     pool = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1 / 3])
     margins = np.where(rng.random((res, res)) < 0.5,
@@ -344,7 +343,7 @@ _MARGIN_POOL = st.lists(
 def _grids(draw):
     """A (codes, margins, spec) triple over every valid region code."""
     res = draw(st.integers(2, 48))
-    valid = sorted(_CITATIONS)
+    valid = sorted(_OUTCOMES)
     present = draw(st.lists(st.sampled_from(valid), min_size=1, unique=True))
     seed = draw(st.integers(0, 2**32 - 1))
     pool = np.array(draw(_MARGIN_POOL))
@@ -480,7 +479,7 @@ def test_csv_writer_holds_one_block_of_distinct_margins(tmp_path):
     # (a quarter of this grid) do not
     res = 512
     rng = np.random.default_rng(res)
-    codes = rng.choice(np.array(sorted(_CITATIONS), dtype=np.int16),
+    codes = rng.choice(np.array(sorted(_OUTCOMES), dtype=np.int16),
                        size=(res, res))
     margins = rng.standard_normal((res, res))
     spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],

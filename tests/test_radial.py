@@ -215,15 +215,15 @@ class TestApplyHardy:
     @settings(max_examples=200)
     def test_kernel_property(self, N, offset):
         mu = mu_zero(N) + offset
-        pair = pair_of(N, mu)
-        assert hardy_image(N, mu, mono(1.0, pair.tau_plus)).is_zero
-        assert hardy_image(N, mu, mono(1.0, pair.tau_minus)).is_zero
+        tau_plus, tau_minus = pair_of(N, mu)
+        assert hardy_image(N, mu, mono(1.0, tau_plus)).is_zero
+        assert hardy_image(N, mu, mono(1.0, tau_minus)).is_zero
 
     @given(st.integers(min_value=3, max_value=10))
     @settings(max_examples=20)
     def test_log_kernel_at_double_root(self, N):
         mu = mu_zero(N)
-        tau = pair_of(N, mu).tau_minus
+        tau = pair_of(N, mu)[1]
         assert hardy_image(N, mu, mono(1.0, tau, log_power=1)).is_zero
 
     @given(st.integers(min_value=3, max_value=8),
@@ -268,12 +268,12 @@ class TestApplyHardy:
     @settings(max_examples=300)
     def test_sign_of_coefficient_between_roots(self, N, offset, frac):
         mu = mu_zero(N) + offset
-        pair = pair_of(N, mu)
-        inside = pair.tau_minus + frac * (pair.tau_plus - pair.tau_minus)
+        tau_plus, tau_minus = pair_of(N, mu)
+        inside = tau_minus + frac * (tau_plus - tau_minus)
         out = hardy_image(N, mu, mono(1.0, inside))
         if out.terms:
             assert out.terms[0].coeff > 0.0
-        above = pair.tau_plus + 0.3 + frac
+        above = tau_plus + 0.3 + frac
         out = hardy_image(N, mu, mono(1.0, above))
         assert out.terms[0].coeff < 0.0
 
@@ -486,11 +486,11 @@ class TestGrid:
 
 #: Formula shapes with one owner each: the 5-point stencil combinations in
 #: radial._fd_hardy and the factored root coefficient
-#: -(tau - tau_+)(tau - tau_-) in exponents.ExponentPair.coefficient_at.
+#: -(tau - tau_+)(tau - tau_-) in radial._hardy_image.
 _OWNED_FORMULAS = (
     (r"8\.0 \* fp1|8\.0 \* fm1|2\.0 \* f0\b|12\.0 \* h|4\.0 \* h \* h",
      "radial.py", 2),
-    (r"tau_plus\)\s*\*\s*\(|tau_minus\)\s*\*\s*\(", "exponents.py", 1))
+    (r"tau_plus\)\s*\*\s*\(|tau_minus\)\s*\*\s*\(", "radial.py", 1))
 
 
 @pytest.mark.parametrize("pattern, owner, lines", _OWNED_FORMULAS,

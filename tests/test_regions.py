@@ -105,7 +105,7 @@ class TestThresholdEdge:
     def test_open_curve_just_above_threshold(self):
         p = 2.0
         params = HardyParams(5, -2.25 + 1e-6, 0.0)
-        t1 = params.tau1.tau_plus
+        t1 = params.roots[0]
         q = (t1 - 2.0 * p - 2.0) / (t1 * p)  # e1 = 0 at this mu1
         r = classify(params, Powers(p, q))
         assert r.verdict is Verdict.OPEN_CRITICAL
@@ -231,7 +231,7 @@ def assert_matches_power_verdict(params, w):
     """The witness's verdict is power_verdict's on r^exponent against the
     tau_+ of a fresh HardyParams of weight_mu, and its sigma is
     tau + tau_+ + N summed in that order."""
-    tp = pair_of(params.N, w.weight_mu).tau_plus
+    tp = pair_of(params.N, w.weight_mu)[0]
     ref = power_verdict(params.N, w.exponent, tp)
     assert w.verdict.integrable == ref.integrable
     gap = w.verdict.critical_exponent_gap.hex()
@@ -304,7 +304,7 @@ def raised_point(draw):
     mu2 = draw(negative if regime_b else st.floats(min_value=0.0,
                                                    max_value=3.0))
     params = HardyParams(N, mu1, mu2)
-    t1, t2 = params.tau1.tau_plus, params.tau2.tau_plus
+    t1, t2 = params.roots[0], params.roots[2]
     p = draw(st.floats(min_value=1e-3, max_value=20.0))
     q = draw(st.floats(min_value=1e-3, max_value=20.0))
     grow = 1.0 + draw(st.floats(min_value=1e-6, max_value=10.0))
@@ -386,7 +386,7 @@ class TestMirrorSymmetry:
         if both:
             # each side cites its own q half-plane: the mirror's u^q is
             # this point's v^p
-            t2 = params.tau2.tau_plus
+            t2 = params.roots[2]
             assert (m.exponent, m.weight_mu) == (t2 * pq.p, params.mu1)
         else:
             assert (m.exponent, m.weight_mu) == (w.exponent, w.weight_mu)
@@ -566,6 +566,8 @@ class TestWrapOracle:
     def test_codes_and_flags(self):
         assert len(VALID_CODES) == 17 and len(VALID_FLAGS) == 12
         assert K.CODE_INVALID not in VALID_CODES
+        # a citation names one code
+        assert len({cite for _, cite, _ in _OUTCOMES.values()}) == 17
 
     @pytest.mark.parametrize("code", VALID_CODES)
     def test_table_matches_field_by_field_derivation(self, code):
@@ -583,7 +585,6 @@ class TestWrapOracle:
                 assert got.margin.hex() == float(margin).hex()
                 assert type(got.swapped) is bool
                 assert type(got.mu0_edge) is bool
-                assert got.code == code
 
     def test_numpy_integers_look_up_the_same_entry(self):
         for code in VALID_CODES:
@@ -650,8 +651,8 @@ def reference_witness(params: HardyParams, pq: Powers,
     eff_params, eff_pq = params, pq
     if region.swapped:
         eff_params, eff_pq = params.swapped(), pq.swapped()
-    t1 = eff_params.tau1.tau_plus
-    t2 = eff_params.tau2.tau_plus
+    t1 = eff_params.roots[0]
+    t2 = eff_params.roots[2]
     cite = region.citation
 
     if cite == "T1.i":
@@ -687,12 +688,12 @@ def reference_witness(params: HardyParams, pq: Powers,
 
 def bits(v):
     """v with its type, every float by float.hex, through the fields of the
-    value types (and a HardyParams' stored exponent pairs) and lists."""
+    value types (and a HardyParams' stored roots) and lists."""
     if dataclasses.is_dataclass(v):
         out = [type(v).__name__]
         out += [bits(getattr(v, f.name)) for f in dataclasses.fields(v)]
         if isinstance(v, HardyParams):
-            out += [bits(v.tau1), bits(v.tau2)]
+            out += [bits(list(v.roots))]
         return tuple(out)
     if isinstance(v, list):
         return tuple(map(bits, v))
@@ -833,4 +834,4 @@ class TestClassifyIsTheReferenceTree:
             (code, margin.hex(), flags)
         region, want = classify(params, pq), _wrap(code, margin, flags)
         assert bits(region) == bits(want)
-        assert region.code == code and region.citation == want.citation
+        assert region.citation == want.citation == _OUTCOMES[code][1]
