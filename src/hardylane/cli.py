@@ -344,13 +344,15 @@ def cmd_plot(args) -> int:
     if not args.out:
         raise DomainValidationError("--out is required for plot")
 
-    p_values = np.linspace(p_range[0], p_range[1], res)
-    q_values = np.linspace(q_range[0], q_range[1], res)
-    codes, margins, _flags = classify_field(params, p_values, q_values)
     spec = PlotSpec(params=params, p_range=p_range, q_range=q_range,
                     resolution=res,
                     title=f"N={params.N} mu1={params.mu1:g} mu2={params.mu2:g}")
     files = {"csv": None, "svg": None}
+    # the JSON record holds no cell, so a JSON-only plot classifies none
+    if "csv" in fmts or "svg" in fmts:
+        p_values = np.linspace(p_range[0], p_range[1], res)
+        q_values = np.linspace(q_range[0], q_range[1], res)
+        codes, margins, _flags = classify_field(params, p_values, q_values)
     if "csv" in fmts:
         files["csv"] = args.out + ".csv"
         emit_csv(codes, margins, spec, files["csv"])

@@ -43,7 +43,12 @@ evaluated once on the grid, the scale scan computes slack minima only,
 and the report, cross-check included, is built for the accepted scale
 alone.  The cross-check's sample radii and stencil are built once per
 grid and shared, and u and v go through one stacked finite-difference
-pass.
+pass.  A short sum of r^tau on 512 radii costs little beyond numpy's fixed
+cost per call, so the verification makes no call that does no
+arithmetic: _term_sums starts each sum from its first term and adds a +-1
+coefficient's power without a product, the slacks at t = 1.0 use Lu, Lv,
+u and v unscaled, and a call without a grid uses one default grid built
+at import.  The bits are those of the plain arithmetic.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
@@ -83,6 +88,9 @@ ORACLE_DEV_LIMIT = 1e-4
 #: operator cross-check.
 ORACLE_STEP = 1e-4
 ORACLE_SAMPLES = 16
+
+#: The grid of find_scale and verify_on_grid when none is given, built once.
+_DEFAULT_GRID = default_grid()
 
 
 @frozen
@@ -378,8 +386,10 @@ def _grid_slacks(cand: SupersolutionCandidate, t: float,
     inf); a NaN makes that minimum NaN.  Callers turn overflow and
     invalid-value warnings off.
     """
-    slack_u = t * lu - np.power(t * v_vals, cand.pq.p)
-    slack_v = t * lv - np.power(t * u_vals, cand.pq.q)
+    if t != 1.0:  # 1.0 * x is x: the scan's first scale multiplies nothing
+        u_vals, v_vals, lu, lv = t * u_vals, t * v_vals, t * lu, t * lv
+    slack_u = lu - np.power(v_vals, cand.pq.p)
+    slack_v = lv - np.power(u_vals, cand.pq.q)
     return float(slack_u.min()), float(slack_v.min())
 
 
@@ -424,7 +434,7 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
         slack_u(r) = t Lu(r) - (t v(r))^p,
         slack_v(r) = t Lv(r) - (t u(r))^q,
 
-    and ok means both minima over the grid (default_grid() unless given)
+    and ok means both minima over the grid (default_grid()'s unless given)
     are nonnegative.  t must be finite and positive.  A value of u or v
     on the grid that is not positive, or not finite (u, v, Lu, Lv and the
     slacks are evaluated with overflow warnings off),
@@ -439,7 +449,7 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
         raise DomainValidationError(
             "verification needs a finite positive scale t")
     if grid is None:
-        grid = default_grid()
+        grid = _DEFAULT_GRID
     radii = grid.radii
     with np.errstate(over="ignore", invalid="ignore"):
         evaluated = _evaluated(cand, radii)
@@ -470,7 +480,7 @@ def find_scale(cand: SupersolutionCandidate,
     callers decide, nothing is masked.
     """
     if grid is None:
-        grid = default_grid()
+        grid = _DEFAULT_GRID
     with np.errstate(over="ignore", invalid="ignore"):
         evaluated = _evaluated(cand, grid.radii)
         if evaluated is None:

@@ -335,11 +335,14 @@ def _by_code(texts: Dict[int, str]) -> np.ndarray:
 def _regions_present(codes: np.ndarray) -> Dict[int, RegionClass]:
     """The region of each code in the grid, in ascending code order.
 
-    Its callers read only the verdict and the citation, which no flags
-    value changes, so every code is wrapped with flags 0.
+    The codes present are the nonzero counts of one np.bincount, shifted
+    so that CODE_INVALID, the smallest code, counts at 0 and raises in
+    _wrap.  Its callers read only the verdict and the citation, which no
+    flags value changes, so every code is wrapped with flags 0.
     """
+    counts = np.bincount((codes - K.CODE_INVALID).ravel())
     return {code: _wrap(code, 0.0, 0)
-            for code in np.unique(codes).tolist()}
+            for code in (np.flatnonzero(counts) + K.CODE_INVALID).tolist()}
 
 
 def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Iterable, Tuple, Union
 
 import numpy as np
@@ -131,27 +132,63 @@ def _term_sums(f: RadialFunction, arr: np.ndarray, with_magnitude: bool):
     with_magnitude the same sum over |c| (else None).
 
     Each r^tau is computed once and serves both sums; -ln r is computed
-    only if a log term exists.  Both sums start from 0.0 and add the terms
-    in order, so a lone -0.0 term sums to +0.0.  arr is float64, so
-    np.zeros(arr.shape) is np.zeros_like(arr) without its Python overhead.
+    only if a log term exists.  The bits are those of summing from 0.0
+    and adding each term c * r^tau, times -ln r for a log term, in order
+    (a lone -0.0 term sums to +0.0), with fewer numpy calls:
+
+    - a sum starts from its first term, not from np.zeros(arr.shape) plus
+      an add.  0.0 + x is x except at x = -0.0, which a first term can be
+      only with a negative coefficient or a log factor (-ln 1 = -0.0, and
+      0 * -ln r for r > 1), so only those first terms get + 0.0;
+    - a coefficient of exactly +-1 multiplies nothing: 1 * x is x, and
+      s + (-1 * x) is s - x, also with a log factor, since -1 * x * y is
+      -(x * y).
+
+    The zero function sums to zeros.  The two sums never share memory with
+    each other or with arr.
     """
-    out = np.zeros(arr.shape)
-    mag = np.zeros(arr.shape) if with_magnitude else None
-    neg_ln = None
+    out = mag = neg_ln = None
     for t in f.terms:
         pw = arr ** t.tau
-        term = t.coeff * pw
-        if t.log_power:
-            if neg_ln is None:
-                neg_ln = -np.log(arr)
-            term *= neg_ln
-        out += term
+        if t.log_power and neg_ln is None:
+            neg_ln = -np.log(arr)
+        log = neg_ln if t.log_power else None
+        out = _add_term(out, t.coeff, pw, log)
         if with_magnitude:
-            term = abs(t.coeff) * pw
-            if t.log_power:
-                term *= neg_ln
-            mag += term
+            mag = _add_term(mag, abs(t.coeff), pw, log)
+            if mag is out:  # a first term 1 * r^tau starts both sums
+                mag = mag.copy()
+    if out is None:
+        out = np.zeros(arr.shape)
+        mag = np.zeros(arr.shape) if with_magnitude else None
     return out, mag
+
+
+def _add_term(total, coeff: float, pw: np.ndarray, neg_ln):
+    """total + coeff * pw, times neg_ln unless it is None, added in place;
+    total None starts _term_sums' sum with this term.
+
+    pw may be returned as the sum, and is not written otherwise.
+    """
+    unit = abs(coeff) == 1.0
+    minus = unit and coeff < 0.0
+    if unit:
+        term = pw if neg_ln is None else pw * neg_ln
+    else:
+        term = coeff * pw
+        if neg_ln is not None:
+            term *= neg_ln
+    if total is None:
+        if minus:
+            return 0.0 - term
+        if coeff < 0.0 or neg_ln is not None:
+            term += 0.0
+        return term
+    if minus:
+        total -= term
+    else:
+        total += term
+    return total
 
 
 def _hardy_image(N: int, tau_plus: float, tau_minus: float,
@@ -240,6 +277,11 @@ class RadialGrid:
         # inf passes 0 < r_min < r_max, and geomspace would give inf radii
         if not (0.0 < self.r_min < self.r_max < math.inf):
             raise _bounds_error(self.r_min, self.r_max)
+        # np.geomspace rejects a float count only when radii are read
+        if (not isinstance(self.count, numbers.Integral)
+                or isinstance(self.count, bool)):
+            raise DomainValidationError(
+                f"count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise DomainValidationError(f"count must be >= 2, got {self.count}")
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -445,6 +446,29 @@ class TestPlotCommand:
             rec = run_json(capsys, "classify", *big, "--p", p, "--q", q)
             assert (rec["verdict"], rec["citation"], rec["margin"]) == \
                 (verdict, citation, float(margin))
+
+    def test_json_only_classifies_nothing(self, capsys, tmp_path,
+                                          monkeypatch):
+        # the record holds ranges, markers and file names, no cell: a
+        # JSON-only plot at res 4096 runs no classify_field, and writes
+        # the bytes it wrote when it classified the 16.8M cells
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return classify_field(*args)
+
+        monkeypatch.setattr(cli, "classify_field", counted)
+        args = ("plot", "--N", "5", "--mu1", "-2", "--mu2", "0",
+                "--p-range", "0.1..8", "--q-range", "0.1..8")
+        code, _, err = run_cli(capsys, *args, "--res", "8", "--format",
+                               "csv,json", "--out", str(tmp_path / "c"))
+        assert (code, len(calls)) == (0, 1), err
+        code, _, err = run_cli(capsys, *args, "--res", "4096", "--format",
+                               "json", "--out", str(tmp_path / "j"))
+        assert (code, len(calls)) == (0, 1), err
+        assert hashlib.sha256((tmp_path / "j.json").read_bytes()).hexdigest() \
+            == "e60371645cd0354de8accf79451acd58bcbc290f68834dd416dc0c543e1cc2fe"
 
     def test_svg_deterministic(self, capsys, tmp_path):
         args = ("plot", "--N", "5", "--mu1", "-2", "--mu2", "-2",

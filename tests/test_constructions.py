@@ -73,6 +73,65 @@ GOLDEN = (
       "0x1.1269eb555e659p-1", "0x1.8da5dad970e4dp-17")),
 )
 
+#: verify_on_grid"s (min_slack_u, min_slack_v) by float.hex and its
+#: diagnostic at t = 1.0 and at t = 2**-60, which the scan tries first and
+#: last, with whether find_scale accepts a scale: at GOLDEN"s points, then
+#: at wrong-side candidates (built with strict=False) in nonexistence
+#: regions, four whose u or v is not positive on the grid and one that is
+#: positive but fails its slacks at every scale.
+GOLDEN_VERIFY = (
+    ("C1", (5, -2.0, 0.0, 2.0, 3.0), True,
+     (("0x1.008344d4b1fc7p+0", "0x1.00c500788d518p+1", ""),
+      ("0x1.008344d4b1fc7p-59", "0x1.00c5007ab4ba1p-59", ""))),
+    ("C1", (5, -2.0, 1.0, 1.2, 3.5), True,
+     (("0x1.a498c601a6378p+0", "0x1.a175938174614p+1", ""),
+      ("0x1.527f6ff8df1e5p-59", "0x1.a175938195645p-59", ""))),
+    ("C2", (5, -2.0, 0.0, 1.5, 1.5), True,
+     (("0x1.600c48f10201ep+3", "0x1.c0a17a86fa97bp+0", ""),
+      ("0x1.7fffffff80312p-57", "0x1.c0ac3f4e7914ap-60", ""))),
+    ("C3", (5, -2.0, 4.0, 1.5, 2.0), True,
+     (("0x1.6000000000000p+3", "0x1.00831f15032c3p+2", ""),
+      ("0x1.7fffffff80000p-57", "0x1.008344d4b1fc7p-58", ""))),
+    ("C3", (5, -2.0, 0.0, 1.5, 2.0), True,
+     (("0x1.8061e247a8e9bp+2", "0x1.80c4c5a881f2bp+1", ""),
+      ("0x1.80626703d8042p-58", "0x1.80c4e73f0afaap-59", ""))),
+    ("C4", (5, -2.0, -2.0, 1.5, 3.2), True,
+     (("0x1.a498c601a6372p+0", "-0x1.718343218e705p+63", ""),
+      ("0x1.528773a7e8c35p-59", "0x1.48bb1484a66aep-63", ""))),
+    ("C5", (5, -2.0, -2.0, 2.0, 2.5), True,
+     (("0x1.008342ba7ad77p+1", "-0x1.c6be285d5ca5cp+47", ""),
+      ("0x1.008344d4b1fc7p-59", "0x1.80f630d36b6fap-61", ""))),
+    ("C6", (5, -2.0, -2.0, 2.0, 3.0), True,
+     (("-0x1.5798120f824efp+47", "0x1.00c5007662999p+0", ""),
+      ("0x1.00e5bc9f7f57cp-59", "0x1.00c5007ab4ba1p-60", ""))),
+    ("C7", (5, -2.0, -2.0, 3.0, 2.0), True,
+     (("0x1.00c5007665e90p+0", "-0x1.578cabac740c9p+47", ""),
+      ("0x1.00c5007ab4ba1p-60", "0x1.008344d4b1fc7p-59", ""))),
+    ("C8", (5, -2.0, -2.0, 3.2, 1.5), True,
+     (("-0x1.718343218e705p+63", "0x1.a498c601a6372p+0", ""),
+      ("0x1.48bb1484a66aep-63", "0x1.528773a7e8c35p-59", ""))),
+    ("C1", (6, -1.466224069977757, 1.3635933411412808,
+            4.307345989384064, 18.702592572508703), False,
+     (("nan", "nan", "u is not positive near r=1.000e-06"),
+      ("nan", "nan", "u is not positive near r=1.000e-06"))),
+    ("C1", (3, -0.18882684173597436, 1.9482153936379671,
+            11.197319654557168, 8.910917877907792), False,
+     (("nan", "nan", "u is not positive near r=1.000e-06"),
+      ("nan", "nan", "u is not positive near r=1.000e-06"))),
+    ("C4", (6, -1.456693068040111, -3.348847614183617,
+            1.0874007587868895, 11.4401550634079), False,
+     (("nan", "nan", "u is not positive near r=1.000e-06"),
+      ("nan", "nan", "u is not positive near r=1.000e-06"))),
+    ("C8", (4, -0.3536216762791964, -0.7901893764767876,
+            4.976153325372978, 4.726148340145729), False,
+     (("nan", "nan", "v is not positive near r=1.000e-06"),
+      ("nan", "nan", "v is not positive near r=1.000e-06"))),
+    ("C1", (3, -0.07666130635571392, 0.7509608728391401,
+            1.0613950941746315, 44.30528947058108), False,
+     (("-0x1.8094edaf97b70p+35", "-0x1.7c1501a571975p+73", ""),
+      ("0x1.c9a14dd55548cp-63", "-0x1.ac24c60d66711p+12", ""))),
+)
+
 
 def exponents_of(f):
     return [(t.tau, t.log_power, t.coeff) for t in f.terms]
@@ -505,6 +564,40 @@ class TestVerification:
         assert report.ok and not report.oracle_exceeded
         assert (t.hex(), report.min_slack_u.hex(), report.min_slack_v.hex(),
                 report.oracle_max_dev.hex()) == bits
+
+    @pytest.mark.parametrize("case, point, accepted, bits", GOLDEN_VERIFY,
+                             ids=[f"{c}-{pt[3]}-{pt[4]}"
+                                  for c, pt, _, _ in GOLDEN_VERIFY])
+    def test_golden_verify_bits(self, case, point, accepted, bits):
+        N, mu1, mu2, p, q = point
+        cand = build_candidate(case, HardyParams(N, mu1, mu2), Powers(p, q),
+                               strict=False)
+        assert (find_scale(cand) is not None) == accepted
+        reports = [verify_on_grid(cand, t) for t in (1.0, 2.0 ** -60)]
+        assert tuple((r.min_slack_u.hex(), r.min_slack_v.hex(), r.diagnostic)
+                     for r in reports) == bits
+
+    @pytest.mark.parametrize("case, point", [
+        (c, pt) for c, pt, _, _ in GOLDEN_VERIFY[:10] + GOLDEN_VERIFY[-1:]])
+    def test_unit_scale_slacks_are_the_scaled_form(self, case, point):
+        # at t = 1.0 the slacks use Lu, Lv, u and v unscaled; 1.0 * x is x,
+        # also at the inf and NaN entries planted here
+        N, mu1, mu2, p, q = point
+        cand = build_candidate(case, HardyParams(N, mu1, mu2), Powers(p, q),
+                               strict=False)
+        arrays = [a.copy() for a in
+                  constructions._evaluated(cand, default_grid().radii)[:4]]
+        for planted in (None, math.inf, -math.inf, math.nan):
+            if planted is not None:
+                for k, a in enumerate(arrays):
+                    a[3 + 5 * k] = planted
+            u, v, lu, lv = arrays
+            t = 1.0
+            with np.errstate(all="ignore"):
+                want = ((t * lu - np.power(t * v, p)).min(),
+                        (t * lv - np.power(t * u, q)).min())
+                got = constructions._grid_slacks(cand, t, u, v, lu, lv)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_oracle_geometry_is_shared_per_grid(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))

@@ -158,6 +158,17 @@ class TestRendering:
         for code in np.unique(codes):
             assert _OUTCOMES[int(code)][1] in svg
 
+    @given(st.lists(st.sampled_from(sorted(_OUTCOMES)), min_size=1,
+                    max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_legend_lists_the_codes_present_in_order(self, cells):
+        # the codes of one bincount are np.unique's, ascending
+        codes = np.array(cells, dtype=np.int16).reshape(1, -1)
+        legend = plotting._regions_present(codes)
+        assert list(legend) == np.unique(codes).tolist()
+        assert [(r.verdict, r.citation) for r in legend.values()] == \
+            [_OUTCOMES[code][:2] for code in legend]
+
     def test_csv_header_and_order(self):
         spec = self._spec(A_PARAMS, 3)
         p = np.linspace(*WINDOW[0], 3)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -46,16 +46,47 @@ def hex_bits(x):
     return [float(v).hex() for v in np.ravel(x)]
 
 
-#: Radii from the verification grids' range up to past 1, where -ln r <= 0.
-RADII = st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=4.0))
+#: Radii from the verification grids' range up to past 1, where -ln r <= 0;
+#: at r = 1e-6, r^tau underflows to 0 for tau >= 54.
+RADII = st.one_of(st.just(1.0), st.just(1e-6),
+                  st.floats(min_value=1e-6, max_value=4.0))
 
-#: Plain and log terms, merged by from_terms; exponents up to 60 make
-#: r^tau underflow at small radii, so some terms are -0.0.
-TERMS = st.lists(st.tuples(st.floats(min_value=-8.0, max_value=60.0),
-                           st.integers(min_value=0, max_value=1),
-                           st.floats(min_value=-5.0, max_value=5.0).filter(
-                               lambda c: c != 0.0)),
-                 max_size=5)
+#: Coefficients, +-1 (which _term_sums adds without a product) half the
+#: time.
+COEFFS = st.one_of(st.sampled_from((1.0, -1.0)),
+                   st.floats(min_value=-5.0, max_value=5.0).filter(
+                       lambda c: c != 0.0))
+
+
+@st.composite
+def term_lists(draw):
+    """(tau, log_power, coeff) triples for from_terms, up to 5 of them.
+
+    Two draws in three lead with a term that is -0.0 at some radii, which
+    only the sum's start from 0.0 turns into +0.0: a log term with a
+    positive coefficient below every other exponent (c * 1 * -ln 1 is
+    -0.0 at r = 1), or a negative coefficient on r^tau with tau >= 56
+    below every other exponent (r^tau underflows to 0 at r = 1e-6).
+    """
+    lead = draw(st.sampled_from(("none", "log", "underflow")))
+    low = 56.0 if lead == "underflow" else -8.0
+    terms = draw(st.lists(st.tuples(st.floats(min_value=low, max_value=60.0),
+                                    st.integers(min_value=0, max_value=1),
+                                    COEFFS),
+                          max_size=5 if lead == "none" else 4))
+    if lead == "log":
+        terms.append((draw(st.floats(min_value=-9.0, max_value=-8.0,
+                                     exclude_max=True)),
+                      1, abs(draw(COEFFS))))
+    elif lead == "underflow":
+        # below the other exponents: plain terms of equal exponent merge
+        tau = draw(st.floats(min_value=low, max_value=60.0))
+        terms = [term for term in terms if term[0] > tau]
+        terms.append((tau, 0, -abs(draw(COEFFS))))
+    return terms
+
+
+TERMS = term_lists()
 
 
 @st.composite
@@ -103,6 +134,16 @@ class TestEvaluate:
         assert np.allclose(out, [4.0, 8.0])
 
     @given(TERMS, radii_inputs())
+    # first terms that are -0.0 at the first radius: a log term at r = 1,
+    # with a unit coefficient and not, and past 1 where r^tau underflows;
+    # a negative coefficient on an underflowing power, unit and not; then
+    # a unit first term, which starts both sums
+    @example([(0.5, 1, 1.0)], np.array([1.0, 0.5]))
+    @example([(0.5, 1, 2.5)], np.array([1.0, 0.5]))
+    @example([(-2.0, 1, 1.0)], np.array([1e300, 0.5]))
+    @example([(60.0, 0, -1.0)], np.array([1e-6, 0.5]))
+    @example([(60.0, 0, -3.0)], np.array([1e-6, 0.5]))
+    @example([(1.0, 0, 1.0), (2.0, 0, -1.0)], np.array([0.25, 0.5]))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_bits(self, terms, r):
         f = RadialFunction.from_terms(
@@ -120,6 +161,9 @@ class TestEvaluate:
         assert hex_bits(out) == hex_bits(ref)
         assert hex_bits(value) == hex_bits(ref)
         assert hex_bits(mag) == hex_bits(mag_ref)
+        # no sum is a view of another or of the radii
+        for a, b in ((value, mag), (out, arr), (value, arr), (mag, arr)):
+            assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("r", [math.nan, 0.0, -0.0, -1.0, [],
                                    np.zeros((0, 3)), [0.5, math.nan],
@@ -481,7 +525,22 @@ class TestGrid:
         # answer for it
         assert RadialGrid(1e-3, 1.0, 4).radii.size == 4
         with pytest.raises(TypeError):
-            RadialGrid(1e-3, 1.0, 4.0).radii
+            log_radii(1e-3, 1.0, 4.0)
+
+    @pytest.mark.parametrize("count", [4.0, 512.5, 3.0, True, "4", None,
+                                       np.float64(4.0)])
+    def test_count_must_be_an_integer(self, count):
+        # a grid that constructs reads its radii; bool is not a count
+        with pytest.raises(DomainValidationError, match="count must be an "
+                           "integer") as err:
+            RadialGrid(1e-6, 0.999, count)
+        assert "\n" not in str(err.value)
+
+    def test_count_of_numpy_integer_type(self):
+        grid = RadialGrid(1e-6, 0.999, np.int64(5))
+        assert grid.radii.tobytes() == np.geomspace(1e-6, 0.999, 5).tobytes()
+        with pytest.raises(DomainValidationError, match=">= 2"):
+            RadialGrid(1e-6, 0.999, np.int64(1))
 
 
 #: Formula shapes with one owner each: the 5-point stencil combinations in
