@@ -8,27 +8,25 @@ the existence regions.  Writing t1 = tau_+(mu1), t2 = tau_+(mu2):
         u = r^t1 - r^((t1 q+2)p+2),  v = r^(t1 q+2)
     C2  q < 2/(-t1):
         u = r^t1 - r^(t2 p+2),       v = r^t2 - r^(t1 q+2)
-    C3  q = 2/(-t1):
-        u = r^t1 - r^(t2 p+1),       v = r^t2 (-ln r)
+    C3  q = 2/(-t1): C6's formulas at t2 = 0 (u = r^t1 - r, v = -ln r)
   regime B (t1, t2 < 0), with qlo = (2-t2)/(-t1), plo = (2-t1)/(-t2):
     C4  strip q in (qlo, (N+t2)/(-t1)), e1 > 0: same formulas as C1
     C5  q < qlo, p < plo: same formulas as C2
-    C6  q = qlo, p < plo:
-        u = r^t1 - r^(t2 p+2+eps0),  v = r^t2 (-ln r)
-    C7  p = plo, q < qlo:
-        u = r^t1 (-ln r),            v = r^t2 - r^(t1 q+2)
-    C8  p in (plo, (N+t1)/(-t2)), e2 > 0:
-        u = r^(t2 p+2),              v = r^t2 - r^((t2 p+2)q+2)
+    C6  q = qlo, p < plo, with eps0 = min(1, (t2 p+2-t1)/2):
+        u = r^t1 - r^(t2 p+2-eps0),  v = r^t2 (-ln r)
+    C7  p = plo, q < qlo: C6 mirrored
+    C8  p in (plo, (N+t1)/(-t2)), e2 > 0: C1 mirrored
 
-C8 is C1's single-power pair with the roles mirrored: (v, u) is C1's
-(u, v) built from t2 with p and q exchanged.
+Each pair is written once: _single_power_pair (C1, C4, C8), _two_term_pair
+(C2, C5), _log_pair (C3, C6, C7).  A mirrored recipe's (v, u) is the
+original's (u, v) from t2, t1 with p and q exchanged.
 
-Every recipe is verified on the unit ball.  C3's log recipe arises only at
-t2 = 0, where u = r^t1 - r and v = -ln r, so Lu = K_u r^-1 with
-K_u = N - 1 - mu1 and Lv = (N - 2) r^-2.  Since max r (-ln r)^p over
-(0, 1) is (p/e)^p and u^q r^2 < 1 (t1 q = -2), both slacks are
-nonnegative on the whole punctured unit ball for
-t <= min((K_u (e/p)^p)^(1/(p-1)), (N-2)^(1/(q-1))).
+Every recipe is verified on the unit ball.  For the log pair, with
+b' = t2 p + 2 - eps0 and K_u = (b' - tau_+(mu1))(b' - tau_-(mu1)),
+Lu = K_u r^(t2 p - eps0), Lv = (2 t2 + N - 2) r^(t2-2) and, on the line,
+(t u)^q <= t^q r^(t2-2).  As e^(eps0 x) x^-p >= (e eps0/p)^p for
+x = -ln r > 0, both slacks are nonnegative on the punctured unit ball for
+t <= min((K_u (e eps0/p)^p)^(1/(p-1)), (2 t2 + N - 2)^(1/(q-1))).
 
 In every recipe the leading power is a kernel function of its operator, so
 the symbolic image has a single positive term and the supersolution slack
@@ -43,21 +41,17 @@ evaluated once on the grid, the scale scan computes slack minima only,
 and the report, cross-check included, is built for the accepted scale
 alone.  The cross-check's sample radii and stencil are built once per
 grid and shared, and u and v go through one stacked finite-difference
-pass.  A short sum of r^tau on 512 radii costs little beyond numpy's fixed
-cost per call, so the verification makes no call that does no
-arithmetic: _term_sums starts each sum from its first term and adds a +-1
-coefficient's power without a product, the slacks at t = 1.0 use Lu, Lv,
-u and v unscaled, and a call without a grid uses one default grid built
-at import.  The bits are those of the plain arithmetic.
+pass.  No numpy call is made that does no arithmetic: _term_sums skips
+the zeros and the products by +-1, the slacks at t = 1.0 use Lu, Lv, u
+and v unscaled, and a call without a grid uses one default grid built at
+import.  The bits are those of the plain arithmetic.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
     q < (2-t2)/(-t1); on the remaining band the single-power v of C1 is
     valid and is substituted (recorded in candidate.notes);
   - at q = (2-t2)/(-t1) exactly (t2 > 0) both recipes degenerate (v would
-    vanish or be a kernel function); the builder rejects that line;
-  - the log-bearing recipes C3/C6/C7 need the log-side coefficient
-    2 tau_+ + N - 2 = 2 sqrt(mu - mu0) to be positive, hence mu > mu0.
+    vanish or be a kernel function); the builder rejects that line.
 """
 
 from __future__ import annotations
@@ -70,7 +64,7 @@ import numpy as np
 
 from . import boundaries as bd
 from ._frozen import frozen
-from .exponents import DomainValidationError, HardyParams, Powers, mu_zero
+from .exponents import DomainValidationError, HardyParams, Powers
 from .radial import (RadialFunction, RadialGrid, _fd_hardy, _fd_stencil,
                      _hardy_image, _term_sums, default_grid, log_radii)
 
@@ -149,6 +143,28 @@ def _single_power_pair(t1: float, p: float, q: float
             RadialFunction.monomial(1.0, tau2c))
 
 
+def _two_term_pair(t1: float, t2: float, p: float, q: float
+                   ) -> Tuple[RadialFunction, RadialFunction]:
+    """C2's pair u = r^t1 - r^(t2 p+2), v = r^t2 - r^(t1 q+2)."""
+    diff = RadialFunction.power_difference
+    return diff(t1, t2 * p + 2.0), diff(t2, t1 * q + 2.0)
+
+
+def _log_pair(case_id: str, N: int, t1: float, t2: float, p: float
+              ) -> Tuple[RadialFunction, RadialFunction]:
+    """C6's pair u = r^t1 - r^(b-eps0), v = r^t2 (-ln r), b = t2 p + 2 and
+    eps0 = min(1, (b - t1)/2): Lu's r^(t2 p - eps0) outgrows (t v)^p as
+    r -> 0.  Lv's coefficient 2 t2 + N - 2 must be positive (mu > mu0)."""
+    if not 2.0 * t2 + (N - 2) > 0.0:
+        raise DomainValidationError(
+            f"{case_id} needs mu > mu_zero on its log side: the log image "
+            "coefficient 2 tau_+ + N - 2 vanishes at the threshold")
+    b = t2 * p + 2.0
+    eps0 = min(1.0, (b - t1) / 2.0)
+    return (RadialFunction.power_difference(t1, b - eps0),
+            RadialFunction.monomial(1.0, t2, log_power=1))
+
+
 def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                     strict: bool = True) -> SupersolutionCandidate:
     """Instantiate the radial pair of the given case.
@@ -181,9 +197,6 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
     if regime_b:
         qlo, plo = bd.q_lower(t1, t2), bd.q_lower(t2, t1)
 
-    mono = RadialFunction.monomial
-    diff = RadialFunction.power_difference
-
     if case_id in ("C1", "C4"):
         lo = bd.q_lower(t1, 0.0) if case_id == "C1" else qlo
         qup = bd.q_upper(N, t1, t2)
@@ -214,8 +227,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         else:
             if not tau4c > 0.0:
                 notes.append(f"exponent window note: t1*q+2 = {tau4c:g} <= 0")
-            u = diff(t1, t2 * p + 2.0)
-            v = diff(t2, tau4c)
+            u, v = _two_term_pair(t1, t2, p, q)
     elif case_id == "C3":
         foot = bd.q_lower(t1, 0.0)
         if not abs(q - foot) <= LINE_TOL * max(1.0, foot):
@@ -227,8 +239,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
                          "the line; no log factor needed")
             u, v = _single_power_pair(t1, p, q)
         else:
-            u = diff(t1, t2 * p + 1.0)
-            v = mono(1.0, t2, log_power=1)
+            u, v = _log_pair(case_id, N, t1, t2, p)
             notes.append("log recipe on the unit ball")
     elif case_id == "C5":
         if not q < qlo:
@@ -239,33 +250,21 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         if not tau4c < 0.0:
             # the recipe stays positive; the claimed window is informational
             notes.append(f"exponent window note: t1*q+2 = {tau4c:g} >= 0")
-        u = diff(t1, t2 * p + 2.0)
-        v = diff(t2, tau4c)
+        u, v = _two_term_pair(t1, t2, p, q)
     elif case_id == "C6":
         if not abs(q - qlo) <= LINE_TOL * max(1.0, qlo):
             _violated(case_id, f"q={q} not on the line {qlo:g}", strict,
                       notes)
         if not p < plo:
             _violated(case_id, f"p={p} not below {plo:g}", strict, notes)
-        if params.mu2 <= mu_zero(params.N):
-            raise DomainValidationError(
-                "C6 needs mu2 > mu_zero: the log image coefficient "
-                "2 tau_+ + N - 2 vanishes at the threshold")
-        eps0 = max(1e-3, t1 - (t2 * p + 2.0) + 1e-3)
-        u = diff(t1, t2 * p + 2.0 + eps0)
-        v = mono(1.0, t2, log_power=1)
+        u, v = _log_pair(case_id, N, t1, t2, p)
     elif case_id == "C7":
         if not abs(p - plo) <= LINE_TOL * max(1.0, plo):
             _violated(case_id, f"p={p} not on the line {plo:g}", strict,
                       notes)
         if not q < qlo:
             _violated(case_id, f"q={q} not below {qlo:g}", strict, notes)
-        if params.mu1 <= mu_zero(params.N):
-            raise DomainValidationError(
-                "C7 needs mu1 > mu_zero: the log image coefficient "
-                "2 tau_+ + N - 2 vanishes at the threshold")
-        u = mono(1.0, t1, log_power=1)
-        v = diff(t2, t1 * q + 2.0)
+        v, u = _log_pair(case_id, N, t2, t1, q)
     else:  # C8
         pup = bd.q_upper(N, t2, t1)
         if not plo < p < pup:

@@ -23,8 +23,12 @@ from .exponents import DomainValidationError
 class IntegrabilityVerdict:
     """Outcome of the weighted-L^1 test.
 
-    critical_exponent_gap is the margin sigma; integrable is equivalent
-    to it being > 0.
+    critical_exponent_gap is the margin sigma.  From power_verdict,
+    integrable is equivalent to sigma > 0.  In a nonexistence witness it
+    is always False: a witness on a closed edge (q = q_upper, or e1 = 0 at
+    the threshold) may carry a positive sigma of rounding noise, up to
+    regions._WITNESS_EDGE_TOL, and keeps that signed sigma, but the edge
+    itself is not integrable.
     """
 
     integrable: bool

@@ -183,13 +183,20 @@ def _integrability_witness(N: int, source_tau: float, weight_mu: float,
                            weight_tp: float, label: str) -> Witness:
     """r^source_tau against |x|^weight_tp, where weight_tp = tau_+(weight_mu).
 
-    The caller passes the tau_+ its HardyParams already holds.
+    The caller passes the tau_+ its HardyParams already holds.  A sigma in
+    (0, _WITNESS_EDGE_TOL] is a closed edge's rounding noise: the witness
+    is accepted, and its verdict says integrable=False with the signed
+    sigma kept.  Only that rare branch builds a second verdict.
     """
     verdict = power_verdict(N, source_tau, weight_tp)
-    if verdict.critical_exponent_gap > _WITNESS_EDGE_TOL:
-        raise WitnessMismatchError(
-            f"{label}: expected weighted-L^1 failure but sigma = "
-            f"{verdict.critical_exponent_gap:g} > 0")
+    gap = verdict.critical_exponent_gap
+    if gap > 0.0:
+        if gap > _WITNESS_EDGE_TOL:
+            raise WitnessMismatchError(
+                f"{label}: expected weighted-L^1 failure but sigma = "
+                f"{gap:g} > 0")
+        verdict = IntegrabilityVerdict(integrable=False,
+                                       critical_exponent_gap=gap)
     return Witness("integrability", "P2.1", label, verdict, source_tau,
                    weight_mu)
 

@@ -155,6 +155,20 @@ class TestClassifyCommand:
         assert code == 2
         assert "inconsistency" in err
 
+    def test_edge_witness_is_not_integrable(self, capsys):
+        # q = 5 - 5e-13 lies on the closed edge q = q_upper = 5 within the
+        # classifier's tolerance: the T1.i witness keeps its sigma of
+        # rounding noise above 0, and its source is not integrable
+        rec = run_json(capsys, "classify", "--N", "5", "--mu1", "-2",
+                       "--mu2", "0", "--p", "2", "--q", "4.9999999999995",
+                       "--witness")
+        assert (rec["verdict"], rec["citation"]) == ("nonexistence", "T1.i")
+        witness = rec["witness"]
+        assert witness["mechanism"] == "integrability"
+        assert witness["integrable"] is False
+        assert 0.0 < witness["critical_exponent_gap"] <= 1e-11
+        jsonschema.validate(rec, load_schema("classify"))
+
 
 #: classify --N 5 --mu1=-0.0 --mu2=-2 --p 2 --q 3: tau_+(-0.0) is +0.0.
 _NEGATIVE_ZERO_RECORD = """{
@@ -400,6 +414,21 @@ class TestVerifyCommand:
         assert rec["positivity_ok"] is True
         assert rec["min_slack_u"] is None
         assert rec["diagnostic"] == "Lu is not finite near r=1.000e-300"
+
+    @pytest.mark.parametrize("case, p, q", [("C6", "2", "3"),
+                                            ("C7", "3", "2")])
+    def test_log_pair_scale_does_not_shrink_with_r_min(self, capsys, case,
+                                                       p, q):
+        # C6 and C7 are supersolutions as r -> 0: grids reaching closer to
+        # the origin accept the same scale
+        scales = set()
+        for r_min in ("1e-6", "1e-30", "1e-100"):
+            rec = run_json(capsys, "verify", "--N", "5", "--mu1", "-2",
+                           "--mu2", "-2", "--p", p, "--q", q, "--case", case,
+                           "--r-min", r_min)
+            assert rec["ok"] is True
+            scales.add(rec["t"])
+        assert scales == {0.25}
 
 
 class TestPlotCommand:

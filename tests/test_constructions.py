@@ -63,11 +63,11 @@ GOLDEN = (
      ("0x1.0000000000000p-1", "0x1.008343c79669fp+0",
       "0x1.80f6307324095p-2", "0x1.8c76db31c5d0fp-19")),
     ("C6", (5, -2.0, -2.0, 2.0, 3.0),
-     ("0x1.0000000000000p-7", "0x1.00e5bc8eab771p-6",
-      "0x1.00c5007ab4a8cp-7", "0x1.2abb51f47eb0ap-18")),
+     ("0x1.0000000000000p-2", "0x1.80f628697b18cp-3",
+      "0x1.00c5007aac1acp-2", "0x1.2abb51f47eb0ap-18")),
     ("C7", (5, -2.0, -2.0, 3.0, 2.0),
-     ("0x1.0000000000000p-7", "0x1.00c5007ab4a8dp-7",
-      "0x1.008344c3de1bcp-6", "0x1.2abb51f47eb0ap-18")),
+     ("0x1.0000000000000p-2", "0x1.00c5007aac1acp-2",
+      "0x1.80f628697b18cp-3", "0x1.2abb51f47eb0ap-18")),
     ("C8", (5, -2.0, -2.0, 3.2, 1.5),
      ("0x1.0000000000000p-2", "0x1.48bb1483ea514p-5",
       "0x1.1269eb555e659p-1", "0x1.8da5dad970e4dp-17")),
@@ -102,11 +102,11 @@ GOLDEN_VERIFY = (
      (("0x1.008342ba7ad77p+1", "-0x1.c6be285d5ca5cp+47", ""),
       ("0x1.008344d4b1fc7p-59", "0x1.80f630d36b6fap-61", ""))),
     ("C6", (5, -2.0, -2.0, 2.0, 3.0), True,
-     (("-0x1.5798120f824efp+47", "0x1.00c5007662999p+0", ""),
-      ("0x1.00e5bc9f7f57cp-59", "0x1.00c5007ab4ba1p-60", ""))),
+     (("-0x1.d4e4df92741c0p+29", "0x1.00c5007a2ac57p+0", ""),
+      ("0x1.80f630d36b6fap-61", "0x1.00c5007ab4ba1p-60", ""))),
     ("C7", (5, -2.0, -2.0, 3.0, 2.0), True,
-     (("0x1.00c5007665e90p+0", "-0x1.578cabac740c9p+47", ""),
-      ("0x1.00c5007ab4ba1p-60", "0x1.008344d4b1fc7p-59", ""))),
+     (("0x1.00c5007a2ac57p+0", "-0x1.d4e4df92741c0p+29", ""),
+      ("0x1.00c5007ab4ba1p-60", "0x1.80f630d36b6fap-61", ""))),
     ("C8", (5, -2.0, -2.0, 3.2, 1.5), True,
      (("-0x1.718343218e705p+63", "0x1.a498c601a6372p+0", ""),
       ("0x1.48bb1484a66aep-63", "0x1.528773a7e8c35p-59", ""))),
@@ -302,8 +302,8 @@ class TestRecipes:
     def test_mirrored_edge_recipe(self):
         cand = build_candidate("C7", B_PARAMS, Powers(3.0, 2.0))
         assert exponents_of(cand.u) == [(-1.0, 1, 1.0)]
-        # tau8 = -1*2 + 2 = 0
-        assert exponents_of(cand.v) == [(-1.0, 0, 1.0), (0.0, 0, -1.0)]
+        # C6 mirrored: b = -1*2 + 2 = 0, eps0 = min(1, (0 - -1)/2) = 0.5
+        assert exponents_of(cand.v) == [(-1.0, 0, 1.0), (-0.5, 0, -1.0)]
 
     def test_interior_power_recipe(self):
         cand = build_candidate("C8", B_PARAMS, Powers(3.2, 1.5))
@@ -663,6 +663,47 @@ def log2_closed_form_scale(params, pq):
                math.log2(N - 2) / (q - 1))
 
 
+@st.composite
+def log_pair_points(draw):
+    """A C6 point, N <= 6, on the line q = (2 - t2)/(-t1) <= 10 with p below
+    (2 - t1)/(-t2) and 10; half of them mirrored into C7 points."""
+    N = draw(st.integers(min_value=3, max_value=6))
+    frac = st.floats(min_value=0.05, max_value=0.95)
+    params = HardyParams(N, mu_zero(N) * draw(frac), mu_zero(N) * draw(frac))
+    t1, t2 = params.roots[0], params.roots[2]
+    q = bd.q_lower(t1, t2)
+    assume(1.05 < q <= 10.0)
+    p = _inside(1.05, min(0.97 * bd.q_lower(t2, t1), 10.0), draw(frac))
+    if draw(st.booleans()):
+        return "C7", params.swapped(), Powers(q, p)
+    return "C6", params, Powers(p, q)
+
+
+def log_pair_sides(cand):
+    """(N, tp, tm, t_log, s, r): the power side's roots tau_+ and tau_-,
+    the log side's tau_+, the power s of the log side in the power side's
+    slack and the other power r; C7 is C6 mirrored."""
+    tp1, tm1, tp2, tm2 = cand.params.roots
+    p, q = cand.pq.p, cand.pq.q
+    if cand.case_id == "C7":
+        return cand.params.N, tp2, tm2, tp1, q, p
+    return cand.params.N, tp1, tm1, tp2, p, q
+
+
+def log2_log_pair_scale(cand):
+    """log2 of the log pair's t_max = min((K (e eps0/s)^s)^(1/(s-1)),
+    (2 t_log + N - 2)^(1/(r-1))), with b = t_log s + 2,
+    eps0 = min(1, (b - tp)/2) and K = (b - eps0 - tp)(b - eps0 - tm): the
+    largest scale at which both slacks are nonnegative on the whole
+    punctured unit ball."""
+    N, tp, tm, t_log, s, r = log_pair_sides(cand)
+    b = t_log * s + 2.0
+    eps0 = min(1.0, (b - tp) / 2.0)
+    k = (b - eps0 - tp) * (b - eps0 - tm)
+    return min((math.log2(k) + s * math.log2(math.e * eps0 / s)) / (s - 1),
+               math.log2(2.0 * t_log + N - 2) / (r - 1))
+
+
 class TestDomainSearch:
     """Every candidate, C3's log recipe included, is verified on the unit
     ball: the default grid ends at r = 1 - 1e-3."""
@@ -687,16 +728,38 @@ class TestDomainSearch:
         expect = 2.0 ** min(0, math.floor(log2_closed_form_scale(params, pq)))
         t, report = find_scale(cand)
         assert t == expect and report.ok
+        # C3's log pair is C6's at t2 = 0: the same closed form
+        assert log2_log_pair_scale(cand) == pytest.approx(
+            log2_closed_form_scale(params, pq), rel=1e-12, abs=1e-12)
         # on grids reaching closer to 0 the scale keeps its power of two
-        # within one: a recipe that fails near 0 (C6, C7 as coded) loses
-        # a factor (-ln r_min)^(p/(p-1)).  It can move by one because at
-        # N = 3 the v-side bound t = 1 is attained only as r -> 0, where
-        # rounding of q decides the slack's sign, and because 512 radii
-        # over 100 decades can step over the u-side minimum at r = e^-p
+        # within one, as the closed form holds on the whole punctured ball.
+        # It can move by one because at N = 3 the v-side bound t = 1 is
+        # attained only as r -> 0, where rounding of q decides the slack's
+        # sign, and because 512 radii over 100 decades can step over the
+        # u-side minimum at r = e^-p
         for r_min in (1e-30, 1e-100):
             found = find_scale(cand, grid=default_grid(r_min=r_min))
             assert found is not None
             assert expect / 2.0 <= found[0] <= 2.0 * expect, r_min
+
+    @given(log_pair_points())
+    @settings(max_examples=100, deadline=None)
+    def test_log_pair_scale_is_at_least_the_closed_form(self, point):
+        cand = build_candidate(*point)
+        _, _, _, t_log, s, _ = log_pair_sides(cand)
+        # grid-free: the power side's image has one positive term, at
+        # r^(b - eps0 - 2) = r^(t_log s - eps0), which outgrows the (t v)^p
+        # of r^(t_log s) (-ln r)^p as r -> 0 (v, u and q for C7)
+        image = constructions._images(cand)[point[0] == "C7"]
+        lead = [t.tau for t in image.terms if t.coeff > 0.0]
+        assert len(lead) == 1 and lead[0] < t_log * s
+        # the grid's scale is at least the closed form's power of two, on
+        # grids near the origin too: a pair that fails as r -> 0 loses a
+        # factor (-ln r_min)^(s/(s-1))
+        expect = 2.0 ** min(0, math.floor(log2_log_pair_scale(cand)))
+        for r_min in (1e-6, 1e-30):
+            found = find_scale(cand, grid=default_grid(r_min=r_min))
+            assert found is not None and found[0] >= expect, r_min
 
 
 class TestCaseSelection:
@@ -777,8 +840,10 @@ class TestAgainstReference:
 
 # --- build_candidate against the builder it replaced -------------------------
 # A verbatim copy of build_candidate as it was before each recipe shape got
-# one builder (_single_power_pair) and one return, with C3's log recipe on
-# the unit ball: the reference the current builder must match bit for bit.
+# one builder and one return, with C3's log recipe on the unit ball and
+# C6/C7's exponent b - eps0, eps0 = min(1, (b - t1)/2) in place of C6's
+# b + 1e-3 and C7's b, which fail as r -> 0: the reference the current
+# builder must match bit for bit.
 
 def _require(cond: bool, case_id: str, msg: str, strict: bool,
              notes: list) -> None:
@@ -916,10 +981,11 @@ def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,
                  f"p={p} not below {vals.p_lower:g}", strict, notes)
         if params.mu2 <= mu_zero(params.N):
             raise DomainValidationError(
-                "C6 needs mu2 > mu_zero: the log image coefficient "
-                "2 tau_+ + N - 2 vanishes at the threshold")
-        eps0 = max(1e-3, t1 - (t2 * p + 2.0) + 1e-3)
-        tau6c = t2 * p + 2.0 + eps0
+                "C6 needs mu > mu_zero on its log side: the log image "
+                "coefficient 2 tau_+ + N - 2 vanishes at the threshold")
+        tau3c = t2 * p + 2.0
+        eps0 = min(1.0, (tau3c - t1) / 2.0)
+        tau6c = tau3c - eps0
         u = diff(t1, tau6c)
         v = mono(1.0, t2, log_power=1)
         return SupersolutionCandidate(case_id, params, pq, u, v,
@@ -933,9 +999,11 @@ def reference_build_candidate(case_id: str, params: HardyParams, pq: Powers,
                  f"q={q} not below {vals.q_lower:g}", strict, notes)
         if params.mu1 <= mu_zero(params.N):
             raise DomainValidationError(
-                "C7 needs mu1 > mu_zero: the log image coefficient "
-                "2 tau_+ + N - 2 vanishes at the threshold")
-        tau8c = t1 * q + 2.0
+                "C7 needs mu > mu_zero on its log side: the log image "
+                "coefficient 2 tau_+ + N - 2 vanishes at the threshold")
+        tau4c = t1 * q + 2.0
+        eps0 = min(1.0, (tau4c - t2) / 2.0)
+        tau8c = tau4c - eps0
         u = mono(1.0, t1, log_power=1)
         v = diff(t2, tau8c)
         return SupersolutionCandidate(case_id, params, pq, u, v,
@@ -1033,23 +1101,46 @@ class TestBuilderMatchesReference:
 #: recipe (C2, C5, C6).
 _SINGLE_POWER = (("t1", "q", "p", "t2"), ("t2", "p", "q", "t1"))
 
+#: The two-term pair's exponents; its mirror forms the same two.
+_TWO_TERM = {"t2 * p + 2.0", "t1 * q + 2.0"}
+
+
+def _log_pair_spelled(fn):
+    """The lines where fn builds a log term (log_power=1) or names eps0:
+    the log pair written out."""
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.keyword) and node.arg == "log_power"
+            and isinstance(node.value, ast.Constant) and node.value.value == 1
+            or isinstance(node, ast.Name) and node.id == "eps0"]
+
 
 def test_single_power_recipe_has_one_owner():
-    # a function that forms lead * first + 2.0 and then x * second + 2.0
-    # spells out the single-power pair that _single_power_pair owns
+    # each pair is spelled out by its builder alone: a function that forms
+    # lead * first + 2.0 and then x * second + 2.0 spells out the
+    # single-power pair (_single_power_pair), one that forms both of
+    # _TWO_TERM the two-term pair (_two_term_pair), and one that builds a
+    # log term or names eps0 the log pair (_log_pair), so C7 cannot drift
+    # away from C6 again
     package = pathlib.Path(hardylane.__file__).parent
     hits = []
     for path in sorted(package.rglob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, ast.FunctionDef) or \
-                    fn.name == "_single_power_pair":
+            if not isinstance(fn, ast.FunctionDef):
                 continue
+            where = f"{path.relative_to(package)}:{fn.name}"
             sums = [(node.lineno, ast.unparse(node)) for node in ast.walk(fn)
                     if isinstance(node, ast.BinOp)]
-            for lead, first, second, other in _SINGLE_POWER:
-                if any(text == f"{lead} * {first} + 2.0" for _, text in sums):
-                    hits += [f"{path.relative_to(package)}:{n}: {text}"
-                             for n, text in sums
-                             if text.endswith(f" * {second} + 2.0")
-                             and text != f"{other} * {second} + 2.0"]
+            texts = {text for _, text in sums}
+            if fn.name != "_single_power_pair":
+                for lead, first, second, other in _SINGLE_POWER:
+                    if f"{lead} * {first} + 2.0" in texts:
+                        hits += [f"{where}:{n}: {text}" for n, text in sums
+                                 if text.endswith(f" * {second} + 2.0")
+                                 and text != f"{other} * {second} + 2.0"]
+            if fn.name != "_two_term_pair" and _TWO_TERM <= texts:
+                hits.append(f"{where}: {sorted(_TWO_TERM)}")
+            if fn.name != "_log_pair":
+                hits += [f"{where}:{n}: log pair"
+                         for n in _log_pair_spelled(fn)]
     assert hits == []
+

@@ -15,7 +15,7 @@ from hardylane import boundaries as bd
 from hardylane import regions
 from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
                                  mu_zero)
-from hardylane.integrability import power_verdict
+from hardylane.integrability import IntegrabilityVerdict, power_verdict
 from hardylane.iteration import CertificateKind, iterate_clamped, iterate_plain
 from hardylane.regions import (_OUTCOMES, _WITNESS_EDGE_TOL, RegionClass,
                                Verdict, Witness, WitnessMismatchError, _wrap,
@@ -228,12 +228,13 @@ def edge_point(draw):
 
 
 def assert_matches_power_verdict(params, w):
-    """The witness's verdict is power_verdict's on r^exponent against the
-    tau_+ of a fresh HardyParams of weight_mu, and its sigma is
-    tau + tau_+ + N summed in that order."""
+    """The witness's sigma is power_verdict's on r^exponent against the
+    tau_+ of a fresh HardyParams of weight_mu, summed as tau + tau_+ + N in
+    that order, and its verdict is not integrable, also where a closed
+    edge leaves sigma a little above 0."""
     tp = pair_of(params.N, w.weight_mu)[0]
     ref = power_verdict(params.N, w.exponent, tp)
-    assert w.verdict.integrable == ref.integrable
+    assert w.verdict.integrable is False
     gap = w.verdict.critical_exponent_gap.hex()
     assert gap == ref.critical_exponent_gap.hex()
     assert gap == (w.exponent + tp + params.N).hex()
@@ -613,7 +614,8 @@ class TestWrapOracle:
 # --- the witness path against the functions it replaced ----------------------
 # Verbatim copies of nonexistence_witness and its two helpers as they were
 # before the witness path took its oriented values straight from params and
-# pq: the reference the current path must match bit for bit.
+# pq, with one later rule (an accepted integrability witness says
+# integrable=False): the reference the current path must match bit for bit.
 
 def _reference_integrability_witness(N: int, source_tau: float,
                                      weight_mu: float, weight_tp: float,
@@ -623,6 +625,9 @@ def _reference_integrability_witness(N: int, source_tau: float,
         raise WitnessMismatchError(
             f"{label}: expected weighted-L^1 failure but sigma = "
             f"{verdict.critical_exponent_gap:g} > 0")
+    # an accepted witness is never integrable, also at a sigma of rounding
+    # noise above 0 on a closed edge
+    verdict = IntegrabilityVerdict(False, verdict.critical_exponent_gap)
     return Witness(mechanism="integrability", provenance="P2.1",
                    description=label, verdict=verdict,
                    exponent=source_tau, weight_mu=weight_mu)
