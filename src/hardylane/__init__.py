@@ -11,7 +11,7 @@ verifies the explicit radial supersolution constructions on log grids.
 """
 
 from ._kernels import BACKEND as kernel_backend
-from .exponents import DomainValidationError, HardyParams, Powers, mu_zero
+from .exponents import DomainValidationError, HardyParams, Powers
 from .integrability import IntegrabilityVerdict
 from .iteration import (Certificate, CertificateKind, IterationTrace,
                         StepRecord, Variant, iterate_clamped, iterate_plain)
@@ -27,5 +27,5 @@ __all__ = [
     "RadialGrid", "RadialTerm", "RegionClass", "StepRecord", "Variant",
     "Verdict", "Witness", "WitnessMismatchError", "classify",
     "classify_field", "default_grid", "iterate_clamped", "iterate_plain",
-    "kernel_backend", "mu_zero", "nonexistence_witness", "__version__",
+    "kernel_backend", "nonexistence_witness", "__version__",
 ]

@@ -21,6 +21,15 @@ layout, which makes each attribute read slower.  Item assignment was still
 the fastest way to fill the dict end to end, ahead of one __dict__.update
 or a whole new __dict__; a __slots__ layout ran about as fast but would
 need its own pickle state to keep the bytes (see CHANGES.md).
+
+Two paths fill instances on object.__new__ without any __init__:
+HardyParams.swapped() and Powers.swapped() store an already checked
+instance's values item by item, and regions._wrap copies a prebuilt field
+dict from its table with one dict.update, then stores the margin over the
+table's placeholder.  Either way the dict holds the same keys, in field
+order, bound to the same objects as __init__ would leave, and pickle
+writes an instance as its class and that dict, so the pickles are byte
+for byte the same; the tests compare them.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ region classifier) is driven by the two roots of
 
     mu - tau * (tau + N - 2) = 0,
 
-written tau_plus(mu) >= tau_minus(mu).  They exist for mu >= mu_zero(N)
-= -(N-2)^2/4 and coincide at that threshold.  HardyParams is the one
+written tau_plus(mu) >= tau_minus(mu).  They exist for mu >= mu0 =
+-(N-2)^2/4 and coincide at that threshold.  HardyParams is the one
 validating entry point: it checks N, snaps both coefficients and computes
 the four roots once, by the formulas of hardylane.boundaries, which owns
 the threshold, the snap band and the roots.
@@ -25,12 +25,6 @@ class DomainValidationError(ValueError):
     """Raised when parameters fall outside the admissible domain."""
 
 
-def mu_zero(N: int) -> float:
-    """Hardy threshold -(N-2)^2/4 below which the roots turn complex."""
-    _check_dimension(N)
-    return bd.mu0(N - 2.0)
-
-
 #: Largest admissible dimension: up to 2**53 a float64 holds every integer,
 #: so the classification kernel's float arithmetic on N matches the exact
 #: integer formulas.
@@ -47,7 +41,7 @@ def _check_dimension(N: int) -> None:
 
 
 def _constants(N: int) -> tuple[float, float, float]:
-    """(N-2)/2, mu_zero(N) and the snap band's half-width, for a valid N."""
+    """(N-2)/2, mu0 and the snap band's half-width, for a valid N."""
     n2 = N - 2.0
     return n2 / 2.0, bd.mu0(n2), bd.snap_half_width(n2)
 
@@ -57,15 +51,7 @@ _CONSTANTS_BY_N = {N: _constants(N) for N in range(3, 65)}
 
 
 def _checked_constants(N: int) -> tuple[float, float, float]:
-    """_check_dimension(N), then _constants(N), from the table for an int N.
-
-    3.0, True and np.int64(5) hash like 3, 1 and 5, so the type test comes
-    first: they miss the table and fail the check, as before.
-    """
-    if type(N) is int:
-        found = _CONSTANTS_BY_N.get(N)
-        if found is not None:
-            return found
+    """_check_dimension(N), then _constants(N)."""
     _check_dimension(N)
     return _constants(N)
 
@@ -78,14 +64,12 @@ def _coefficient(mu) -> float:
 
 
 def _snap_near(N: int, mu: float, m0: float, band: float) -> float:
-    """The snap rule, given mu_zero(N) and the band from _constants(N).
+    """The snap rule, given mu0 and the band from _constants(N).
 
-    A plain float above the band and finite is returned at once: every
-    check below passes it unchanged.  Anything else (another type, NaN,
-    an infinity, a value in or below the band) takes the full rule.
+    Another type than float, NaN, an infinity or a value below the band
+    raises; a value in the band snaps onto m0; any other float comes back
+    unchanged.  HardyParams passes the common case by without calling it.
     """
-    if type(mu) is float and m0 + band < mu < math.inf:
-        return mu
     if type(mu) is not float:
         mu = _coefficient(mu)
     if not math.isfinite(mu):
@@ -125,10 +109,18 @@ class HardyParams:
 
     def __post_init__(self):
         state = self.__dict__
-        N = state["N"]
-        half, m0, band = _checked_constants(N)
-        state["mu1"] = mu1 = _snap_near(N, state["mu1"], m0, band)
-        state["mu2"] = mu2 = _snap_near(N, state["mu2"], m0, band)
+        N, mu1, mu2 = state["N"], state["mu1"], state["mu2"]
+        # 3.0, True and np.int64(5) hash like 3, 1 and 5: the type test
+        # keeps them out of the table, and the check refuses them
+        found = _CONSTANTS_BY_N.get(N) if type(N) is int else None
+        half, m0, band = found or _checked_constants(N)
+        # an N from the table and two plain floats above the band and
+        # finite pass every check unchanged
+        if not (found and type(mu1) is float and type(mu2) is float
+                and m0 + band < mu1 < math.inf
+                and m0 + band < mu2 < math.inf):
+            state["mu1"] = mu1 = _snap_near(N, mu1, m0, band)
+            state["mu2"] = mu2 = _snap_near(N, mu2, m0, band)
         state["roots"] = (bd.roots(half, mu1, math.sqrt(mu1 - m0))
                           + bd.roots(half, mu2, math.sqrt(mu2 - m0)))
 
@@ -137,12 +129,17 @@ class HardyParams:
 
         Both mu are already snapped and the snap rule is idempotent on
         snapped values, so validating and computing the roots again would
-        give back the same values.
+        give back the same values.  The dict is filled item by item, in
+        field order, as __init__ fills it.
         """
-        tp1, tm1, tp2, tm2 = self.roots
+        src = self.__dict__
+        tp1, tm1, tp2, tm2 = src["roots"]
         out = object.__new__(HardyParams)
-        out.__dict__.update(N=self.N, mu1=self.mu2, mu2=self.mu1,
-                            roots=(tp2, tm2, tp1, tm1))
+        state = out.__dict__
+        state["N"] = src["N"]
+        state["mu1"] = src["mu2"]
+        state["mu2"] = src["mu1"]
+        state["roots"] = (tp2, tm2, tp1, tm1)
         return out
 
 
@@ -168,6 +165,9 @@ class Powers:
 
     def swapped(self) -> "Powers":
         """Powers(q, p), without checking again values already checked."""
+        src = self.__dict__
         out = object.__new__(Powers)
-        out.__dict__.update(p=self.q, q=self.p)
+        state = out.__dict__
+        state["p"] = src["q"]
+        state["q"] = src["p"]
         return out

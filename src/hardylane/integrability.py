@@ -45,4 +45,4 @@ def power_verdict(N: int, tau: float, tp: float) -> IntegrabilityVerdict:
     if not math.isfinite(tau):
         raise DomainValidationError(f"exponent must be finite, got {tau}")
     gap = tau + tp + N
-    return IntegrabilityVerdict(integrable=gap > 0.0, critical_exponent_gap=gap)
+    return IntegrabilityVerdict(gap > 0.0, gap)

@@ -71,6 +71,10 @@ class StepRecord:
     tau1_carried: bool = False
 
 
+#: The kinds that end a trace with a crossing.
+_CROSSED = (CertificateKind.CROSSED_TAU1, CertificateKind.CROSSED_TAU2)
+
+
 class Variant(Enum):
     PLAIN = "plain"
     CLAMPED = "clamped"
@@ -86,8 +90,7 @@ class IterationTrace:
 
     @property
     def crossed(self) -> bool:
-        return self.outcome.kind in (CertificateKind.CROSSED_TAU1,
-                                     CertificateKind.CROSSED_TAU2)
+        return self.outcome.kind in _CROSSED
 
 
 def _iterate(params: HardyParams, pq: Powers, cap: int,

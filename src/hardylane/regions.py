@@ -87,12 +87,14 @@ class RegionClass:
     domain: Optional[str] = None
 
 
-#: (code, flags) -> (verdict, citation, regime, swapped, mu0_edge, domain),
-#: every RegionClass field but the margin, for every valid code and every
-#: flags value the kernel can give.
+#: (code, flags) -> the RegionClass field dict, in field order, with a
+#: margin of 0.0, for every valid code and every flags value the kernel
+#: can give.
 _WRAPPED = {
-    (code, regime << K.REGIME_SHIFT | mu0_edge | swapped):
-        (verdict, citation, name, bool(swapped), bool(mu0_edge), domain)
+    (code, regime << K.REGIME_SHIFT | mu0_edge | swapped): {
+        "verdict": verdict, "citation": citation, "margin": 0.0,
+        "regime": name, "swapped": bool(swapped),
+        "mu0_edge": bool(mu0_edge), "domain": domain}
     for code, (verdict, citation, domain) in _OUTCOMES.items()
     for regime, name in _REGIMES.items()
     for mu0_edge in (0, K.FLAG_MU0_EDGE)
@@ -100,17 +102,23 @@ _WRAPPED = {
 
 
 def _wrap(code: int, margin: float, flags: int) -> RegionClass:
-    """The RegionClass of a kernel result; an unknown code or flags raises."""
+    """The RegionClass of a kernel result; an unknown code or flags raises.
+
+    The instance dict is a copy of the table's, in field order, with the
+    margin stored over its 0.0: the same dict RegionClass(...) builds.
+    """
     try:
-        verdict, citation, regime, swapped, mu0_edge, domain = _WRAPPED[
-            code, flags]
+        row = _WRAPPED[code, flags]
     except KeyError:
         if code == K.CODE_INVALID:
             raise DomainValidationError(
                 "parameters outside the admissible domain") from None
         raise
-    return RegionClass(verdict, citation, float(margin), regime, swapped,
-                       mu0_edge, domain)
+    out = object.__new__(RegionClass)
+    state = out.__dict__
+    state.update(row)
+    state["margin"] = float(margin)
+    return out
 
 
 def classify(params: HardyParams, pq: Powers) -> RegionClass:
@@ -238,7 +246,7 @@ def nonexistence_witness(params: HardyParams, pq: Powers,
     """
     if region is None:
         region = classify(params, pq)
-    if region.verdict is not Verdict.NONEXISTENCE:
+    if region.verdict is not _NO:
         raise DomainValidationError(
             f"witness requested for verdict {region.verdict.value}")
     cite = region.citation

@@ -1,6 +1,7 @@
 """Test oracles: independent statements of what the package computes, and
 the bare-(N, mu) forms of its radial calculus.
 
+mu_zero is the Hardy threshold -(N-2)^2/4, from the exact integer square.
 hardy_fd_oracle evaluates -Delta + mu/|x|^2 by finite differences from a
 function's values alone, the cross-check of the symbolic image.
 claim1_check and crossing_step_bound read a bootstrap trace against the
@@ -28,6 +29,12 @@ from hardylane.iteration import IterationTrace
 from hardylane.plotting import _COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W
 from hardylane.radial import (ArrayLike, RadialFunction, _fd_hardy,
                               _fd_stencil, _hardy_image, _term_sums)
+
+
+def mu_zero(N: int) -> float:
+    """Hardy threshold -(N-2)^2/4 of an int N, rounded once from the exact
+    square: for N up to 2**53 the same float boundaries.mu0 gives."""
+    return -(N - 2) ** 2 / 4
 
 
 def decimal_roots(N: int, mu: float) -> tuple[decimal.Decimal,

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import hardylane
 from hardylane import _kernels as K
 from hardylane import boundaries as bd
-from hardylane.exponents import HardyParams, mu_zero
-from oracles import decimal_roots, ulps_from
+from hardylane.exponents import HardyParams
+from oracles import decimal_roots, mu_zero, ulps_from
 
 
 @st.composite

@@ -17,12 +17,12 @@ from hardylane.constructions import (CASE_IDS, LINE_TOL, ORACLE_DEV_LIMIT,
                                      SupersolutionCandidate,
                                      VerificationReport, build_candidate,
                                      find_scale, verify_on_grid)
-from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
-                                 mu_zero)
+from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
                               _term_sums, default_grid, log_radii)
 from hardylane.regions import Verdict, classify
-from oracles import case_for_region, hardy_fd_oracle, hardy_image, values
+from oracles import (case_for_region, hardy_fd_oracle, hardy_image,
+                     mu_zero, values)
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)

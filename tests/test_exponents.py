@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from hardylane import boundaries as bd
 from hardylane import exponents
-from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
-                                 mu_zero)
+from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.radial import RadialFunction
-from oracles import e3, hardy_image, pair_of
+from oracles import e3, hardy_image, mu_zero, pair_of
 
 
 def snapped(N, mu):
@@ -22,18 +21,21 @@ def snapped(N, mu):
 
 
 class TestMuZero:
+    """The Hardy threshold as HardyParams holds it: the double root."""
+
     def test_small_dimensions(self):
-        assert mu_zero(3) == -0.25
-        assert mu_zero(4) == -1.0
-        assert mu_zero(5) == -2.25
+        for N, m0 in ((3, -0.25), (4, -1.0), (5, -2.25)):
+            assert mu_zero(N) == exponents._constants(N)[1] == m0
+            tau_plus, tau_minus, _, _ = HardyParams(N, m0, 0.0).roots
+            assert tau_plus == tau_minus == -(N - 2) / 2
 
     def test_rejects_low_dimension(self):
-        with pytest.raises(DomainValidationError):
-            mu_zero(2)
+        with pytest.raises(DomainValidationError, match=">= 3"):
+            HardyParams(2, 0.0, 0.0)
 
     def test_rejects_non_integer(self):
-        with pytest.raises(DomainValidationError):
-            mu_zero(4.5)
+        with pytest.raises(DomainValidationError, match="integer"):
+            HardyParams(4.5, 0.0, 0.0)
 
 
 class TestTauPair:
@@ -417,7 +419,7 @@ _ODD_VALUES = [np.float64(-1.0), np.float64(0.5), -1, 0, 2, FloatSubclass(-1.0),
 
 
 class TestEarlyReturns:
-    """The early returns of _snap_near and Powers give what the full checks
+    """The early returns of HardyParams and Powers give what the full checks
     give: the same values, of the same type, or the same error message."""
 
     @pytest.mark.parametrize("N", [3, 5, 10, 70])
@@ -441,3 +443,96 @@ class TestEarlyReturns:
                     pq = Powers(p, q)
                     assert (typed_bits(pq.p), typed_bits(pq.q)) == (
                         typed_bits(p), typed_bits(q))
+
+
+# --- HardyParams' common case against the full rule --------------------------
+
+def ulps_away(x, k):
+    """x moved k ulps (towards +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def fast_path_points(draw):
+    """(N, mu1, mu2): N from the constants table, past it or invalid; each
+    mu a few ulps around the snap band's ends or mu0, or of another kind."""
+    N = draw(st.one_of(st.integers(min_value=3, max_value=70),
+                       st.sampled_from([2 ** 20, 2 ** 53, 3.0, True,
+                                        np.int64(5), 2, 2 ** 53 + 1])))
+    _, m0, band = exponents._constants(int(N) if int(N) >= 3 else 5)
+    near = st.builds(ulps_away, st.sampled_from([m0 - band, m0, m0 + band]),
+                     st.integers(min_value=-4, max_value=4))
+    mu = st.one_of(near, near.map(np.float64), st.just(m0 + band),
+                   st.floats(min_value=m0, max_value=3.0),
+                   st.integers(min_value=-3, max_value=3), st.booleans(),
+                   st.sampled_from([math.nan, math.inf, -math.inf, "0.5"]))
+    return N, draw(mu), draw(mu)
+
+
+def full_rule(N, mu1, mu2):
+    """What HardyParams stores, by the checks its common case skips."""
+    half, m0, band = exponents._checked_constants(N)
+    mu1 = exponents._snap_near(N, mu1, m0, band)
+    mu2 = exponents._snap_near(N, mu2, m0, band)
+    return mu1, mu2, (bd.roots(half, mu1, math.sqrt(mu1 - m0))
+                      + bd.roots(half, mu2, math.sqrt(mu2 - m0)))
+
+
+def stored_or_error(call):
+    """(mu1, mu2, roots) by typed_bits, or the exception's type and text."""
+    try:
+        mu1, mu2, roots = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return typed_bits(mu1), typed_bits(mu2), [typed_bits(r) for r in roots]
+
+
+def _stored(N, mu1, mu2):
+    params = HardyParams(N, mu1, mu2)
+    return params.mu1, params.mu2, params.roots
+
+
+#: pickle.dumps(..., protocol=4) of three instances: a tabled N with plain
+#: floats, a snapped mu1, and an N past the table with an int mu1.
+GOLDEN_PICKLES = {
+    (5, -2.0, 0.0):
+        "80049582000000000000008c1368617264796c616e652e6578706f6e656e747394"
+        "8c0b4861726479506172616d739493942981947d94288c014e944b058c036d7531"
+        "9447c0000000000000008c036d7532944700000000000000008c05726f6f747394"
+        "2847bff000000000000047c00000000000000047000000000000000047c0080000"
+        "00000000749475622e",
+    (5, -2.25 + 1e-14, 0.5):
+        "80049582000000000000008c1368617264796c616e652e6578706f6e656e747394"
+        "8c0b4861726479506172616d739493942981947d94288c014e944b058c036d7531"
+        "9447c0020000000000008c036d753294473fe00000000000008c05726f6f747394"
+        "2847bff800000000000047bff8000000000000473fc443949feb79a147c0094439"
+        "49feb79a749475622e",
+    (70, -1, 3.0):
+        "80049582000000000000008c1368617264796c616e652e6578706f6e656e747394"
+        "8c0b4861726479506172616d739493942981947d94288c014e944b468c036d7531"
+        "9447bff00000000000008c036d7532944740080000000000008c05726f6f747394"
+        "2847bf8e1fc928fc353a47c050ff0f01b6b81e473fa692d7670ed7d247c05102d2"
+        "5aece1db749475622e",
+}
+
+
+class TestCommonCase:
+    """HardyParams skips the dimension check and the snap rule for a tabled
+    N and two plain floats above the band; it stores what the full rule
+    gives, and raises what it raises, for every other input too."""
+
+    @given(fast_path_points())
+    @settings(max_examples=1500)
+    def test_matches_the_full_rule(self, point):
+        want = stored_or_error(lambda: full_rule(*point))
+        assert stored_or_error(lambda: _stored(*point)) == want
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_PICKLES, key=repr))
+    def test_golden_pickles(self, args):
+        params = HardyParams(*args)
+        golden = bytes.fromhex(GOLDEN_PICKLES[args])
+        assert pickle.dumps(params, protocol=4) == golden
+        assert pickle.dumps(params.swapped().swapped(), protocol=4) == golden
+        assert pickle.loads(golden) == params

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylane.exponents import mu_zero
 from hardylane.integrability import power_verdict
 from hardylane.radial import RadialFunction
-from oracles import pair_of
+from oracles import mu_zero, pair_of
 from quadrature import integral_behavior, weighted_integral
 
 mono = RadialFunction.monomial

@@ -26,8 +26,6 @@ SCHEMAS = ("classify", "iterate", "plot", "verify")
 #: console script's cli.main and the README library example's names are
 #: called inside the package too, so they need no entry.
 ENTRY_POINTS = {
-    "hardylane.exponents.mu_zero":
-        "the tests draw coefficients from the Hardy threshold it returns",
     "hardylane.plotting.render_svg":
         "hlbench/test_checks.py reads a plot's SVG text",
     "hardylane.schemas.load_schema":

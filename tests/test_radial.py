@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hardylane
-from hardylane.exponents import DomainValidationError, HardyParams, mu_zero
+from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
                               _as_radii, _fd_hardy, _fd_stencil, _term_sums,
                               default_grid, log_radii)
-from oracles import hardy_fd_oracle, hardy_image, pair_of, values
+from oracles import hardy_fd_oracle, hardy_image, mu_zero, pair_of, values
 
 mono = RadialFunction.monomial
 

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import pickle
 import tracemalloc
 from typing import Optional
 
@@ -9,12 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_tree
-from oracles import pair_of
+from oracles import mu_zero, pair_of
 from hardylane import _kernels as K
 from hardylane import boundaries as bd
 from hardylane import regions
-from hardylane.exponents import (DomainValidationError, HardyParams, Powers,
-                                 mu_zero)
+from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.integrability import IntegrabilityVerdict, power_verdict
 from hardylane.iteration import CertificateKind, iterate_clamped, iterate_plain
 from hardylane.regions import (_OUTCOMES, _WITNESS_EDGE_TOL, RegionClass,
@@ -609,6 +610,31 @@ class TestWrapOracle:
     def test_unknown_key_raises(self, code, flags):
         with pytest.raises(KeyError):
             _wrap(code, 0.0, flags)
+
+    @pytest.mark.parametrize("code", VALID_CODES)
+    def test_copy_matches_the_constructor(self, code):
+        # _wrap fills the instance dict from the table without __init__;
+        # NaN margins are compared by their bits, since NaN != NaN
+        assert set(regions._WRAPPED) == {(c, f) for c in VALID_CODES
+                                         for f in VALID_FLAGS}
+        verdict, citation, domain = _OUTCOMES[code]
+        for flags, margin in itertools.product(
+                VALID_FLAGS, (0.0, -0.0, 1.5, math.nan, math.inf,
+                              np.float64(2.5), 3)):
+            got = _wrap(code, margin, flags)
+            want = RegionClass(
+                verdict, citation, float(margin),
+                "ABC"[(flags >> K.REGIME_SHIFT) & 0x3],
+                bool(flags & K.FLAG_SWAPPED), bool(flags & K.FLAG_MU0_EDGE),
+                domain)
+            assert type(got) is RegionClass
+            assert type(got.margin) is float
+            assert got.margin.hex() == want.margin.hex()
+            if margin == margin:
+                assert got == want and hash(got) == hash(want)
+            assert list(vars(got)) == list(vars(want))
+            assert pickle.dumps(got) == pickle.dumps(want)
+            assert regions._WRAPPED[code, flags]["margin"] == 0.0
 
 
 # --- the witness path against the functions it replaced ----------------------
