@@ -225,7 +225,6 @@ def classify_codes(N, mu1, mu2, p, q, out=None):
             """Write regime(*args)'s codes and margins at the masked points,
             and flag there, or flag | edge_flag where its mu0-edge mask
             holds."""
-            mask = np.broadcast_to(mask, shape)
             if not mask.any():
                 return
             if mask.all():
@@ -237,8 +236,11 @@ def classify_codes(N, mu1, mu2, p, q, out=None):
                 return
             # gather the points by index, classify them, scatter the results
             idx = np.nonzero(mask)
-            args = [x if x.ndim == 0 else np.broadcast_to(x, shape)[idx]
-                    for x in args]
+            # the mask, built from every input, has the broadcast shape;
+            # in a sweep so does every array argument, indexed without a
+            # broadcast_to view
+            args = [x if x.ndim == 0 else x[idx] if x.shape == shape
+                    else np.broadcast_to(x, shape)[idx] for x in args]
             code = np.empty(idx[0].size, dtype=np.int16)
             margin = np.empty(idx[0].size)
             edge = regime(*args, code, margin)

@@ -71,13 +71,22 @@ class StepRecord:
     tau1_carried: bool = False
 
 
+# Enum members as module globals: the bootstrap reads them on every call,
+# and a global read is about a tenth of a member read's cost.
+_TAU1, _TAU2, _STALLED, _CAP = (
+    CertificateKind.CROSSED_TAU1, CertificateKind.CROSSED_TAU2,
+    CertificateKind.STALLED, CertificateKind.CAP_REACHED)
+
 #: The kinds that end a trace with a crossing.
-_CROSSED = (CertificateKind.CROSSED_TAU1, CertificateKind.CROSSED_TAU2)
+_CROSSED = (_TAU1, _TAU2)
 
 
 class Variant(Enum):
     PLAIN = "plain"
     CLAMPED = "clamped"
+
+
+_PLAIN, _CLAMPED = Variant.PLAIN, Variant.CLAMPED
 
 
 @frozen
@@ -104,7 +113,7 @@ def _iterate(params: HardyParams, pq: Powers, cap: int,
     steps = [StepRecord(0, tau1, tau2)]
 
     # only the first cycle of the clamped variant is clamped
-    clamp = variant is Variant.CLAMPED
+    clamp = variant is _CLAMPED
     for j in range(1, cap + 1):
         tau2 = tau1 * q + 2.0
         clamped2 = False
@@ -112,7 +121,7 @@ def _iterate(params: HardyParams, pq: Powers, cap: int,
             tau2, clamped2 = seed2, True
         if tau2 <= t2_minus:
             steps.append(StepRecord(j, tau1, tau2, False, clamped2, True))
-            cert = Certificate(CertificateKind.CROSSED_TAU2, j, tau2, t2_minus)
+            cert = Certificate(_TAU2, j, tau2, t2_minus)
             return IterationTrace(variant, params, pq, steps, cert)
 
         prev1 = tau1
@@ -123,26 +132,26 @@ def _iterate(params: HardyParams, pq: Powers, cap: int,
         clamp = False
         steps.append(StepRecord(j, tau1, tau2, clamped1, clamped2))
         if tau1 <= t1_minus:
-            cert = Certificate(CertificateKind.CROSSED_TAU1, j, tau1, t1_minus)
+            cert = Certificate(_TAU1, j, tau1, t1_minus)
             return IterationTrace(variant, params, pq, steps, cert)
         if abs(tau1 - prev1) <= STALL_TOL:
-            cert = Certificate(CertificateKind.STALLED, j, tau1, t1_minus)
+            cert = Certificate(_STALLED, j, tau1, t1_minus)
             return IterationTrace(variant, params, pq, steps, cert)
         if abs(tau1) > RUNAWAY_LIMIT:
-            cert = Certificate(CertificateKind.CAP_REACHED, j, tau1, t1_minus)
+            cert = Certificate(_CAP, j, tau1, t1_minus)
             return IterationTrace(variant, params, pq, steps, cert)
 
-    cert = Certificate(CertificateKind.CAP_REACHED, cap, tau1, t1_minus)
+    cert = Certificate(_CAP, cap, tau1, t1_minus)
     return IterationTrace(variant, params, pq, steps, cert)
 
 
 def iterate_plain(params: HardyParams, pq: Powers,
                   cap: int = DEFAULT_CAP) -> IterationTrace:
     """Run the unclamped bootstrap; crossing checks after every half-step."""
-    return _iterate(params, pq, cap, Variant.PLAIN)
+    return _iterate(params, pq, cap, _PLAIN)
 
 
 def iterate_clamped(params: HardyParams, pq: Powers,
                     cap: int = DEFAULT_CAP) -> IterationTrace:
     """Run the bootstrap with the first cycle clamped by the seed exponents."""
-    return _iterate(params, pq, cap, Variant.CLAMPED)
+    return _iterate(params, pq, cap, _CLAMPED)

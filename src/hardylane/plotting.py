@@ -8,18 +8,21 @@ p horizontal, q vertical (increasing upward).
 Cell text is formatted once per distinct value: per column, per row, per
 region code present and, in the CSV, per distinct margin.  Each list of
 coordinates is formatted by one %-format over a numpy array.  A file is
-its head, then the cells one block of whole grid rows (about _BLOCK_CELLS
-cells) at a time, then its tail.  In the SVG, the cells of a run of equal
-codes within a row share their y and fill text, so one join writes the
-run with that text as the separator.  In the CSV, fancy indexing lays out
-the pieces of a block's lines in an object array and one join makes its
-text; margins are told apart and formatted per block of at most
-regions._FIELD_BLOCK_CELLS cells, which bounds the CSV's memory.  So no
-Python runs per cell.  emit_csv and emit_svg write each block as it is
-joined, so a file is never held whole in memory; render_svg joins the
-same blocks into one string.  Every check runs before the first block,
-so a rejected grid opens no file.  Code-indexed lookups are built only
-after _regions_present has rejected CODE_INVALID.
+its head, then its cells, then its tail.  The cells are handled in two
+sizes of block, both whole grid rows.  A table block, at most
+regions._FIELD_BLOCK_CELLS cells (the whole grid at 200x200), is scanned
+by numpy once: the SVG finds its runs of equal codes, the CSV its
+distinct margins and the text of each, which bounds the CSV's memory.  A
+text block, about _BLOCK_CELLS cells, is joined and written at once.  In
+the SVG, the cells of a run of equal codes within a row share their y and
+fill text, so one join writes the run with that text as the separator.
+In the CSV, fancy indexing lays out the pieces of a text block's lines in
+an object array and one join makes its text.  So no Python runs per cell.
+emit_csv and emit_svg write each text block as it is joined, so a file is
+never held whole in memory; render_svg joins the same blocks into one
+string.  Every check runs before the first block, so a rejected grid
+opens no file.  Code-indexed lookups are built only after
+_regions_present has rejected CODE_INVALID.
 
 Marked corner points (present when inside the plotted ranges):
 
@@ -81,8 +84,8 @@ _PLOT_W, _PLOT_H = 560.0, 560.0
 # At 200x200 (2 cores, four plot-grid windows, SVG rects joined by runs),
 # 3,200-cell blocks (272 KB) took about 1,850 minor faults per `hardylane
 # plot` and 1,400-cell blocks about 590 (the SVG alone: 1,470 and 370); a
-# plot ran about 5 ms faster.  Classification has its own block size
-# (regions._FIELD_BLOCK_CELLS).
+# plot ran about 5 ms faster.  Table blocks take classification's block
+# size (regions._FIELD_BLOCK_CELLS).
 _BLOCK_CELLS = 1400
 
 
@@ -281,6 +284,12 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
                         "\n".join(tail) + "\n")
 
 
+def _block_rows(res: int) -> Tuple[int, int]:
+    """Grid rows per table block and per text block at resolution res (the
+    module docstring says what each is)."""
+    return max(1, _FIELD_BLOCK_CELLS // res), max(1, _BLOCK_CELLS // res)
+
+
 def _rect_blocks(head: str, x_text: List[str], y_text: List[str],
                  fills: Dict[int, str], codes: np.ndarray,
                  tail: str) -> Iterator[str]:
@@ -290,13 +299,16 @@ def _rect_blocks(head: str, x_text: List[str], y_text: List[str],
     The cells of a run of equal codes within a row share their last two
     pieces, so one join with those as the separator writes the run.  Runs
     start where the flattened codes change and at each row's first cell.
-    The text is joined one block of whole grid rows at a time.
+    They are found by one numpy pass over each table block; their rows,
+    columns, ends and codes become Python lists, and their text is joined,
+    one text block at a time, so a grid of short runs holds one text
+    block's lists.
     """
     yield head
     res = len(x_text)
-    step = max(1, _BLOCK_CELLS // res)
-    for top in range(0, len(y_text), step):
-        flat = codes[top:top + step].ravel()
+    table_rows, step = _block_rows(res)
+    for top in range(0, len(y_text), table_rows):
+        flat = codes[top:top + table_rows].ravel()
         # edges[k] is where run k starts; first[::res] marks each row's
         # first cell and, the block being whole rows, its end
         first = np.empty(flat.size + 1, dtype=bool)
@@ -304,14 +316,18 @@ def _rect_blocks(head: str, x_text: List[str], y_text: List[str],
         first[::res] = True
         edges = np.flatnonzero(first)
         rows, cols = np.divmod(edges[:-1], res)
-        ends = edges[1:] - rows * res
-        text: List[str] = []
-        for i, a, b, code in zip((rows + top).tolist(), cols.tolist(),
-                                 ends.tolist(), flat[edges[:-1]].tolist()):
-            shared = y_text[i] + fills[code]
-            text.append(shared.join(x_text[a:b]))
-            text.append(shared)
-        yield "".join(text)
+        runs = np.stack((rows + top, cols, edges[1:] - rows * res,
+                         flat[edges[:-1]]))
+        # each row starts a run: text block k begins with the run that
+        # starts row k * step
+        bounds = np.flatnonzero(cols == 0)[::step].tolist() + [cols.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            text: List[str] = []
+            for i, a, b, code in zip(*runs[:, lo:hi].tolist()):
+                shared = y_text[i] + fills[code]
+                text.append(shared.join(x_text[a:b]))
+                text.append(shared)
+            yield "".join(text)
     yield tail
 
 
@@ -375,27 +391,24 @@ def _csv_lines(p_text: np.ndarray, q_text: np.ndarray, labels: np.ndarray,
     """The header, then the line of each grid cell in row-major order.
 
     The line of cell (i, j) is p_text[j], q_text[i], labels[codes[i, j]],
-    then the text of margins[i, j].  Each distinct margin of a block of
-    whole rows, at most _FIELD_BLOCK_CELLS cells, is formatted once: many
-    margins depend on p or q alone (half-planes, the p, q > 1 gate), so a
-    region plot holds far fewer distinct margins than cells, and a grid
-    whose margins are nearly all distinct holds one block's texts at a
-    time.  Margins are told apart by bit pattern, which keeps 0.0 and -0.0
-    apart.  The pieces are laid out by indexing in an object array and
-    joined _BLOCK_CELLS cells (whole rows) at a time, with no Python per
-    cell.
+    then the text of margins[i, j].  Each distinct margin of a table block
+    is formatted once (_margin_table): many margins depend on p or q alone
+    (half-planes, the p, q > 1 gate), so a region plot holds far fewer
+    distinct margins than cells, and a grid whose margins are nearly all
+    distinct holds one table block's texts at a time.  Margins are told
+    apart by bit pattern, which keeps 0.0 and -0.0 apart.  The pieces of
+    each text block are laid out by indexing in an object array and
+    joined at once, with no Python per cell.
     """
     yield "p,q,verdict,citation,margin\n"
     res = len(p_text)
-    step = max(1, _BLOCK_CELLS // res)
-    table_rows = max(1, _FIELD_BLOCK_CELLS // res)
+    table_rows, step = _block_rows(res)
     for top in range(0, len(q_text), table_rows):
         block = np.ascontiguousarray(margins[top:top + table_rows],
                                      dtype=np.float64)
-        bits, which = np.unique(block.view(np.int64), return_inverse=True)
+        bits, which = _margin_table(block.view(np.int64))
         margin_text = np.array(_texts("%.12g\n", bits.view(np.float64)),
                                dtype=object)
-        which = which.reshape(block.shape)
         for start in range(0, len(block), step):
             rows = slice(top + start, top + min(start + step, len(block)))
             cells = np.empty((rows.stop - rows.start, res, 4), dtype=object)
@@ -404,6 +417,36 @@ def _csv_lines(p_text: np.ndarray, q_text: np.ndarray, labels: np.ndarray,
             cells[..., 2] = labels[codes[rows]]
             cells[..., 3] = margin_text[which[start:start + step]]
             yield "".join(cells.ravel().tolist())
+
+
+def _margin_table(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """np.unique(bits, return_inverse=True), the inverse shaped like bits.
+
+    bits is a 2-D int64 array.  Every distinct value heads a run of equal
+    values, so only the run heads are sorted: those of the runs in
+    row-major order or in column-major order, whichever has fewer.  The
+    inverse repeats each head's index over its run.
+    """
+    flat = bits.ravel()
+    heads = _run_heads(flat)
+    flat_t = bits.T.ravel()
+    heads_t = _run_heads(flat_t)
+    transposed = heads_t.size < heads.size
+    if transposed:
+        flat, heads = flat_t, heads_t
+    table, head_which = np.unique(flat[heads], return_inverse=True)
+    which = np.repeat(head_which, np.diff(heads, append=flat.size))
+    if transposed:
+        return table, which.reshape(bits.shape[::-1]).T
+    return table, which.reshape(bits.shape)
+
+
+def _run_heads(flat: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the 1-D array flat starts."""
+    head = np.empty(flat.size, dtype=bool)
+    head[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=head[1:])
+    return np.flatnonzero(head)
 
 
 def _texts(template: str, values: np.ndarray) -> List[str]:

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.iteration import (CertificateKind, iterate_clamped,
                                  iterate_plain)
-from oracles import affine_fixed_point, claim1_check, crossing_step_bound
+from oracles import (affine_fixed_point, claim1_check, crossing_step_bound,
+                     decimal_roots)
 
 
 class TestPlainIteration:
@@ -217,3 +219,45 @@ class TestAffineStructure:
     def test_bound_requires_supercritical(self):
         with pytest.raises(DomainValidationError):
             crossing_step_bound(HardyParams(5, -2.0, 0.0), Powers(0.5, 1.0))
+
+
+def _decimal_replay(N, mu1, mu2, p, q):
+    """(kind, step, value) of the plain bootstrap in 60-digit decimals, from
+    the roots of decimal_roots."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        tau1, t1_minus = decimal_roots(N, mu1)
+        _, t2_minus = decimal_roots(N, mu2)
+        p, q = decimal.Decimal(p), decimal.Decimal(q)
+        for j in range(1, 100):
+            tau2 = tau1 * q + 2
+            if tau2 <= t2_minus:
+                return CertificateKind.CROSSED_TAU2, j, tau2
+            tau1 = tau2 * p + 2
+            if tau1 <= t1_minus:
+                return CertificateKind.CROSSED_TAU1, j, tau1
+    raise AssertionError("the replay does not cross")
+
+
+def test_certificate_value_holds_against_a_decimal_replay():
+    # a T1.ii point of sweep-certify (seed 73, point 108) whose bootstrap
+    # multiplies a root's error by about q (pq)^4 = 5e9 before it crosses:
+    # the program's value lies 4.2e-10 from the 60-digit replay, while
+    # float roots computed as -h + sqrt(mu + h^2), which cancel, put the
+    # crossing 2.4e-8 away
+    N, mu1, mu2 = 8, -1.2651558292163454, 2.9072935349960254
+    p, q = 15.07068459647914, 9.811812754140002
+    kind, step, exact = _decimal_replay(N, mu1, mu2, p, q)
+    assert (kind, step) == (CertificateKind.CROSSED_TAU2, 5)
+    outcome = iterate_plain(HardyParams(N, mu1, mu2), Powers(p, q)).outcome
+    assert (outcome.kind, outcome.step) == (kind, step)
+    rel = abs((decimal.Decimal(outcome.value) - exact) / exact)
+    assert rel <= decimal.Decimal("1e-9")
+
+    h = (N - 2) / 2
+    tau1 = -h + math.sqrt(mu1 + h * h)
+    for _ in range(step - 1):
+        tau1 = (tau1 * q + 2.0) * p + 2.0
+    cancelled = tau1 * q + 2.0
+    assert abs((decimal.Decimal(cancelled) - exact) / exact) \
+        > decimal.Decimal("1e-9")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tracemalloc
@@ -5,11 +6,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylane import _kernels as K
-from hardylane import plotting
+from hardylane import cli, plotting
 from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.plotting import (_MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W,
                                 PlotSpec, critical_curve_points, emit_csv,
@@ -318,13 +319,83 @@ def _column_codes(res):
 
 @pytest.mark.parametrize("grid", [_one_code, _checkerboard, _row_codes,
                                   _column_codes])
-@pytest.mark.parametrize("res", [2, 7, 201])
+@pytest.mark.parametrize("res", [2, 7, 201, 300])
 def test_svg_cells_of_extreme_runs(grid, res):
-    # 201 rows make blocks of 6 rows and a last block of 3
+    # 201 rows make text blocks of 6 rows and a last one of 3; 300 rows make
+    # two table blocks, of 218 and 82 rows, each scanned for runs on its own
     codes = grid(res)
     spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
                     resolution=res)
     assert_svg_cells(render_svg(codes, spec), codes, res)
+
+
+# sha256 of `hardylane plot` at res 200 over (0.1, 8.0)^2, the files of
+# the benchmark's plot-grid windows, taken before the emitters scanned
+# whole table blocks for runs
+PLOT_GRID_SHA256 = {
+    (-2.0, -2.0): (
+        "0e63d34824644b60666a878358ef7b496a5ac7fb8c1ad95be9b8235aa16c2b58",
+        "d9c16009af2591ff96cb41502d24977335250b8d3ff56d759155b8bfb51403b9"),
+    (-2.0, 0.0): (
+        "22af438f9a0f8df6fb6264894c11947a7ce113f876c5aff9927e1ddb171c5e49",
+        "2db285e57909b60f83a295eae7008953d6429a8a12830bf67061f110b01483b7"),
+    (0.0, -2.0): (
+        "8407b8b5c57cf169c2375216ceba750e2b6c83c247ee204f208266bab520c0d0",
+        "1c8342347595e2c6d6cb11abd125d56deddbe8dfc179744668cf9e82abbf734d"),
+    (-2.25, 0.0): (
+        "aa6641f188063c3cba26aaf8346d7fbe4c2a25be71d16239b421c3e9b523f9bf",
+        "aa5cf10e45063114b592b4476cc7bbbf432a5c75d5feb5b356cab89dcc96f739"),
+}
+
+
+@pytest.mark.parametrize("mus", PLOT_GRID_MUS)
+def test_plot_grid_files_keep_their_bytes(mus, tmp_path):
+    prefix = str(tmp_path / "plot")
+    assert cli.main(["plot", "--N", "5", "--mu1", str(mus[0]),
+                     "--mu2", str(mus[1]), "--p-range", "0.1..8.0",
+                     "--q-range", "0.1..8.0", "--res", "200",
+                     "--format", "csv,svg", "--out", prefix]) == 0
+    got = tuple(hashlib.sha256((tmp_path / f"plot.{ext}").read_bytes())
+                .hexdigest() for ext in ("csv", "svg"))
+    assert got == PLOT_GRID_SHA256[mus]
+
+
+# bit patterns of margins that must stay apart: 0.0 and -0.0, quiet and
+# signalling NaNs with several payloads and both signs, an infinity
+_SPECIAL_BITS = np.array(
+    [0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+     0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+     0x7FF0000000000000], dtype=np.uint64).view(np.int64).tolist()
+
+
+@st.composite
+def _margin_blocks(draw):
+    """A 2-D int64 block of margin bits, constant over tiles of a rows by
+    b columns: a = 1 and b = the width give runs along rows, a = the
+    height and b = 1 runs along columns, both large runs both ways."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    a, b = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+    pool = draw(st.lists(st.sampled_from(_SPECIAL_BITS)
+                         | st.integers(-2**63, 2**63 - 1),
+                         min_size=1, max_size=6))
+    tiles = np.array(draw(st.lists(st.sampled_from(pool),
+                                   min_size=rows * cols,
+                                   max_size=rows * cols)),
+                     dtype=np.int64).reshape(rows, cols)
+    i, j = np.indices((rows, cols))
+    return tiles[i // a, j // b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_margin_blocks())
+@example(np.array([_SPECIAL_BITS * 2], dtype=np.int64))      # one row
+@example(np.array([_SPECIAL_BITS * 2], dtype=np.int64).T)    # one column
+def test_margin_table_is_np_unique(bits):
+    table, which = plotting._margin_table(bits)
+    want, inverse = np.unique(bits, return_inverse=True)
+    assert table.dtype == want.dtype and np.array_equal(table, want)
+    assert which.dtype == inverse.dtype
+    assert np.array_equal(which, inverse.reshape(bits.shape))
 
 
 @pytest.mark.parametrize("title", ["A & B", "N=5 mu1<0", "p > q && q < p",
