@@ -39,12 +39,19 @@ finite-difference oracle at sample radii.  Failures are reported, never
 masked.  Each candidate gets one verification pass: u, v, Lu and Lv are
 evaluated once on the grid, the scale scan computes slack minima only,
 and the report, cross-check included, is built for the accepted scale
-alone.  The cross-check's sample radii and stencil are built once per
-grid and shared, and u and v go through one stacked finite-difference
-pass.  No numpy call is made that does no arithmetic: _term_sums skips
-the zeros and the products by +-1, the slacks at t = 1.0 use Lu, Lv, u
-and v unscaled, and a call without a grid uses one default grid built at
-import.  The bits are those of the plain arithmetic.
+alone.  The scan decides with the least work: a pair that is not finite
+and positive fails before its images are built; an image Lu or Lv that
+is negative somewhere fails before any scale is tried, since t L stays
+negative at every power of two t and the slack t L - (t w)^s is below
+it; then at each scale the v-slack is computed first, and the u-slack
+only where the v-slack passes.  The cross-check's sample radii, stencil
+and finite-difference denominators are built once per grid and shared,
+and u and v go through one stacked finite-difference pass.  No numpy
+call is made that does no arithmetic: _term_sums skips the zeros and the
+products by +-1, the slacks at t = 1.0 use Lu, Lv, u and v unscaled, and
+a call without a grid uses one default grid built at import.  The bits
+are those of the plain arithmetic, and of computing both slacks at every
+scale.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
@@ -291,7 +298,8 @@ def _images(cand: SupersolutionCandidate
 
 def _finite_positive(vals: np.ndarray) -> bool:
     """Every value finite and positive; NaN fails both comparisons."""
-    return vals.min() > 0.0 and vals.max() < math.inf
+    return (np.minimum.reduce(vals) > 0.0
+            and np.maximum.reduce(vals) < math.inf)
 
 
 def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
@@ -326,9 +334,10 @@ def _pair_defect(cand: SupersolutionCandidate, radii: np.ndarray) -> str:
 
 @functools.lru_cache(maxsize=8)
 def _oracle_stencil(r_min: float, r_max: float
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The operator cross-check's (r, h, stencil), from _fd_stencil, for a
-    grid with bounds [r_min, r_max]; every array is shared and read-only.
+                    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """The operator cross-check's (geometry, stencil), from _fd_stencil,
+    for a grid with bounds [r_min, r_max]; every array is shared and
+    read-only.  geometry[0] holds the sample radii r.
 
     The ORACLE_SAMPLES sample radii r are log-spaced over
     [max(r_min, r_max/4), 0.85 r_max] with step h = min(ORACLE_STEP, r/8).
@@ -337,10 +346,11 @@ def _oracle_stencil(r_min: float, r_max: float
     most recent grids are kept.
     """
     radii = log_radii(max(r_min, 0.25 * r_max), r_max * 0.85, ORACLE_SAMPLES)
-    r, h, points = _fd_stencil(radii, np.minimum(ORACLE_STEP, radii / 8.0))
-    h.flags.writeable = False
-    points.flags.writeable = False
-    return r, h, points
+    geometry, points = _fd_stencil(radii,
+                                   np.minimum(ORACLE_STEP, radii / 8.0))
+    for arr in geometry + (points,):
+        arr.flags.writeable = False
+    return geometry, points
 
 
 def _oracle_deviation(cand: SupersolutionCandidate,
@@ -361,35 +371,42 @@ def _oracle_deviation(cand: SupersolutionCandidate,
     skipped, not propagated into the maximum.
     """
     params = cand.params
-    r, h, points = _oracle_stencil(grid.r_min, grid.r_max)
+    geometry, points = _oracle_stencil(grid.r_min, grid.r_max)
     # shape (5, 2, n): one row per stencil offset holding u's values, then
     # v's; contiguous, which numpy runs faster than a transposed stack
     values = np.concatenate((_term_sums(cand.u, points, False)[0],
                              _term_sums(cand.v, points, False)[0]),
                             axis=1).reshape(5, 2, -1)
     fd = _fd_hardy(params.N, np.array(((params.mu1,), (params.mu2,))),
-                   values, r, h)
-    (sym_u, mag_u), (sym_v, mag_v) = [_term_sums(image, r, True)
+                   values, geometry)
+    (sym_u, mag_u), (sym_v, mag_v) = [_term_sums(image, geometry[0], True)
                                       for image in images]
     sym, mag = np.array((sym_u, sym_v)), np.array((mag_u, mag_v))
     dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
     return max(0.0, float(np.fmax.reduce(dev, axis=None)))
 
 
-def _grid_slacks(cand: SupersolutionCandidate, t: float,
-                 u_vals: np.ndarray, v_vals: np.ndarray,
-                 lu: np.ndarray, lv: np.ndarray) -> Tuple[float, float]:
-    """Minima of the two scaled inequality slacks over the grid.
+def _slack_min(t: float, image: np.ndarray, vals: np.ndarray,
+               s: float) -> float:
+    """min over the grid of one scaled inequality slack t L - (t w)^s,
+    from the image L = Lu or Lv and the other function's values w.
 
     An image that overflows gives an infinite slack, or a NaN one (inf -
-    inf); a NaN makes that minimum NaN.  Callers turn overflow and
+    inf); a NaN makes the minimum NaN.  Callers turn overflow and
     invalid-value warnings off.
     """
     if t != 1.0:  # 1.0 * x is x: the scan's first scale multiplies nothing
-        u_vals, v_vals, lu, lv = t * u_vals, t * v_vals, t * lu, t * lv
-    slack_u = lu - np.power(v_vals, cand.pq.p)
-    slack_v = lv - np.power(u_vals, cand.pq.q)
-    return float(slack_u.min()), float(slack_v.min())
+        image, vals = t * image, t * vals
+    return float(np.minimum.reduce(image - np.power(vals, s)))
+
+
+def _grid_slacks(cand: SupersolutionCandidate, t: float,
+                 u_vals: np.ndarray, v_vals: np.ndarray,
+                 lu: np.ndarray, lv: np.ndarray) -> Tuple[float, float]:
+    """Minima of the two scaled inequality slacks over the grid: of
+    t Lu - (t v)^p, then of t Lv - (t u)^q."""
+    return (_slack_min(t, lu, v_vals, cand.pq.p),
+            _slack_min(t, lv, u_vals, cand.pq.q))
 
 
 def _slack_defect(radii: np.ndarray, t: float, min_u: float, min_v: float,
@@ -405,10 +422,10 @@ def _slack_defect(radii: np.ndarray, t: float, min_u: float, min_v: float,
     return ""
 
 
-def _slacks_ok(min_u: float, min_v: float) -> bool:
-    """Both slack minima finite and nonnegative: the scaled pair passes."""
-    return (math.isfinite(min_u) and math.isfinite(min_v)
-            and min_u >= 0.0 and min_v >= 0.0)
+def _slack_ok(min_slack: float) -> bool:
+    """A slack minimum finite and nonnegative; NaN fails both comparisons.
+    The scaled pair passes when both of its minima do."""
+    return 0.0 <= min_slack < math.inf
 
 
 def _report(cand: SupersolutionCandidate, grid: RadialGrid, t: float,
@@ -418,7 +435,8 @@ def _report(cand: SupersolutionCandidate, grid: RadialGrid, t: float,
     _, _, lu, lv, images = evaluated
     dev = _oracle_deviation(cand, images, grid)
     return VerificationReport(
-        ok=_slacks_ok(min_u, min_v), min_slack_u=min_u, min_slack_v=min_v,
+        ok=_slack_ok(min_u) and _slack_ok(min_v),
+        min_slack_u=min_u, min_slack_v=min_v,
         grid=grid, oracle_max_dev=dev, oracle_exceeded=dev > ORACLE_DEV_LIMIT,
         positivity_ok=True,
         diagnostic=_slack_defect(grid.radii, t, min_u, min_v, lu, lv))
@@ -469,13 +487,27 @@ def find_scale(cand: SupersolutionCandidate,
     Both slacks have the pointwise form a(r) t - b(r) t^s with s > 1 and
     a, b >= 0 where the recipe is valid, so acceptance is monotone in t and
     the first hit of the descending scan is the largest accepted scale.
-    The scan evaluates u, v, the symbolic images and their values once,
-    with overflow warnings off, and computes the slack minima only; the
-    report is built for the accepted scale alone, by _report (including
-    the operator cross-check on the grid's shared oracle stencil, which
-    reuses the images), the same as verify_on_grid's.  Returns None when
-    no scale verifies: either the hypothesis is violated or the grid is
-    too coarse, or u or v is not positive or not finite on the grid;
+    u, v, the symbolic images and their values are evaluated once, with
+    overflow warnings off, and each scale is decided with the least work:
+
+      1. u or v not finite and positive on the grid: None, no image built;
+      2. an image Lu or Lv negative somewhere, by the test
+         SCALE_SCAN[-1] * min(L) < 0: None, no scale tried.  Where L < 0,
+         t L is L times a power of two no smaller than SCALE_SCAN[-1], and
+         rounding is monotone, so t L <= SCALE_SCAN[-1] L < 0 at every
+         scan scale; taking the nonnegative (possibly infinite) (t w)^s
+         from it keeps the slack negative, so every scale would fail.  A
+         NaN minimum fails the test, and a NaN image is scanned;
+      3. at each scale, the v-slack minimum, then, only if it is finite
+         and nonnegative, the u-slack minimum; the first scale where both
+         are is accepted.
+
+    The report is built for the accepted scale alone, by _report
+    (including the operator cross-check on the grid's shared oracle
+    stencil, which reuses the images), the same as verify_on_grid's, bit
+    for bit: the minima are the same _slack_min expressions.  Returns None
+    when no scale verifies: either the hypothesis is violated or the grid
+    is too coarse, or u or v is not positive or not finite on the grid;
     callers decide, nothing is masked.
     """
     if grid is None:
@@ -485,10 +517,18 @@ def find_scale(cand: SupersolutionCandidate,
         if evaluated is None:
             return None
         u_vals, v_vals, lu, lv, _ = evaluated
+        p, q = cand.pq.p, cand.pq.q
+        # t L - (t w)^s <= t L < 0 where L < 0, at every scale (step 2)
+        last = SCALE_SCAN[-1]
+        if (last * np.minimum.reduce(lu) < 0.0
+                or last * np.minimum.reduce(lv) < 0.0):
+            return None
         for t in SCALE_SCAN:
-            minima = _grid_slacks(cand, t, u_vals, v_vals, lu, lv)
-            if _slacks_ok(*minima):
-                break
+            min_v = _slack_min(t, lv, u_vals, q)
+            if _slack_ok(min_v):
+                min_u = _slack_min(t, lu, v_vals, p)
+                if _slack_ok(min_u):
+                    break
         else:
             return None
-    return t, _report(cand, grid, t, *minima, evaluated)
+    return t, _report(cand, grid, t, min_u, min_v, evaluated)

@@ -12,10 +12,12 @@ its head, then its cells, then its tail.  The cells are handled in two
 sizes of block, both whole grid rows.  A table block, at most
 regions._FIELD_BLOCK_CELLS cells (the whole grid at 200x200), is scanned
 by numpy once: the SVG finds its runs of equal codes, the CSV its
-distinct margins and the text of each, which bounds the CSV's memory.  A
-text block, about _BLOCK_CELLS cells, is joined and written at once.  In
-the SVG, the cells of a run of equal codes within a row share their y and
-fill text, so one join writes the run with that text as the separator.
+distinct margins and the text of each, which bounds the CSV's memory.
+Before either, _regions_present counts the codes one table block at a
+time, so no pass copies the whole grid.  A text block, about _BLOCK_CELLS
+cells, is joined and written at once.  In the SVG, the cells of a run of
+equal codes within a row share their y and fill text, so one join writes
+the run with that text as the separator.
 In the CSV, fancy indexing lays out the pieces of a text block's lines in
 an object array and one join makes its text.  So no Python runs per cell.
 emit_csv and emit_svg write each text block as it is joined, so a file is
@@ -351,14 +353,21 @@ def _by_code(texts: Dict[int, str]) -> np.ndarray:
 def _regions_present(codes: np.ndarray) -> Dict[int, RegionClass]:
     """The region of each code in the grid, in ascending code order.
 
-    The codes present are the nonzero counts of one np.bincount, shifted
-    so that CODE_INVALID, the smallest code, counts at 0 and raises in
-    _wrap.  Its callers read only the verdict and the citation, which no
-    flags value changes, so every code is wrapped with flags 0.
+    The codes present are the nonzero counts of one np.bincount per table
+    block, shifted so that CODE_INVALID, the smallest code, counts at 0
+    and raises in _wrap; per block, the shifted copy and bincount's cast
+    to intp hold one block, not the grid.  Its callers read only the
+    verdict and the citation, which no flags value changes, so every code
+    is wrapped with flags 0.
     """
-    counts = np.bincount((codes - K.CODE_INVALID).ravel())
+    present = set()
+    table_rows = _block_rows(codes.shape[1])[0]
+    for top in range(0, len(codes), table_rows):
+        counts = np.bincount((codes[top:top + table_rows]
+                              - K.CODE_INVALID).ravel())
+        present.update(np.flatnonzero(counts).tolist())
     return {code: _wrap(code, 0.0, 0)
-            for code in (np.flatnonzero(counts) + K.CODE_INVALID).tolist()}
+            for code in sorted(c + K.CODE_INVALID for c in present)}
 
 
 def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:

@@ -99,8 +99,8 @@ def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
     stencil once and stacks their values for one _fd_hardy pass.
     """
     mu = HardyParams(N, mu, mu).mu1
-    r, h, points = _fd_stencil(r, h)
-    out = _fd_hardy(N, mu, _term_sums(f, points, False)[0], r, h)
+    geometry, points = _fd_stencil(r, h)
+    out = _fd_hardy(N, mu, _term_sums(f, points, False)[0], geometry)
     return float(out) if out.ndim == 0 else out
 
 

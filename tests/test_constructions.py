@@ -1,7 +1,9 @@
 import ast
+import hashlib
 import itertools
 import math
 import pathlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import hardylane
 from hardylane import boundaries as bd
-from hardylane import constructions
+from hardylane import cli, constructions
 from hardylane.constructions import (CASE_IDS, LINE_TOL, ORACLE_DEV_LIMIT,
                                      ORACLE_SAMPLES, ORACLE_STEP, SCALE_SCAN,
                                      SupersolutionCandidate,
@@ -133,6 +135,64 @@ GOLDEN_VERIFY = (
 )
 
 
+#: r_min of the default grid and of two grids reaching toward 0.
+GRID_R_MINS = (1e-6, 1e-30, 1e-100)
+
+#: sha256 of `hardylane verify`'s JSON at each GOLDEN point, in GOLDEN's
+#: order, on the grids of GRID_R_MINS.
+GOLDEN_VERIFY_JSON = (
+    ("e37fd7ca87abfcc30bc7fe583b6da37ae9d468b8056cb617913e8ce624cc194a",
+     "774cafd30ae3106053273d2095bcaf5046298c1f725527edce42611c5280c8ab",
+     "4a6031ea04a6a51aa9153623223a8f60d3387082e57857c05141edc544ddec84"),
+    ("47956c4433426432f1b3ea0bc45c4a669af536da78b694e756bc2c13ee960fbc",
+     "3b8b6b48df6875e4c1307ffb0770ace29de89072f810f24bb503e0a57dd6b9df",
+     "487ba056177944610f36c0525efd0c24545d289aec33dd69bbc68222598a2df9"),
+    ("5328ff338a57d07ec2f19424ab91d31e678107abac43536e1af18cc3cae0d92b",
+     "4062e33a7d7cfec9c4b487db69ccdb30e964d7538a34100b30ab4453d7646045",
+     "f51de98f2ade367c54b40946b90b8b86ca4ca9368fc52c0679bb5f5bb28f02c4"),
+    ("9e2932eb4a51f153e52add770781c2e9432bd8e0e9a8d378a99af7b702789152",
+     "d8d913f003cfc6cf6d4e8a96f985b49b3aca120974a635930109dc8eaa6debe4",
+     "2b68e2fc1b0f43c6d115de6a111ec6762f1437a6482c9e7b7eb72aa7d13402f7"),
+    ("77664190930b8691026bc05d0ea2e988285e1266c2b9617daec45cc6c4ed3407",
+     "2f84402ca4f6a50df37d8a230cc3e5f07fa47de5e13185af72369e756414b39c",
+     "6851e2081c48082420a718cf52e4cd39accc5084f6c7ebeea3105b666c40cb3e"),
+    ("82c4799a8baa2e52ea5e27a8d32fb4758e4bf2a575fb675b5f431d95c103c04a",
+     "21c926c6ed1cb1df9cd8b8314d8788224ad7dfd44a45e99ec1c3a1052576fb48",
+     "40f1663783079cbfe6ed942849552e3bf476f145820c055ef5162f7f628250a3"),
+    ("f8ee4d78a669fd1b3d1e18dbb2cf909b69124224016b564a6b6e00ee18714a13",
+     "fdda8a7150e085899a13b288d3f366e2319507747210fec3aad71ffc99161ac8",
+     "aa751977b1aa0e917e709ab8abeeed668d2155ab5c1775de0b9a66f1b8298094"),
+    ("5dadc75d38f4b1e58658b689f4618bfb06d7a693e8777b6e569516a3429e784e",
+     "105830b964d663142d29583280f259ab23f52d8acf2fd80301e591319998d7ea",
+     "aa18ee83a308a1207ee9eef9834a8ab76a97025bb15e5f8ca394f8dbad8a4b65"),
+    ("a24e6990122135e323dd236b4cea701e82083546b2a95c04cf6b6a4cf734c87b",
+     "9cb05c8cae14fc7d960b7f9503f46ea15955a7ab1bf0e84bd9572aea638b5411",
+     "e161df8419a0e7fd699fc09991b4314bdd1f26110a979c06a71502700fde3234"),
+    ("77da3b393f3901c1ec03963520a9b003a5e556e577b8d95eb500f693c8046eb1",
+     "d73ca6132f2fc25d79947cbb5f7e64176610293577d89b31d971d69a34c7f831",
+     "215ba68140ed7bb417a18dc6ccfdcbc392d249b836f3944af0baf3fbda52f3db"),
+)
+
+#: The C3 log points of ROADMAP item 2, Step A, whose grid scale differs
+#: from the closed form's, with that scale: at N = 4 on 1e-100 the 512
+#: radii step over the u-slack's minimum and accept t = 0.5 above
+#: t_max = 0.499935; at N = 3 on 1e-30 the rounded q rejects t = 1.  Then
+#: GOLDEN's C6 on 1e-100, whose scan meets NaN slacks before t = 0.25.
+KNOWN_GRID_SCALES = (
+    ("C3", (4, -0.42342064925840817, 0.0, 5.951086995533937,
+            8.31007286209953), 1e-100, 0.5),
+    ("C3", (3, -0.2164895756882088, 0.0, 3.0454092829132895,
+            6.310313324237998), 1e-30, 0.5),
+    ("C6", (5, -2.0, -2.0, 2.0, 3.0), 1e-100, 0.25),
+)
+
+#: sha256 of `hardylane verify`'s JSON at KNOWN_GRID_SCALES' C3 points.
+KNOWN_VERIFY_JSON = (
+    "aac802c2f6d5b215153e388df1a668c68ac0f5749ff155c7d7e113a12fb51f6c",
+    "a6fecd2f60a45a4b58fdd8c41adc1f9323d8a7047b3818f33f8df919f67ad49c",
+)
+
+
 def exponents_of(f):
     return [(t.tau, t.log_power, t.coeff) for t in f.terms]
 
@@ -206,9 +266,11 @@ def verify_reference(cand, t, grid, h=1e-4, samples=16):
                               positivity_ok=True)
 
 
-def find_scale_reference(cand):
-    """Reference: the descending scan, re-verified by verify_reference."""
-    grid = default_grid()
+def find_scale_reference(cand, grid=None):
+    """Reference: the descending scan over both slacks at every scale,
+    re-verified by verify_reference, on grid (default_grid() if None)."""
+    if grid is None:
+        grid = default_grid()
     radii = np.geomspace(grid.r_min, grid.r_max, grid.count)
     params = cand.params
     u_vals = values(cand.u, radii)
@@ -403,8 +465,6 @@ class TestScaleSearch:
         assert find_scale(cand) is None
 
     def test_zero_candidate_fails(self):
-        from dataclasses import replace
-        from hardylane.radial import RadialFunction
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         broken = replace(cand, u=RadialFunction.zero())
         assert find_scale(broken) is None
@@ -506,7 +566,8 @@ class TestVerification:
                          hardy_image(5, 0.0, cand.v))]
         lu[[0, 7]] = math.inf
         min_u, min_v = constructions._grid_slacks(cand, 1.0, u, v, lu, lv)
-        assert constructions._slacks_ok(min_u, min_v)
+        assert constructions._slack_ok(min_u)
+        assert constructions._slack_ok(min_v)
         assert constructions._slack_defect(radii, 1.0, min_u, min_v,
                                            lu, lv) == ""
         assert min_u == (lu - np.power(v, cand.pq.p)).min() < math.inf
@@ -577,6 +638,36 @@ class TestVerification:
         assert tuple((r.min_slack_u.hex(), r.min_slack_v.hex(), r.diagnostic)
                      for r in reports) == bits
 
+    @pytest.mark.parametrize("case, point, r_min, sha", [
+        (c, pt, r_min, sha)
+        for (c, pt, _), shas in zip(GOLDEN, GOLDEN_VERIFY_JSON)
+        for r_min, sha in zip(GRID_R_MINS, shas)] + [
+        (c, pt, r_min, sha)
+        for (c, pt, r_min, _), sha in zip(KNOWN_GRID_SCALES,
+                                          KNOWN_VERIFY_JSON)],
+        ids=[f"{c}-{pt[2]}-{r_min}" for c, pt, _ in GOLDEN
+             for r_min in GRID_R_MINS]
+        + [f"{c}-N{pt[0]}-{r_min}"
+           for c, pt, r_min, _ in KNOWN_GRID_SCALES[:2]])
+    def test_verify_json_bytes(self, case, point, r_min, sha, capsys):
+        # the whole record of `hardylane verify`: scale, minima, oracle
+        # deviation and diagnostic, on grids reaching toward 0
+        N, mu1, mu2, p, q = point
+        assert cli.main(["verify", "--N", str(N), f"--mu1={mu1!r}",
+                         f"--mu2={mu2!r}", f"--p={p!r}", f"--q={q!r}",
+                         "--case", case, f"--r-min={r_min!r}"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("case, point, r_min, t", KNOWN_GRID_SCALES,
+                             ids=[f"{c}-N{pt[0]}-{r_min}"
+                                  for c, pt, r_min, _ in KNOWN_GRID_SCALES])
+    def test_known_grid_scales(self, case, point, r_min, t):
+        N, mu1, mu2, p, q = point
+        cand = build_candidate(case, HardyParams(N, mu1, mu2), Powers(p, q))
+        found = find_scale(cand, default_grid(r_min=r_min))
+        assert found is not None and found[0] == t
+
     @pytest.mark.parametrize("case, point", [
         (c, pt) for c, pt, _, _ in GOLDEN_VERIFY[:10] + GOLDEN_VERIFY[-1:]])
     def test_unit_scale_slacks_are_the_scaled_form(self, case, point):
@@ -602,8 +693,8 @@ class TestVerification:
     def test_oracle_geometry_is_shared_per_grid(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         grid, other = default_grid(), RadialGrid(1e-5, 0.5, 200)
-        geometry = constructions._oracle_stencil(grid.r_min, grid.r_max)
-        for arr in geometry:
+        shared = constructions._oracle_stencil(grid.r_min, grid.r_max)
+        for arr in shared[0] + (shared[1],):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -612,14 +703,17 @@ class TestVerification:
         verify_on_grid(cand, 1.0, grid)
         verify_on_grid(cand, 1.0, other)
         assert constructions._oracle_stencil(grid.r_min, grid.r_max) \
-            is geometry
+            is shared
         second = constructions._oracle_stencil(other.r_min, other.r_max)
-        assert second is not geometry
-        assert second[0].tobytes() == log_radii(
+        assert second is not shared
+        r, twelve_h, four_hh, rr = second[0]
+        assert r.tobytes() == log_radii(
             max(other.r_min, 0.25 * other.r_max), other.r_max * 0.85,
             ORACLE_SAMPLES).tobytes()
-        assert second[1].tobytes() == np.minimum(
-            ORACLE_STEP, second[0] / 8.0).tobytes()
+        h = np.minimum(ORACLE_STEP, r / 8.0)
+        assert (twelve_h.tobytes(), four_hh.tobytes(), rr.tobytes()) == (
+            (12.0 * h).tobytes(), (4.0 * h * h).tobytes(),
+            (r * r).tobytes())
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_requires_finite_positive_scale(self, t):
@@ -811,8 +905,118 @@ WRONG_SIDE = (("C1", A_PARAMS, Powers(2.0, 5.5)),
               ("C1", A_PARAMS, Powers(2, 4)))
 
 
+@st.composite
+def wrong_side_points(draw):
+    """A (case, params, pq) in a nonexistence region next to its case, as
+    the benchmark draws its rejecting points: q above the strip (T1.i),
+    e1 < 0 in regime A or B (T1.ii, T2.ii), e2 < 0 (T2.iii)."""
+    kind = draw(st.sampled_from(("T1.i", "T1.ii", "T2.ii", "T2.iii")))
+    N = draw(st.integers(min_value=3, max_value=6))
+    frac = st.floats(min_value=0.05, max_value=0.95)
+    mu1 = mu_zero(N) * draw(frac)
+    mu2 = draw(st.floats(min_value=0.0, max_value=2.0)) \
+        if kind in ("T1.i", "T1.ii") else mu_zero(N) * draw(frac)
+    params = HardyParams(N, mu1, mu2)
+    t1, t2 = params.roots[0], params.roots[2]
+    q_up = (N + t2) / -t1
+    if kind == "T1.i":
+        case = "C1"
+        q = 1.02 * q_up + 3.0 * draw(st.floats(0.0, 1.0))
+        p = _inside(1.05, 6.0, draw(frac))
+    elif kind in ("T1.ii", "T2.ii"):
+        case = "C1" if kind == "T1.ii" else "C4"
+        lo = max(2.0 / -t1 if kind == "T1.ii" else (2.0 - t2) / -t1, 1.0)
+        q = _inside(1.02 * lo, 0.98 * q_up, draw(frac))
+        p_min = max(1.05, 1.05 * (2.0 - t1) / -(t1 * q + 2.0))  # e1 < 0
+        p = p_min + 3.0 * draw(st.floats(0.0, 1.0))
+    else:
+        case = "C8"
+        lo = max((2.0 - t1) / -t2, 1.0)
+        p = _inside(1.02 * lo, 0.98 * (N + t1) / -t2, draw(frac))
+        q_min = max(1.05, 1.05 * (2.0 - t2) / -(t2 * p + 2.0))  # e2 < 0
+        q = q_min + 3.0 * draw(st.floats(0.0, 1.0))
+    pq = Powers(p, q)
+    assume(classify(params, pq).verdict is Verdict.NONEXISTENCE)
+    return case, params, pq
+
+
+@st.composite
+def off_kernel_candidates(draw):
+    """A C6 candidate whose v is r^a (-ln r) with a in (tau_+(mu2), -1.1):
+    positive on the unit ball, but Lv = c r^(a-2) (-ln r) + c' r^(a-2)
+    with c = -(a - tau_+)(a - tau_-) < 0 < c' = 2a + N - 2, which is
+    -inf + inf = NaN where r^(a-2) overflows, as at r = 1e-100."""
+    N = draw(st.integers(min_value=5, max_value=8))
+    params = HardyParams(
+        N, mu_zero(N) * draw(st.floats(min_value=0.05, max_value=0.95)),
+        mu_zero(N) * draw(st.floats(min_value=0.85, max_value=0.99)))
+    tp2 = params.roots[2]
+    a = _inside(tp2, -1.1, draw(st.floats(min_value=0.05, max_value=0.95)))
+    pq = Powers(*draw(st.tuples(st.floats(min_value=1.05, max_value=6.0),
+                                st.floats(min_value=1.05, max_value=6.0))))
+    cand = build_candidate("C6", params, pq, strict=False)
+    return replace(cand, v=RadialFunction.monomial(1.0, a, log_power=1))
+
+
 class TestAgainstReference:
     """find_scale and verify_on_grid give the reference's bits."""
+
+    def test_find_scale_on_drawn_candidates(self, monkeypatch):
+        # accepting, wrong-side and off-kernel candidates on grids toward
+        # 0: the v-first scan and the negative-image return give the
+        # reference's result, which tries both slacks at every scale.  The
+        # draws are fixed (derandomized), and must reach the negative-image
+        # return (no slack computed) and a NaN image (scanned)
+        slack_min = constructions._slack_min
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return slack_min(*args)
+
+        monkeypatch.setattr(constructions, "_slack_min", counted)
+        seen = {"accepted": 0, "negative_image": 0, "nan_image": 0}
+
+        @given(st.one_of(accepting_points().map(
+                             lambda point: build_candidate(*point)),
+                         log_pair_points().map(
+                             lambda point: build_candidate(*point)),
+                         wrong_side_points().map(
+                             lambda point: build_candidate(*point,
+                                                           strict=False)),
+                         off_kernel_candidates()),
+               st.sampled_from(GRID_R_MINS))
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        def check(cand, r_min):
+            grid = default_grid(r_min=r_min)
+            calls.clear()
+            found = find_scale(cand, grid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = find_scale_reference(cand, grid)
+            assert (found is None) == (ref is None)
+            if found is not None:
+                seen["accepted"] += 1
+                assert found[0].hex() == ref[0].hex()
+                assert report_bits(found[1]) == report_bits(ref[1])
+            radii = grid.radii
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, v = values(cand.u, radii), values(cand.v, radii)
+                if not (np.isfinite(u).all() and np.isfinite(v).all()
+                        and u.min() > 0.0 and v.min() > 0.0):
+                    return
+                params = cand.params
+                lu = values(hardy_image(params.N, params.mu1, cand.u), radii)
+                lv = values(hardy_image(params.N, params.mu2, cand.v), radii)
+            if np.isnan(lu).any() or np.isnan(lv).any():
+                seen["nan_image"] += 1
+                assert calls  # scanned
+            if found is None and not calls:
+                seen["negative_image"] += 1
+                assert (lu < 0.0).any() or (lv < 0.0).any()
+
+        check()
+        assert all(seen.values()), seen
 
     @pytest.mark.parametrize("case, params, pq", ACCEPTING + WRONG_SIDE,
                              ids=[f"{c}-{pq.p}-{pq.q}"

@@ -575,3 +575,22 @@ def test_csv_writer_holds_one_block_of_distinct_margins(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < os.path.getsize(path)
+
+
+def test_codes_present_are_counted_one_table_block_at_a_time():
+    # a whole-grid np.bincount copies the grid to int16 and then to intp:
+    # 22.5 MB at res 1500; per table block it holds one block's copies
+    res = 1500
+    grid = np.linspace(*WINDOW[0], res)
+    codes, _, _ = classify_field(B_PARAMS, grid, grid)
+    rows = _FIELD_BLOCK_CELLS // res
+    want = plotting._regions_present(codes)
+    tracemalloc.start()
+    try:
+        got = plotting._regions_present(codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(got) == list(want) == np.unique(codes).tolist()
+    block = rows * res * (codes.itemsize + np.dtype(np.intp).itemsize)
+    assert peak < 1.25 * block, (peak, block)

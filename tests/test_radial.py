@@ -12,8 +12,9 @@ from hypothesis.extra.numpy import arrays
 import hardylane
 from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
-                              _as_radii, _fd_hardy, _fd_stencil, _term_sums,
-                              default_grid, log_radii)
+                              _as_radii, _fd_hardy, _fd_stencil,
+                              _hardy_image, _term_sums, default_grid,
+                              log_radii)
 from oracles import hardy_fd_oracle, hardy_image, mu_zero, pair_of, values
 
 mono = RadialFunction.monomial
@@ -263,6 +264,26 @@ class TestApplyHardy:
         assert hardy_image(N, mu, mono(1.0, tau_plus)).is_zero
         assert hardy_image(N, mu, mono(1.0, tau_minus)).is_zero
 
+    @given(st.integers(min_value=3, max_value=8),
+           st.floats(min_value=0.0, max_value=5.0), term_lists(),
+           st.booleans())
+    @settings(max_examples=300)
+    def test_image_is_merged_as_from_terms_merges(self, N, mu_off, terms,
+                                                  kernel):
+        # an image of one term or none skips from_terms: it must be what
+        # from_terms makes of it, bits and all; kernel adds r^tau_+, whose
+        # image vanishes, so a two-term f can have a one-term image
+        mu = mu_zero(N) + mu_off
+        tau_plus, tau_minus = pair_of(N, mu)
+        if kernel:
+            terms = terms + [(tau_plus, 0, 1.0)]
+        f = RadialFunction.from_terms(RadialTerm(*t) for t in terms)
+        image = _hardy_image(N, tau_plus, tau_minus, f)
+        merged = RadialFunction.from_terms(image.terms)
+        assert [(t.tau.hex(), t.log_power, t.coeff.hex())
+                for t in image.terms] == \
+            [(t.tau.hex(), t.log_power, t.coeff.hex()) for t in merged.terms]
+
     @given(st.integers(min_value=3, max_value=10))
     @settings(max_examples=20)
     def test_log_kernel_at_double_root(self, N):
@@ -404,7 +425,8 @@ class TestFdOracle:
         else:
             r = np.array([x for x, _ in points])
             h = np.array([x * frac / 8.0 for x, frac in points])
-        r_s, h_s, stencil = _fd_stencil(r, h)
+        geometry, stencil = _fd_stencil(r, h)
+        r_s = geometry[0]
         fs = [RadialFunction.from_terms(RadialTerm(*t) for t in terms)
               for terms in functions]
         mus = [mu + k for k in range(len(fs))]
@@ -414,10 +436,10 @@ class TestFdOracle:
         stacked = _fd_hardy(
             N, per_row,
             np.stack([_term_sums(f, stencil, False)[0] for f in fs], axis=1),
-            r_s, h_s)
+            geometry)
         for f, m, row in zip(fs, mus, stacked):
             alone = _fd_hardy(N, HardyParams(N, m, m).mu1,
-                              _term_sums(f, stencil, False)[0], r_s, h_s)
+                              _term_sums(f, stencil, False)[0], geometry)
             want = np.asarray(hardy_fd_oracle(N, m, f, r, h)).tobytes()
             assert alone.tobytes() == want
             assert row.tobytes() == want
@@ -544,11 +566,12 @@ class TestGrid:
 
 
 #: Formula shapes with one owner each: the 5-point stencil combinations in
-#: radial._fd_hardy and the factored root coefficient
-#: -(tau - tau_+)(tau - tau_-) in radial._hardy_image.
+#: radial._fd_hardy, with their denominators in radial._fd_stencil, and the
+#: factored root coefficient -(tau - tau_+)(tau - tau_-) in
+#: radial._hardy_image.
 _OWNED_FORMULAS = (
     (r"8\.0 \* fp1|8\.0 \* fm1|2\.0 \* f0\b|12\.0 \* h|4\.0 \* h \* h",
-     "radial.py", 2),
+     "radial.py", 3),
     (r"tau_plus\)\s*\*\s*\(|tau_minus\)\s*\*\s*\(", "radial.py", 1))
 
 
