@@ -3,8 +3,11 @@
 dataclass(frozen=True) generates an __init__ that stores each field with
 object.__setattr__, because the class's own __setattr__ refuses to: one
 builtin call per field.  The witness path builds several such records per
-point (RegionClass, HardyParams, Powers, Witness, StepRecord, ...), and
-those calls were a large share of its time.
+point (RegionClass, HardyParams, Powers, Witness, StepRecord, ...), about
+2,900 for a 1,024-point sweep batch.  With stock dataclass(frozen=True)
+in place of frozen, such a batch took 22% longer in process (best of 7
+over 30 batches, 4.25 -> 5.19 ms; 2 cores, CPython 3.11): that is why
+this module exists.
 
 frozen(cls) is dataclass(frozen=True, init=False, ...) plus an __init__
 with the generated one's signature and defaults that stores the fields
@@ -23,10 +26,10 @@ or a whole new __dict__; a __slots__ layout ran about as fast but would
 need its own pickle state to keep the bytes (see CHANGES.md).
 
 Two paths fill instances on object.__new__ without any __init__:
-HardyParams.swapped() and Powers.swapped() store an already checked
-instance's values item by item, and regions._wrap copies a prebuilt field
-dict from its table with one dict.update, then stores the margin over the
-table's placeholder.  Either way the dict holds the same keys, in field
+HardyParams.swapped() stores an already checked instance's values item
+by item, and regions._wrap copies a prebuilt field dict from its table
+with one dict.update, then stores the margin over the table's
+placeholder.  Either way the dict holds the same keys, in field
 order, bound to the same objects as __init__ would leave, and pickle
 writes an instance as its class and that dict, so the pickles are byte
 for byte the same; the tests compare them.
@@ -35,7 +38,6 @@ for byte the same; the tests compare them.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 __all__ = ["frozen"]
 
@@ -49,13 +51,8 @@ def frozen(cls=None, /, **options):
     package needs them.
     """
     def wrap(cls):
-        generated_doc = not cls.__doc__
         cls = dataclasses.dataclass(cls, frozen=True, init=False, **options)
         cls.__init__ = _dict_init(cls)
-        if generated_doc:
-            # what dataclass writes when the class has no docstring
-            cls.__doc__ = cls.__name__ + str(
-                inspect.signature(cls)).replace(" -> None", "")
         return cls
 
     return wrap if cls is None else wrap(cls)

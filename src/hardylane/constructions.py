@@ -48,10 +48,9 @@ only where the v-slack passes.  The cross-check's sample radii, stencil
 and finite-difference denominators are built once per grid and shared,
 and u and v go through one stacked finite-difference pass.  No numpy
 call is made that does no arithmetic: _term_sums skips the zeros and the
-products by +-1, the slacks at t = 1.0 use Lu, Lv, u and v unscaled, and
-a call without a grid uses one default grid built at import.  The bits
-are those of the plain arithmetic, and of computing both slacks at every
-scale.
+products by +-1, and a call without a grid uses one default grid, and
+its radii, built at import.  The bits are those of the plain arithmetic,
+and of computing both slacks at every scale.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
@@ -73,7 +72,7 @@ from . import boundaries as bd
 from ._frozen import frozen
 from .exponents import DomainValidationError, HardyParams, Powers
 from .radial import (RadialFunction, RadialGrid, _fd_hardy, _fd_stencil,
-                     _hardy_image, _term_sums, default_grid, log_radii)
+                     _hardy_image, _term_sums, default_grid)
 
 CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -303,9 +302,10 @@ def _finite_positive(vals: np.ndarray) -> bool:
 
 
 def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
-    """The values of u, v, Lu and Lv at radii that log_radii has checked,
-    then the symbolic images (Lu, Lv); None as soon as u, then v, is not
-    finite and positive there.  Callers turn overflow warnings off."""
+    """The values of u, v, Lu and Lv at a grid's radii, which RadialGrid
+    has checked, then the symbolic images (Lu, Lv); None as soon as u,
+    then v, is not finite and positive there.  Callers turn overflow
+    warnings off."""
     u_vals = _term_sums(cand.u, radii, False)[0]
     if not _finite_positive(u_vals):
         return None
@@ -339,13 +339,16 @@ def _oracle_stencil(r_min: float, r_max: float
     for a grid with bounds [r_min, r_max]; every array is shared and
     read-only.  geometry[0] holds the sample radii r.
 
-    The ORACLE_SAMPLES sample radii r are log-spaced over
-    [max(r_min, r_max/4), 0.85 r_max] with step h = min(ORACLE_STEP, r/8).
-    They depend on the bounds alone, so every candidate verified on a grid
-    shares one geometry, built and checked once; as in log_radii, the few
-    most recent grids are kept.
+    The ORACLE_SAMPLES sample radii r are np.geomspace(max(r_min,
+    r_max/4), 0.85 r_max, ORACLE_SAMPLES), descending where r_min lies
+    above 0.85 r_max, with step h = min(ORACLE_STEP, r/8).  _fd_stencil's
+    check 0 < h < r/4 fails at a radius that is not positive, so they need
+    no other check.  They depend on the bounds alone, so every candidate
+    verified on a grid shares one geometry, built and checked once; the
+    few most recent grids are kept.
     """
-    radii = log_radii(max(r_min, 0.25 * r_max), r_max * 0.85, ORACLE_SAMPLES)
+    radii = np.geomspace(max(r_min, 0.25 * r_max), r_max * 0.85,
+                         ORACLE_SAMPLES)
     geometry, points = _fd_stencil(radii,
                                    np.minimum(ORACLE_STEP, radii / 8.0))
     for arr in geometry + (points,):
@@ -395,18 +398,7 @@ def _slack_min(t: float, image: np.ndarray, vals: np.ndarray,
     inf); a NaN makes the minimum NaN.  Callers turn overflow and
     invalid-value warnings off.
     """
-    if t != 1.0:  # 1.0 * x is x: the scan's first scale multiplies nothing
-        image, vals = t * image, t * vals
-    return float(np.minimum.reduce(image - np.power(vals, s)))
-
-
-def _grid_slacks(cand: SupersolutionCandidate, t: float,
-                 u_vals: np.ndarray, v_vals: np.ndarray,
-                 lu: np.ndarray, lv: np.ndarray) -> Tuple[float, float]:
-    """Minima of the two scaled inequality slacks over the grid: of
-    t Lu - (t v)^p, then of t Lv - (t u)^q."""
-    return (_slack_min(t, lu, v_vals, cand.pq.p),
-            _slack_min(t, lv, u_vals, cand.pq.q))
+    return float(np.minimum.reduce(t * image - np.power(t * vals, s)))
 
 
 def _slack_defect(radii: np.ndarray, t: float, min_u: float, min_v: float,
@@ -475,7 +467,9 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
                 ok=False, min_slack_u=math.nan, min_slack_v=math.nan,
                 grid=grid, oracle_max_dev=math.nan, oracle_exceeded=False,
                 positivity_ok=False, diagnostic=_pair_defect(cand, radii))
-        min_u, min_v = _grid_slacks(cand, t, *evaluated[:4])
+        u_vals, v_vals, lu, lv, _ = evaluated
+        min_u = _slack_min(t, lu, v_vals, cand.pq.p)
+        min_v = _slack_min(t, lv, u_vals, cand.pq.q)
     return _report(cand, grid, t, min_u, min_v, evaluated)
 
 

@@ -164,10 +164,5 @@ class Powers:
                     f"power {name} must be finite and > 0, got {v!r}")
 
     def swapped(self) -> "Powers":
-        """Powers(q, p), without checking again values already checked."""
-        src = self.__dict__
-        out = object.__new__(Powers)
-        state = out.__dict__
-        state["p"] = src["q"]
-        state["q"] = src["p"]
-        return out
+        """Powers(q, p)."""
+        return Powers(self.q, self.p)

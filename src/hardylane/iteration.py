@@ -91,6 +91,12 @@ _PLAIN, _CLAMPED = Variant.PLAIN, Variant.CLAMPED
 
 @frozen
 class IterationTrace:
+    """One bootstrap run: its variant, inputs, cycles and outcome.
+
+    steps[0] holds the seed exponents (cycle 0); outcome says how the run
+    ended.
+    """
+
     variant: Variant
     params: HardyParams
     pq: Powers

@@ -18,7 +18,6 @@ its denominators are built once per set of sample radii.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from typing import Iterable, Tuple, Union
@@ -266,19 +265,23 @@ def _fd_hardy(N: int, mu: ArrayLike, values: np.ndarray,
     """
     r, twelve_h, four_hh, rr = geometry
     fm2, fm1, f0, fp1, fp2 = values
-    d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / twelve_h
+    d1 = (8.0 * fp1 - fp2 - 8.0 * fm1 + fm2) / twelve_h
     d2 = (fp2 - 2.0 * f0 + fm2) / four_hh
-    return -(d2 + (N - 1) / r * d1) + mu / rr * f0
-
-
-def _bounds_error(r_min: float, r_max: float) -> DomainValidationError:
-    return DomainValidationError(
-        f"need 0 < r_min < r_max, both finite, got [{r_min}, {r_max}]")
+    return mu / rr * f0 - (d2 + (N - 1) / r * d1)
 
 
 @frozen
 class RadialGrid:
-    """Logarithmically spaced radii on [r_min, r_max], origin excluded."""
+    """Logarithmically spaced radii on [r_min, r_max], origin excluded.
+
+    The radii, np.geomspace(r_min, r_max, count), are made once per grid,
+    checked once to be positive (_as_radii), so verification evaluates on
+    them without checking again, and kept read-only: writing to them
+    raises ValueError, also on a copied or unpickled grid.  Take a copy to
+    modify them.  They sit in the instance dict beside the three fields,
+    as HardyParams keeps its roots: equality, hashing and repr see only
+    the fields, and equal grids hold equal radii, not one shared array.
+    """
 
     r_min: float
     r_max: float
@@ -287,44 +290,24 @@ class RadialGrid:
     def __post_init__(self):
         # inf passes 0 < r_min < r_max, and geomspace would give inf radii
         if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise _bounds_error(self.r_min, self.r_max)
-        # np.geomspace rejects a float count only when radii are read
+            raise DomainValidationError(
+                f"need 0 < r_min < r_max, both finite, got "
+                f"[{self.r_min}, {self.r_max}]")
+        # np.geomspace rejects a float count, and takes True for 1
         if (not isinstance(self.count, numbers.Integral)
                 or isinstance(self.count, bool)):
             raise DomainValidationError(
                 f"count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise DomainValidationError(f"count must be >= 2, got {self.count}")
+        radii = _as_radii(np.geomspace(self.r_min, self.r_max, self.count))
+        radii.flags.writeable = False
+        self.__dict__["radii"] = radii
 
-    @property
-    def radii(self) -> np.ndarray:
-        """np.geomspace(r_min, r_max, count), as cached by log_radii.
-
-        The array is shared by every grid with the same bounds and count
-        and is read-only: writing to it raises ValueError.  Take a copy to
-        modify it.
-        """
-        return log_radii(self.r_min, self.r_max, self.count)
-
-
-# typed: np.geomspace rejects count=512.0, so it must not hit the entry of 512
-@functools.lru_cache(maxsize=8, typed=True)
-def log_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
-    """np.geomspace(r_min, r_max, count) as a shared, read-only array.
-
-    The few most recent grids are kept: a verification reads the same
-    radii several times.  The radii are checked here, once per grid, by
-    _as_radii (DomainValidationError unless all are positive), so
-    verification evaluates on them without checking again.  An infinite bound raises
-    as it does in RadialGrid, before geomspace would warn and make inf
-    radii.
-    """
-    if math.isinf(r_min) or math.isinf(r_max):
-        raise _bounds_error(r_min, r_max)
-    radii = np.geomspace(r_min, r_max, count)
-    _as_radii(radii)
-    radii.flags.writeable = False
-    return radii
+    def __setstate__(self, state):
+        # deepcopy and unpickling make a writeable copy of the radii
+        self.__dict__.update(state)
+        self.radii.flags.writeable = False
 
 
 def default_grid(count: int = 512, r_min: float = 1e-6) -> RadialGrid:

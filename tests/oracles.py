@@ -7,17 +7,19 @@ function's values alone, the cross-check of the symbolic image.
 claim1_check and crossing_step_bound read a bootstrap trace against the
 affine law of its full cycle.  e3 is the one-bootstrap integrability
 margin, which equals e1 at the threshold.  decimal_roots is the Hardy
-roots' high-precision value.  case_for_region names the construction
-that realizes an existence citation.  svg_cells writes a region plot's
-grid rects one cell at a time.  pair_of, hardy_image and values
-are the roots (tau_+, tau_-), the symbolic image and the term sums of a
-radial function for a coefficient given on its own.
+roots' high-precision value, and exact_sign decides the sign of an
+expression in two square roots exactly.  case_for_region names the
+construction that realizes an existence citation.  svg_cells writes a
+region plot's grid rects one cell at a time.  pair_of, hardy_image and
+values are the roots (tau_+, tau_-), the symbolic image and the term sums
+of a radial function for a coefficient given on its own.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+from fractions import Fraction
 from typing import List
 
 import numpy as np
@@ -50,6 +52,43 @@ def decimal_roots(N: int, mu: float) -> tuple[decimal.Decimal,
         h = decimal.Decimal(N - 2) / 2
         s = (decimal.Decimal(mu) + h * h).sqrt()
         return -h + s, -h - s
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_plus_root(a: Fraction, b: Fraction, d: Fraction) -> int:
+    """The sign of a + b sqrt(d) for rationals a, b and d >= 0, with one
+    squaring where the two terms have opposite signs."""
+    sa, sb = _sign(a), _sign(b) * (d > 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    return sa * _sign(a * a - b * b * d)
+
+
+def exact_sign(a, b, d1, c=0, d2=0) -> int:
+    """The sign (-1, 0 or 1) of a - b sqrt(d1) - c sqrt(d2), decided exactly.
+
+    a, b, c, d1 and d2 are ints, floats or Fractions, with d1, d2 >= 0; a
+    float is read as the binary rational it holds.  With A = a - b sqrt(d1),
+    where A and -c sqrt(d2) have opposite signs, the sign is sign(A) times
+    that of A^2 - c^2 d2 = (a^2 + b^2 d1 - c^2 d2) - 2ab sqrt(d1): at most
+    two squarings on the way, and no rounding anywhere.
+    """
+    a, b, c, d1, d2 = (Fraction(x) for x in (a, b, c, d1, d2))
+    if d1 < 0 or d2 < 0:
+        raise ValueError("exact_sign needs d1, d2 >= 0")
+    s_a = _sign_plus_root(a, -b, d1)
+    s_c = -_sign(c) * (d2 > 0)
+    if s_a == s_c or s_c == 0:
+        return s_a
+    if s_a == 0:
+        return s_c
+    return s_a * _sign_plus_root(a * a + b * b * d1 - c * c * d2,
+                                 -2 * a * b, d1)
 
 
 def ulps_from(x: float, exact: decimal.Decimal) -> float:

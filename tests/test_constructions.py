@@ -21,7 +21,7 @@ from hardylane.constructions import (CASE_IDS, LINE_TOL, ORACLE_DEV_LIMIT,
                                      find_scale, verify_on_grid)
 from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
-                              _term_sums, default_grid, log_radii)
+                              _term_sums, default_grid)
 from hardylane.regions import Verdict, classify
 from oracles import (case_for_region, hardy_fd_oracle, hardy_image,
                      mu_zero, values)
@@ -220,8 +220,8 @@ def oracle_deviation_public(cand, grid):
     """Reference: the operator cross-check one function at a time, one
     hardy_fd_oracle and one value-and-magnitude term sum per function."""
     params = cand.params
-    radii = log_radii(max(grid.r_min, 0.25 * grid.r_max), grid.r_max * 0.85,
-                      ORACLE_SAMPLES)
+    radii = np.geomspace(max(grid.r_min, 0.25 * grid.r_max),
+                         grid.r_max * 0.85, ORACLE_SAMPLES)
     h_r = np.minimum(ORACLE_STEP, radii / 8.0)
     worst = 0.0
     for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
@@ -565,7 +565,8 @@ class TestVerification:
                         (cand.u, cand.v, hardy_image(5, -2.0, cand.u),
                          hardy_image(5, 0.0, cand.v))]
         lu[[0, 7]] = math.inf
-        min_u, min_v = constructions._grid_slacks(cand, 1.0, u, v, lu, lv)
+        min_u = constructions._slack_min(1.0, lu, v, cand.pq.p)
+        min_v = constructions._slack_min(1.0, lv, u, cand.pq.q)
         assert constructions._slack_ok(min_u)
         assert constructions._slack_ok(min_v)
         assert constructions._slack_defect(radii, 1.0, min_u, min_v,
@@ -671,8 +672,8 @@ class TestVerification:
     @pytest.mark.parametrize("case, point", [
         (c, pt) for c, pt, _, _ in GOLDEN_VERIFY[:10] + GOLDEN_VERIFY[-1:]])
     def test_unit_scale_slacks_are_the_scaled_form(self, case, point):
-        # at t = 1.0 the slacks use Lu, Lv, u and v unscaled; 1.0 * x is x,
-        # also at the inf and NaN entries planted here
+        # each slack minimum is the scaled form's, at t = 1.0 too, also at
+        # the inf and NaN entries planted here
         N, mu1, mu2, p, q = point
         cand = build_candidate(case, HardyParams(N, mu1, mu2), Powers(p, q),
                                strict=False)
@@ -687,7 +688,8 @@ class TestVerification:
             with np.errstate(all="ignore"):
                 want = ((t * lu - np.power(t * v, p)).min(),
                         (t * lv - np.power(t * u, q)).min())
-                got = constructions._grid_slacks(cand, t, u, v, lu, lv)
+                got = (constructions._slack_min(t, lu, v, p),
+                       constructions._slack_min(t, lv, u, q))
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_oracle_geometry_is_shared_per_grid(self):
@@ -707,13 +709,24 @@ class TestVerification:
         second = constructions._oracle_stencil(other.r_min, other.r_max)
         assert second is not shared
         r, twelve_h, four_hh, rr = second[0]
-        assert r.tobytes() == log_radii(
+        assert r.tobytes() == np.geomspace(
             max(other.r_min, 0.25 * other.r_max), other.r_max * 0.85,
             ORACLE_SAMPLES).tobytes()
         h = np.minimum(ORACLE_STEP, r / 8.0)
         assert (twelve_h.tobytes(), four_hh.tobytes(), rr.tobytes()) == (
             (12.0 * h).tobytes(), (4.0 * h * h).tobytes(),
             (r * r).tobytes())
+
+    def test_oracle_samples_a_descending_range_on_a_narrow_grid(self):
+        # r_min above 0.85 r_max: the sample radii run from r_min down to
+        # 0.85 r_max, and the grid still verifies
+        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        grid = RadialGrid(0.9, 0.999, 64)
+        r = constructions._oracle_stencil(grid.r_min, grid.r_max)[0][0]
+        assert r.tobytes() == np.geomspace(0.9, 0.999 * 0.85,
+                                           ORACLE_SAMPLES).tobytes()
+        t, report = find_scale(cand, grid)
+        assert t == 1.0 and report.ok and not report.oracle_exceeded
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_requires_finite_positive_scale(self, t):

@@ -1,5 +1,7 @@
+import copy
 import math
 import pathlib
+import pickle
 import re
 import warnings
 
@@ -13,8 +15,7 @@ import hardylane
 from hardylane.exponents import DomainValidationError, HardyParams
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
                               _as_radii, _fd_hardy, _fd_stencil,
-                              _hardy_image, _term_sums, default_grid,
-                              log_radii)
+                              _hardy_image, _term_sums, default_grid)
 from oracles import hardy_fd_oracle, hardy_image, mu_zero, pair_of, values
 
 mono = RadialFunction.monomial
@@ -521,33 +522,42 @@ class TestGrid:
             g.radii *= 2.0
         assert g.radii.tobytes() == before.tobytes()
 
+    def test_radii_are_one_object_kept_through_copies(self):
+        # made once per grid: every read gives the same read-only array,
+        # and a copied or unpickled grid holds equal, read-only radii
+        g = RadialGrid(1e-6, 0.999, 512)
+        assert g.radii is g.radii
+        assert not g.radii.flags.writeable
+        for other in (copy.copy(g), copy.deepcopy(g),
+                      pickle.loads(pickle.dumps(g))):
+            assert other == g
+            assert other.radii.tobytes() == g.radii.tobytes()
+            assert not other.radii.flags.writeable
+            with pytest.raises(ValueError):
+                other.radii[0] = 1.0
+        assert g.radii.tobytes() == np.geomspace(1e-6, 0.999, 512).tobytes()
+
     @pytest.mark.parametrize("r_min, r_max", [(1.0, math.nan),
                                               (-1.0, -2.0)])
     def test_log_radii_are_checked(self, r_min, r_max):
-        # the one check of a grid's radii, made where they are made
-        with pytest.raises(DomainValidationError, match="radii must be"):
-            log_radii(r_min, r_max, 4)
+        # bounds that would make radii NaN or negative are refused before
+        # any radius is made
+        with pytest.raises(DomainValidationError, match="both finite"):
+            RadialGrid(r_min, r_max, 4)
 
     @pytest.mark.parametrize("r_min, r_max", [
         (1e-6, math.inf), (-math.inf, 1.0), (math.inf, math.inf)])
     def test_log_radii_reject_infinite_bounds(self, r_min, r_max):
-        # geomspace would warn and return inf radii; raise as RadialGrid does
+        # geomspace would warn and return inf radii; the grid raises first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainValidationError) as err:
-                log_radii(r_min, r_max, 4)
-            with pytest.raises(DomainValidationError) as grid_err:
                 RadialGrid(r_min, r_max, 4)
-        assert str(err.value) == str(grid_err.value)
         assert "both finite" in str(err.value)
         assert "\n" not in str(err.value)
 
     def test_count_type_is_kept(self):
-        # np.geomspace rejects a float count; a cached int entry must not
-        # answer for it
         assert RadialGrid(1e-3, 1.0, 4).radii.size == 4
-        with pytest.raises(TypeError):
-            log_radii(1e-3, 1.0, 4.0)
 
     @pytest.mark.parametrize("count", [4.0, 512.5, 3.0, True, "4", None,
                                        np.float64(4.0)])

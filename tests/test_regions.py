@@ -1,8 +1,10 @@
 import dataclasses
+import decimal
 import itertools
 import math
 import pickle
 import tracemalloc
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_tree
-from oracles import mu_zero, pair_of
+from oracles import exact_sign, mu_zero, pair_of
 from hardylane import _kernels as K
 from hardylane import boundaries as bd
 from hardylane import regions
@@ -866,3 +868,78 @@ class TestClassifyIsTheReferenceTree:
         region, want = classify(params, pq), _wrap(code, margin, flags)
         assert bits(region) == bits(want)
         assert region.citation == want.citation == _OUTCOMES[code][1]
+
+
+#: Points where the float test q >= q_upper - TOL says T1.i while the exact
+#: q lies below q_upper - TOL: exact q - q_upper is -1.7e-11 and -3.3e-4
+#: (120-digit decimal).  At p = 2, e1 < 0, so T1.ii holds and the verdict
+#: (nonexistence) stands; the T1.i citation and its witness do not.
+Q_UPPER_ROUNDING = [
+    (8, -1.647807573350895e-05, 2.423539220432381, 2.0, 3051279.3956754208),
+    (3, -1.69497541888945e-13, 2.63263995824818, 2.0, 24766340886482.805)]
+
+
+def _q_upper_terms(N, mu1, mu2, q, tol):
+    """(a, b, d1, c, d2) with q + tol - q_upper of the sign of
+    a - b sqrt(d1) - c sqrt(d2), for mu1 < 0: q_upper = (N + t2)/(-t1)
+    with t_i = -h + sqrt(d_i), d_i = mu_i + h^2 and h = (N - 2)/2, and
+    -t1 > 0 multiplies the difference without changing its sign."""
+    h = Fraction(N - 2, 2)
+    x = Fraction(q) + Fraction(tol)
+    return x * h + h - N, x, Fraction(mu1) + h * h, 1, Fraction(mu2) + h * h
+
+
+def _decimal_value(a, b, d1, c, d2, digits=100):
+    """a - b sqrt(d1) - c sqrt(d2) in decimal at the given digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        a, b, d1, c, d2 = (decimal.Decimal(x.numerator)
+                           / decimal.Decimal(x.denominator)
+                           for x in map(Fraction, (a, b, d1, c, d2)))
+        return a - b * d1.sqrt() - c * d2.sqrt()
+
+
+class TestRoundingAtQUpper:
+    """The kernel's absolute TOL against q - q_upper's rounding error."""
+
+    @pytest.mark.parametrize("point", Q_UPPER_ROUNDING,
+                             ids=["N8", "N3"])
+    def test_exact_q_lies_below_the_tolerance_band(self, point):
+        N, mu1, mu2, _, q = point
+        terms = _q_upper_terms(N, mu1, mu2, q, K.TOL)
+        assert exact_sign(*terms) == -1
+        assert _decimal_value(*terms) < 0
+        assert exact_sign(*_q_upper_terms(N, mu1, mu2, q, 0.0)) == -1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the kernel's "
+                       "float q - q_upper rounds across q_upper - TOL")
+    @pytest.mark.parametrize("point", Q_UPPER_ROUNDING,
+                             ids=["N8", "N3"])
+    def test_t1_i_is_not_cited_below_q_upper(self, point):
+        assert ver(*point).citation != "T1.i"
+
+    def test_exact_sign_on_known_values(self):
+        assert exact_sign(2, 1, 4) == 0
+        assert exact_sign(3, 1, 4, 1, 1) == 0
+        assert exact_sign(3, 1, 2, 1, 2) == 1         # 3 > 2 sqrt(2)
+        assert exact_sign(2.8284271247461903, 2, 2) == 1
+        assert exact_sign(2.82842712474619, 2, 2) == -1
+        assert exact_sign(0, -1, 2, 1, 3) == -1        # sqrt 2 < sqrt 3
+        assert exact_sign(-1, 0, 0, 0, 0) == -1
+
+    @given(st.floats(min_value=-1e6, max_value=1e6),
+           st.floats(min_value=0.0, max_value=1e12),
+           st.floats(min_value=-1e6, max_value=1e6),
+           st.floats(min_value=0.0, max_value=1e12),
+           st.integers(min_value=-4, max_value=4))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_sign_agrees_with_decimal(self, b, d1, c, d2, nudge):
+        # a rounds b sqrt(d1) + c sqrt(d2), nudged by a few ulps, so the
+        # value nearly cancels; 100 digits still resolve it
+        a = b * math.sqrt(d1) + c * math.sqrt(d2)
+        for _ in range(abs(nudge)):
+            a = math.nextafter(a, math.copysign(math.inf, nudge))
+        value = _decimal_value(a, b, d1, c, d2)
+        scale = abs(a) + abs(b) * math.sqrt(d1) + abs(c) * math.sqrt(d2)
+        assume(abs(value) > 1e-80 * scale)
+        assert exact_sign(a, b, d1, c, d2) == (1 if value > 0 else -1)
