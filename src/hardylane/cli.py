@@ -205,6 +205,19 @@ def _emit_record(record: dict, args, suffix: str = ".json") -> None:
         print(text)
 
 
+def _record_head(command: str, params, pq=None) -> dict:
+    """A record's schema version, command and point; p and q given pq."""
+    rec = {"schema_version": SCHEMA_VERSION, "command": command,
+           "n": params.N, "mu1": params.mu1, "mu2": params.mu2}
+    return rec if pq is None else {**rec, "p": pq.p, "q": pq.q}
+
+
+def _certificate_record(cert) -> dict:
+    """An iteration outcome as its record: kind, step, value, threshold."""
+    return {"kind": cert.kind.value, "step": cert.step, "value": cert.value,
+            "threshold": cert.threshold}
+
+
 def _witness_record(params, pq, region) -> dict:
     w = nonexistence_witness(params, pq, region)
     rec = {"mechanism": w.mechanism, "provenance": w.provenance,
@@ -215,9 +228,7 @@ def _witness_record(params, pq, region) -> dict:
         rec["integrable"] = w.verdict.integrable
         rec["critical_exponent_gap"] = w.verdict.critical_exponent_gap
     else:
-        cert = w.trace.outcome
-        rec["certificate"] = {"kind": cert.kind.value, "step": cert.step,
-                              "value": cert.value, "threshold": cert.threshold}
+        rec["certificate"] = _certificate_record(w.trace.outcome)
         rec["steps"] = len(w.trace.steps) - 1
     return rec
 
@@ -228,10 +239,7 @@ def cmd_classify(args) -> int:
     pq = Powers(args.p, args.q)
     region = classify(params, pq)
     record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
-        "n": params.N, "mu1": params.mu1, "mu2": params.mu2,
-        "p": pq.p, "q": pq.q,
+        **_record_head("classify", params, pq),
         "verdict": region.verdict.value,
         "citation": region.citation,
         "margin": region.margin,
@@ -265,16 +273,10 @@ def cmd_iterate(args) -> int:
               "tau1_clamped": s.tau1_clamped, "tau2_clamped": s.tau2_clamped,
               "tau1_carried": s.tau1_carried} for s in trace.steps]
     record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "iterate",
-        "n": params.N, "mu1": params.mu1, "mu2": params.mu2,
-        "p": pq.p, "q": pq.q,
+        **_record_head("iterate", params, pq),
         "variant": variant, "cap": cap,
         "steps": steps,
-        "certificate": {"kind": trace.outcome.kind.value,
-                        "step": trace.outcome.step,
-                        "value": trace.outcome.value,
-                        "threshold": trace.outcome.threshold},
+        "certificate": _certificate_record(trace.outcome),
     }
     if "json" in fmts:
         _emit_record(record, args)
@@ -310,10 +312,7 @@ def cmd_verify(args) -> int:
     else:
         t, report = found
     record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "n": params.N, "mu1": params.mu1, "mu2": params.mu2,
-        "p": pq.p, "q": pq.q,
+        **_record_head("verify", params, pq),
         "case": args.case,
         "ok": report.ok and t is not None,
         "t": t,
@@ -361,9 +360,7 @@ def cmd_plot(args) -> int:
         emit_svg(codes, spec, files["svg"])
     if "json" in fmts:
         record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "plot",
-            "n": params.N, "mu1": params.mu1, "mu2": params.mu2,
+            **_record_head("plot", params),
             "p_range": list(p_range), "q_range": list(q_range),
             "resolution": res,
             "markers": {k: list(v) for k, v in

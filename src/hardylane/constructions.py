@@ -15,11 +15,12 @@ the existence regions.  Writing t1 = tau_+(mu1), t2 = tau_+(mu2):
     C6  q = qlo, p < plo, with eps0 = min(1, (t2 p+2-t1)/2):
         u = r^t1 - r^(t2 p+2-eps0),  v = r^t2 (-ln r)
     C7  p = plo, q < qlo: C6 mirrored
-    C8  p in (plo, (N+t1)/(-t2)), e2 > 0: C1 mirrored
+    C8  p in (plo, (N+t1)/(-t2)), e2 > 0: C4 mirrored
 
-Each pair is written once: _single_power_pair (C1, C4, C8), _two_term_pair
-(C2, C5), _log_pair (C3, C6, C7).  A mirrored recipe's (v, u) is the
-original's (u, v) from t2, t1 with p and q exchanged.
+Each pair is written once: _single_power_pair (C1, C4), _two_term_pair
+(C2, C5), _log_pair (C3, C6).  C7 and C8 are built by the case they mirror,
+hypotheses included: its branch runs on the system exchanged as (u, mu1, p)
+<-> (v, mu2, q), and the pair it returns is their (v, u).
 
 Every recipe is verified on the unit ball.  For the log pair, with
 b' = t2 p + 2 - eps0 and K_u = (b' - tau_+(mu1))(b' - tau_-(mu1)),
@@ -78,6 +79,9 @@ CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
 #: Tolerance for "on the line" case hypotheses (q = 2/(-t1) and friends).
 LINE_TOL = 1e-9
+
+#: The mirrored cases and the case whose branch builds each.
+_MIRRORS = {"C7": "C6", "C8": "C4"}
 
 #: Scan grid for the scaling parameter: descending powers of two.
 SCALE_SCAN = tuple(2.0 ** -k for k in range(0, 61))
@@ -141,6 +145,11 @@ def _violated(case_id: str, msg: str, strict: bool, notes: list) -> None:
     notes.append(f"hypothesis violated: {msg}")
 
 
+def _on_line(x: float, line: float) -> bool:
+    """x lies on the case line x = line, to LINE_TOL times max(1, line)."""
+    return abs(x - line) <= LINE_TOL * max(1.0, line)
+
+
 def _single_power_pair(t1: float, p: float, q: float
                        ) -> Tuple[RadialFunction, RadialFunction]:
     """C1's pair u = r^t1 - r^((t1 q+2)p+2), v = r^(t1 q+2)."""
@@ -200,20 +209,27 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         _violated(case_id, "needs mu1, mu2 < 0", True, notes)
     if not (p > 1.0 and q > 1.0):
         _violated(case_id, "constructions assume p, q > 1", strict, notes)
+    # a mirrored case runs on the exchanged system, its messages naming
+    # p, q and e1 by their mirrors, and swaps the pair back
+    branch = _MIRRORS.get(case_id, case_id)
+    pn, qn, en = "p", "q", "e1"
+    if branch != case_id:
+        t1, t2, p, q = t2, t1, q, p
+        pn, qn, en = qn, pn, "e2"
     if regime_b:
         qlo, plo = bd.q_lower(t1, t2), bd.q_lower(t2, t1)
 
-    if case_id in ("C1", "C4"):
-        lo = bd.q_lower(t1, 0.0) if case_id == "C1" else qlo
+    if branch in ("C1", "C4"):
+        lo = bd.q_lower(t1, 0.0) if branch == "C1" else qlo
         qup = bd.q_upper(N, t1, t2)
         if not lo < q < qup:
-            _violated(case_id, f"q={q} outside the strip "
+            _violated(case_id, f"{qn}={q} outside the strip "
                       f"({lo:g}, {qup:g})", strict, notes)
         e1 = bd.e1(t1, p, q)
         if not e1 > 0.0:
-            _violated(case_id, f"e1={e1:g} not positive", strict, notes)
+            _violated(case_id, f"{en}={e1:g} not positive", strict, notes)
         u, v = _single_power_pair(t1, p, q)
-    elif case_id == "C2":
+    elif branch == "C2":
         foot = bd.q_lower(t1, 0.0)
         if not q < foot:
             _violated(case_id, f"q={q} not below 2/(-t1)={foot:g}", strict,
@@ -234,9 +250,9 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             if not tau4c > 0.0:
                 notes.append(f"exponent window note: t1*q+2 = {tau4c:g} <= 0")
             u, v = _two_term_pair(t1, t2, p, q)
-    elif case_id == "C3":
+    elif branch == "C3":
         foot = bd.q_lower(t1, 0.0)
-        if not abs(q - foot) <= LINE_TOL * max(1.0, foot):
+        if not _on_line(q, foot):
             _violated(case_id, f"q={q} not on the line 2/(-t1)={foot:g}",
                       strict, notes)
         if t2 > 0.0:
@@ -247,7 +263,7 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
         else:
             u, v = _log_pair(case_id, N, t1, t2, p)
             notes.append("log recipe on the unit ball")
-    elif case_id == "C5":
+    elif branch == "C5":
         if not q < qlo:
             _violated(case_id, f"q={q} not below {qlo:g}", strict, notes)
         if not p < plo:
@@ -257,29 +273,15 @@ def build_candidate(case_id: str, params: HardyParams, pq: Powers,
             # the recipe stays positive; the claimed window is informational
             notes.append(f"exponent window note: t1*q+2 = {tau4c:g} >= 0")
         u, v = _two_term_pair(t1, t2, p, q)
-    elif case_id == "C6":
-        if not abs(q - qlo) <= LINE_TOL * max(1.0, qlo):
-            _violated(case_id, f"q={q} not on the line {qlo:g}", strict,
+    else:  # C6
+        if not _on_line(q, qlo):
+            _violated(case_id, f"{qn}={q} not on the line {qlo:g}", strict,
                       notes)
         if not p < plo:
-            _violated(case_id, f"p={p} not below {plo:g}", strict, notes)
+            _violated(case_id, f"{pn}={p} not below {plo:g}", strict, notes)
         u, v = _log_pair(case_id, N, t1, t2, p)
-    elif case_id == "C7":
-        if not abs(p - plo) <= LINE_TOL * max(1.0, plo):
-            _violated(case_id, f"p={p} not on the line {plo:g}", strict,
-                      notes)
-        if not q < qlo:
-            _violated(case_id, f"q={q} not below {qlo:g}", strict, notes)
-        v, u = _log_pair(case_id, N, t2, t1, q)
-    else:  # C8
-        pup = bd.q_upper(N, t2, t1)
-        if not plo < p < pup:
-            _violated(case_id, f"p={p} outside the strip "
-                      f"({plo:g}, {pup:g})", strict, notes)
-        e2 = bd.e1(t2, q, p)
-        if not e2 > 0.0:
-            _violated(case_id, f"e2={e2:g} not positive", strict, notes)
-        v, u = _single_power_pair(t2, q, p)
+    if branch != case_id:
+        u, v = v, u
 
     return SupersolutionCandidate(case_id, params, pq, u, v,
                                   notes=tuple(notes))

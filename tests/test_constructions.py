@@ -3,12 +3,13 @@ import hashlib
 import itertools
 import math
 import pathlib
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hardylane
@@ -301,10 +302,10 @@ def _inside(lo, hi, frac):
 
 
 @st.composite
-def accepting_points(draw):
-    """A (case, params, pq) whose case hypotheses hold, clear of degenerate
-    lines."""
-    case = draw(st.sampled_from(("C1", "C2", "C4", "C5", "C8")))
+def accepting_points(draw, cases=("C1", "C2", "C4", "C5", "C8")):
+    """A (case, params, pq), the case one of cases, whose case hypotheses
+    hold, clear of degenerate lines."""
+    case = draw(st.sampled_from(cases))
     N = draw(st.integers(min_value=3, max_value=6))
     frac = st.floats(min_value=0.05, max_value=0.95)
     mu1 = mu_zero(N) * draw(frac)
@@ -1260,10 +1261,10 @@ def assert_builds_like_reference(case, params, pq):
 
 
 @st.composite
-def random_case_point(draw):
-    """Any case, mostly in its regime, with p and q often on the recipes'
-    lines: 2/(-t1), (2 - t2)/(-t1) and (2 - t1)/(-t2)."""
-    case = draw(st.sampled_from(CASE_IDS))
+def random_case_point(draw, cases=CASE_IDS):
+    """Any of cases, mostly in its regime, with p and q often on the
+    recipes' lines: 2/(-t1), (2 - t2)/(-t1) and (2 - t1)/(-t2)."""
+    case = draw(st.sampled_from(cases))
     N = draw(st.integers(min_value=3, max_value=8))
     m0 = mu_zero(N)
     negative = st.one_of(st.just(m0), st.floats(min_value=m0, max_value=-1e-3))
@@ -1311,6 +1312,53 @@ class TestBuilderMatchesReference:
                                   f"{pq.q:.3g}" for c, pr, pq in BUILDER_POINTS])
     def test_fixed_points(self, case, params, pq):
         assert_builds_like_reference(case, params, pq)
+
+
+#: The mirrored case of each case that has one, and the names a message
+#: gives as name=value, each to its mirror's.
+MIRROR_OF = {"C6": "C7", "C4": "C8"}
+_EXCHANGED_NAMES = {"p": "q", "q": "p", "e1": "e2", "e2": "e1"}
+
+
+def exchanged(text, case):
+    """A message of case as its mirror prints it: the leading case id
+    exchanged, and p <-> q and e1 <-> e2 where they are named as
+    name=value."""
+    text = re.sub(r"\b(p|q|e1|e2)=",
+                  lambda m: _EXCHANGED_NAMES[m.group(1)] + "=", text)
+    if text.startswith(case + " "):
+        text = MIRROR_OF[case] + text[len(case):]
+    return text
+
+
+def mirrored_bits(bits, case):
+    """candidate_bits of case as its mirror gives them on the exchanged
+    system: the pair as (v, u), each note and error exchanged."""
+    if len(bits) == 2:  # the error's type and message
+        return bits[0], exchanged(bits[1], case)
+    _, params_kept, pq_kept, (u, v), notes = bits
+    return (MIRROR_OF[case], params_kept, pq_kept, (v, u),
+            tuple(exchanged(note, case) for note in notes))
+
+
+class TestMirrors:
+    @given(st.one_of(random_case_point(cases=tuple(MIRROR_OF)),
+                     accepting_points(cases=("C4",))))
+    @example(("C6", B_PARAMS, Powers(2.0, 3.0)))
+    @example(("C6", HardyParams(5, -2.0, MU0_5), Powers(1.2, 7.0 / 3.0)))
+    @example(("C6", B_PARAMS, Powers(3.0, 2.0)))
+    @example(("C4", B_PARAMS, Powers(1.5, 3.2)))
+    @example(("C4", B_PARAMS, Powers(3.2, 6.0)))
+    @settings(max_examples=400, deadline=None)
+    def test_mirror_is_its_case_on_the_exchanged_system(self, point):
+        # C7 and C8 at the exchanged (params, pq) are C6 and C4 at
+        # (params, pq) with the pair, the names and the case id exchanged
+        case, params, pq = point
+        for strict in (True, False):
+            assert candidate_bits(build_candidate, MIRROR_OF[case],
+                                  params.swapped(), pq.swapped(), strict) \
+                == mirrored_bits(candidate_bits(build_candidate, case,
+                                                params, pq, strict), case)
 
 
 #: The single-power pair's exponents, (lead, first power, second power):
