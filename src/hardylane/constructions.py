@@ -34,24 +34,32 @@ the symbolic image has a single positive term and the supersolution slack
 at scale t has the pointwise form a(r) t - b(r) t^s with s > 1: small t
 always wins where the recipe is valid.
 
-Verification is grid-based, not a proof: both inequalities are checked at
-log-spaced radii and the symbolic operator is cross-checked against the
-finite-difference oracle at sample radii.  Failures are reported, never
-masked.  Each candidate gets one verification pass: u, v, Lu and Lv are
-evaluated once on the grid, the scale scan computes slack minima only,
-and the report, cross-check included, is built for the accepted scale
-alone.  The scan decides with the least work: a pair that is not finite
-and positive fails before its images are built; an image Lu or Lv that
-is negative somewhere fails before any scale is tried, since t L stays
-negative at every power of two t and the slack t L - (t w)^s is below
-it; then at each scale the v-slack is computed first, and the u-slack
-only where the v-slack passes.  The cross-check's sample radii, stencil
-and finite-difference denominators are built once per grid and shared,
-and u and v go through one stacked finite-difference pass.  No numpy
-call is made that does no arithmetic: _term_sums skips the zeros and the
-products by +-1, and a call without a grid uses one default grid, and
-its radii, built at import.  The bits are those of the plain arithmetic,
-and of computing both slacks at every scale.
+Verification is grid-based, not a proof: both inequalities are checked
+at log-spaced radii and the symbolic operator is cross-checked against
+the finite-difference oracle at sample radii.  Failures are reported,
+never masked.  Each candidate gets one verification pass: u, v, Lu and
+Lv are evaluated once on the grid, the scale scan computes slack minima
+only, and the report, cross-check included, is built for the accepted
+scale alone.  The scan decides with the least work, first at the grid's
+innermost radius r0 in Python floats: a pair with u or v certainly
+negative at r0 <= 1 fails before the grid is evaluated; a pair that is
+not finite and positive on the grid fails before its images are built;
+an image Lu or Lv that is negative somewhere fails before any scale is
+tried, since t L stays negative at every power of two t and the slack
+t L - (t w)^s is below it; then a scale where either slack at r0, from
+the grid's values there, is certainly negative is skipped; else the
+v-slack is computed on the grid first, and the u-slack only where the
+v-slack passes.  "Certainly" means below -1e-12 times the sum of the
+terms' absolute values, a finite normal float: Python's ** and math.log
+differ from numpy's pow and log by a few ulps per term, so numpy's value
+at r0 is then negative too, and the grid would fail there.  The
+cross-check's sample radii, stencil and finite-difference denominators
+are built once per grid and shared, and u and v go through one stacked
+finite-difference pass.  No numpy call is made that does no arithmetic:
+_term_sums skips the zeros and the products by +-1, and a call without a
+grid uses one default grid, and its radii, built at import.  The bits
+are those of the plain arithmetic, and of computing both slacks at every
+scale.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
@@ -65,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Optional, Tuple
 
 import numpy as np
@@ -95,6 +104,13 @@ ORACLE_SAMPLES = 16
 
 #: The grid of find_scale and verify_on_grid when none is given, built once.
 _DEFAULT_GRID = default_grid()
+
+#: The margin, relative to its terms' magnitudes, by which a sum in Python
+#: floats must lie below zero for find_scale to take numpy's sum as
+#: negative too: about 4,500 ulps of each term, where the two libraries'
+#: pow and log differ by a few.
+_REFUTE_REL = 1e-12
+_NORMAL_MIN = sys.float_info.min
 
 
 @frozen
@@ -320,6 +336,45 @@ def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
     return u_vals, v_vals, lu, lv, images
 
 
+def _certainly_negative(value: float, magnitude: float) -> bool:
+    """value, a sum in Python floats of terms whose absolute values sum to
+    magnitude, lies below -_REFUTE_REL magnitude, so the same sum by numpy
+    is negative too.  A magnitude below the smallest normal float (where a
+    subnormal term's rounding error is absolute, not relative to it)
+    decides nothing, and an infinite one leaves nothing below."""
+    return value < -_REFUTE_REL * magnitude and magnitude >= _NORMAL_MIN
+
+
+def _pair_refuted(cand: SupersolutionCandidate, r0: float) -> bool:
+    """u or v is certainly not positive at the grid's innermost radius r0,
+    from _term_sums in Python floats: the grid's value there is then not
+    positive, and _evaluated fails.  A term that overflows Python's **
+    decides nothing for its function.  Only for r0 <= 1: beyond it
+    -ln r0 < 0 makes _term_sums' magnitude of a log term negative."""
+    if r0 > 1.0:
+        return False
+    for f in (cand.u, cand.v):
+        try:
+            value, magnitude = _term_sums(f, r0, True)
+        except OverflowError:
+            continue
+        if _certainly_negative(value, magnitude):
+            return True
+    return False
+
+
+def _slack_refuted(image: float, vals: float, s: float) -> bool:
+    """The slack image - vals^s, from the grid's values at its innermost
+    radius scaled by t, is certainly negative: the grid's slack minimum
+    is then negative or NaN, and the scale fails.  A power that overflows
+    Python's ** decides nothing."""
+    try:
+        power = vals ** s
+    except OverflowError:
+        return False
+    return _certainly_negative(image - power, abs(image) + power)
+
+
 def _pair_defect(cand: SupersolutionCandidate, radii: np.ndarray) -> str:
     """The one-line diagnostic of a pair that _evaluated rejects: for u if
     it fails, else for v, the first radius with a NaN or infinite value,
@@ -486,17 +541,29 @@ def find_scale(cand: SupersolutionCandidate,
     u, v, the symbolic images and their values are evaluated once, with
     overflow warnings off, and each scale is decided with the least work:
 
-      1. u or v not finite and positive on the grid: None, no image built;
-      2. an image Lu or Lv negative somewhere, by the test
+      1. u or v certainly negative at the grid's innermost radius r0,
+         if r0 <= 1, by _pair_refuted in Python floats: None, the grid
+         not evaluated;
+      2. u or v not finite and positive on the grid: None, no image built;
+      3. an image Lu or Lv negative somewhere, by the test
          SCALE_SCAN[-1] * min(L) < 0: None, no scale tried.  Where L < 0,
          t L is L times a power of two no smaller than SCALE_SCAN[-1], and
          rounding is monotone, so t L <= SCALE_SCAN[-1] L < 0 at every
          scan scale; taking the nonnegative (possibly infinite) (t w)^s
          from it keeps the slack negative, so every scale would fail.  A
          NaN minimum fails the test, and a NaN image is scanned;
-      3. at each scale, the v-slack minimum, then, only if it is finite
-         and nonnegative, the u-slack minimum; the first scale where both
+      4. at each scale, both slacks at r0, from the grid's values there,
+         by _slack_refuted: the scale is skipped where either is
+         certainly negative, since the grid's minimum then fails too;
+      5. else the v-slack minimum, then, only if it is finite and
+         nonnegative, the u-slack minimum; the first scale where both
          are is accepted.
+
+    Steps 1 and 4 decide only where a value is below -1e-12 times its
+    terms' absolute values, summed to a finite normal float: Python's **
+    and math.log differ from numpy's pow and log by a few ulps per term,
+    so numpy's value at r0 is negative too, and they return what the
+    grid would.  A power that overflows Python's ** decides nothing.
 
     The report is built for the accepted scale alone, by _report
     (including the operator cross-check on the grid's shared oracle
@@ -508,18 +575,26 @@ def find_scale(cand: SupersolutionCandidate,
     """
     if grid is None:
         grid = _DEFAULT_GRID
+    radii = grid.radii
+    if _pair_refuted(cand, radii.item(0)):
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluated = _evaluated(cand, grid.radii)
+        evaluated = _evaluated(cand, radii)
         if evaluated is None:
             return None
         u_vals, v_vals, lu, lv, _ = evaluated
         p, q = cand.pq.p, cand.pq.q
-        # t L - (t w)^s <= t L < 0 where L < 0, at every scale (step 2)
+        # t L - (t w)^s <= t L < 0 where L < 0, at every scale (step 3)
         last = SCALE_SCAN[-1]
         if (last * np.minimum.reduce(lu) < 0.0
                 or last * np.minimum.reduce(lv) < 0.0):
             return None
+        u0, v0, lu0, lv0 = (u_vals.item(0), v_vals.item(0), lu.item(0),
+                            lv.item(0))
         for t in SCALE_SCAN:
+            if (_slack_refuted(t * lv0, t * u0, q)
+                    or _slack_refuted(t * lu0, t * v0, p)):
+                continue
             min_v = _slack_min(t, lv, u_vals, q)
             if _slack_ok(min_v):
                 min_u = _slack_min(t, lu, v_vals, p)

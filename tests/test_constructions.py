@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import re
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1409,3 +1410,244 @@ def test_single_power_recipe_has_one_owner():
                          for n in _log_pair_spelled(fn)]
     assert hits == []
 
+
+
+# --- find_scale against the scan it replaced ---------------------------------
+# A verbatim copy of find_scale as it was before the scan decided at the
+# grid's innermost radius first: every pair and every scale decided on the
+# full grid.  The current scan must return its bits.
+
+def reference_find_scale(cand: SupersolutionCandidate,
+                         grid=None):
+    if grid is None:
+        grid = constructions._DEFAULT_GRID
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluated = constructions._evaluated(cand, grid.radii)
+        if evaluated is None:
+            return None
+        u_vals, v_vals, lu, lv, _ = evaluated
+        p, q = cand.pq.p, cand.pq.q
+        # t L - (t w)^s <= t L < 0 where L < 0, at every scale (step 2)
+        last = SCALE_SCAN[-1]
+        if (last * np.minimum.reduce(lu) < 0.0
+                or last * np.minimum.reduce(lv) < 0.0):
+            return None
+        for t in SCALE_SCAN:
+            min_v = constructions._slack_min(t, lv, u_vals, q)
+            if constructions._slack_ok(min_v):
+                min_u = constructions._slack_min(t, lu, v_vals, p)
+                if constructions._slack_ok(min_u):
+                    break
+        else:
+            return None
+    return t, constructions._report(cand, grid, t, min_u, min_v, evaluated)
+
+
+def scale_bits(found):
+    """find_scale's result as t by float.hex and the report's repr."""
+    return None if found is None else (found[0].hex(), repr(found[1]))
+
+
+@st.composite
+def scan_grids(draw):
+    """A RadialGrid with r_min in [1e-100, 0.5], r_max below or above 1
+    and 2 to 600 radii."""
+    r_min = 10.0 ** draw(st.floats(min_value=-100.0,
+                                   max_value=math.log10(0.5)))
+    r_max = draw(st.one_of(st.just(1.0 - 1e-3),
+                           st.floats(min_value=0.6, max_value=3.0)))
+    return RadialGrid(r_min, r_max, draw(st.integers(2, 600)))
+
+
+#: Grids of the fixed points: the default one and two toward 0, one of
+#: them past r = 1 and coarse.
+SCAN_GRIDS = (default_grid(), RadialGrid(1e-100, 0.999, 512),
+              RadialGrid(1e-30, 2.0, 17))
+
+
+class TestScanMatchesReference:
+    """find_scale's early refutations at the innermost radius change no
+    bit of its result."""
+
+    def test_drawn_candidates(self, monkeypatch):
+        # all eight cases in both strict modes, accepting and wrong-side
+        # points, on grids toward 0 and past 1; the draws (derandomized)
+        # must refute pairs and scales at r0, and fall through to the
+        # grid on both
+        seen = {"pair refuted": 0, "pair to grid": 0,
+                "scale refuted": 0, "scale to grid": 0}
+        for name, key in (("_pair_refuted", "pair"),
+                          ("_slack_refuted", "scale")):
+            def counted(*args, _fn=getattr(constructions, name), _key=key):
+                refuted = _fn(*args)
+                seen[f"{_key} {'refuted' if refuted else 'to grid'}"] += 1
+                return refuted
+            monkeypatch.setattr(constructions, name, counted)
+
+        @given(st.one_of(random_case_point(), accepting_points(),
+                         wrong_side_points()),
+               st.booleans(), scan_grids())
+        @settings(max_examples=400, deadline=None, derandomize=True,
+                  database=None)
+        def check(point, strict, grid):
+            try:
+                cand = build_candidate(*point, strict=strict)
+            except DomainValidationError:
+                return
+            assert scale_bits(find_scale(cand, grid)) == \
+                scale_bits(reference_find_scale(cand, grid))
+
+        check()
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("grid", SCAN_GRIDS, ids=repr)
+    @pytest.mark.parametrize("case, params, pq", ACCEPTING + WRONG_SIDE,
+                             ids=[f"{c}-{pq.p}-{pq.q}"
+                                  for c, _, pq in ACCEPTING + WRONG_SIDE])
+    def test_fixed_points(self, case, params, pq, grid):
+        for strict in (True, False):
+            try:
+                cand = build_candidate(case, params, pq, strict=strict)
+            except DomainValidationError:
+                continue
+            assert scale_bits(find_scale(cand, grid)) == \
+                scale_bits(reference_find_scale(cand, grid))
+
+    def test_overflowing_power_at_r0_keeps_the_scale(self):
+        # on 1e-100, (t u)^q overflows Python's ** at r0 for the first
+        # scales; that decides nothing, and the grid accepts t = 2^-40
+        cand = build_candidate("C1", A_PARAMS, Powers(1.5, 3.5))
+        grid = RadialGrid(1e-100, 0.999, 512)
+        u0 = grid.radii.item(0) ** -1.0
+        with pytest.raises(OverflowError):
+            u0 ** 3.5
+        assert not constructions._slack_refuted(0.0, u0, 3.5)
+        found = find_scale(cand, grid)
+        assert found[0] == 2.0 ** -40
+        assert scale_bits(found) == \
+            scale_bits(reference_find_scale(cand, grid))
+
+
+def one_value(f, r):
+    """numpy's value of f at the single radius r, as the grid's first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_term_sums(f, np.array([r]), False)[0][0])
+
+
+def with_pair(u, v):
+    """The worked C1 candidate with its pair replaced by (u, v)."""
+    return replace(build_candidate("C1", A_PARAMS, Powers(2.0, 3.0)),
+                   u=u, v=v)
+
+
+ONE = RadialFunction.monomial(1.0, 0.0)
+
+
+@st.composite
+def near_cancelling_pairs(draw):
+    """(f, r): r^a - r^b with b one ulp from a, so f is within ulps of
+    zero, or c r^a (-ln r)^k + d r^b with d r^b drawn within 1e-9 of
+    cancelling the first term at r, at r from 1e-300 to 4."""
+    r = 10.0 ** draw(st.floats(min_value=-300.0, max_value=0.6))
+    a = draw(st.floats(min_value=-3.0, max_value=60.0))
+    if draw(st.booleans()):
+        b = math.nextafter(a, draw(st.sampled_from((-math.inf, math.inf))))
+        assume(a != b)
+        return RadialFunction.power_difference(a, b), r
+    k = draw(st.integers(0, 1))
+    c = draw(st.floats(min_value=0.1, max_value=5.0))
+    b = draw(st.floats(min_value=-3.0, max_value=60.0))
+    assume(b != a)
+    try:
+        first = c * r ** a * (-math.log(r)) ** k
+        d = -first / r ** b * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+    except (OverflowError, ZeroDivisionError):
+        assume(False)
+    assume(math.isfinite(d) and d != 0.0)
+    return RadialFunction.from_terms([RadialTerm(a, k, c),
+                                      RadialTerm(b, 0, d)]), r
+
+
+class TestRefutationIsSound:
+    """A refutation at the innermost radius never overrules a grid value
+    that is finite and positive, or a slack there that is nonnegative."""
+
+    @given(near_cancelling_pairs(), st.booleans())
+    @example((RadialFunction.power_difference(2.0, math.nextafter(2.0, 3.0)),
+              1e-300), False)
+    @example((RadialFunction.power_difference(-3.0, -4.0), 1e-100), False)
+    @example((RadialFunction.power_difference(-1.0, math.nextafter(-1.0, 0)),
+              1e-100), True)
+    @settings(max_examples=500, deadline=None)
+    def test_pair(self, drawn, as_v):
+        f, r = drawn
+        cand = with_pair(ONE, f) if as_v else with_pair(f, ONE)
+        if constructions._pair_refuted(cand, r):
+            value = one_value(f, r)
+            assert not (0.0 < value < math.inf), (f, r, value)
+
+    def test_pair_overflow_decides_nothing(self):
+        # r0^-4 overflows Python's ** at 1e-100, and numpy's value is -inf
+        f = RadialFunction.power_difference(-3.0, -4.0)
+        with pytest.raises(OverflowError):
+            _term_sums(f, 1e-100, True)
+        assert not constructions._pair_refuted(with_pair(f, ONE), 1e-100)
+        assert one_value(f, 1e-100) == -math.inf
+
+    def test_pair_needs_a_normal_magnitude(self):
+        # r^20 - r^19 at 1e-16: -1e-304 in normal floats is refuted; at
+        # 1e-17 both terms are subnormal and nothing is decided
+        f = RadialFunction.power_difference(19.0, 20.0)
+        g = RadialFunction.power_difference(20.0, 19.0)
+        assert constructions._pair_refuted(with_pair(g, ONE), 1e-16)
+        value, magnitude = _term_sums(g, 1e-17, True)
+        assert value < 0.0 and 0.0 < magnitude < sys.float_info.min
+        assert not constructions._pair_refuted(with_pair(g, ONE), 1e-17)
+        assert not constructions._pair_refuted(with_pair(f, ONE), 1e-16)
+
+    def test_pair_past_one_decides_nothing(self):
+        # past r = 1, -ln r < 0 turns a log term's magnitude negative; no
+        # refutation there, even of a value that is negative
+        f = RadialFunction.monomial(1.0, 0.0, log_power=1)
+        assert one_value(f, 2.0) < 0.0
+        assert not constructions._pair_refuted(with_pair(f, ONE), 2.0)
+        # -1 + 0.5 (-ln r) at r = e: the magnitude sums to 0.5, not 1.5
+        g = RadialFunction.from_terms([RadialTerm(0.0, 0, -1.0),
+                                       RadialTerm(0.0, 1, 0.5)])
+        assert _term_sums(g, math.e, True)[1] > sys.float_info.min
+        assert not constructions._pair_refuted(with_pair(g, ONE), math.e)
+        # r0 = 1 itself still decides
+        assert constructions._pair_refuted(
+            with_pair(RadialFunction.monomial(-1.0, 0.0), ONE), 1.0)
+
+    @given(st.floats(min_value=1e-300, max_value=1e300),
+           st.floats(min_value=1.01, max_value=40.0),
+           st.floats(min_value=-1e-9, max_value=1e-9),
+           st.sampled_from(SCALE_SCAN))
+    @example(3.0, 2.0, 0.0, 1.0)
+    @example(1e100, 3.5, 0.0, 1.0)               # the power overflows
+    @example(1e-300, 1.5, -1e-12, 1.0)           # subnormal terms
+    @example(2.0 ** -1000, 1.2, -1e-10, 2.0 ** -60)
+    @settings(max_examples=500, deadline=None)
+    def test_slack(self, w, s, rel, t):
+        # the image drawn within 1e-9 of cancelling (t w)^s at r0
+        try:
+            image = (t * w) ** s / t * (1.0 + rel)
+        except OverflowError:
+            image = math.inf
+        self.assert_slack_sound(image, w, s, t)
+
+    @pytest.mark.parametrize("image", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("w", [1e-300, 1.0, 1e100])
+    def test_slack_non_finite_image(self, image, w):
+        for t in (1.0, 2.0 ** -60):
+            assert not constructions._slack_refuted(t * image, t * w, 2.0)
+            self.assert_slack_sound(image, w, 2.0, t)
+
+    @staticmethod
+    def assert_slack_sound(image, w, s, t):
+        if constructions._slack_refuted(t * image, t * w, s):
+            with np.errstate(over="ignore", invalid="ignore"):
+                slack = constructions._slack_min(t, np.array([image]),
+                                                 np.array([w]), s)
+            assert not slack >= 0.0, (image, w, s, t, slack)
