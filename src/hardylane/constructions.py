@@ -40,19 +40,10 @@ the finite-difference oracle at sample radii.  Failures are reported,
 never masked.  Each candidate gets one verification pass: u, v, Lu and
 Lv are evaluated once on the grid, the scale scan computes slack minima
 only, and the report, cross-check included, is built for the accepted
-scale alone.  The scan decides with the least work, first at the grid's
-innermost radius r0 in Python floats: a pair with u or v certainly
-negative at r0 <= 1 fails before the grid is evaluated; a pair that is
-not finite and positive on the grid fails before its images are built;
-an image Lu or Lv that is negative somewhere fails before any scale is
-tried, since t L stays negative at every power of two t and the slack
-t L - (t w)^s is below it; then a scale where either slack at r0, from
-the grid's values there, is certainly negative is skipped; else the
-v-slack is computed on the grid first, and the u-slack only where the
-v-slack passes.  "Certainly" means below -1e-12 times the sum of the
-terms' absolute values, a finite normal float: Python's ** and math.log
-differ from numpy's pow and log by a few ulps per term, so numpy's value
-at r0 is then negative too, and the grid would fail there.  The
+scale alone.  The scan decides with the least work: first at the grid's
+innermost radius r0 in Python floats, where a value certainly negative
+decides what the grid would, and only then on the grid, the v-slack
+before the u-slack; find_scale's docstring states the whole order.  The
 cross-check's sample radii, stencil and finite-difference denominators
 are built once per grid and shared, and u and v go through one stacked
 finite-difference pass.  No numpy call is made that does no arithmetic:
@@ -545,21 +536,19 @@ def find_scale(cand: SupersolutionCandidate,
          if r0 <= 1, by _pair_refuted in Python floats: None, the grid
          not evaluated;
       2. u or v not finite and positive on the grid: None, no image built;
-      3. an image Lu or Lv negative somewhere, by the test
-         SCALE_SCAN[-1] * min(L) < 0: None, no scale tried.  Where L < 0,
-         t L is L times a power of two no smaller than SCALE_SCAN[-1], and
-         rounding is monotone, so t L <= SCALE_SCAN[-1] L < 0 at every
-         scan scale; taking the nonnegative (possibly infinite) (t w)^s
-         from it keeps the slack negative, so every scale would fail.  A
-         NaN minimum fails the test, and a NaN image is scanned;
-      4. at each scale, both slacks at r0, from the grid's values there,
+      3. at each scale, both slacks at r0, from the grid's values there,
          by _slack_refuted: the scale is skipped where either is
          certainly negative, since the grid's minimum then fails too;
-      5. else the v-slack minimum, then, only if it is finite and
+      4. else the v-slack minimum, then, only if it is finite and
          nonnegative, the u-slack minimum; the first scale where both
          are is accepted.
 
-    Steps 1 and 4 decide only where a value is below -1e-12 times its
+    An image value L with SCALE_SCAN[-1] L < 0 fails every scale, in step
+    3 or 4: rounding is monotone, so t L <= SCALE_SCAN[-1] L < 0 at every
+    scan scale, and taking the nonnegative (possibly infinite) (t w)^s
+    from it keeps the slack there negative.
+
+    Steps 1 and 3 decide only where a value is below -1e-12 times its
     terms' absolute values, summed to a finite normal float: Python's **
     and math.log differ from numpy's pow and log by a few ulps per term,
     so numpy's value at r0 is negative too, and they return what the
@@ -584,11 +573,6 @@ def find_scale(cand: SupersolutionCandidate,
             return None
         u_vals, v_vals, lu, lv, _ = evaluated
         p, q = cand.pq.p, cand.pq.q
-        # t L - (t w)^s <= t L < 0 where L < 0, at every scale (step 3)
-        last = SCALE_SCAN[-1]
-        if (last * np.minimum.reduce(lu) < 0.0
-                or last * np.minimum.reduce(lv) < 0.0):
-            return None
         u0, v0, lu0, lv0 = (u_vals.item(0), v_vals.item(0), lu.item(0),
                             lv.item(0))
         for t in SCALE_SCAN:

@@ -6,25 +6,23 @@ regardless of platform dict order.  Each grid cell is one <rect>.  Axes:
 p horizontal, q vertical (increasing upward).
 
 Cell text is formatted once per distinct value: per column, per row, per
-region code present and, in the CSV, per distinct margin.  Each list of
+region code (at import) and, in the CSV, per distinct margin.  Each list of
 coordinates is formatted by one %-format over a numpy array.  A file is
 its head, then its cells, then its tail.  The cells are handled in two
 sizes of block, both whole grid rows.  A table block, at most
 regions._FIELD_BLOCK_CELLS cells (the whole grid at 200x200), is scanned
 by numpy once: the SVG finds its runs of equal codes, the CSV its
 distinct margins and the text of each, which bounds the CSV's memory.
-Before either, _regions_present counts the codes one table block at a
-time, so no pass copies the whole grid.  A text block, about _BLOCK_CELLS
-cells, is joined and written at once.  In the SVG, the cells of a run of
-equal codes within a row share their y and fill text, so one join writes
-the run with that text as the separator.
+A text block, about _BLOCK_CELLS cells, is joined and written at once.
+In the SVG, the cells of a run of equal codes within a row share their y
+and fill text, so one join writes the run with that text as the
+separator, and the legend, written last, lists the codes of the runs.
 In the CSV, fancy indexing lays out the pieces of a text block's lines in
 an object array and one join makes its text.  So no Python runs per cell.
 emit_csv and emit_svg write each text block as it is joined, so a file is
 never held whole in memory; render_svg joins the same blocks into one
 string.  Every check runs before the first block, so a rejected grid
-opens no file.  Code-indexed lookups are built only after
-_regions_present has rejected CODE_INVALID.
+opens no file: _check_codes reads the grid's least and greatest code.
 
 Marked corner points (present when inside the plotted ranges):
 
@@ -51,8 +49,8 @@ import numpy as np
 from . import _kernels as K
 from . import boundaries as bd
 from ._frozen import frozen
-from .exponents import HardyParams
-from .regions import _FIELD_BLOCK_CELLS, RegionClass, _wrap
+from .exponents import DomainValidationError, HardyParams
+from .regions import _FIELD_BLOCK_CELLS, _OUTCOMES
 
 # Fill colors per region code: reds for nonexistence, greens for existence,
 # yellows for open boundaries, grey outside scope.
@@ -75,6 +73,15 @@ _COLORS = {
     K.CODE_CURVE_BC: "#ffe99f",
     K.CODE_DOTTED: "#fff7bc",
 }
+
+# Per code 0..16: the end of a cell's <rect> and a CSV line's
+# "verdict,citation," text.  A code with no colour fails here, at import.
+_FILLS = [f'{_COLORS[code]}"/>\n' for code in range(len(_OUTCOMES))]
+_LABELS = np.array([f"{_OUTCOMES[code][0].value},{_OUTCOMES[code][1]},"
+                    for code in range(len(_OUTCOMES))], dtype=object)
+
+# Samples along each critical curve overlay
+_CURVE_SAMPLES = 256
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56.0, 248.0, 24.0, 44.0
 _PLOT_W, _PLOT_H = 560.0, 560.0
@@ -146,9 +153,10 @@ def region_markers(params: HardyParams, p_range: Tuple[float, float],
 
 def critical_curve_points(params: HardyParams, which: str,
                           p_range: Tuple[float, float],
-                          q_range: Tuple[float, float],
-                          samples: int = 256) -> List[Tuple[float, float]]:
-    """Sample the curve e1 = 0 (which='e1') or e2 = 0 ('e2') inside the window.
+                          q_range: Tuple[float, float]
+                          ) -> List[Tuple[float, float]]:
+    """Sample the curve e1 = 0 (which='e1') or e2 = 0 ('e2') inside the
+    window, at _CURVE_SAMPLES points.
 
     e1 = 0 is solved for q as a function of p; e2 = 0 for p as a function
     of q.  Points outside the window are dropped, and so are the infinities
@@ -161,7 +169,7 @@ def critical_curve_points(params: HardyParams, which: str,
     if t >= 0.0:
         return []
     a_range, b_range = (q_range, p_range) if swap else (p_range, q_range)
-    a = np.linspace(a_range[0], a_range[1], samples)
+    a = np.linspace(a_range[0], a_range[1], _CURVE_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         b = bd.e1_curve(t, a)
     # a NaN or an infinity fails the finite window's comparisons
@@ -175,7 +183,8 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
 
     codes has shape (resolution, resolution), row index = q ascending,
     column index = p ascending, as produced by classify_field.  Raises
-    DomainValidationError if a cell holds CODE_INVALID.
+    DomainValidationError if a cell holds CODE_INVALID, and KeyError if
+    one holds another code outside 0..16.
     """
     return "".join(_svg_blocks(codes, spec))
 
@@ -183,6 +192,7 @@ def render_svg(codes: np.ndarray, spec: PlotSpec) -> str:
 def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
     """The SVG document in blocks; raises before returning, not while
     iterating."""
+    _check_codes(codes)
     res = spec.resolution
     p_lo, p_hi = spec.p_range
     q_lo, q_hi = spec.q_range
@@ -217,12 +227,10 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
 
     # one rect per grid cell, pieced together from x per column, y per row
     # and the fill per code, each formatted once
-    legend = _regions_present(codes)
     x_text = _texts('<rect x="%.6f" y="', _MARGIN_L + np.arange(res) * cell_w)
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
     y_text = _texts("%.6f" + size,
                     _MARGIN_T + np.arange(res - 1, -1, -1) * cell_h)
-    fills = {code: f'{_COLORS.get(code, "#000000")}"/>\n' for code in legend}
 
     tail: List[str] = []
     # axes frame
@@ -268,22 +276,39 @@ def _svg_blocks(codes: np.ndarray, spec: PlotSpec) -> Iterator[str]:
         tail.append(f'<text x="{_fmt(sx(p) + 6)}" y="{_fmt(sy(q) - 5)}" '
                     f'font-size="12" font-family="monospace">{name}</text>')
 
-    # legend: one entry per code present in the grid
+    return _rect_blocks("\n".join(head) + "\n", x_text, y_text, codes,
+                        "\n".join(tail) + "\n")
+
+
+def _legend(present: np.ndarray) -> str:
+    """The legend, one entry per code where present is True, in ascending
+    code order, then the end of the SVG document."""
     lx = _MARGIN_L + _PLOT_W + 18.0
     ly = _MARGIN_T + 8.0
-    tail.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
-                f'font-family="monospace">legend</text>')
-    for k, (code, region) in enumerate(legend.items()):
+    lines = [f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
+             f'font-family="monospace">legend</text>']
+    for k, code in enumerate(np.flatnonzero(present).tolist()):
+        verdict, citation, _ = _OUTCOMES[code]
         y = ly + 16.0 + 16.0 * k
-        tail.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y - 9)}" width="12" '
-                    f'height="12" fill="{_COLORS.get(code, "#000000")}" '
-                    f'stroke="#000000" stroke-width="0.5"/>')
-        tail.append(f'<text x="{_fmt(lx + 18)}" y="{_fmt(y + 1)}" '
-                    f'font-size="11" font-family="monospace">'
-                    f'{region.verdict.value}: {region.citation}</text>')
-    tail.append("</svg>")
-    return _rect_blocks("\n".join(head) + "\n", x_text, y_text, fills, codes,
-                        "\n".join(tail) + "\n")
+        lines.append(f'<rect x="{_fmt(lx)}" y="{_fmt(y - 9)}" width="12" '
+                     f'height="12" fill="{_COLORS[code]}" '
+                     f'stroke="#000000" stroke-width="0.5"/>')
+        lines.append(f'<text x="{_fmt(lx + 18)}" y="{_fmt(y + 1)}" '
+                     f'font-size="11" font-family="monospace">'
+                     f'{verdict.value}: {citation}</text>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _check_codes(codes: np.ndarray) -> None:
+    """Raise unless every cell holds a region code, 0..16, so that no code
+    indexes the code tables from their end: DomainValidationError if the
+    least code is CODE_INVALID, else KeyError, as regions._wrap does."""
+    lo, hi = int(codes.min()), int(codes.max())
+    if lo == K.CODE_INVALID:
+        raise DomainValidationError("parameters outside the admissible domain")
+    if lo < 0 or hi >= len(_FILLS):
+        raise KeyError(lo if lo < 0 else hi)
 
 
 def _block_rows(res: int) -> Tuple[int, int]:
@@ -293,11 +318,11 @@ def _block_rows(res: int) -> Tuple[int, int]:
 
 
 def _rect_blocks(head: str, x_text: List[str], y_text: List[str],
-                 fills: Dict[int, str], codes: np.ndarray,
-                 tail: str) -> Iterator[str]:
-    """head, the <rect> of each grid cell in row-major order, then tail.
+                 codes: np.ndarray, tail: str) -> Iterator[str]:
+    """head, the <rect> of each grid cell in row-major order, tail, then
+    the legend of the codes of the runs.
 
-    The rect of cell (i, j) is x_text[j], y_text[i], then fills[codes[i, j]].
+    The rect of cell (i, j) is x_text[j], y_text[i], then _FILLS[codes[i, j]].
     The cells of a run of equal codes within a row share their last two
     pieces, so one join with those as the separator writes the run.  Runs
     start where the flattened codes change and at each row's first cell.
@@ -306,6 +331,7 @@ def _rect_blocks(head: str, x_text: List[str], y_text: List[str],
     one text block at a time, so a grid of short runs holds one text
     block's lists.
     """
+    present = np.zeros(len(_FILLS), dtype=bool)
     yield head
     res = len(x_text)
     table_rows, step = _block_rows(res)
@@ -320,54 +346,24 @@ def _rect_blocks(head: str, x_text: List[str], y_text: List[str],
         rows, cols = np.divmod(edges[:-1], res)
         runs = np.stack((rows + top, cols, edges[1:] - rows * res,
                          flat[edges[:-1]]))
+        present[runs[3]] = True
         # each row starts a run: text block k begins with the run that
         # starts row k * step
         bounds = np.flatnonzero(cols == 0)[::step].tolist() + [cols.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             text: List[str] = []
             for i, a, b, code in zip(*runs[:, lo:hi].tolist()):
-                shared = y_text[i] + fills[code]
+                shared = y_text[i] + _FILLS[code]
                 text.append(shared.join(x_text[a:b]))
                 text.append(shared)
             yield "".join(text)
     yield tail
+    yield _legend(present)
 
 
 def _write(path: str, blocks: Iterator[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(blocks)
-
-
-def _by_code(texts: Dict[int, str]) -> np.ndarray:
-    """Lookup table for fancy indexing: entry code holds texts[code].
-
-    The codes come from _regions_present, which has already rejected
-    CODE_INVALID, so no negative code can wrap around to the last entry.
-    """
-    table = np.empty(max(texts) + 1, dtype=object)
-    for code, text in texts.items():
-        table[code] = text
-    return table
-
-
-def _regions_present(codes: np.ndarray) -> Dict[int, RegionClass]:
-    """The region of each code in the grid, in ascending code order.
-
-    The codes present are the nonzero counts of one np.bincount per table
-    block, shifted so that CODE_INVALID, the smallest code, counts at 0
-    and raises in _wrap; per block, the shifted copy and bincount's cast
-    to intp hold one block, not the grid.  Its callers read only the
-    verdict and the citation, which no flags value changes, so every code
-    is wrapped with flags 0.
-    """
-    present = set()
-    table_rows = _block_rows(codes.shape[1])[0]
-    for top in range(0, len(codes), table_rows):
-        counts = np.bincount((codes[top:top + table_rows]
-                              - K.CODE_INVALID).ravel())
-        present.update(np.flatnonzero(counts).tolist())
-    return {code: _wrap(code, 0.0, 0)
-            for code in sorted(c + K.CODE_INVALID for c in present)}
 
 
 def emit_svg(codes: np.ndarray, spec: PlotSpec, path: str) -> None:
@@ -382,24 +378,23 @@ def _csv_blocks(codes: np.ndarray, margins: np.ndarray,
     in row-major grid order, each ending in a newline.
 
     p and q are formatted once per column and row, verdict and citation
-    once per code present.  Raises DomainValidationError, before returning
-    rather than while iterating, if a cell holds CODE_INVALID.
+    once per code, at import.  Raises as _check_codes does, before
+    returning rather than while iterating.
     """
+    _check_codes(codes)
     res = spec.resolution
     p = np.linspace(spec.p_range[0], spec.p_range[1], res)
     q = np.linspace(spec.q_range[0], spec.q_range[1], res)
-    labels = _by_code({code: f"{region.verdict.value},{region.citation},"
-                       for code, region in _regions_present(codes).items()})
     return _csv_lines(np.array(_texts("%.12g,", p), dtype=object),
-                      np.array(_texts("%.12g,", q), dtype=object), labels,
-                      codes, margins)
+                      np.array(_texts("%.12g,", q), dtype=object), codes,
+                      margins)
 
 
-def _csv_lines(p_text: np.ndarray, q_text: np.ndarray, labels: np.ndarray,
-               codes: np.ndarray, margins: np.ndarray) -> Iterator[str]:
+def _csv_lines(p_text: np.ndarray, q_text: np.ndarray, codes: np.ndarray,
+               margins: np.ndarray) -> Iterator[str]:
     """The header, then the line of each grid cell in row-major order.
 
-    The line of cell (i, j) is p_text[j], q_text[i], labels[codes[i, j]],
+    The line of cell (i, j) is p_text[j], q_text[i], _LABELS[codes[i, j]],
     then the text of margins[i, j].  Each distinct margin of a table block
     is formatted once (_margin_table): many margins depend on p or q alone
     (half-planes, the p, q > 1 gate), so a region plot holds far fewer
@@ -423,7 +418,7 @@ def _csv_lines(p_text: np.ndarray, q_text: np.ndarray, labels: np.ndarray,
             cells = np.empty((rows.stop - rows.start, res, 4), dtype=object)
             cells[..., 0] = p_text
             cells[..., 1] = q_text[rows, None]
-            cells[..., 2] = labels[codes[rows]]
+            cells[..., 2] = _LABELS[codes[rows]]
             cells[..., 3] = margin_text[which[start:start + step]]
             yield "".join(cells.ravel().tolist())
 

@@ -461,7 +461,7 @@ def test_criterion_8_picture_reproduction(tmp_path):
     # the critical-curve overlay passes through (3, 3)
     t1 = params_a.roots[0]
     q_at_3 = (t1 - 2.0 * 3.0 - 2.0) / (t1 * 3.0)
-    pts = critical_curve_points(params_a, "e1", (0.1, 8.0), (0.1, 8.0), 256)
+    pts = critical_curve_points(params_a, "e1", (0.1, 8.0), (0.1, 8.0))
     dist = min(math.hypot(pv - 3.0, qv - 3.0) for pv, qv in pts)
     curve_ok = abs(q_at_3 - 3.0) <= 1e-12 and dist <= cell
 

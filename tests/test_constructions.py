@@ -978,10 +978,11 @@ class TestAgainstReference:
 
     def test_find_scale_on_drawn_candidates(self, monkeypatch):
         # accepting, wrong-side and off-kernel candidates on grids toward
-        # 0: the v-first scan and the negative-image return give the
+        # 0: the v-first scan and the refutations at r0 give the
         # reference's result, which tries both slacks at every scale.  The
-        # draws are fixed (derandomized), and must reach the negative-image
-        # return (no slack computed) and a NaN image (scanned)
+        # draws are fixed (derandomized), and must reach a pair refuted at
+        # r0 at every scale, with no grid slack computed, and a NaN image
+        # (scanned)
         slack_min = constructions._slack_min
         calls = []
 
@@ -990,7 +991,7 @@ class TestAgainstReference:
             return slack_min(*args)
 
         monkeypatch.setattr(constructions, "_slack_min", counted)
-        seen = {"accepted": 0, "negative_image": 0, "nan_image": 0}
+        seen = {"accepted": 0, "refuted_at_r0": 0, "nan_image": 0}
 
         @given(st.one_of(accepting_points().map(
                              lambda point: build_candidate(*point)),
@@ -1027,7 +1028,7 @@ class TestAgainstReference:
                 seen["nan_image"] += 1
                 assert calls  # scanned
             if found is None and not calls:
-                seen["negative_image"] += 1
+                seen["refuted_at_r0"] += 1
                 assert (lu < 0.0).any() or (lv < 0.0).any()
 
         check()

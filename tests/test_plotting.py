@@ -102,11 +102,11 @@ class TestMarkers:
 class TestCurveOverlay:
     def test_points_satisfy_equation(self):
         t1 = B_PARAMS.roots[0]
-        for p, q in critical_curve_points(B_PARAMS, "e1", *WINDOW, 64):
+        for p, q in critical_curve_points(B_PARAMS, "e1", *WINDOW):
             assert t1 * (p * q - 1.0) + 2.0 * p + 2.0 == \
                 pytest.approx(0.0, abs=1e-12)
         t2 = B_PARAMS.roots[2]
-        for p, q in critical_curve_points(B_PARAMS, "e2", *WINDOW, 64):
+        for p, q in critical_curve_points(B_PARAMS, "e2", *WINDOW):
             assert t2 * (p * q - 1.0) + 2.0 * q + 2.0 == \
                 pytest.approx(0.0, abs=1e-12)
 
@@ -163,12 +163,24 @@ class TestRendering:
                     max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_legend_lists_the_codes_present_in_order(self, cells):
-        # the codes of one bincount are np.unique's, ascending
-        codes = np.array(cells, dtype=np.int16).reshape(1, -1)
-        legend = plotting._regions_present(codes)
-        assert list(legend) == np.unique(codes).tolist()
-        assert [(r.verdict, r.citation) for r in legend.values()] == \
-            [_OUTCOMES[code][:2] for code in legend]
+        # one entry per distinct code, ascending, as np.unique gives them,
+        # each with its code's colour and its verdict and citation
+        res = len(cells)
+        codes = np.tile(np.array(cells, dtype=np.int16), (res, 1))
+        root = ET.fromstring(render_svg(codes, self._spec(A_PARAMS, res)))
+        ns = "{http://www.w3.org/2000/svg}"
+        texts = [el.text for el in root.iter(ns + "text")]
+        present = np.unique(codes).tolist()
+        assert texts[texts.index("legend") + 1:] == \
+            [f"{_OUTCOMES[code][0].value}: {_OUTCOMES[code][1]}"
+             for code in present]
+        swatches = [el.get("fill") for el in root.iter(ns + "rect")
+                    if el.get("width") == "12"]
+        assert swatches == [plotting._COLORS[code] for code in present]
+
+    def test_every_region_code_has_a_colour(self):
+        assert sorted(plotting._COLORS) == sorted(_OUTCOMES) == \
+            list(range(17))
 
     def test_csv_header_and_order(self):
         spec = self._spec(A_PARAMS, 3)
@@ -452,26 +464,29 @@ def test_emitters_match_per_cell_oracles(grid):
     assert_svg_cells(render_svg(codes, spec), codes, spec.resolution)
 
 
+@pytest.mark.parametrize("code, error", [(K.CODE_INVALID,
+                                          DomainValidationError),
+                                         (17, KeyError), (-2, KeyError)])
 @pytest.mark.parametrize("cell", [(0, 0), (3, 1), (-1, -1), None])
-def test_emitters_reject_invalid_code(cell, tmp_path):
-    # CODE_INVALID (-1) must never index a lookup table, where it would
-    # read the entry of the highest code present; the file writers raise
-    # before they open their file
+def test_emitters_reject_invalid_code(cell, code, error, tmp_path):
+    # a code outside 0..16 must never index a lookup table, where a
+    # negative one would read an entry from the end; the file writers
+    # raise before they open their file
     spec = PlotSpec(params=B_PARAMS, p_range=WINDOW[0], q_range=WINDOW[1],
                     resolution=4)
     codes = np.full((4, 4), K.CODE_DOTTED, dtype=np.int16)
     if cell is None:
-        codes[:] = K.CODE_INVALID
+        codes[:] = code
     else:
-        codes[cell] = K.CODE_INVALID
+        codes[cell] = code
     margins = np.linspace(-1.0, 1.0, 16).reshape(4, 4)
-    with pytest.raises(DomainValidationError):
+    with pytest.raises(error):
         csv_text(codes, margins, spec)
-    with pytest.raises(DomainValidationError):
+    with pytest.raises(error):
         render_svg(codes, spec)
-    with pytest.raises(DomainValidationError):
+    with pytest.raises(error):
         emit_csv(codes, margins, spec, str(tmp_path / "plot.csv"))
-    with pytest.raises(DomainValidationError):
+    with pytest.raises(error):
         emit_svg(codes, spec, str(tmp_path / "plot.svg"))
     assert list(tmp_path.iterdir()) == []
 
@@ -577,20 +592,17 @@ def test_csv_writer_holds_one_block_of_distinct_margins(tmp_path):
     assert peak < os.path.getsize(path)
 
 
-def test_codes_present_are_counted_one_table_block_at_a_time():
-    # a whole-grid np.bincount copies the grid to int16 and then to intp:
-    # 22.5 MB at res 1500; per table block it holds one block's copies
+def test_code_check_copies_nothing():
+    # the emitters' check reads the least and greatest code; a census of
+    # the codes would copy the grid (22.5 MB at res 1500 by np.bincount)
     res = 1500
     grid = np.linspace(*WINDOW[0], res)
     codes, _, _ = classify_field(B_PARAMS, grid, grid)
-    rows = _FIELD_BLOCK_CELLS // res
-    want = plotting._regions_present(codes)
+    plotting._check_codes(codes)
     tracemalloc.start()
     try:
-        got = plotting._regions_present(codes)
+        plotting._check_codes(codes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert list(got) == list(want) == np.unique(codes).tolist()
-    block = rows * res * (codes.itemsize + np.dtype(np.intp).itemsize)
-    assert peak < 1.25 * block, (peak, block)
+    assert peak < 4096, peak
