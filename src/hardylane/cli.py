@@ -319,8 +319,6 @@ def cmd_verify(args) -> int:
         "r_domain": 1.0,
         "min_slack_u": report.min_slack_u,
         "min_slack_v": report.min_slack_v,
-        "oracle_max_dev": report.oracle_max_dev,
-        "oracle_exceeded": report.oracle_exceeded,
         "positivity_ok": report.positivity_ok,
         "diagnostic": report.diagnostic,
         "notes": list(cand.notes),

@@ -35,18 +35,15 @@ at scale t has the pointwise form a(r) t - b(r) t^s with s > 1: small t
 always wins where the recipe is valid.
 
 Verification is grid-based, not a proof: both inequalities are checked
-at log-spaced radii and the symbolic operator is cross-checked against
-the finite-difference oracle at sample radii.  Failures are reported,
-never masked.  Each candidate gets one verification pass: u, v, Lu and
-Lv are evaluated once on the grid, the scale scan computes slack minima
-only, and the report, cross-check included, is built for the accepted
-scale alone.  The scan decides with the least work: first at the grid's
-innermost radius r0 in Python floats, where a value certainly negative
-decides what the grid would, and only then on the grid, the v-slack
-before the u-slack; find_scale's docstring states the whole order.  The
-cross-check's sample radii, stencil and finite-difference denominators
-are built once per grid and shared, and u and v go through one stacked
-finite-difference pass.  No numpy call is made that does no arithmetic:
+at log-spaced radii, with the images Lu and Lv in the closed form of
+radial._hardy_image.  Failures are reported, never masked.  Each
+candidate gets one verification pass: u, v, Lu and Lv are evaluated once
+on the grid, the scale scan computes slack minima only, and the report
+is built for the accepted scale alone.  The scan decides with the least
+work: first at the grid's innermost radius r0 in Python floats, where a
+value certainly negative decides what the grid would, and only then on
+the grid, the v-slack before the u-slack; find_scale's docstring states
+the whole order.  No numpy call is made that does no arithmetic:
 _term_sums skips the zeros and the products by +-1, and a call without a
 grid uses one default grid, and its radii, built at import.  The bits
 are those of the plain arithmetic, and of computing both slacks at every
@@ -62,7 +59,6 @@ Known degeneracies handled here rather than assumed away:
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from typing import Optional, Tuple
@@ -72,8 +68,8 @@ import numpy as np
 from . import boundaries as bd
 from ._frozen import frozen
 from .exponents import DomainValidationError, HardyParams, Powers
-from .radial import (RadialFunction, RadialGrid, _fd_hardy, _fd_stencil,
-                     _hardy_image, _term_sums, default_grid)
+from .radial import (RadialFunction, RadialGrid, _hardy_image, _term_sums,
+                     default_grid)
 
 CASE_IDS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -85,13 +81,6 @@ _MIRRORS = {"C7": "C6", "C8": "C4"}
 
 #: Scan grid for the scaling parameter: descending powers of two.
 SCALE_SCAN = tuple(2.0 ** -k for k in range(0, 61))
-
-ORACLE_DEV_LIMIT = 1e-4
-
-#: Largest finite-difference step and number of sample radii of the
-#: operator cross-check.
-ORACLE_STEP = 1e-4
-ORACLE_SAMPLES = 16
 
 #: The grid of find_scale and verify_on_grid when none is given, built once.
 _DEFAULT_GRID = default_grid()
@@ -122,21 +111,15 @@ class SupersolutionCandidate:
 
 @frozen
 class VerificationReport:
-    """Pointwise slack minima plus the symbolic/numeric cross-check.
+    """Pointwise slack minima of the scaled pair on a grid.
 
-    ok reflects the slack signs only (and positivity of the pair);
-    oracle_max_dev is the largest scale-normalized deviation between the
-    symbolic images and the finite-difference operator at the sample
-    radii, and oracle_exceeded flags deviations beyond the contract limit
-    so they are never silently passed.
+    ok reflects the slack signs and the positivity of the pair.
     """
 
     ok: bool
     min_slack_u: float
     min_slack_v: float
     grid: RadialGrid
-    oracle_max_dev: float
-    oracle_exceeded: bool
     positivity_ok: bool
     diagnostic: str = ""
 
@@ -312,9 +295,8 @@ def _finite_positive(vals: np.ndarray) -> bool:
 
 def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
     """The values of u, v, Lu and Lv at a grid's radii, which RadialGrid
-    has checked, then the symbolic images (Lu, Lv); None as soon as u,
-    then v, is not finite and positive there.  Callers turn overflow
-    warnings off."""
+    has checked; None as soon as u, then v, is not finite and positive
+    there.  Callers turn overflow warnings off."""
     u_vals = _term_sums(cand.u, radii, False)[0]
     if not _finite_positive(u_vals):
         return None
@@ -324,7 +306,7 @@ def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
     images = _images(cand)
     lu = _term_sums(images[0], radii, False)[0]
     lv = _term_sums(images[1], radii, False)[0]
-    return u_vals, v_vals, lu, lv, images
+    return u_vals, v_vals, lu, lv
 
 
 def _certainly_negative(value: float, magnitude: float) -> bool:
@@ -380,63 +362,6 @@ def _pair_defect(cand: SupersolutionCandidate, radii: np.ndarray) -> str:
     return f"{name} is not positive near r={radii[vals.argmin()]:.3e}"
 
 
-@functools.lru_cache(maxsize=8)
-def _oracle_stencil(r_min: float, r_max: float
-                    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """The operator cross-check's (geometry, stencil), from _fd_stencil,
-    for a grid with bounds [r_min, r_max]; every array is shared and
-    read-only.  geometry[0] holds the sample radii r.
-
-    The ORACLE_SAMPLES sample radii r are np.geomspace(max(r_min,
-    r_max/4), 0.85 r_max, ORACLE_SAMPLES), descending where r_min lies
-    above 0.85 r_max, with step h = min(ORACLE_STEP, r/8).  _fd_stencil's
-    check 0 < h < r/4 fails at a radius that is not positive, so they need
-    no other check.  They depend on the bounds alone, so every candidate
-    verified on a grid shares one geometry, built and checked once; the
-    few most recent grids are kept.
-    """
-    radii = np.geomspace(max(r_min, 0.25 * r_max), r_max * 0.85,
-                         ORACLE_SAMPLES)
-    geometry, points = _fd_stencil(radii,
-                                   np.minimum(ORACLE_STEP, radii / 8.0))
-    for arr in geometry + (points,):
-        arr.flags.writeable = False
-    return geometry, points
-
-
-def _oracle_deviation(cand: SupersolutionCandidate,
-                      images: Tuple[RadialFunction, RadialFunction],
-                      grid: RadialGrid) -> float:
-    """Scale-normalized max deviation between the two operator evaluations.
-
-    Deviation at radius r is |symbolic - finite difference| divided by
-    max(1, |symbolic|, sum of |term| magnitudes), which keeps the measure
-    meaningful for steeply singular candidates where absolute comparison
-    would be dominated by the r^(tau-2) blow-up.  The sample radii and
-    stencil are the grid's shared _oracle_stencil.  images are the
-    candidate's symbolic images Lu and Lv, each evaluated in one pass over
-    its terms for its value and magnitude.  u's and v's stencil values are
-    stacked for one _fd_hardy pass with mu1 and mu2 per row (params holds
-    snapped mu), which gives each row the bits of its own pass.  The
-    deviation is reduced over both rows at once; a NaN deviation is
-    skipped, not propagated into the maximum.
-    """
-    params = cand.params
-    geometry, points = _oracle_stencil(grid.r_min, grid.r_max)
-    # shape (5, 2, n): one row per stencil offset holding u's values, then
-    # v's; contiguous, which numpy runs faster than a transposed stack
-    values = np.concatenate((_term_sums(cand.u, points, False)[0],
-                             _term_sums(cand.v, points, False)[0]),
-                            axis=1).reshape(5, 2, -1)
-    fd = _fd_hardy(params.N, np.array(((params.mu1,), (params.mu2,))),
-                   values, geometry)
-    (sym_u, mag_u), (sym_v, mag_v) = [_term_sums(image, geometry[0], True)
-                                      for image in images]
-    sym, mag = np.array((sym_u, sym_v)), np.array((mag_u, mag_v))
-    dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
-    return max(0.0, float(np.fmax.reduce(dev, axis=None)))
-
-
 def _slack_min(t: float, image: np.ndarray, vals: np.ndarray,
                s: float) -> float:
     """min over the grid of one scaled inequality slack t L - (t w)^s,
@@ -468,23 +393,20 @@ def _slack_ok(min_slack: float) -> bool:
     return 0.0 <= min_slack < math.inf
 
 
-def _report(cand: SupersolutionCandidate, grid: RadialGrid, t: float,
-            min_u: float, min_v: float, evaluated) -> VerificationReport:
+def _report(grid: RadialGrid, t: float, min_u: float, min_v: float,
+            lu: np.ndarray, lv: np.ndarray) -> VerificationReport:
     """The report at scale t on a pair that _evaluated accepts on the
-    grid, from its slack minima there and _evaluated's result."""
-    _, _, lu, lv, images = evaluated
-    dev = _oracle_deviation(cand, images, grid)
+    grid, from its slack minima there and the images' values lu and lv,
+    which name a NaN slack's radius."""
     return VerificationReport(
         ok=_slack_ok(min_u) and _slack_ok(min_v),
-        min_slack_u=min_u, min_slack_v=min_v,
-        grid=grid, oracle_max_dev=dev, oracle_exceeded=dev > ORACLE_DEV_LIMIT,
-        positivity_ok=True,
+        min_slack_u=min_u, min_slack_v=min_v, grid=grid, positivity_ok=True,
         diagnostic=_slack_defect(grid.radii, t, min_u, min_v, lu, lv))
 
 
 def verify_on_grid(cand: SupersolutionCandidate, t: float,
                    grid: Optional[RadialGrid] = None) -> VerificationReport:
-    """Check both scaled inequalities pointwise and cross-check the operator.
+    """Check both scaled inequalities pointwise on a grid.
 
     The scaled pair is (t u, t v); the slacks are
 
@@ -513,12 +435,12 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
         if evaluated is None:
             return VerificationReport(
                 ok=False, min_slack_u=math.nan, min_slack_v=math.nan,
-                grid=grid, oracle_max_dev=math.nan, oracle_exceeded=False,
-                positivity_ok=False, diagnostic=_pair_defect(cand, radii))
-        u_vals, v_vals, lu, lv, _ = evaluated
+                grid=grid, positivity_ok=False,
+                diagnostic=_pair_defect(cand, radii))
+        u_vals, v_vals, lu, lv = evaluated
         min_u = _slack_min(t, lu, v_vals, cand.pq.p)
         min_v = _slack_min(t, lv, u_vals, cand.pq.q)
-    return _report(cand, grid, t, min_u, min_v, evaluated)
+    return _report(grid, t, min_u, min_v, lu, lv)
 
 
 def find_scale(cand: SupersolutionCandidate,
@@ -554,13 +476,11 @@ def find_scale(cand: SupersolutionCandidate,
     so numpy's value at r0 is negative too, and they return what the
     grid would.  A power that overflows Python's ** decides nothing.
 
-    The report is built for the accepted scale alone, by _report
-    (including the operator cross-check on the grid's shared oracle
-    stencil, which reuses the images), the same as verify_on_grid's, bit
-    for bit: the minima are the same _slack_min expressions.  Returns None
-    when no scale verifies: either the hypothesis is violated or the grid
-    is too coarse, or u or v is not positive or not finite on the grid;
-    callers decide, nothing is masked.
+    The report is built for the accepted scale alone, by _report, the
+    same as verify_on_grid's, bit for bit: the minima are the same
+    _slack_min expressions.  Returns None when no scale verifies: either
+    the hypothesis is violated or the grid is too coarse, or u or v is not
+    positive or not finite on the grid; callers decide, nothing is masked.
     """
     if grid is None:
         grid = _DEFAULT_GRID
@@ -571,7 +491,7 @@ def find_scale(cand: SupersolutionCandidate,
         evaluated = _evaluated(cand, radii)
         if evaluated is None:
             return None
-        u_vals, v_vals, lu, lv, _ = evaluated
+        u_vals, v_vals, lu, lv = evaluated
         p, q = cand.pq.p, cand.pq.q
         u0, v0, lu0, lv0 = (u_vals.item(0), v_vals.item(0), lu.item(0),
                             lv.item(0))
@@ -586,4 +506,4 @@ def find_scale(cand: SupersolutionCandidate,
                     break
         else:
             return None
-    return t, _report(cand, grid, t, min_u, min_v, evaluated)
+    return t, _report(grid, t, min_u, min_v, lu, lv)

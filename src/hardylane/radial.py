@@ -11,16 +11,14 @@ so a finite sum of such terms maps to another finite sum.  The prefactor
 mu - tau(tau+N-2) is evaluated in the factored form -(tau - tau_+)(tau - tau_-)
 so the homogeneous solutions r^(tau_+-) are annihilated exactly, not just to
 round-off.  Construction verification evaluates these sums on log grids
-(_term_sums) and cross-checks the symbolic image against a finite-difference
-evaluation of the same operator (_fd_stencil, _fd_hardy): the stencil and
-its denominators are built once per set of sample radii.
+(_term_sums).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -226,53 +224,6 @@ def _hardy_image(N: int, tau_plus: float, tau_minus: float,
     if len(out) < 2:
         return RadialFunction(terms=tuple(out))
     return RadialFunction.from_terms(out)
-
-
-_FD_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-
-def _fd_stencil(r: ArrayLike, h: ArrayLike
-                ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """(geometry, stencil): r and h broadcast together and checked for
-    0 < h < r/4, the geometry (r, 12 h, 4 h h, r r) that _fd_hardy divides
-    by, and the stencil's rows r + k h for k = -2..2.
-
-    The check keeps every stencil radius above r/2 > 0, so the stencil is
-    evaluated without checking its radii again.  The geometry depends on
-    r and h alone, so a caller that keeps it computes the denominators
-    once for every function it differentiates there.
-    """
-    r, h = np.asarray(r, dtype=float), np.asarray(h, dtype=float)
-    if r.shape != h.shape:
-        r, h = np.broadcast_arrays(r, h)
-    good = (0.0 < h) & (h < r / 4.0)
-    if not good.all():
-        i = int(good.argmin())
-        raise DomainValidationError(
-            f"step h={h.flat[i]} must satisfy 0 < h < r/4 (r={r.flat[i]})")
-    # one row of radii per offset; r + (-2.0 * h) is r - 2 * h exactly
-    stencil = r + np.multiply.outer(_FD_OFFSETS, h)
-    return (r, 12.0 * h, 4.0 * h * h, r * r), stencil
-
-
-def _fd_hardy(N: int, mu: ArrayLike, values: np.ndarray,
-              geometry: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """The finite-difference operator from values on a stencil of
-    _fd_stencil, with its geometry, for a validated N and a snapped mu.
-
-    values holds one row per stencil offset k = -2..2: a function's values
-    at r + k h (shape (5,) + r.shape), or m functions' values stacked
-    inside each row (shape (5, m) + r.shape) with one mu per function
-    (shape (m, 1) for 1-D r).  Every element gets the arithmetic of a
-    single function's pass, so stacking changes no bits.  The one place
-    the 5-point combinations are written; their denominators 12 h and
-    4 h h, and r r, are _fd_stencil's.
-    """
-    r, twelve_h, four_hh, rr = geometry
-    fm2, fm1, f0, fp1, fp2 = values
-    d1 = (8.0 * fp1 - fp2 - 8.0 * fm1 + fm2) / twelve_h
-    d2 = (fp2 - 2.0 * f0 + fm2) / four_hh
-    return mu / rr * f0 - (d2 + (N - 1) / r * d1)
 
 
 @frozen

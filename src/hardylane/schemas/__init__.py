@@ -3,7 +3,7 @@
 import json
 from importlib import resources
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _KINDS = ("classify", "iterate", "verify", "plot")
 

@@ -2,17 +2,20 @@
 the bare-(N, mu) forms of its radial calculus.
 
 mu_zero is the Hardy threshold -(N-2)^2/4, from the exact integer square.
-hardy_fd_oracle evaluates -Delta + mu/|x|^2 by finite differences from a
-function's values alone, the cross-check of the symbolic image.
-claim1_check and crossing_step_bound read a bootstrap trace against the
-affine law of its full cycle.  e3 is the one-bootstrap integrability
-margin, which equals e1 at the threshold.  decimal_roots is the Hardy
-roots' high-precision value, and exact_sign decides the sign of an
-expression in two square roots exactly.  case_for_region names the
-construction that realizes an existence citation.  svg_cells writes a
-region plot's grid rects one cell at a time.  pair_of, hardy_image and
-values are the roots (tau_+, tau_-), the symbolic image and the term sums
-of a radial function for a coefficient given on its own.
+hardy_fd_oracle and decimal_hardy evaluate -Delta + mu/|x|^2 from a
+function's values alone, by finite differences in floats and in 80-digit
+decimals: the tests' statements of the operator, independent of the
+symbolic image.  fd_deviation compares a construction's symbolic images
+with hardy_fd_oracle.  claim1_check and crossing_step_bound read a
+bootstrap trace against the affine law of its full cycle.  e3 is the
+one-bootstrap integrability margin, which equals e1 at the threshold.
+decimal_roots is the Hardy roots' high-precision value, and exact_sign
+decides the sign of an expression in two square roots exactly.
+case_for_region names the construction that realizes an existence
+citation.  svg_cells writes a region plot's grid rects one cell at a
+time.  pair_of, hardy_image and values are the roots (tau_+, tau_-), the
+symbolic image and the term sums of a radial function for a coefficient
+given on its own.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ from hardylane.constructions import LINE_TOL
 from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.iteration import IterationTrace
 from hardylane.plotting import _COLORS, _MARGIN_L, _MARGIN_T, _PLOT_H, _PLOT_W
-from hardylane.radial import (ArrayLike, RadialFunction, _fd_hardy,
-                              _fd_stencil, _hardy_image, _term_sums)
+from hardylane.radial import (ArrayLike, RadialFunction, _hardy_image,
+                              _term_sums)
+
+#: The offsets k of hardy_fd_oracle's stencil radii r + k h.
+_FD_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def mu_zero(N: int) -> float:
@@ -130,17 +136,104 @@ def hardy_fd_oracle(N: int, mu: float, f: RadialFunction, r: ArrayLike,
     the deviation by ~4.
 
     r and h may be scalars or arrays; they broadcast together, every
-    element must satisfy 0 < h < r/4, and the whole stencil is one
-    evaluation.  Each element gets the same arithmetic as a scalar call,
-    and scalar r and h return a float.  This validates N, mu, r and h,
-    then applies _fd_hardy to f's values on the stencil of _fd_stencil; a
-    caller that checks several functions at the same radii builds the
-    stencil once and stacks their values for one _fd_hardy pass.
+    element must satisfy 0 < h < r/4 (which keeps every stencil radius
+    above r/2 > 0), and the whole stencil is one evaluation.  Each element
+    gets the same arithmetic as a scalar call, and scalar r and h return a
+    float.  N and mu are validated, and mu snapped, by HardyParams.
     """
     mu = HardyParams(N, mu, mu).mu1
-    geometry, points = _fd_stencil(r, h)
-    out = _fd_hardy(N, mu, _term_sums(f, points, False)[0], geometry)
+    r, h = np.asarray(r, dtype=float), np.asarray(h, dtype=float)
+    if r.shape != h.shape:
+        r, h = np.broadcast_arrays(r, h)
+    good = (0.0 < h) & (h < r / 4.0)
+    if not good.all():
+        i = int(good.argmin())
+        raise DomainValidationError(
+            f"step h={h.flat[i]} must satisfy 0 < h < r/4 (r={r.flat[i]})")
+    # one row of radii per offset; r + (-2.0 * h) is r - 2 * h exactly
+    stencil = r + np.multiply.outer(_FD_OFFSETS, h)
+    fm2, fm1, f0, fp1, fp2 = _term_sums(f, stencil, False)[0]
+    d1 = (8.0 * fp1 - fp2 - 8.0 * fm1 + fm2) / (12.0 * h)
+    d2 = (fp2 - 2.0 * f0 + fm2) / (4.0 * h * h)
+    out = mu / (r * r) * f0 - (d2 + (N - 1) / r * d1)
     return float(out) if out.ndim == 0 else out
+
+
+#: Sample count, largest step and bound of fd_deviation, the check that a
+#: construction's symbolic images agree with hardy_fd_oracle.
+FD_SAMPLES = 16
+FD_STEP = 1e-4
+FD_DEV_LIMIT = 1e-4
+
+
+def fd_deviation(cand, grid) -> float:
+    """Scale-normalized max deviation between a candidate's symbolic
+    images Lu, Lv and hardy_fd_oracle, at FD_SAMPLES radii
+    np.geomspace(max(r_min, r_max/4), 0.85 r_max) of the grid (descending
+    where r_min lies above 0.85 r_max) with step min(FD_STEP, r/8).
+
+    The deviation at r is |symbolic - finite difference| divided by
+    max(1, |symbolic|, sum of |term| magnitudes), which keeps the measure
+    meaningful for steeply singular candidates.  A NaN deviation is
+    skipped, not propagated into the maximum.
+    """
+    params = cand.params
+    radii = np.geomspace(max(grid.r_min, 0.25 * grid.r_max),
+                         grid.r_max * 0.85, FD_SAMPLES)
+    h_r = np.minimum(FD_STEP, radii / 8.0)
+    worst = 0.0
+    for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
+        fd = hardy_fd_oracle(params.N, mu, f, radii, h_r)
+        sym, mag = _term_sums(hardy_image(params.N, mu, f), radii, True)
+        dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
+        worst = max(worst, float(np.fmax.reduce(dev)))
+    return worst
+
+
+def decimal_hardy(N: int, mu: float, f: RadialFunction, r: float
+                  ) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """-(f'' + (N-1)/r f') + mu/r^2 f at r, in decimal at 80 digits, from
+    f's values alone, and the magnitude of what it sums.
+
+    The derivatives are central differences at h = 1e-20 over the values
+    sum c exp(tau ln r) (-ln r)^k at r - h, r and r + h; mu, r and each
+    coefficient and exponent are read as the binary rationals they hold.
+    The truncation error is about (h/r)^2 of the derivatives, below 1e-28
+    from r = 1e-6 up, and the second difference keeps about
+    80 - 2 log10(r/h) digits of f: 40 at r = 1, 52 at r = 1e-6.  At 60
+    digits it kept 20, too few where f is within an ulp of a kernel
+    function: r^tau with tau = 2^-52 at mu = 0, whose image is 1e-16 of
+    f/r^2.
+
+    The magnitude is the sum over f's terms of the sizes of -f'',
+    -(N-1)/r f' and mu/r^2 f, the parts the operator makes of the term
+    before they cancel: |c| r^(tau-2) times
+    A (-ln r)^k + k (|2 tau - 1| + N - 1), A = |tau (tau-1)| + (N-1) |tau|
+    + |mu|.  A kernel term r^tau_+ cancels to mu - tau_+ (tau_+ + N - 2),
+    an ulp or so of A at a float root, which the symbolic image sets to
+    exactly 0.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        D = decimal.Decimal
+        terms = [(D(t.coeff), D(t.tau), t.log_power) for t in f.terms]
+
+        def value(x):
+            neg_ln = -x.ln()
+            return sum((c * (tau * -neg_ln).exp() * neg_ln ** k
+                        for c, tau, k in terms), D(0))
+
+        h, x, mu = D("1e-20"), D(r), D(mu)
+        fm, f0, fp = value(x - h), value(x), value(x + h)
+        d1 = (fp - fm) / (2 * h)
+        d2 = (fp - 2 * f0 + fm) / (h * h)
+        neg_ln = -x.ln()
+        magnitude = sum((abs(c) * ((tau - 2) * -neg_ln).exp()
+                         * ((abs(tau * (tau - 1)) + (N - 1) * abs(tau)
+                             + abs(mu)) * neg_ln ** k
+                            + k * (abs(2 * tau - 1) + N - 1))
+                         for c, tau, k in terms), D(0))
+        return -(d2 + (N - 1) / x * d1) + mu / (x * x) * f0, magnitude
 
 
 def _usable_tau1(trace: IterationTrace) -> List[float]:

@@ -29,8 +29,9 @@ from hardylane.plotting import (PlotSpec, critical_curve_points,
 from hardylane.radial import RadialFunction, RadialTerm
 from hardylane.regions import (Verdict, _wrap, classify, classify_field,
                                nonexistence_witness)
-from oracles import (claim1_check, crossing_step_bound, e3,
-                     hardy_fd_oracle, hardy_image, pair_of, values)
+from oracles import (FD_DEV_LIMIT, claim1_check, crossing_step_bound, e3,
+                     fd_deviation, hardy_fd_oracle, hardy_image, pair_of,
+                     values)
 from quadrature import integral_behavior
 
 mono = RadialFunction.monomial
@@ -405,7 +406,7 @@ def test_criterion_7_construction_verification():
                 continue
             t, rep = found
             if rep.ok and rep.min_slack_u >= 0 and rep.min_slack_v >= 0 \
-                    and rep.oracle_max_dev <= 1e-4:
+                    and fd_deviation(cand, rep.grid) <= FD_DEV_LIMIT:
                 good += 1
         per_case[case] = good
         all_ok &= good == 10

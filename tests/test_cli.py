@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylane import cli
-from hardylane.constructions import CASE_IDS
-from hardylane.exponents import DomainValidationError, HardyParams
+from hardylane.constructions import CASE_IDS, build_candidate
+from hardylane.exponents import DomainValidationError, HardyParams, Powers
+from hardylane.radial import default_grid
 from hardylane.regions import _OUTCOMES, classify_field
-from hardylane.schemas import load_schema
+from hardylane.schemas import SCHEMA_VERSION, load_schema
+from oracles import FD_DEV_LIMIT, fd_deviation
 
 
 def run_cli(capsys, *argv):
@@ -183,7 +185,7 @@ _NEGATIVE_ZERO_RECORD = """{
   "p": 2.0,
   "q": 3.0,
   "regime": "A",
-  "schema_version": "1",
+  "schema_version": "2",
   "swapped": true,
   "verdict": "exists_supersolution"
 }
@@ -329,7 +331,8 @@ class TestVerifyCommand:
         assert rec["ok"] is True
         assert rec["t"] == 1.0
         assert rec["min_slack_u"] >= 0.0
-        assert rec["oracle_max_dev"] <= 1e-4
+        cand = build_candidate("C1", HardyParams(5, -2.0, 0.0), Powers(2, 3))
+        assert fd_deviation(cand, default_grid()) <= FD_DEV_LIMIT
         jsonschema.validate(rec, load_schema("verify"))
 
     def test_rejects_wrong_hypothesis(self, capsys):
@@ -497,7 +500,7 @@ class TestPlotCommand:
                                "json", "--out", str(tmp_path / "j"))
         assert (code, len(calls)) == (0, 1), err
         assert hashlib.sha256((tmp_path / "j.json").read_bytes()).hexdigest() \
-            == "e60371645cd0354de8accf79451acd58bcbc290f68834dd416dc0c543e1cc2fe"
+            == "c578af4a4a7874eee879278727da9bf2afff7123450f3ba82fe6a1221ad80bb0"
 
     def test_svg_deterministic(self, capsys, tmp_path):
         args = ("plot", "--N", "5", "--mu1", "-2", "--mu2", "-2",
@@ -607,6 +610,73 @@ class TestPlotCommand:
                                  "--format", fmt, "--out", str(tmp_path / "x"))
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+
+_POINT = ("--N", "5", "--mu1", "-2", "--mu2", "0")
+
+#: One command line per form of record the four commands emit: classify at
+#: an existence point and with each witness mechanism, iterate in both
+#: variants, verify accepting, with notes and with no scale, and plot's
+#: JSON record with and without files.
+_RECORD_FORMS = (
+    ("classify", *_POINT, "--p", "2", "--q", "3", "--witness"),
+    ("classify", *_POINT, "--p", "2", "--q", "4.9999999999995", "--witness"),
+    ("classify", *_POINT, "--p", "2", "--q", "4", "--witness"),
+    ("iterate", "--N", "5", "--mu1", "-2", "--mu2", "-2", "--p", "2.5",
+     "--q", "3.5"),
+    ("iterate", "--N", "5", "--mu1", "-2", "--mu2", "-2", "--p", "2.5",
+     "--q", "3.5", "--variant", "clamped"),
+    ("verify", *_POINT, "--p", "2", "--q", "3", "--case", "C1"),
+    ("verify", "--N", "5", "--mu1", "-2", "--mu2", "4", "--p", "2",
+     "--q", "1.5", "--case", "C2"),
+    ("verify", *_POINT, "--p", "2", "--q", "3", "--case", "C1",
+     "--r-min=1e-320"),
+    ("plot", *_POINT, "--p-range", "0.1..8", "--q-range", "0.1..8",
+     "--res", "4", "--format", "json"),
+    ("plot", *_POINT, "--p-range", "0.1..8", "--q-range", "0.1..8",
+     "--res", "4", "--format", "csv,svg,json"))
+
+
+def schema_mismatches(record, schema, path="record"):
+    """Each key of record, at any depth, that its schema's properties do
+    not declare, and each key its required list names that is missing."""
+    found = []
+    if isinstance(record, dict) and "properties" in schema:
+        declared = schema["properties"]
+        found += [f"{path}.{key} undeclared" for key in record
+                  if key not in declared]
+        found += [f"{path}.{key} missing" for key in schema.get("required", ())
+                  if key not in record]
+        for key, value in record.items():
+            if key in declared:
+                found += schema_mismatches(value, declared[key],
+                                           f"{path}.{key}")
+    elif isinstance(record, list) and "items" in schema:
+        for i, value in enumerate(record):
+            found += schema_mismatches(value, schema["items"], f"{path}[{i}]")
+    return found
+
+
+@pytest.mark.parametrize("argv", _RECORD_FORMS,
+                         ids=[f"{a[0]}-{k}" for k, a in
+                              enumerate(_RECORD_FORMS)])
+def test_records_and_schemas_agree(argv, capsys, tmp_path):
+    # jsonschema passes a key no schema declares (none sets
+    # additionalProperties): every key emitted is declared, every required
+    # one emitted, and every shipped schema is of SCHEMA_VERSION
+    command = argv[0]
+    if command == "plot":
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x"))
+        assert code == 0, err
+        record = json.loads((tmp_path / "x.json").read_text())
+    else:
+        record = run_json(capsys, *argv)
+    schema = load_schema(command)
+    assert schema_mismatches(record, schema) == []
+    jsonschema.validate(record, schema)
+    for kind in ("classify", "iterate", "verify", "plot"):
+        assert load_schema(kind)["properties"]["schema_version"] == \
+            {"const": SCHEMA_VERSION}, kind
 
 
 class TestParserReuse:

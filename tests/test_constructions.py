@@ -6,6 +6,7 @@ import pathlib
 import re
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,8 +17,7 @@ from hypothesis import strategies as st
 import hardylane
 from hardylane import boundaries as bd
 from hardylane import cli, constructions
-from hardylane.constructions import (CASE_IDS, LINE_TOL, ORACLE_DEV_LIMIT,
-                                     ORACLE_SAMPLES, ORACLE_STEP, SCALE_SCAN,
+from hardylane.constructions import (CASE_IDS, LINE_TOL, SCALE_SCAN,
                                      SupersolutionCandidate,
                                      VerificationReport, build_candidate,
                                      find_scale, verify_on_grid)
@@ -25,8 +25,9 @@ from hardylane.exponents import DomainValidationError, HardyParams, Powers
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
                               _term_sums, default_grid)
 from hardylane.regions import Verdict, classify
-from oracles import (case_for_region, hardy_fd_oracle, hardy_image,
-                     mu_zero, values)
+from oracles import (FD_DEV_LIMIT, case_for_region, decimal_hardy,
+                     fd_deviation, hardy_fd_oracle, hardy_image, mu_zero,
+                     values)
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)
@@ -41,9 +42,10 @@ ACCEPTING = (("C1", A_PARAMS, Powers(2, 3)), ("C2", A_PARAMS, Powers(1.5, 1.5)),
              ("C8", B_PARAMS, Powers(3.2, 1.5)))
 
 
-#: find_scale's (t, min_slack_u, min_slack_v, oracle_max_dev) by float.hex
-#: at one accepting point per case, the worked C1 instance first, C3 both
-#: with tau_+(mu2) > 0 (single-power v) and on the log recipe.
+#: find_scale's (t, min_slack_u, min_slack_v) and the operator deviation
+#: fd_deviation on its grid, by float.hex, at one accepting point per case,
+#: the worked C1 instance first, C3 both with tau_+(mu2) > 0 (single-power
+#: v) and on the log recipe.
 GOLDEN = (
     ("C1", (5, -2.0, 0.0, 2.0, 3.0),
      ("0x1.0000000000000p+0", "0x1.008344d4b1fc7p+0",
@@ -143,36 +145,36 @@ GRID_R_MINS = (1e-6, 1e-30, 1e-100)
 #: sha256 of `hardylane verify`'s JSON at each GOLDEN point, in GOLDEN's
 #: order, on the grids of GRID_R_MINS.
 GOLDEN_VERIFY_JSON = (
-    ("e37fd7ca87abfcc30bc7fe583b6da37ae9d468b8056cb617913e8ce624cc194a",
-     "774cafd30ae3106053273d2095bcaf5046298c1f725527edce42611c5280c8ab",
-     "4a6031ea04a6a51aa9153623223a8f60d3387082e57857c05141edc544ddec84"),
-    ("47956c4433426432f1b3ea0bc45c4a669af536da78b694e756bc2c13ee960fbc",
-     "3b8b6b48df6875e4c1307ffb0770ace29de89072f810f24bb503e0a57dd6b9df",
-     "487ba056177944610f36c0525efd0c24545d289aec33dd69bbc68222598a2df9"),
-    ("5328ff338a57d07ec2f19424ab91d31e678107abac43536e1af18cc3cae0d92b",
-     "4062e33a7d7cfec9c4b487db69ccdb30e964d7538a34100b30ab4453d7646045",
-     "f51de98f2ade367c54b40946b90b8b86ca4ca9368fc52c0679bb5f5bb28f02c4"),
-    ("9e2932eb4a51f153e52add770781c2e9432bd8e0e9a8d378a99af7b702789152",
-     "d8d913f003cfc6cf6d4e8a96f985b49b3aca120974a635930109dc8eaa6debe4",
-     "2b68e2fc1b0f43c6d115de6a111ec6762f1437a6482c9e7b7eb72aa7d13402f7"),
-    ("77664190930b8691026bc05d0ea2e988285e1266c2b9617daec45cc6c4ed3407",
-     "2f84402ca4f6a50df37d8a230cc3e5f07fa47de5e13185af72369e756414b39c",
-     "6851e2081c48082420a718cf52e4cd39accc5084f6c7ebeea3105b666c40cb3e"),
-    ("82c4799a8baa2e52ea5e27a8d32fb4758e4bf2a575fb675b5f431d95c103c04a",
-     "21c926c6ed1cb1df9cd8b8314d8788224ad7dfd44a45e99ec1c3a1052576fb48",
-     "40f1663783079cbfe6ed942849552e3bf476f145820c055ef5162f7f628250a3"),
-    ("f8ee4d78a669fd1b3d1e18dbb2cf909b69124224016b564a6b6e00ee18714a13",
-     "fdda8a7150e085899a13b288d3f366e2319507747210fec3aad71ffc99161ac8",
-     "aa751977b1aa0e917e709ab8abeeed668d2155ab5c1775de0b9a66f1b8298094"),
-    ("5dadc75d38f4b1e58658b689f4618bfb06d7a693e8777b6e569516a3429e784e",
-     "105830b964d663142d29583280f259ab23f52d8acf2fd80301e591319998d7ea",
-     "aa18ee83a308a1207ee9eef9834a8ab76a97025bb15e5f8ca394f8dbad8a4b65"),
-    ("a24e6990122135e323dd236b4cea701e82083546b2a95c04cf6b6a4cf734c87b",
-     "9cb05c8cae14fc7d960b7f9503f46ea15955a7ab1bf0e84bd9572aea638b5411",
-     "e161df8419a0e7fd699fc09991b4314bdd1f26110a979c06a71502700fde3234"),
-    ("77da3b393f3901c1ec03963520a9b003a5e556e577b8d95eb500f693c8046eb1",
-     "d73ca6132f2fc25d79947cbb5f7e64176610293577d89b31d971d69a34c7f831",
-     "215ba68140ed7bb417a18dc6ccfdcbc392d249b836f3944af0baf3fbda52f3db"),
+    ("333112cb635dc4cebeb8a01d7d13b49319d9e1fa25da8f385e8f59cd383a8abe",
+     "baf3e1dd8311c19c51953421ab842f967827c3781cc5333233e894147a2bc423",
+     "52ca518341da3a68024a77fc2c5dfa97e6fff34c251afbd9fe0abf6adc4d6ef2"),
+    ("0dbac8443e528513ac4a1ca608287a66ca49d8dc67e53614ce590672d67327ab",
+     "f2da4264d477be9bdc28d177bac0d3cb17afd4270af7930be1554da5298802ed",
+     "e646e52c1305eaf2224545206ca9d141ac9d49957573e990e3b4152ebb39151b"),
+    ("353fd73037d3590fe5720f44352fcba4ec408e357c45f23763ec42833e0b11ae",
+     "17b1539b0c4ba7a9f2561a268ebf72364d21de5d50d9af157af3b91e948a901b",
+     "327ddea784a8d75f6d96e630f5bbb8f5082bf7a15e0148dd09704ba8bdb4974d"),
+    ("d0675e6f340b95eef3c71ca613aaec3616e94ff706528d98d0c868d2aa5c9582",
+     "b40ae763cff3b03e76f48ce054df7e9375cbed3ea43442557ea50bfce8a3a394",
+     "fe21d68391fd3c44f17bcfd575cb7834a150d371d850148d6539ffe91f9d5443"),
+    ("31e5c67349601f06bfac539e299bc3092511045adde4ffabf3705328f140c60e",
+     "5c86a4eec11617db2ad84ca54948d13b47728387fdcba91b42574a2e8db0211d",
+     "6542a9835fb2d2daff77cfa1a1c4fe0b0f6b10cbfd60b2b7e621ccc71ae851ac"),
+    ("829ce53e2881db620a77ce33dfe85717547b50a066b7200609e5ce6f88e3f27d",
+     "eecbfc33f6a0d57388371d0f82d1b6af790b81dd8d8616564ea96b4161b81805",
+     "291e98fb0cf14b562f3292b46215ba944ff85a71f7c6e25fe20bae7d34f65418"),
+    ("c4e4819d57370bac5bd903373091d885451ff68035a5cc4aa0754d3a37b63eb9",
+     "38938eb25f4dc7a95569606051ab55c2bd5c1c2053d4cc32ce5bb768dc5953b8",
+     "77a2866997065c0657effc27d5eb316cc1b2b7ca59a24e3a15c2fd53c8e1472f"),
+    ("e27a84a4dfaa894b4afd33d41fe5bd7e32e40fcb79f4f8408acbc174e541795a",
+     "bdc86e972070c620e9620d6377150c5ab080ab243005417c46ddce672e316205",
+     "424b8bdec476c9f6da85d8bababacc2e1cbc08531984be9370b76d36ba1b4c4c"),
+    ("792513f079f021a6645937032c3277ea55682ed6bbd25b662f014658f8f9f98d",
+     "234a4637f5ffd3a011606e83863a8a32c2765036d19a30bd51dba27593317bcd",
+     "16dc17e3ffa868249fe3d7959157b602acf320603eb2056ace725e9b974b564a"),
+    ("179db59abd08a5390ed21d56d8d46cf006b7189304c881af4d40b1c5a45f8005",
+     "852ddeaed0044c3f3ed0172b7a556fc0cacc3eac8834bed423bc9a13b862c0ce",
+     "07ece1022676a3589708b8939c5e61e34e95b4b42b8eb7a42de94ae2d4a1f7be"),
 )
 
 #: The C3 log points of ROADMAP item 2, Step A, whose grid scale differs
@@ -190,8 +192,8 @@ KNOWN_GRID_SCALES = (
 
 #: sha256 of `hardylane verify`'s JSON at KNOWN_GRID_SCALES' C3 points.
 KNOWN_VERIFY_JSON = (
-    "aac802c2f6d5b215153e388df1a668c68ac0f5749ff155c7d7e113a12fb51f6c",
-    "a6fecd2f60a45a4b58fdd8c41adc1f9323d8a7047b3818f33f8df919f67ad49c",
+    "d89a2a39fceb9f0d65a0dcd7826a621ecadffcdaa5318e5df4707423b8f2e4e4",
+    "35b3f9a090922b46cdaccd6f6f2c67e7e08cc2a036e36b0af03f00fa0364ee07",
 )
 
 
@@ -218,32 +220,15 @@ def oracle_deviation_per_radius(params, cand, grid, h=1e-4, samples=16):
     return worst
 
 
-def oracle_deviation_public(cand, grid):
-    """Reference: the operator cross-check one function at a time, one
-    hardy_fd_oracle and one value-and-magnitude term sum per function."""
-    params = cand.params
-    radii = np.geomspace(max(grid.r_min, 0.25 * grid.r_max),
-                         grid.r_max * 0.85, ORACLE_SAMPLES)
-    h_r = np.minimum(ORACLE_STEP, radii / 8.0)
-    worst = 0.0
-    for f, mu in ((cand.u, params.mu1), (cand.v, params.mu2)):
-        fd = hardy_fd_oracle(params.N, mu, f, radii, h_r)
-        sym, mag = _term_sums(hardy_image(params.N, mu, f), radii, True)
-        dev = np.abs(sym - fd) / np.fmax(1.0, np.fmax(np.abs(sym), mag))
-        worst = max(worst, float(np.fmax.reduce(dev)))
-    return worst
-
-
 def slacks_reference(cand, t, u_vals, v_vals, lu, lv):
     with np.errstate(over="ignore"):
         return (float(np.min(t * lu - np.power(t * v_vals, cand.pq.p))),
                 float(np.min(t * lv - np.power(t * u_vals, cand.pq.q))))
 
 
-def verify_reference(cand, t, grid, h=1e-4, samples=16):
+def verify_reference(cand, t, grid):
     """Reference: verify_on_grid with fresh np.geomspace radii, evaluating
-    u, v, Lu and Lv itself and cross-checking the operator radius by
-    radius."""
+    u, v, Lu and Lv itself."""
     radii = np.geomspace(grid.r_min, grid.r_max, grid.count)
     params = cand.params
     u_vals = values(cand.u, radii)
@@ -253,7 +238,6 @@ def verify_reference(cand, t, grid, h=1e-4, samples=16):
         bad = radii[np.argmin(u_vals if which == "u" else v_vals)]
         return VerificationReport(
             ok=False, min_slack_u=math.nan, min_slack_v=math.nan, grid=grid,
-            oracle_max_dev=math.nan, oracle_exceeded=False,
             positivity_ok=False,
             diagnostic=f"{which} is not positive near r={bad:.3e}")
     lu = values(hardy_image(params.N, params.mu1, cand.u), radii)
@@ -261,11 +245,8 @@ def verify_reference(cand, t, grid, h=1e-4, samples=16):
     min_u, min_v = slacks_reference(cand, t, u_vals, v_vals, lu, lv)
     ok = (math.isfinite(min_u) and math.isfinite(min_v)
           and min_u >= 0.0 and min_v >= 0.0)
-    dev = oracle_deviation_per_radius(params, cand, grid, h, samples)
     return VerificationReport(ok=ok, min_slack_u=min_u, min_slack_v=min_v,
-                              grid=grid, oracle_max_dev=dev,
-                              oracle_exceeded=dev > ORACLE_DEV_LIMIT,
-                              positivity_ok=True)
+                              grid=grid, positivity_ok=True)
 
 
 def find_scale_reference(cand, grid=None):
@@ -512,8 +493,7 @@ class TestVerification:
     def test_oracle_recorded_and_small(self):
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         _, report = find_scale(cand)
-        assert report.oracle_max_dev <= 1e-4
-        assert not report.oracle_exceeded
+        assert fd_deviation(cand, report.grid) <= FD_DEV_LIMIT
 
     @pytest.mark.parametrize("case, params, pq", ACCEPTING,
                              ids=[c for c, _, _ in ACCEPTING])
@@ -521,20 +501,16 @@ class TestVerification:
         cand = build_candidate(case, params, pq)
         _, report = find_scale(cand)
         ref = oracle_deviation_per_radius(params, cand, report.grid)
-        assert report.oracle_max_dev.hex() == ref.hex()
+        assert fd_deviation(cand, report.grid).hex() == ref.hex()
 
     @given(accepting_candidates(), st.floats(min_value=1e-4, max_value=0.9))
     @settings(max_examples=150, deadline=None)
     def test_shared_stencil_matches_public_oracle(self, cand, r_max):
-        # one stencil for u and v gives the bits of one hardy_fd_oracle and
-        # one value-and-magnitude term sum per function
+        # the array pass of fd_deviation gives the bits of one
+        # hardy_fd_oracle and one term sum per radius
         grid = RadialGrid(r_max * 1e-3, r_max, 64)
-        dev = constructions._oracle_deviation(
-            cand, constructions._images(cand), grid)
-        assert dev.hex() == oracle_deviation_public(cand, grid).hex()
-        report = verify_on_grid(cand, 2.0 ** -30, grid)
-        if report.positivity_ok:
-            assert report.oracle_max_dev.hex() == dev.hex()
+        assert fd_deviation(cand, grid).hex() == \
+            oracle_deviation_per_radius(cand.params, cand, grid).hex()
 
     def test_overflowing_pair_fails_with_diagnostic(self):
         # u = r^-1 - 1 is inf at r = 1e-320; no RuntimeWarning escapes
@@ -544,7 +520,6 @@ class TestVerification:
         report = verify_on_grid(cand, t=1.0, grid=grid)
         assert not report.ok and not report.positivity_ok
         assert math.isnan(report.min_slack_u)
-        assert math.isnan(report.oracle_max_dev)
         assert report.diagnostic == "u is not finite near r=1.000e-320"
 
     def test_overflowing_image_fails_with_diagnostic(self):
@@ -616,18 +591,19 @@ class TestVerification:
 
         monkeypatch.setattr(constructions, "_hardy_image", counted)
         assert find_scale(cand) is not None
-        # once for u and once for v: the oracle reuses the scan's images
+        # once for u and once for v: the scan and the report share them
         assert calls == [cand.u, cand.v]
 
     @pytest.mark.parametrize("case, point, bits", GOLDEN,
                              ids=[f"{c}-{pt[2]}" for c, pt, _ in GOLDEN])
     def test_golden_bits(self, case, point, bits):
         N, mu1, mu2, p, q = point
-        t, report = find_scale(build_candidate(case, HardyParams(N, mu1, mu2),
-                                               Powers(p, q)))
-        assert report.ok and not report.oracle_exceeded
+        cand = build_candidate(case, HardyParams(N, mu1, mu2), Powers(p, q))
+        t, report = find_scale(cand)
+        dev = fd_deviation(cand, report.grid)
+        assert report.ok and dev <= FD_DEV_LIMIT
         assert (t.hex(), report.min_slack_u.hex(), report.min_slack_v.hex(),
-                report.oracle_max_dev.hex()) == bits
+                dev.hex()) == bits
 
     @pytest.mark.parametrize("case, point, accepted, bits", GOLDEN_VERIFY,
                              ids=[f"{c}-{pt[3]}-{pt[4]}"
@@ -653,8 +629,8 @@ class TestVerification:
         + [f"{c}-N{pt[0]}-{r_min}"
            for c, pt, r_min, _ in KNOWN_GRID_SCALES[:2]])
     def test_verify_json_bytes(self, case, point, r_min, sha, capsys):
-        # the whole record of `hardylane verify`: scale, minima, oracle
-        # deviation and diagnostic, on grids reaching toward 0
+        # the whole record of `hardylane verify`: scale, minima and
+        # diagnostic, on grids reaching toward 0
         N, mu1, mu2, p, q = point
         assert cli.main(["verify", "--N", str(N), f"--mu1={mu1!r}",
                          f"--mu2={mu2!r}", f"--p={p!r}", f"--q={q!r}",
@@ -680,7 +656,7 @@ class TestVerification:
         cand = build_candidate(case, HardyParams(N, mu1, mu2), Powers(p, q),
                                strict=False)
         arrays = [a.copy() for a in
-                  constructions._evaluated(cand, default_grid().radii)[:4]]
+                  constructions._evaluated(cand, default_grid().radii)]
         for planted in (None, math.inf, -math.inf, math.nan):
             if planted is not None:
                 for k, a in enumerate(arrays):
@@ -694,41 +670,12 @@ class TestVerification:
                        constructions._slack_min(t, lv, u, q))
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    def test_oracle_geometry_is_shared_per_grid(self):
-        cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
-        grid, other = default_grid(), RadialGrid(1e-5, 0.5, 200)
-        shared = constructions._oracle_stencil(grid.r_min, grid.r_max)
-        for arr in shared[0] + (shared[1],):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        # one object per grid: reports on the grid and on a grid of other
-        # bounds leave it in place; the other grid gets its own entry
-        verify_on_grid(cand, 1.0, grid)
-        verify_on_grid(cand, 1.0, other)
-        assert constructions._oracle_stencil(grid.r_min, grid.r_max) \
-            is shared
-        second = constructions._oracle_stencil(other.r_min, other.r_max)
-        assert second is not shared
-        r, twelve_h, four_hh, rr = second[0]
-        assert r.tobytes() == np.geomspace(
-            max(other.r_min, 0.25 * other.r_max), other.r_max * 0.85,
-            ORACLE_SAMPLES).tobytes()
-        h = np.minimum(ORACLE_STEP, r / 8.0)
-        assert (twelve_h.tobytes(), four_hh.tobytes(), rr.tobytes()) == (
-            (12.0 * h).tobytes(), (4.0 * h * h).tobytes(),
-            (r * r).tobytes())
-
     def test_oracle_samples_a_descending_range_on_a_narrow_grid(self):
-        # r_min above 0.85 r_max: the sample radii run from r_min down to
-        # 0.85 r_max, and the grid still verifies
+        # a grid with r_min above 0.85 r_max verifies
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         grid = RadialGrid(0.9, 0.999, 64)
-        r = constructions._oracle_stencil(grid.r_min, grid.r_max)[0][0]
-        assert r.tobytes() == np.geomspace(0.9, 0.999 * 0.85,
-                                           ORACLE_SAMPLES).tobytes()
         t, report = find_scale(cand, grid)
-        assert t == 1.0 and report.ok and not report.oracle_exceeded
+        assert t == 1.0 and report.ok
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_requires_finite_positive_scale(self, t):
@@ -741,7 +688,7 @@ class TestVerification:
         cand = build_candidate("C6", B_PARAMS, Powers(2.0, 3.0))
         found = find_scale(cand)
         assert found is not None
-        assert found[1].oracle_max_dev <= 1e-4
+        assert fd_deviation(cand, found[1].grid) <= FD_DEV_LIMIT
 
 
 @st.composite
@@ -1426,7 +1373,7 @@ def reference_find_scale(cand: SupersolutionCandidate,
         evaluated = constructions._evaluated(cand, grid.radii)
         if evaluated is None:
             return None
-        u_vals, v_vals, lu, lv, _ = evaluated
+        u_vals, v_vals, lu, lv = evaluated
         p, q = cand.pq.p, cand.pq.q
         # t L - (t w)^s <= t L < 0 where L < 0, at every scale (step 2)
         last = SCALE_SCAN[-1]
@@ -1441,7 +1388,7 @@ def reference_find_scale(cand: SupersolutionCandidate,
                     break
         else:
             return None
-    return t, constructions._report(cand, grid, t, min_u, min_v, evaluated)
+    return t, constructions._report(grid, t, min_u, min_v, lu, lv)
 
 
 def scale_bits(found):
@@ -1652,3 +1599,46 @@ class TestRefutationIsSound:
                 slack = constructions._slack_min(t, np.array([image]),
                                                  np.array([w]), s)
             assert not slack >= 0.0, (image, w, s, t, slack)
+
+
+# --- the symbolic images against the operator in decimal --------------------
+# Verification reads Lu and Lv from radial._hardy_image's closed form alone.
+# Here that form is checked, recipe by recipe, against the operator taken
+# from the pair's values in 80-digit decimals (decimal_hardy).
+
+#: Every 64th radius of the default grid, from r0 = 1e-6, and its last.
+DECIMAL_RADII = np.append(default_grid().radii[::64],
+                          default_grid().radii[-1])
+
+
+@pytest.mark.parametrize("case", CASE_IDS)
+@given(data=st.data(), strict=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_images_match_the_decimal_operator(case, data, strict):
+    # points drawn as the scan's reference draws them, both strict modes,
+    # with the accepting and wrong-side strategies where they reach the
+    # case: each image value lies within 1e-13 of the magnitude of what the
+    # operator sums, where floats hold the image to that precision: finite
+    # (a wrong-side pair's image can overflow at r0), and of a normal
+    # magnitude (a subnormal mu2 makes a subnormal image)
+    drawn = [random_case_point(cases=(case,))]
+    if case in ("C1", "C2", "C4", "C5", "C8"):
+        drawn.append(accepting_points(cases=(case,)))
+    if case in ("C1", "C4", "C8"):
+        drawn.append(wrong_side_points().filter(lambda pt: pt[0] == case))
+    try:
+        cand = build_candidate(*data.draw(st.one_of(*drawn)), strict=strict)
+    except DomainValidationError:
+        return
+    params = cand.params
+    for f, mu, image in zip((cand.u, cand.v), (params.mu1, params.mu2),
+                            constructions._images(cand)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _term_sums(image, DECIMAL_RADII, False)[0]
+        for r, value in zip(DECIMAL_RADII.tolist(), got.tolist()):
+            if not math.isfinite(value):
+                continue
+            want, magnitude = decimal_hardy(params.N, mu, f, r)
+            if magnitude >= Decimal(sys.float_info.min):
+                assert abs(Decimal(value) - want) <= \
+                    Decimal("1e-13") * magnitude, (case, f, r, value, want)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hardylane
-from hardylane.exponents import DomainValidationError, HardyParams
+from hardylane.exponents import DomainValidationError
 from hardylane.radial import (RadialFunction, RadialGrid, RadialTerm,
-                              _as_radii, _fd_hardy, _fd_stencil,
-                              _hardy_image, _term_sums, default_grid)
+                              _as_radii, _hardy_image, _term_sums,
+                              default_grid)
 from oracles import hardy_fd_oracle, hardy_image, mu_zero, pair_of, values
 
 mono = RadialFunction.monomial
@@ -428,52 +428,6 @@ class TestFdOracle:
         with pytest.raises(DomainValidationError):
             hardy_fd_oracle(N, mu, f, radii, steps)
 
-    @given(st.integers(min_value=3, max_value=8),
-           # 5e-14 inside the snap band, so the oracle snaps mu itself
-           st.one_of(st.floats(min_value=0.0, max_value=5.0),
-                     st.sampled_from([-5e-14, 5e-14])),
-           st.lists(st.lists(st.tuples(st.floats(min_value=-3.0,
-                                                 max_value=3.0),
-                                       st.integers(min_value=0, max_value=1),
-                                       st.floats(min_value=-2.0,
-                                                 max_value=2.0).filter(
-                                           lambda c: c != 0.0)),
-                             max_size=3),
-                    min_size=1, max_size=3),
-           st.lists(st.tuples(st.floats(min_value=1e-6, max_value=2.0),
-                              st.floats(min_value=1e-3, max_value=1.0)),
-                    min_size=1, max_size=8),
-           st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_shared_stencil_matches_oracle(self, N, mu_off, functions,
-                                           points, scalar):
-        # one stencil for several functions gives hardy_fd_oracle's bits,
-        # one function at a time and all of them stacked in one pass
-        mu = mu_zero(N) + mu_off
-        if scalar:
-            r, h = points[0][0], points[0][0] * points[0][1] / 8.0
-        else:
-            r = np.array([x for x, _ in points])
-            h = np.array([x * frac / 8.0 for x, frac in points])
-        geometry, stencil = _fd_stencil(r, h)
-        r_s = geometry[0]
-        fs = [RadialFunction.from_terms(RadialTerm(*t) for t in terms)
-              for terms in functions]
-        mus = [mu + k for k in range(len(fs))]
-        # the functions' values stacked inside each offset row, one mu each
-        per_row = np.reshape([HardyParams(N, m, m).mu1 for m in mus],
-                             (-1,) + (1,) * r_s.ndim)
-        stacked = _fd_hardy(
-            N, per_row,
-            np.stack([_term_sums(f, stencil, False)[0] for f in fs], axis=1),
-            geometry)
-        for f, m, row in zip(fs, mus, stacked):
-            alone = _fd_hardy(N, HardyParams(N, m, m).mu1,
-                              _term_sums(f, stencil, False)[0], geometry)
-            want = np.asarray(hardy_fd_oracle(N, m, f, r, h)).tobytes()
-            assert alone.tobytes() == want
-            assert row.tobytes() == want
-
     def test_second_order_convergence(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -604,22 +558,26 @@ class TestGrid:
             RadialGrid(1e-6, 0.999, np.int64(1))
 
 
-#: Formula shapes with one owner each: the 5-point stencil combinations in
-#: radial._fd_hardy, with their denominators in radial._fd_stencil, and the
-#: factored root coefficient -(tau - tau_+)(tau - tau_-) in
-#: radial._hardy_image.
+#: Formula shapes with one owner each, among the package's and the tests'
+#: files: the 5-point stencil combinations and their denominators in
+#: tests/oracles.py's hardy_fd_oracle (the package has no finite-difference
+#: operator), and the factored root coefficient -(tau - tau_+)(tau - tau_-)
+#: in radial._hardy_image.
 _OWNED_FORMULAS = (
     (r"8\.0 \* fp1|8\.0 \* fm1|2\.0 \* f0\b|12\.0 \* h|4\.0 \* h \* h",
-     "radial.py", 3),
-    (r"tau_plus\)\s*\*\s*\(|tau_minus\)\s*\*\s*\(", "radial.py", 1))
+     "tests/oracles.py", 2),
+    (r"tau_plus\)\s*\*\s*\(|tau_minus\)\s*\*\s*\(",
+     "hardylane/radial.py", 1))
 
 
 @pytest.mark.parametrize("pattern, owner, lines", _OWNED_FORMULAS,
                          ids=["fd_stencil", "root_coefficient"])
 def test_operator_formulas_have_one_owner(pattern, owner, lines):
     package = pathlib.Path(hardylane.__file__).parent
-    hits = [f"{path.relative_to(package)}:{n}: {line.strip()}"
-            for path in sorted(package.rglob("*.py"))
+    tests = pathlib.Path(__file__).parent
+    hits = [f"{path.parent.name}/{path.name}:{n}: {line.strip()}"
+            for path in sorted(package.rglob("*.py")) + sorted(
+                tests.glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(pattern, line)]
     assert [hit.split(":")[0] for hit in hits] == [owner] * lines, hits
