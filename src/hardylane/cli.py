@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constructions import (CASE_IDS, SCALE_SCAN, build_candidate,
-                            find_scale, verify_on_grid)
+from .constructions import (CASE_IDS, build_candidate, find_scale,
+                            verify_on_grid)
 from .exponents import DomainValidationError, HardyParams, Powers
 from .iteration import DEFAULT_CAP, iterate_clamped, iterate_plain
 from .plotting import PlotSpec, emit_csv, emit_svg, region_markers
@@ -52,6 +52,11 @@ EXIT_INCONSISTENT = 2
 #: grid), measured with Python 3.11 and numpy 2.4.
 MAX_CAP = 100_000
 MAX_GRID_POINTS = 2 ** 20
+
+#: The scale a verify record without a scale is reported at: 2^-60, the
+#: smallest of the powers of two that find_scale once scanned, so that
+#: those records keep their bytes.
+_UNSCALED_REPORT_T = 2.0 ** -60
 
 #: command -> (the formats it can write, those it writes without --format)
 _FORMATS = {"iterate": (("csv", "json"), ("json",)),
@@ -306,9 +311,8 @@ def cmd_verify(args) -> int:
     grid = default_grid(**{k: v for k, v in given.items() if v is not None})
     found = find_scale(cand, grid=grid)
     if found is None:
-        # reported at the smallest scale the scan tries
         t: Optional[float] = None
-        report = verify_on_grid(cand, t=SCALE_SCAN[-1], grid=grid)
+        report = verify_on_grid(cand, t=_UNSCALED_REPORT_T, grid=grid)
     else:
         t, report = found
     record = {

@@ -34,20 +34,18 @@ the symbolic image has a single positive term and the supersolution slack
 at scale t has the pointwise form a(r) t - b(r) t^s with s > 1: small t
 always wins where the recipe is valid.
 
-Verification is grid-based, not a proof: both inequalities are checked
-at log-spaced radii, with the images Lu and Lv in the closed form of
-radial._hardy_image.  Failures are reported, never masked.  Each
-candidate gets one verification pass: u, v, Lu and Lv are evaluated once
-on the grid, the scale scan computes slack minima only, and the report
-is built for the accepted scale alone.  The scan decides with the least
-work: first at the grid's innermost radius r0 in Python floats, where a
-value certainly negative decides what the grid would, and only then on
-the grid, the v-slack before the u-slack; find_scale's docstring states
-the whole order.  No numpy call is made that does no arithmetic:
-_term_sums skips the zeros and the products by +-1, and a call without a
-grid uses one default grid, and its radii, built at import.  The bits
-are those of the plain arithmetic, and of computing both slacks at every
-scale.
+Each candidate gets one scale, decided from its terms and images before
+any grid evaluation, and verified once on the grid (find_scale's docstring
+states the rule).  A wrong-side pair fails a sign condition on its terms
+and is refuted with no evaluation.  Otherwise t = 2^-k is a power of two
+at or below the closed-form bound t_max of both slacks, the log pair's
+above among them, so t is a proven scale for the stated recipe; the grid
+confirms it, checking both inequalities at log-spaced radii with the
+images Lu and Lv in the closed form of radial._hardy_image.  Failures are
+reported, never masked.  u, v, Lu and Lv are evaluated once on the grid.
+No numpy call is made that does no arithmetic: _term_sums skips the zeros
+and the products by +-1, and a call without a grid uses one default grid,
+and its radii, built at import.
 
 Known degeneracies handled here rather than assumed away:
   - in regime A with t2 > 0 the two-term v of C2 stays positive only for
@@ -79,18 +77,21 @@ LINE_TOL = 1e-9
 #: The mirrored cases and the case whose branch builds each.
 _MIRRORS = {"C7": "C6", "C8": "C4"}
 
-#: Scan grid for the scaling parameter: descending powers of two.
-SCALE_SCAN = tuple(2.0 ** -k for k in range(0, 61))
-
 #: The grid of find_scale and verify_on_grid when none is given, built once.
 _DEFAULT_GRID = default_grid()
 
-#: The margin, relative to its terms' magnitudes, by which a sum in Python
-#: floats must lie below zero for find_scale to take numpy's sum as
-#: negative too: about 4,500 ulps of each term, where the two libraries'
-#: pow and log differ by a few.
-_REFUTE_REL = 1e-12
-_NORMAL_MIN = sys.float_info.min
+#: The margin in log2 t by which find_scale's scale lies below the
+#: closed-form bound, and the largest k of its t = 2^-k: 2^-1022 is the
+#: smallest normal float.
+_MARGIN_LOG2 = 2.0 ** -20
+_MAX_K = 1022
+
+#: The relative tolerance on the exponent gap eps of _log2_bound within
+#: which a pair lies on its recipe's line.
+_GAP_TOL = 1e-8
+
+#: log2 of the largest float: (t w)^s is finite where s log2(t w) is below.
+_LOG2_MAX = math.log2(sys.float_info.max)
 
 
 @frozen
@@ -287,65 +288,65 @@ def _images(cand: SupersolutionCandidate
             _hardy_image(params.N, tp2, tm2, cand.v))
 
 
-def _finite_positive(vals: np.ndarray) -> bool:
-    """Every value finite and positive; NaN fails both comparisons."""
-    return (np.minimum.reduce(vals) > 0.0
-            and np.maximum.reduce(vals) < math.inf)
+def _log2_bound(image: RadialFunction, w: RadialFunction,
+                s: float) -> Optional[float]:
+    """log2 of a scale t_side with t L - (t w)^s >= 0 on the punctured unit
+    ball for every t <= t_side, from the terms of the image L and of w,
+    whose leading coefficient c is positive; None where the terms give
+    no such bound.
+
+    The bound needs s > 1, L = K r^tau_L with K > 0 and no log, and w's
+    later terms negative, so that w <= c r^tau_w (-ln r)^k.  With
+    x = -ln r > 0 and eps = s tau_w - tau_L the slack is then at least
+    t K r^tau_L (1 - t^(s-1) c^s e^(-eps x) x^(s k) / K), nonnegative for
+    t^(s-1) <= K_eff, the infimum over x of K e^(eps x) x^(-s k) / c^s:
+      k = 0: K_eff = K / c^s for eps >= 0.  An eps below -_GAP_TOL
+        max(1, |tau_L|) is off the recipe's line, and the pair fails as
+        r -> 0; a smaller |eps| is the line's rounding, taken as 0;
+      k = 1: K_eff = K (e eps/s)^s / c^s, at x = s/eps, for eps > 0.
+    """
+    if not (s > 1.0 and len(image.terms) == 1):
+        return None
+    term, lead = image.terms[0], w.terms[0]
+    if (term.log_power or not term.coeff > 0.0
+            or any(later.coeff > 0.0 for later in w.terms[1:])):
+        return None
+    eps = s * lead.tau - term.tau
+    log_k = math.log2(term.coeff) - s * math.log2(lead.coeff)
+    if lead.log_power:
+        if not eps > 0.0:
+            return None
+        log_k += s * math.log2(math.e * eps / s)
+    elif not eps >= -_GAP_TOL * max(1.0, abs(term.tau)):
+        return None
+    return log_k / (s - 1.0)
 
 
-def _evaluated(cand: SupersolutionCandidate, radii: np.ndarray):
-    """The values of u, v, Lu and Lv at a grid's radii, which RadialGrid
-    has checked; None as soon as u, then v, is not finite and positive
-    there.  Callers turn overflow warnings off."""
+def _finite_max(vals: np.ndarray) -> Optional[float]:
+    """The largest value, if every value is finite and positive, else
+    None; NaN fails both comparisons."""
+    top = np.maximum.reduce(vals)
+    if np.minimum.reduce(vals) > 0.0 and top < math.inf:
+        return top
+    return None
+
+
+def _evaluated(cand: SupersolutionCandidate, images, radii: np.ndarray):
+    """The values of u, v and of their images Lu and Lv at a grid's radii,
+    which RadialGrid has checked, and the largest values of u and v; None
+    as soon as u, then v, is not finite and positive there.  Callers turn
+    overflow warnings off."""
     u_vals = _term_sums(cand.u, radii, False)[0]
-    if not _finite_positive(u_vals):
+    u_max = _finite_max(u_vals)
+    if u_max is None:
         return None
     v_vals = _term_sums(cand.v, radii, False)[0]
-    if not _finite_positive(v_vals):
+    v_max = _finite_max(v_vals)
+    if v_max is None:
         return None
-    images = _images(cand)
     lu = _term_sums(images[0], radii, False)[0]
     lv = _term_sums(images[1], radii, False)[0]
-    return u_vals, v_vals, lu, lv
-
-
-def _certainly_negative(value: float, magnitude: float) -> bool:
-    """value, a sum in Python floats of terms whose absolute values sum to
-    magnitude, lies below -_REFUTE_REL magnitude, so the same sum by numpy
-    is negative too.  A magnitude below the smallest normal float (where a
-    subnormal term's rounding error is absolute, not relative to it)
-    decides nothing, and an infinite one leaves nothing below."""
-    return value < -_REFUTE_REL * magnitude and magnitude >= _NORMAL_MIN
-
-
-def _pair_refuted(cand: SupersolutionCandidate, r0: float) -> bool:
-    """u or v is certainly not positive at the grid's innermost radius r0,
-    from _term_sums in Python floats: the grid's value there is then not
-    positive, and _evaluated fails.  A term that overflows Python's **
-    decides nothing for its function.  Only for r0 <= 1: beyond it
-    -ln r0 < 0 makes _term_sums' magnitude of a log term negative."""
-    if r0 > 1.0:
-        return False
-    for f in (cand.u, cand.v):
-        try:
-            value, magnitude = _term_sums(f, r0, True)
-        except OverflowError:
-            continue
-        if _certainly_negative(value, magnitude):
-            return True
-    return False
-
-
-def _slack_refuted(image: float, vals: float, s: float) -> bool:
-    """The slack image - vals^s, from the grid's values at its innermost
-    radius scaled by t, is certainly negative: the grid's slack minimum
-    is then negative or NaN, and the scale fails.  A power that overflows
-    Python's ** decides nothing."""
-    try:
-        power = vals ** s
-    except OverflowError:
-        return False
-    return _certainly_negative(image - power, abs(image) + power)
+    return u_vals, v_vals, lu, lv, u_max, v_max
 
 
 def _pair_defect(cand: SupersolutionCandidate, radii: np.ndarray) -> str:
@@ -354,7 +355,7 @@ def _pair_defect(cand: SupersolutionCandidate, radii: np.ndarray) -> str:
     or the radius of the smallest value."""
     with np.errstate(over="ignore", invalid="ignore"):
         name, vals = "u", _term_sums(cand.u, radii, False)[0]
-        if _finite_positive(vals):
+        if _finite_max(vals) is not None:
             name, vals = "v", _term_sums(cand.v, radii, False)[0]
     bad = ~np.isfinite(vals)
     if bad.any():
@@ -431,13 +432,13 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
         grid = _DEFAULT_GRID
     radii = grid.radii
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluated = _evaluated(cand, radii)
+        evaluated = _evaluated(cand, _images(cand), radii)
         if evaluated is None:
             return VerificationReport(
                 ok=False, min_slack_u=math.nan, min_slack_v=math.nan,
                 grid=grid, positivity_ok=False,
                 diagnostic=_pair_defect(cand, radii))
-        u_vals, v_vals, lu, lv = evaluated
+        u_vals, v_vals, lu, lv, _, _ = evaluated
         min_u = _slack_min(t, lu, v_vals, cand.pq.p)
         min_v = _slack_min(t, lv, u_vals, cand.pq.q)
     return _report(grid, t, min_u, min_v, lu, lv)
@@ -446,64 +447,58 @@ def verify_on_grid(cand: SupersolutionCandidate, t: float,
 def find_scale(cand: SupersolutionCandidate,
                grid: Optional[RadialGrid] = None
                ) -> Optional[Tuple[float, VerificationReport]]:
-    """Scan t over descending powers of two; return the largest accepted one.
+    """The scale t = 2^-k of the candidate, decided from its terms and
+    images before any grid evaluation and then verified once on the grid.
 
-    Both slacks have the pointwise form a(r) t - b(r) t^s with s > 1 and
-    a, b >= 0 where the recipe is valid, so acceptance is monotone in t and
-    the first hit of the descending scan is the largest accepted scale.
-    u, v, the symbolic images and their values are evaluated once, with
-    overflow warnings off, and each scale is decided with the least work:
+    t is a power of two at or below the closed-form bound t_max of both
+    slacks on the punctured unit ball, not the largest scale the grid
+    accepts.  The pair is refuted, with no evaluation, when u's or v's
+    leading term (the smallest exponent) has a coefficient <= 0, or when
+    either side, (Lu, v, p) or (Lv, u, q), gives no bound in _log2_bound:
+    that needs s > 1, an image of one positive term without a log, w's
+    later terms negative, and its exponent gap on or past the recipe's
+    line.  Otherwise log2 t_max is the smaller side's bound, and k is the
+    largest of 0, ceil(-log2 t_max + 2^-20) and, for each side,
+    ceil(log2 max(w) - log2(DBL_MAX)/s), so that (t w)^s cannot overflow
+    on the grid, where max(w) is the grid's largest value of w.  A k
+    above 1022, or a u or v that is not finite and positive on the grid,
+    gives None.
 
-      1. u or v certainly negative at the grid's innermost radius r0,
-         if r0 <= 1, by _pair_refuted in Python floats: None, the grid
-         not evaluated;
-      2. u or v not finite and positive on the grid: None, no image built;
-      3. at each scale, both slacks at r0, from the grid's values there,
-         by _slack_refuted: the scale is skipped where either is
-         certainly negative, since the grid's minimum then fails too;
-      4. else the v-slack minimum, then, only if it is finite and
-         nonnegative, the u-slack minimum; the first scale where both
-         are is accepted.
-
-    An image value L with SCALE_SCAN[-1] L < 0 fails every scale, in step
-    3 or 4: rounding is monotone, so t L <= SCALE_SCAN[-1] L < 0 at every
-    scan scale, and taking the nonnegative (possibly infinite) (t w)^s
-    from it keeps the slack there negative.
-
-    Steps 1 and 3 decide only where a value is below -1e-12 times its
-    terms' absolute values, summed to a finite normal float: Python's **
-    and math.log differ from numpy's pow and log by a few ulps per term,
-    so numpy's value at r0 is negative too, and they return what the
-    grid would.  A power that overflows Python's ** decides nothing.
-
-    The report is built for the accepted scale alone, by _report, the
-    same as verify_on_grid's, bit for bit: the minima are the same
-    _slack_min expressions.  Returns None when no scale verifies: either
-    the hypothesis is violated or the grid is too coarse, or u or v is not
-    positive or not finite on the grid; callers decide, nothing is masked.
+    The grid confirms the scale: u, v, Lu and Lv are evaluated once, with
+    overflow warnings off, and the report at t is _report's, the same as
+    verify_on_grid's, bit for bit.  Returns None when it fails, as a grid
+    reaching past r = 1 does; callers decide, nothing is masked.
     """
     if grid is None:
         grid = _DEFAULT_GRID
-    radii = grid.radii
-    if _pair_refuted(cand, radii.item(0)):
+    u, v = cand.u, cand.v
+    if not (u.terms and v.terms and u.terms[0].coeff > 0.0
+            and v.terms[0].coeff > 0.0):
         return None
+    p, q = cand.pq.p, cand.pq.q
+    images = _images(cand)
+    log_u = _log2_bound(images[0], v, p)
+    if log_u is None:
+        return None
+    log_v = _log2_bound(images[1], u, q)
+    if log_v is None:
+        return None
+    k_bound = _MARGIN_LOG2 - min(log_u, log_v)
+    if not k_bound <= _MAX_K:
+        return None
+    radii = grid.radii
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluated = _evaluated(cand, radii)
+        evaluated = _evaluated(cand, images, radii)
         if evaluated is None:
             return None
-        u_vals, v_vals, lu, lv = evaluated
-        p, q = cand.pq.p, cand.pq.q
-        u0, v0, lu0, lv0 = (u_vals.item(0), v_vals.item(0), lu.item(0),
-                            lv.item(0))
-        for t in SCALE_SCAN:
-            if (_slack_refuted(t * lv0, t * u0, q)
-                    or _slack_refuted(t * lu0, t * v0, p)):
-                continue
-            min_v = _slack_min(t, lv, u_vals, q)
-            if _slack_ok(min_v):
-                min_u = _slack_min(t, lu, v_vals, p)
-                if _slack_ok(min_u):
-                    break
-        else:
+        u_vals, v_vals, lu, lv, u_max, v_max = evaluated
+        k = max(math.ceil(max(k_bound, 0.0)),
+                math.ceil(math.log2(v_max) - _LOG2_MAX / p),
+                math.ceil(math.log2(u_max) - _LOG2_MAX / q))
+        if k > _MAX_K:
             return None
-    return t, _report(grid, t, min_u, min_v, lu, lv)
+        t = 2.0 ** -k
+        min_u = _slack_min(t, lu, v_vals, p)
+        min_v = _slack_min(t, lv, u_vals, q)
+    report = _report(grid, t, min_u, min_v, lu, lv)
+    return (t, report) if report.ok else None

@@ -143,27 +143,22 @@ def _term_sums(f: RadialFunction, arr: np.ndarray, with_magnitude: bool):
       -(x * y).
 
     The zero function sums to zeros.  The two sums never share memory with
-    each other or with arr.  arr may also be one float radius: the sums
-    are then Python floats (0-d arrays for the zero function), by ** and
-    math.log, which warn of nothing; ** raises OverflowError where it
-    overflows.
+    each other or with arr.
     """
     out = mag = neg_ln = None
     for t in f.terms:
         pw = arr ** t.tau
         if t.log_power and neg_ln is None:
-            neg_ln = -(np.log(arr) if isinstance(arr, np.ndarray)
-                       else math.log(arr))
+            neg_ln = -np.log(arr)
         log = neg_ln if t.log_power else None
         out = _add_term(out, t.coeff, pw, log)
         if with_magnitude:
             mag = _add_term(mag, abs(t.coeff), pw, log)
-            # a first term 1 * r^tau starts both sums; a float is immutable
-            if mag is out and isinstance(mag, np.ndarray):
+            if mag is out:  # a first term 1 * r^tau starts both sums
                 mag = mag.copy()
     if out is None:
-        out = np.zeros(np.shape(arr))
-        mag = np.zeros(np.shape(arr)) if with_magnitude else None
+        out = np.zeros(arr.shape)
+        mag = np.zeros(arr.shape) if with_magnitude else None
     return out, mag
 
 

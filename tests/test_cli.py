@@ -404,19 +404,32 @@ class TestVerifyCommand:
         assert rec["positivity_ok"] is False
         assert rec["diagnostic"] == "u is not finite near r=1.000e-320"
 
-    def test_overflowing_image_fails_with_diagnostic(self, capsys):
-        # u and v are finite at r = 1e-300 but Lu overflows: the record
-        # names it, and no RuntimeWarning reaches stderr
-        code, out, err = run_cli(capsys, "verify", "--N", "5", "--mu1", "-2",
-                                 "--mu2", "0", "--p", "2", "--q", "3",
-                                 "--case", "C1", "--r-min", "1e-300")
+    @pytest.mark.parametrize("point, log2_t", [
+        # C4 near the strip foot, where K_v = 5.2e-8
+        (("--N", "7", "--mu1=-5.469875941691856",
+          "--mu2=-0.7919488877056288", "--p", "4.8900183430982525",
+          "--q", "1.3383317488658582", "--case", "C4"), -72),
+        # C5 with p near 1
+        (("--N", "8", "--mu1=-0.21337876309802317",
+          "--mu2=-7.859025569565729", "--p", "1.0127576339815625",
+          "--q", "3.4766031118445095", "--case", "C5"), -84),
+        # the worked C1 on 1e-300, where Lu overflows: t keeps (t u)^q
+        # finite, so the slack is infinite there, not NaN
+        (("--N", "5", "--mu1", "-2", "--mu2", "0", "--p", "2", "--q", "3",
+          "--case", "C1", "--r-min", "1e-300"), -656)],
+        ids=["C4", "C5", "C1-1e-300"])
+    def test_scales_below_the_scans_floor(self, capsys, point, log2_t):
+        # existence points whose scale lies below 2^-60, where the scan
+        # that once searched for t stopped: the record verifies, quietly
+        code, out, err = run_cli(capsys, "verify", *point)
         assert code == 0 and err == ""
         rec = json.loads(out)
         jsonschema.validate(rec, load_schema("verify"))
-        assert rec["ok"] is False and rec["t"] is None
-        assert rec["positivity_ok"] is True
-        assert rec["min_slack_u"] is None
-        assert rec["diagnostic"] == "Lu is not finite near r=1.000e-300"
+        assert rec["ok"] is True and rec["t"] == 2.0 ** log2_t
+        assert rec["positivity_ok"] is True and rec["diagnostic"] == ""
+        if "--r-min" not in point:
+            classified = run_json(capsys, "classify", *point[:-2])
+            assert classified["verdict"] == "exists_supersolution"
 
     @pytest.mark.parametrize("case, p, q", [("C6", "2", "3"),
                                             ("C7", "3", "2")])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import hardylane
 from hardylane import boundaries as bd
 from hardylane import cli, constructions
-from hardylane.constructions import (CASE_IDS, LINE_TOL, SCALE_SCAN,
+from hardylane.constructions import (CASE_IDS, LINE_TOL,
                                      SupersolutionCandidate,
                                      VerificationReport, build_candidate,
                                      find_scale, verify_on_grid)
@@ -28,6 +28,9 @@ from hardylane.regions import Verdict, classify
 from oracles import (FD_DEV_LIMIT, case_for_region, decimal_hardy,
                      fd_deviation, hardy_fd_oracle, hardy_image, mu_zero,
                      values)
+
+#: The scales the reference scans try: descending powers of two, 1 to 2^-60.
+SCALE_SCAN = tuple(2.0 ** -k for k in range(0, 61))
 
 A_PARAMS = HardyParams(5, -2.0, 0.0)
 B_PARAMS = HardyParams(5, -2.0, -2.0)
@@ -177,14 +180,17 @@ GOLDEN_VERIFY_JSON = (
      "07ece1022676a3589708b8939c5e61e34e95b4b42b8eb7a42de94ae2d4a1f7be"),
 )
 
-#: The C3 log points of ROADMAP item 2, Step A, whose grid scale differs
-#: from the closed form's, with that scale: at N = 4 on 1e-100 the 512
-#: radii step over the u-slack's minimum and accept t = 0.5 above
-#: t_max = 0.499935; at N = 3 on 1e-30 the rounded q rejects t = 1.  Then
-#: GOLDEN's C6 on 1e-100, whose scan meets NaN slacks before t = 0.25.
+#: The points where the grid scans' scale differed from the closed form's,
+#: with find_scale's scale.  At C3 N = 4 on 1e-100 the scan's 512 radii
+#: stepped over the u-slack's minimum and accepted t = 0.5 above
+#: t_max = 0.499935; find_scale takes 0.25.  At C3 N = 3 on 1e-30 the
+#: v-side bound t_max = 1 is attained only as r -> 0, where the scan's
+#: rounded q rejected t = 1; the 2^-20 margin takes find_scale to 0.5 too.
+#: GOLDEN's C6 on 1e-100, where the scan met NaN slacks before t = 0.25,
+#: keeps 0.25, t_max = 0.346362's power of two.
 KNOWN_GRID_SCALES = (
     ("C3", (4, -0.42342064925840817, 0.0, 5.951086995533937,
-            8.31007286209953), 1e-100, 0.5),
+            8.31007286209953), 1e-100, 0.25),
     ("C3", (3, -0.2164895756882088, 0.0, 3.0454092829132895,
             6.310313324237998), 1e-30, 0.5),
     ("C6", (5, -2.0, -2.0, 2.0, 3.0), 1e-100, 0.25),
@@ -192,7 +198,7 @@ KNOWN_GRID_SCALES = (
 
 #: sha256 of `hardylane verify`'s JSON at KNOWN_GRID_SCALES' C3 points.
 KNOWN_VERIFY_JSON = (
-    "d89a2a39fceb9f0d65a0dcd7826a621ecadffcdaa5318e5df4707423b8f2e4e4",
+    "d5c7fa496f22c1c4aa6242da23e4a9a609d2a33e8fe5176a78385dc29e8e7b3f",
     "35b3f9a090922b46cdaccd6f6f2c67e7e08cc2a036e36b0af03f00fa0364ee07",
 )
 
@@ -464,19 +470,15 @@ class TestScaleSearch:
     @given(accepting_candidates())
     @settings(max_examples=40, deadline=None)
     def test_scan_is_monotone(self, cand):
+        # every smaller power of two, down to 2^-60, verifies too
         found = find_scale(cand)
         assert found is not None
         t, _ = found
-        for smaller in SCALE_SCAN[SCALE_SCAN.index(t) + 1:]:
-            report = verify_on_grid(cand, t=smaller)
-            assert report.min_slack_u >= 0.0 and report.min_slack_v >= 0.0
-        if t < SCALE_SCAN[0]:
-            assert not verify_on_grid(cand, t=2.0 * t).ok
-
-    def test_scan_grid_shape(self):
-        assert SCALE_SCAN[0] == 1.0
-        assert SCALE_SCAN[-1] == 2.0 ** -60
-        assert len(SCALE_SCAN) == 61
+        for smaller in SCALE_SCAN:
+            if smaller < t:
+                report = verify_on_grid(cand, t=smaller)
+                assert report.min_slack_u >= 0.0
+                assert report.min_slack_v >= 0.0
 
 
 class TestVerification:
@@ -524,10 +526,13 @@ class TestVerification:
 
     def test_overflowing_image_fails_with_diagnostic(self):
         # u and v are finite at r = 1e-300, but Lu has an r^-2 term: the NaN
-        # slack minimum is named, and no RuntimeWarning escapes
+        # slack minimum is named, and no RuntimeWarning escapes.  find_scale
+        # takes t small enough that (t u)^q is finite there, so t Lu is an
+        # infinite slack against a finite power
         cand = build_candidate("C1", A_PARAMS, Powers(2, 3))
         grid = RadialGrid(1e-300, 0.999, 512)
-        assert find_scale(cand, grid=grid) is None
+        t, found = find_scale(cand, grid=grid)
+        assert t == 2.0 ** -656 and found.ok
         report = verify_on_grid(cand, t=1.0, grid=grid)
         assert not report.ok and report.positivity_ok
         assert math.isnan(report.min_slack_u)
@@ -655,8 +660,8 @@ class TestVerification:
         N, mu1, mu2, p, q = point
         cand = build_candidate(case, HardyParams(N, mu1, mu2), Powers(p, q),
                                strict=False)
-        arrays = [a.copy() for a in
-                  constructions._evaluated(cand, default_grid().radii)]
+        arrays = [a.copy() for a in constructions._evaluated(
+            cand, constructions._images(cand), default_grid().radii)[:4]]
         for planted in (None, math.inf, -math.inf, math.nan):
             if planted is not None:
                 for k, a in enumerate(arrays):
@@ -707,6 +712,13 @@ def c3_log_points(draw):
     p = draw(st.floats(min_value=1.05, max_value=6.0, exclude_min=True,
                        exclude_max=True))
     return params, Powers(p, 2.0 / -t1)
+
+
+def closed_form_power(log2_t_max):
+    """2^-k for the smallest k >= 0 with k >= -log2 t_max + 2^-20: the
+    power of two find_scale takes below the closed-form bound t_max where
+    no power overflows on the grid."""
+    return 2.0 ** -max(0, math.ceil(-log2_t_max + 2.0 ** -20))
 
 
 def log2_closed_form_scale(params, pq):
@@ -781,26 +793,22 @@ class TestDomainSearch:
         params, pq = point
         cand = build_candidate("C3", params, pq)
         assert cand.notes == ("log recipe on the unit ball",)
-        expect = 2.0 ** min(0, math.floor(log2_closed_form_scale(params, pq)))
+        expect = closed_form_power(log2_closed_form_scale(params, pq))
         t, report = find_scale(cand)
         assert t == expect and report.ok
         # C3's log pair is C6's at t2 = 0: the same closed form
         assert log2_log_pair_scale(cand) == pytest.approx(
             log2_closed_form_scale(params, pq), rel=1e-12, abs=1e-12)
-        # on grids reaching closer to 0 the scale keeps its power of two
-        # within one, as the closed form holds on the whole punctured ball.
-        # It can move by one because at N = 3 the v-side bound t = 1 is
-        # attained only as r -> 0, where rounding of q decides the slack's
-        # sign, and because 512 radii over 100 decades can step over the
-        # u-side minimum at r = e^-p
+        # the closed form holds on the whole punctured ball, and no power
+        # overflows on these grids: grids reaching closer to 0 confirm the
+        # same scale
         for r_min in (1e-30, 1e-100):
             found = find_scale(cand, grid=default_grid(r_min=r_min))
-            assert found is not None
-            assert expect / 2.0 <= found[0] <= 2.0 * expect, r_min
+            assert found is not None and found[0] == expect, r_min
 
     @given(log_pair_points())
     @settings(max_examples=100, deadline=None)
-    def test_log_pair_scale_is_at_least_the_closed_form(self, point):
+    def test_log_pair_scale_is_the_closed_form(self, point):
         cand = build_candidate(*point)
         _, _, _, t_log, s, _ = log_pair_sides(cand)
         # grid-free: the power side's image has one positive term, at
@@ -809,13 +817,12 @@ class TestDomainSearch:
         image = constructions._images(cand)[point[0] == "C7"]
         lead = [t.tau for t in image.terms if t.coeff > 0.0]
         assert len(lead) == 1 and lead[0] < t_log * s
-        # the grid's scale is at least the closed form's power of two, on
-        # grids near the origin too: a pair that fails as r -> 0 loses a
-        # factor (-ln r_min)^(s/(s-1))
-        expect = 2.0 ** min(0, math.floor(log2_log_pair_scale(cand)))
+        # the scale is the closed form's power of two, on grids near the
+        # origin too, where no power overflows
+        expect = closed_form_power(log2_log_pair_scale(cand))
         for r_min in (1e-6, 1e-30):
             found = find_scale(cand, grid=default_grid(r_min=r_min))
-            assert found is not None and found[0] >= expect, r_min
+            assert found is not None and found[0] == expect, r_min
 
 
 class TestCaseSelection:
@@ -925,20 +932,22 @@ class TestAgainstReference:
 
     def test_find_scale_on_drawn_candidates(self, monkeypatch):
         # accepting, wrong-side and off-kernel candidates on grids toward
-        # 0: the v-first scan and the refutations at r0 give the
-        # reference's result, which tries both slacks at every scale.  The
-        # draws are fixed (derandomized), and must reach a pair refuted at
-        # r0 at every scale, with no grid slack computed, and a NaN image
-        # (scanned)
-        slack_min = constructions._slack_min
+        # 0: find_scale's report is the reference's verification at its
+        # scale, which is at most the reference scan's, or below the
+        # scan's floor of 2^-60 where the scan finds none; where the
+        # scan finds one for a pair whose hypotheses hold, so does
+        # find_scale.  The draws are fixed (derandomized), and must reach
+        # pairs refuted by their terms, with no grid evaluated, and scales
+        # below the scan's floor
+        evaluated = constructions._evaluated
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return slack_min(*args)
+            return evaluated(*args)
 
-        monkeypatch.setattr(constructions, "_slack_min", counted)
-        seen = {"accepted": 0, "refuted_at_r0": 0, "nan_image": 0}
+        monkeypatch.setattr(constructions, "_evaluated", counted)
+        seen = {"accepted": 0, "below the floor": 0, "refuted by terms": 0}
 
         @given(st.one_of(accepting_points().map(
                              lambda point: build_candidate(*point)),
@@ -949,6 +958,11 @@ class TestAgainstReference:
                                                            strict=False)),
                          off_kernel_candidates()),
                st.sampled_from(GRID_R_MINS))
+        # C4 near the strip foot, at t = 2^-72 on the default grid
+        @example(build_candidate("C4", HardyParams(7, -5.469875941691856,
+                                                   -0.7919488877056288),
+                                 Powers(4.8900183430982525,
+                                        1.3383317488658582)), 1e-6)
         @settings(max_examples=300, deadline=None, derandomize=True,
                   database=None)
         def check(cand, r_min):
@@ -957,26 +971,20 @@ class TestAgainstReference:
             found = find_scale(cand, grid)
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = find_scale_reference(cand, grid)
-            assert (found is None) == (ref is None)
-            if found is not None:
-                seen["accepted"] += 1
-                assert found[0].hex() == ref[0].hex()
-                assert report_bits(found[1]) == report_bits(ref[1])
-            radii = grid.radii
-            with np.errstate(over="ignore", invalid="ignore"):
-                u, v = values(cand.u, radii), values(cand.v, radii)
-                if not (np.isfinite(u).all() and np.isfinite(v).all()
-                        and u.min() > 0.0 and v.min() > 0.0):
-                    return
-                params = cand.params
-                lu = values(hardy_image(params.N, params.mu1, cand.u), radii)
-                lv = values(hardy_image(params.N, params.mu2, cand.v), radii)
-            if np.isnan(lu).any() or np.isnan(lv).any():
-                seen["nan_image"] += 1
-                assert calls  # scanned
-            if found is None and not calls:
-                seen["refuted_at_r0"] += 1
-                assert (lu < 0.0).any() or (lv < 0.0).any()
+                verified = found and verify_reference(cand, found[0], grid)
+            if found is None:
+                seen["refuted by terms"] += not calls
+                assert ref is None or any(
+                    note.startswith("hypothesis violated")
+                    for note in cand.notes)
+                return
+            seen["accepted"] += 1
+            assert report_bits(found[1]) == report_bits(verified)
+            if ref is None:
+                seen["below the floor"] += 1
+                assert found[0] < SCALE_SCAN[-1]
+            else:
+                assert found[0] <= ref[0]
 
         check()
         assert all(seen.values()), seen
@@ -1363,17 +1371,19 @@ def test_single_power_recipe_has_one_owner():
 # --- find_scale against the scan it replaced ---------------------------------
 # A verbatim copy of find_scale as it was before the scan decided at the
 # grid's innermost radius first: every pair and every scale decided on the
-# full grid.  The current scan must return its bits.
+# full grid.  find_scale's closed-form scale is never above the scan's, and
+# lies below the scan's floor of 2^-60 where the scan finds none.
 
 def reference_find_scale(cand: SupersolutionCandidate,
                          grid=None):
     if grid is None:
         grid = constructions._DEFAULT_GRID
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluated = constructions._evaluated(cand, grid.radii)
+        evaluated = constructions._evaluated(cand, constructions._images(cand),
+                                             grid.radii)
         if evaluated is None:
             return None
-        u_vals, v_vals, lu, lv = evaluated
+        u_vals, v_vals, lu, lv = evaluated[:4]
         p, q = cand.pq.p, cand.pq.q
         # t L - (t w)^s <= t L < 0 where L < 0, at every scale (step 2)
         last = SCALE_SCAN[-1]
@@ -1396,57 +1406,128 @@ def scale_bits(found):
     return None if found is None else (found[0].hex(), repr(found[1]))
 
 
-@st.composite
-def scan_grids(draw):
-    """A RadialGrid with r_min in [1e-100, 0.5], r_max below or above 1
-    and 2 to 600 radii."""
-    r_min = 10.0 ** draw(st.floats(min_value=-100.0,
-                                   max_value=math.log10(0.5)))
-    r_max = draw(st.one_of(st.just(1.0 - 1e-3),
-                           st.floats(min_value=0.6, max_value=3.0)))
-    return RadialGrid(r_min, r_max, draw(st.integers(2, 600)))
-
-
 #: Grids of the fixed points: the default one and two toward 0, one of
 #: them past r = 1 and coarse.
 SCAN_GRIDS = (default_grid(), RadialGrid(1e-100, 0.999, 512),
               RadialGrid(1e-30, 2.0, 17))
 
 
-class TestScanMatchesReference:
-    """find_scale's early refutations at the innermost radius change no
-    bit of its result."""
+def within_the_scan(cand, grid):
+    """"equal", "lower", "below the floor" or "none": find_scale's scale
+    against reference_find_scale's, asserting that it is found wherever
+    the scan finds one, at most the scan's, and below 2^-60 otherwise."""
+    found, ref = find_scale(cand, grid), reference_find_scale(cand, grid)
+    if ref is not None:
+        assert found is not None and found[0] <= ref[0], (found, ref)
+        return "equal" if found[0] == ref[0] else "lower"
+    if found is not None:
+        assert found[0] < SCALE_SCAN[-1], found
+        return "below the floor"
+    return "none"
 
-    def test_drawn_candidates(self, monkeypatch):
-        # all eight cases in both strict modes, accepting and wrong-side
-        # points, on grids toward 0 and past 1; the draws (derandomized)
-        # must refute pairs and scales at r0, and fall through to the
-        # grid on both
-        seen = {"pair refuted": 0, "pair to grid": 0,
-                "scale refuted": 0, "scale to grid": 0}
-        for name, key in (("_pair_refuted", "pair"),
-                          ("_slack_refuted", "scale")):
-            def counted(*args, _fn=getattr(constructions, name), _key=key):
-                refuted = _fn(*args)
-                seen[f"{_key} {'refuted' if refuted else 'to grid'}"] += 1
-                return refuted
-            monkeypatch.setattr(constructions, name, counted)
 
-        @given(st.one_of(random_case_point(), accepting_points(),
-                         wrong_side_points()),
-               st.booleans(), scan_grids())
-        @settings(max_examples=400, deadline=None, derandomize=True,
-                  database=None)
-        def check(point, strict, grid):
-            try:
-                cand = build_candidate(*point, strict=strict)
-            except DomainValidationError:
-                return
-            assert scale_bits(find_scale(cand, grid)) == \
-                scale_bits(reference_find_scale(cand, grid))
+def mono(coeff, tau, log_power=0):
+    return RadialFunction.monomial(coeff, tau, log_power=log_power)
+
+
+class TestRefutedByTerms:
+    """find_scale refutes a pair by the signs of its terms and images,
+    with no grid evaluated, and otherwise bounds each side in closed
+    form (_log2_bound)."""
+
+    @pytest.mark.parametrize("image, w, s", [
+        (mono(2.0, -3.0), mono(1.0, -1.5), 1.0),
+        (mono(-2.0, -3.0), mono(1.0, -1.5), 2.0),
+        (mono(2.0, -3.0, log_power=1), mono(1.0, -1.5), 2.0),
+        (RadialFunction.from_terms([RadialTerm(-3.0, 0, 2.0),
+                                    RadialTerm(-2.0, 0, 1.0)]),
+         mono(1.0, -1.5), 2.0),
+        (mono(2.0, -3.0), RadialFunction.from_terms(
+            [RadialTerm(-1.5, 0, 1.0), RadialTerm(0.0, 0, 0.5)]), 2.0),
+        (mono(2.0, -3.0), mono(1.0, -1.6), 2.0),
+        (mono(2.0, -3.0), mono(1.0, -1.5, log_power=1), 2.0)],
+        ids=["s=1", "K<0", "log image", "two image terms",
+             "later term of w positive", "below the line",
+             "log w on the line"])
+    def test_no_bound(self, image, w, s):
+        assert constructions._log2_bound(image, w, s) is None
+
+    @pytest.mark.parametrize("image, w, s, log2_t", [
+        # on the line eps = 0: t_max^(s-1) = K/c^s
+        (mono(2.0, -3.0), mono(1.0, -1.5), 2.0, 1.0),
+        (mono(2.0, -3.0), mono(2.0, -1.5), 2.0, -1.0),
+        (mono(2.0, -3.0), mono(1.0, -1.0), 3.0, 0.5),
+        # the line's rounding, eps = -2e-10, is taken as 0
+        (mono(2.0, -3.0), mono(1.0, -1.5 - 1e-10), 2.0, 1.0),
+        # past the line, eps = 0.2 > 0: the bound at r -> 1
+        (mono(2.0, -3.0), mono(1.0, -1.4), 2.0, 1.0),
+        # a log w, eps = 1: K (e eps/s)^s at -ln r = s/eps
+        (mono(2.0, -3.0), mono(1.0, -1.0, log_power=1), 2.0,
+         1.0 + 2.0 * math.log2(math.e / 2.0))])
+    def test_bound(self, image, w, s, log2_t):
+        assert constructions._log2_bound(image, w, s) == \
+            pytest.approx(log2_t, rel=1e-15, abs=1e-15)
+
+    def test_wrong_side_pairs_are_not_evaluated(self, monkeypatch):
+        # every wrong-side draw, C1 at q = 4 (u = r^-1 - r^-2, whose
+        # image is 0), and pairs that fail one rule each: p = 1, a v whose
+        # later term is positive, and u = -1, whose image 2 r^-2 and v's
+        # bound hold
+        evaluated = constructions._evaluated
+        calls = []
+        monkeypatch.setattr(constructions, "_evaluated",
+                            lambda *args: calls.append(args)
+                            or evaluated(*args))
+        worked = build_candidate("C1", A_PARAMS, Powers(2, 3))
+        for cand in (build_candidate("C1", A_PARAMS, Powers(2, 4),
+                                     strict=False),
+                     build_candidate("C1", A_PARAMS, Powers(1.0, 3.0),
+                                     strict=False),
+                     replace(worked, v=RadialFunction.from_terms(
+                         [RadialTerm(-1.0, 0, 1.0), RadialTerm(0.0, 0, 1.0)])),
+                     replace(worked, u=mono(-1.0, 0.0))):
+            assert find_scale(cand) is None and not calls, cand
+
+        @given(wrong_side_points())
+        @settings(max_examples=200, deadline=None)
+        def check(point):
+            calls.clear()
+            cand = build_candidate(*point, strict=False)
+            assert find_scale(cand) is None and not calls
 
         check()
-        assert all(seen.values()), seen
+        assert find_scale(worked) is not None and calls
+
+
+class TestScanMatchesReference:
+    """find_scale's scale against the scan it replaced."""
+
+    @given(st.one_of(random_case_point(), accepting_points(),
+                     wrong_side_points()))
+    # a t_max below 1 whose power of two the scan skipped, and one below
+    # the scan's floor
+    @example(("C5", HardyParams(6, -4.0, -4.0), Powers(1.5, 1.5)))
+    @example(("C3", HardyParams(3, -0.25, 2.225073858507203e-309),
+              Powers(4.521224745817131, 4.0)))
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    def test_drawn_candidates(self, point):
+        # all eight cases, accepting and wrong-side points, strict, on the
+        # default grid
+        try:
+            cand = build_candidate(*point)
+        except DomainValidationError:
+            return
+        within_the_scan(cand, SCAN_GRIDS[0])
+
+    def test_examples_reach_every_outcome(self):
+        assert within_the_scan(build_candidate(
+            "C5", HardyParams(6, -4.0, -4.0), Powers(1.5, 1.5)),
+            SCAN_GRIDS[0]) == "lower"
+        assert within_the_scan(build_candidate(
+            "C3", HardyParams(3, -0.25, 2.225073858507203e-309),
+            Powers(4.521224745817131, 4.0)), SCAN_GRIDS[0]) \
+            == "below the floor"
 
     @pytest.mark.parametrize("grid", SCAN_GRIDS, ids=repr)
     @pytest.mark.parametrize("case, params, pq", ACCEPTING + WRONG_SIDE,
@@ -1458,147 +1539,37 @@ class TestScanMatchesReference:
                 cand = build_candidate(case, params, pq, strict=strict)
             except DomainValidationError:
                 continue
-            assert scale_bits(find_scale(cand, grid)) == \
-                scale_bits(reference_find_scale(cand, grid))
+            within_the_scan(cand, grid)
 
-    def test_overflowing_power_at_r0_keeps_the_scale(self):
-        # on 1e-100, (t u)^q overflows Python's ** at r0 for the first
-        # scales; that decides nothing, and the grid accepts t = 2^-40
+    def test_overflowing_power_sets_the_scale(self):
+        # on 1e-100, (t u)^q would overflow at r0 for t above 2^-40: the
+        # overflow bound, not t_max = 1.38, sets the scale, the scan's too
         cand = build_candidate("C1", A_PARAMS, Powers(1.5, 3.5))
         grid = RadialGrid(1e-100, 0.999, 512)
-        u0 = grid.radii.item(0) ** -1.0
-        with pytest.raises(OverflowError):
-            u0 ** 3.5
-        assert not constructions._slack_refuted(0.0, u0, 3.5)
         found = find_scale(cand, grid)
         assert found[0] == 2.0 ** -40
         assert scale_bits(found) == \
             scale_bits(reference_find_scale(cand, grid))
+        assert find_scale(cand)[0] == 1.0
 
 
-def one_value(f, r):
-    """numpy's value of f at the single radius r, as the grid's first."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_term_sums(f, np.array([r]), False)[0][0])
-
-
-def with_pair(u, v):
-    """The worked C1 candidate with its pair replaced by (u, v)."""
-    return replace(build_candidate("C1", A_PARAMS, Powers(2.0, 3.0)),
-                   u=u, v=v)
-
-
-ONE = RadialFunction.monomial(1.0, 0.0)
-
-
-@st.composite
-def near_cancelling_pairs(draw):
-    """(f, r): r^a - r^b with b one ulp from a, so f is within ulps of
-    zero, or c r^a (-ln r)^k + d r^b with d r^b drawn within 1e-9 of
-    cancelling the first term at r, at r from 1e-300 to 4."""
-    r = 10.0 ** draw(st.floats(min_value=-300.0, max_value=0.6))
-    a = draw(st.floats(min_value=-3.0, max_value=60.0))
-    if draw(st.booleans()):
-        b = math.nextafter(a, draw(st.sampled_from((-math.inf, math.inf))))
-        assume(a != b)
-        return RadialFunction.power_difference(a, b), r
-    k = draw(st.integers(0, 1))
-    c = draw(st.floats(min_value=0.1, max_value=5.0))
-    b = draw(st.floats(min_value=-3.0, max_value=60.0))
-    assume(b != a)
-    try:
-        first = c * r ** a * (-math.log(r)) ** k
-        d = -first / r ** b * (1.0 + draw(st.floats(-1e-9, 1e-9)))
-    except (OverflowError, ZeroDivisionError):
-        assume(False)
-    assume(math.isfinite(d) and d != 0.0)
-    return RadialFunction.from_terms([RadialTerm(a, k, c),
-                                      RadialTerm(b, 0, d)]), r
-
-
-class TestRefutationIsSound:
-    """A refutation at the innermost radius never overrules a grid value
-    that is finite and positive, or a slack there that is nonnegative."""
-
-    @given(near_cancelling_pairs(), st.booleans())
-    @example((RadialFunction.power_difference(2.0, math.nextafter(2.0, 3.0)),
-              1e-300), False)
-    @example((RadialFunction.power_difference(-3.0, -4.0), 1e-100), False)
-    @example((RadialFunction.power_difference(-1.0, math.nextafter(-1.0, 0)),
-              1e-100), True)
-    @settings(max_examples=500, deadline=None)
-    def test_pair(self, drawn, as_v):
-        f, r = drawn
-        cand = with_pair(ONE, f) if as_v else with_pair(f, ONE)
-        if constructions._pair_refuted(cand, r):
-            value = one_value(f, r)
-            assert not (0.0 < value < math.inf), (f, r, value)
-
-    def test_pair_overflow_decides_nothing(self):
-        # r0^-4 overflows Python's ** at 1e-100, and numpy's value is -inf
-        f = RadialFunction.power_difference(-3.0, -4.0)
-        with pytest.raises(OverflowError):
-            _term_sums(f, 1e-100, True)
-        assert not constructions._pair_refuted(with_pair(f, ONE), 1e-100)
-        assert one_value(f, 1e-100) == -math.inf
-
-    def test_pair_needs_a_normal_magnitude(self):
-        # r^20 - r^19 at 1e-16: -1e-304 in normal floats is refuted; at
-        # 1e-17 both terms are subnormal and nothing is decided
-        f = RadialFunction.power_difference(19.0, 20.0)
-        g = RadialFunction.power_difference(20.0, 19.0)
-        assert constructions._pair_refuted(with_pair(g, ONE), 1e-16)
-        value, magnitude = _term_sums(g, 1e-17, True)
-        assert value < 0.0 and 0.0 < magnitude < sys.float_info.min
-        assert not constructions._pair_refuted(with_pair(g, ONE), 1e-17)
-        assert not constructions._pair_refuted(with_pair(f, ONE), 1e-16)
-
-    def test_pair_past_one_decides_nothing(self):
-        # past r = 1, -ln r < 0 turns a log term's magnitude negative; no
-        # refutation there, even of a value that is negative
-        f = RadialFunction.monomial(1.0, 0.0, log_power=1)
-        assert one_value(f, 2.0) < 0.0
-        assert not constructions._pair_refuted(with_pair(f, ONE), 2.0)
-        # -1 + 0.5 (-ln r) at r = e: the magnitude sums to 0.5, not 1.5
-        g = RadialFunction.from_terms([RadialTerm(0.0, 0, -1.0),
-                                       RadialTerm(0.0, 1, 0.5)])
-        assert _term_sums(g, math.e, True)[1] > sys.float_info.min
-        assert not constructions._pair_refuted(with_pair(g, ONE), math.e)
-        # r0 = 1 itself still decides
-        assert constructions._pair_refuted(
-            with_pair(RadialFunction.monomial(-1.0, 0.0), ONE), 1.0)
-
-    @given(st.floats(min_value=1e-300, max_value=1e300),
-           st.floats(min_value=1.01, max_value=40.0),
-           st.floats(min_value=-1e-9, max_value=1e-9),
-           st.sampled_from(SCALE_SCAN))
-    @example(3.0, 2.0, 0.0, 1.0)
-    @example(1e100, 3.5, 0.0, 1.0)               # the power overflows
-    @example(1e-300, 1.5, -1e-12, 1.0)           # subnormal terms
-    @example(2.0 ** -1000, 1.2, -1e-10, 2.0 ** -60)
-    @settings(max_examples=500, deadline=None)
-    def test_slack(self, w, s, rel, t):
-        # the image drawn within 1e-9 of cancelling (t w)^s at r0
+@given(random_case_point())
+@example(("C6", HardyParams(7, -6.25, -1.2968492313823816),
+          Powers(5.5498999589125635, 6.50029786166496)))
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+def test_no_construction_where_classify_says_nonexistence(point):
+    # the theorem holds: at a nonexistence point no recipe verifies,
+    # whatever its case, its hypotheses noted rather than checked
+    _, params, pq = point
+    if classify(params, pq).verdict is not Verdict.NONEXISTENCE:
+        return
+    for case in CASE_IDS:
         try:
-            image = (t * w) ** s / t * (1.0 + rel)
-        except OverflowError:
-            image = math.inf
-        self.assert_slack_sound(image, w, s, t)
-
-    @pytest.mark.parametrize("image", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("w", [1e-300, 1.0, 1e100])
-    def test_slack_non_finite_image(self, image, w):
-        for t in (1.0, 2.0 ** -60):
-            assert not constructions._slack_refuted(t * image, t * w, 2.0)
-            self.assert_slack_sound(image, w, 2.0, t)
-
-    @staticmethod
-    def assert_slack_sound(image, w, s, t):
-        if constructions._slack_refuted(t * image, t * w, s):
-            with np.errstate(over="ignore", invalid="ignore"):
-                slack = constructions._slack_min(t, np.array([image]),
-                                                 np.array([w]), s)
-            assert not slack >= 0.0, (image, w, s, t, slack)
+            cand = build_candidate(case, params, pq, strict=False)
+        except DomainValidationError:
+            continue
+        for grid in SCAN_GRIDS[:2]:
+            assert find_scale(cand, grid) is None, (case, grid)
 
 
 # --- the symbolic images against the operator in decimal --------------------

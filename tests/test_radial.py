@@ -167,35 +167,6 @@ class TestEvaluate:
         for a, b in ((value, mag), (out, arr), (value, arr), (mag, arr)):
             assert not np.shares_memory(a, b)
 
-    @given(TERMS, RADII)
-    @example([(-60.0, 0, 1.0)], 1e-6)      # r^tau overflows Python's **
-    @example([(1.0, 0, 1.0), (2.0, 0, -1.0)], 0.25)
-    @example([(0.5, 1, 1.0)], 1.0)
-    @example([], 0.5)
-    @settings(max_examples=300, deadline=None)
-    def test_float_radius_sums_in_python_floats(self, terms, r):
-        # at one float radius the sums are those of Python's ** and
-        # math.log, term by term in order, and a power that overflows
-        # raises
-        f = RadialFunction.from_terms(
-            RadialTerm(tau, k, c) for tau, k, c in terms)
-        value = mag = 0.0
-        try:
-            for t in f.terms:
-                term, size = t.coeff * r ** t.tau, abs(t.coeff) * r ** t.tau
-                if t.log_power:
-                    term, size = term * -math.log(r), size * -math.log(r)
-                value, mag = value + term, mag + size
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                _term_sums(f, r, True)
-            return
-        got_value, got_mag = _term_sums(f, r, True)
-        assert hex_bits(got_value) == hex_bits(value)
-        assert hex_bits(got_mag) == hex_bits(mag)
-        if f.terms:
-            assert type(got_value) is float and type(got_mag) is float
-
     @pytest.mark.parametrize("r", [math.nan, 0.0, -0.0, -1.0, [],
                                    np.zeros((0, 3)), [0.5, math.nan],
                                    np.array([[0.5, 1.0], [2.0, 0.0]])])
